@@ -25,7 +25,6 @@ from .errors import (
     ConfigurationError,
     ConsistencyError,
     CoopD2DError,
-    DegeneratePopulationError,
     DivergenceError,
     EnumerationBudgetError,
     SingularChannelError,
@@ -59,21 +58,16 @@ from .netsim import (
 )
 from .population import (
     PopulationSummary,
-    RequestConfiguration,
-    configuration_probability,
-    coop_count,
     expected_cellular_and_noncoop,
     expected_coop_users_exact,
     expected_coop_users_mc,
 )
 from .rates import (
     RadioParams,
-    RateSummary,
     coop_link_rate,
     dbm_to_watts,
     network_throughput,
     noncoop_link_rate,
-    user_throughputs,
 )
 
 __version__ = "0.1.0"
@@ -96,7 +90,6 @@ __all__ = [
     "DivergenceError",
     "EnumerationBudgetError",
     "ConsistencyError",
-    "DegeneratePopulationError",
     "SingularChannelError",
     "ExperimentSpec",
     "spec_from_mapping",
@@ -119,19 +112,14 @@ __all__ = [
     "zf_rates",
     "noncoop_rates",
     "run_campaign",
-    "RequestConfiguration",
     "PopulationSummary",
-    "configuration_probability",
-    "coop_count",
     "expected_coop_users_exact",
     "expected_coop_users_mc",
     "expected_cellular_and_noncoop",
     "RadioParams",
-    "RateSummary",
     "dbm_to_watts",
     "noncoop_link_rate",
     "coop_link_rate",
     "network_throughput",
-    "user_throughputs",
     "__version__",
 ]

@@ -38,9 +38,8 @@ class BandwidthSolution:
         Network throughput at ``eta_star`` in bits/s (nan when infeasible).
     binding : str
         Which bound the optimum sits on: ``"upper-bound"`` (eta=1),
-        ``"noncoop-constraint"``, ``"coop-constraint"``, or ``"interior"``
-        (reserved for degenerate flat objectives; not produced by the affine
-        program).  For infeasible problems, names the violated bound.
+        ``"noncoop-constraint"`` or ``"coop-constraint"``.  For infeasible
+        problems, names the violated bound.
     feasible : bool
     mu_max : float
         Largest per-user floor for which the constraint set is non-empty,

@@ -42,6 +42,9 @@ _SCENARIO_OF = {
     "simulate": "simulate",
 }
 
+# flags whose spec field has another name
+_FIELD_OF_FLAG = {"mu": "mu_bps", "jobs": "n_jobs"}
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="YAML file of parameter overrides")
@@ -95,19 +98,10 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
     spec = spec_from_mapping(_SCENARIO_OF[args.command], mapping)
 
     overrides = {}
-    for flag, field in (
-        ("seed", "seed"),
-        ("trials", "trials"),
-        ("beta", "beta"),
-        ("mu", "mu_bps"),
-        ("out", "out"),
-        ("jobs", "n_jobs"),
-        ("strategy", "strategy"),
-        ("eta", "eta"),
-    ):
+    for flag in ("seed", "trials", "beta", "mu", "out", "jobs", "strategy", "eta"):
         value = getattr(args, flag, None)
         if value is not None:
-            overrides[field] = value
+            overrides[_FIELD_OF_FLAG.get(flag, flag)] = value
     return replace(spec, **overrides) if overrides else spec
 
 

@@ -11,7 +11,6 @@ __all__ = [
     "DivergenceError",
     "EnumerationBudgetError",
     "ConsistencyError",
-    "DegeneratePopulationError",
     "SingularChannelError",
 ]
 
@@ -38,10 +37,6 @@ class EnumerationBudgetError(CoopD2DError):
 
 class ConsistencyError(CoopD2DError):
     """Derived quantities violate an internal conservation law."""
-
-
-class DegeneratePopulationError(ConsistencyError):
-    """A per-user average was requested for an empty user class."""
 
 
 class SingularChannelError(CoopD2DError):

@@ -73,17 +73,9 @@ class SimConfig:
     """Immutable campaign description.
 
     ``strategy`` is one of ``"coop"``, ``"nocoop"``, ``"tdma"``; ``eta`` is
-    the cooperative band fraction (used by ``coop``) and ``reuse_factor``
-    the TDMA reuse (grid coloring; only 4 is implemented).
+    the cooperative band fraction (used by ``coop``).
     ``min_pairing_distance_m`` floors every link distance, mirroring the
     near-field truncation of the analytic moments.
-
-    ``uniform_placement`` drops users uniformly over the whole hotspot
-    instead of confining each user to its cluster's cell (a sensitivity
-    knob: logical cluster membership and caching are untouched, only the
-    geometry changes).  ``per_dt_power_cap`` additionally caps every
-    transmitter of the cooperative set at power ``P`` (stricter than the
-    equal-per-stream sum-power normalization).
     """
 
     plan: ClusterPlan
@@ -93,10 +85,7 @@ class SimConfig:
     trials: int
     seed: int
     eta: float = 0.0
-    reuse_factor: int = 4
     min_pairing_distance_m: float = 1.0
-    uniform_placement: bool = False
-    per_dt_power_cap: bool = False
 
     def __post_init__(self) -> None:
         grid = math.isqrt(self.plan.n_clusters)
@@ -113,8 +102,6 @@ class SimConfig:
             raise ConfigurationError("trials must be >= 1, got %r" % (self.trials,))
         if self.strategy == "coop" and not 0.0 <= self.eta <= 1.0:
             raise ConfigurationError("eta must be in [0, 1], got %r" % (self.eta,))
-        if self.strategy == "tdma" and self.reuse_factor != 4:
-            raise ConfigurationError("only reuse_factor=4 grid coloring is implemented")
         if self.plan.users_per_cluster > self.popularity.group_count:
             raise ConfigurationError(
                 "users_per_cluster (%d) exceeds the catalog's group count (%d)"
@@ -151,11 +138,7 @@ def _drop(config: SimConfig, rng: np.random.Generator) -> Snapshot:
     cluster_of = np.repeat(np.arange(b), k)
     cache_group_of = np.tile(np.arange(k), b)
     origins = np.column_stack((np.arange(b) % grid, np.arange(b) // grid)) * d
-    # same draw count either way, so the request stream is unaffected
-    if config.uniform_placement:
-        positions = rng.random((m, 2)) * plan.hotspot_side_m
-    else:
-        positions = rng.random((m, 2)) * d + origins[cluster_of]
+    positions = rng.random((m, 2)) * d + origins[cluster_of]
 
     cdf = np.cumsum(config.popularity.group_probs)
     k0 = config.popularity.group_count
@@ -285,7 +268,6 @@ def zf_rates(
     rng: np.random.Generator,
     min_distance_m: float = 0.0,
     channel: np.ndarray | None = None,
-    power_cap: bool = False,
 ) -> np.ndarray:
     """Per-link spectral efficiency of the jointly precoded cooperative set.
 
@@ -307,9 +289,6 @@ def zf_rates(
         Inject the composite (gain-weighted) channel matrix instead of
         drawing fading; useful for constructed test cases.  No fading draws
         are consumed from ``rng`` in that case.
-    power_cap : bool, optional
-        Additionally scale the precoder so no single transmitter exceeds
-        power ``P`` (stricter than the sum-power normalization alone).
 
     Returns
     -------
@@ -342,14 +321,7 @@ def zf_rates(
             break
         col_norm2 = (np.abs(inv) ** 2).sum(axis=0)
         if cond <= _COND_LIMIT:
-            scale = 1.0
-            if power_cap:
-                # per-DT power of the equal-per-stream precoder:
-                # tx_j = P * sum_i |inv_ji|^2 / ||col_i||^2
-                tx = p_w * (np.abs(inv) ** 2 / col_norm2[None, :]).sum(axis=1)
-                scale = min(1.0, p_w / float(tx.max()))
-            snr = scale * p_w / (noise_w * col_norm2)
-            rates[active] = np.log2(1.0 + snr)
+            rates[active] = np.log2(1.0 + p_w / (noise_w * col_norm2))
             return rates
         active.pop(int(np.argmax(col_norm2)))
     raise SingularChannelError(
@@ -456,7 +428,6 @@ def _run_trial(config: SimConfig, trial_index: int) -> tuple:
                         config.radio,
                         rng,
                         config.min_pairing_distance_m,
-                        power_cap=config.per_dt_power_cap,
                     )
                     dropped = int(np.count_nonzero(zf == 0.0))
                     coop_band = eta * w * float(zf.sum())

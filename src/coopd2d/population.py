@@ -20,7 +20,7 @@ chunk-parallel-safe Monte Carlo estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,47 +29,13 @@ from .catalog import PopularityModel, cumulative_cached_prob
 from .errors import ConsistencyError, EnumerationBudgetError
 
 __all__ = [
-    "RequestConfiguration",
     "PopulationSummary",
-    "configuration_probability",
-    "coop_count",
     "expected_coop_users_exact",
     "expected_coop_users_mc",
     "expected_cellular_and_noncoop",
 ]
 
 _MC_CHUNK = 4096  # fixed chunk size; part of the reproducibility contract
-
-
-@dataclass(frozen=True)
-class RequestConfiguration:
-    """Counts ``n[i, k]`` of users in cluster ``i`` requesting group ``k``.
-
-    ``counts`` has shape ``(B, group_count)``; every row sums to the cluster
-    size ``K``.
-    """
-
-    counts: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts)
-        if counts.ndim != 2:
-            raise ValueError("counts must be a 2-d matrix, got ndim=%d" % counts.ndim)
-        if np.any(counts < 0) or not np.issubdtype(counts.dtype, np.integer):
-            raise ValueError("counts must be non-negative integers")
-        row_sums = counts.sum(axis=1)
-        if len(set(row_sums.tolist())) > 1:
-            raise ValueError("all clusters must hold the same number of users")
-        object.__setattr__(self, "counts", counts)
-        counts.setflags(write=False)
-
-    @property
-    def n_clusters(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def users_per_cluster(self) -> int:
-        return int(self.counts[0].sum())
 
 
 @dataclass(frozen=True)
@@ -86,45 +52,6 @@ class PopulationSummary:
     noncoop_mean: float
     method: str
     std_error: float
-
-
-def configuration_probability(config: RequestConfiguration, model: PopularityModel) -> float:
-    """Probability of one full request configuration.
-
-    Clusters draw independently, so this is a product of per-cluster
-    multinomial masses ``K! * prod_k P_k^n_ik / prod_k n_ik!``.
-
-    Raises
-    ------
-    ValueError
-        If the matrix width disagrees with the catalog's group count.
-    """
-    counts = config.counts
-    if counts.shape[1] != model.group_count:
-        raise ValueError(
-            "counts has %d group columns, catalog has %d"
-            % (counts.shape[1], model.group_count)
-        )
-    k = config.users_per_cluster
-    probs = model.group_probs
-    out = 1.0
-    for row in counts:
-        coeff = math.factorial(k)
-        for n in row:
-            coeff //= math.factorial(int(n))
-        out *= coeff * float(np.prod(probs**row))
-    return out
-
-
-def coop_count(config: RequestConfiguration, users_per_cluster: int) -> int:
-    """Number of cooperative users in one configuration.
-
-    A cached group (index ``< users_per_cluster``) contributes all of its
-    requesters when every cluster has at least one; otherwise none.
-    """
-    cached = config.counts[:, :users_per_cluster]
-    hit_everywhere = np.all(cached > 0, axis=0)
-    return int(cached.sum(axis=0)[hit_everywhere].sum())
 
 
 def _multichoose(n: int, k: int) -> int:

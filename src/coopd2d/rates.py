@@ -1,4 +1,4 @@
-"""Closed-form average link rates and network/user throughputs.
+"""Closed-form average link rates and network throughput.
 
 Two first-order rate approximations anchor everything downstream:
 
@@ -21,17 +21,14 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DegeneratePopulationError
 from .geometry import GeometryTable
 
 __all__ = [
     "RadioParams",
-    "RateSummary",
     "dbm_to_watts",
     "noncoop_link_rate",
     "coop_link_rate",
     "network_throughput",
-    "user_throughputs",
 ]
 
 
@@ -83,38 +80,21 @@ class RadioParams:
         return self.intercept_linear * distance_m ** (-self.alpha)
 
 
-@dataclass(frozen=True)
-class RateSummary:
-    """Bundle of the analytic rate quantities for one operating point.
-
-    ``rate_noncoop`` and ``rate_coop`` are spectral efficiencies in
-    bits/s/Hz; the three throughputs are in bits/s.
-    """
-
-    rate_noncoop: float
-    rate_coop: float
-    network_throughput: float
-    user_coop: float
-    user_noncoop: float
-
-
-def noncoop_link_rate(geom: GeometryTable, clamp: bool = True) -> float:
+def noncoop_link_rate(geom: GeometryTable) -> float:
     """Average spectral efficiency of a non-cooperative D2D link.
 
     Parameters
     ----------
     geom : GeometryTable
         Truncated moments at the operating ``(alpha, r_min)``.
-    clamp : bool, optional
-        The first-order formula can go negative for extreme moment ratios;
-        by default such values are clamped to 0 (with a warning carrying the
-        raw value) since a negative average rate has no downstream meaning.
-        Pass ``clamp=False`` to obtain the unclamped value.
 
     Returns
     -------
     float
-        ``log2(q1) - log2(q2) - 3`` bits/s/Hz, clamped at 0 unless disabled.
+        ``log2(q1) - log2(q2) - 3`` bits/s/Hz.  The first-order formula can
+        go negative for extreme moment ratios; such values are clamped to 0
+        (with a warning carrying the raw value) since a negative average rate
+        has no downstream meaning.
     """
     value = math.log2(geom.q1) - math.log2(geom.q2) - 3.0
     if value < 0.0:
@@ -124,8 +104,7 @@ def noncoop_link_rate(geom: GeometryTable, clamp: bool = True) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-        if clamp:
-            return 0.0
+        return 0.0
     return value
 
 
@@ -184,36 +163,3 @@ def network_throughput(
     if not 0.0 <= pc <= 1.0:
         raise ValueError("pc must be in [0, 1], got %r" % (pc,))
     return bandwidth_hz * n_clusters * (pc * eta * rc + (1.0 - pc * eta) * rn)
-
-
-def user_throughputs(
-    eta: float,
-    rc: float,
-    rn: float,
-    bandwidth_hz: float,
-    n_clusters: int,
-    nc_bar: float,
-    nn_bar: float,
-) -> tuple[float, float]:
-    """Per-user average throughputs of the two D2D service classes.
-
-    The band share of a class divided by the average number of users sharing
-    it (round-robin over the class):
-
-        user_coop    = W * B * eta * rc / nc_bar
-        user_noncoop = W * B * (1 - eta) * rn / nn_bar
-
-    Raises
-    ------
-    DegeneratePopulationError
-        If either average user count is not strictly positive; the caller
-        should treat the corresponding rate constraint as vacuous instead of
-        dividing by zero.
-    """
-    if nc_bar <= 0.0 or nn_bar <= 0.0:
-        raise DegeneratePopulationError(
-            "average user counts must be positive (nc_bar=%r, nn_bar=%r)"
-            % (nc_bar, nn_bar)
-        )
-    wb = bandwidth_hz * n_clusters
-    return wb * eta * rc / nc_bar, wb * (1.0 - eta) * rn / nn_bar

@@ -1,9 +1,16 @@
 """Command line surface: flag plumbing, config files, exit codes."""
 
+import pathlib
+import re
+
 import pytest
+import yaml
 
 import coopd2d.cli as cli
 from coopd2d.cli import build_parser, main
+from coopd2d.experiments import spec_from_mapping
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_csv(path):
@@ -99,6 +106,51 @@ def test_bad_catalog_size_exits_2(tmp_path, capsys):
     cfg.write_text("n_files: 301\n")
     assert main(["optimize-cluster", "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        # PyYAML reads 1.0e6 (no exponent sign) as a string
+        (["optimize-bandwidth"], "sweep:\n  name: mu_bps\n  values: [0.0, 1.0e6]\n"),
+        (["optimize-bandwidth"], "beta: abc\n"),
+        (["optimize-bandwidth"], "population_trials: 0\n"),
+        (["simulate", "--strategy", "tdma", "--eta", "1.5", "--trials", "3"], ""),
+    ],
+)
+def test_bad_config_values_exit_2(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(config)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, axis",
+    [
+        ("optimize-cluster", "alpha"),
+        ("optimize-cluster", "mu_bps"),
+        ("optimize-bandwidth", "n_users"),
+        ("optimize-bandwidth", "eta"),
+        ("compare", "trials"),
+    ],
+)
+def test_sweep_axis_the_command_never_reads_exits_2(tmp_path, capsys, command, axis):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("sweep: {name: %s, values: [1]}\n" % axis)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "cannot sweep" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_config_example_is_valid():
+    block = re.search(r"```yaml\n(.*?)```", README.read_text(), re.S).group(1)
+    spec = spec_from_mapping("bandwidth-sweep", yaml.safe_load(block))
+    assert spec.sweep_name == "mu_bps"
+    assert all(isinstance(v, float) for v in spec.sweep_values)
 
 
 def test_unknown_config_key_exits_2(tmp_path):

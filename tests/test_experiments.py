@@ -1,25 +1,31 @@
 """Experiment orchestration: specs, sweeps, CSV emission, self-validation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from coopd2d import (
     ExperimentSpec,
+    SimConfig,
     analytic_point,
+    defaults,
     grid_search_eta,
     sim_feasible_cluster_sizes,
     spec_from_mapping,
 )
 from coopd2d.errors import ConfigurationError
 from coopd2d.experiments import (
+    _snapshot_checks,
     cmd_compare,
     cmd_optimize_bandwidth,
     cmd_optimize_cluster,
     cmd_simulate,
     cmd_validate,
+    link_rate_gap,
     write_csv,
 )
 
@@ -50,6 +56,93 @@ def test_spec_validation():
         ExperimentSpec(scenario="simulate", sweep_name="beta")  # empty values
     with pytest.raises(ConfigurationError):
         ExperimentSpec(scenario="simulate", n_users=100)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"beta": "abc"},
+        {"beta": -0.1},
+        {"beta": math.nan},
+        {"mu_bps": math.inf},
+        {"alpha": True},
+        {"trials": 2.5},
+        {"population_trials": 0},
+        {"seed": -1},
+        {"n_jobs": 0},
+        {"eta": 1.5},
+        {"out": 5},
+        {"users_per_cluster": 27, "n_clusters": 5},
+    ],
+)
+def test_spec_rejects_bad_values(overrides):
+    with pytest.raises(ConfigurationError):
+        ExperimentSpec(scenario="simulate", **overrides)
+
+
+@pytest.mark.parametrize(
+    "scenario, axis",
+    [
+        ("cluster-sweep", "mu_bps"),
+        ("cluster-sweep", "alpha"),
+        ("bandwidth-sweep", "n_users"),
+        ("bandwidth-sweep", "eta"),
+        ("throughput-compare", "trials"),
+        ("simulate", "beta"),
+        ("validate", "beta"),
+    ],
+)
+def test_spec_refuses_sweep_axes_the_command_ignores(scenario, axis):
+    with pytest.raises(ConfigurationError):
+        ExperimentSpec(scenario=scenario, sweep_name=axis, sweep_values=(1,))
+
+
+def test_spec_checks_sweep_values():
+    def spec(scenario, **sweep):
+        return ExperimentSpec(scenario=scenario, **sweep)
+
+    spec("cluster-sweep", sweep_name="n_users", sweep_values=(45, 135))
+    with pytest.raises(ConfigurationError):
+        spec("cluster-sweep", sweep_name="n_users", sweep_values=(4.5,))
+    with pytest.raises(ConfigurationError):
+        spec("bandwidth-sweep", sweep_name="mu_bps", sweep_values=("1.0e6",))
+    with pytest.raises(ConfigurationError):
+        spec("bandwidth-sweep", sweep_values=(1e6,))  # values without an axis
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+)
+_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+    st.dictionaries(
+        st.sampled_from(["name", "values", "axis"]),
+        st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)),
+        max_size=3,
+    ),
+)
+
+
+_SCENARIOS = ["cluster-sweep", "bandwidth-sweep", "throughput-compare", "validate", "simulate"]
+_KEYS = sorted(ExperimentSpec.__dataclass_fields__) + ["sweep", "bogus"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scenario=st.sampled_from(_SCENARIOS),
+    mapping=st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=5),
+)
+def test_spec_from_mapping_returns_a_spec_or_configuration_error(scenario, mapping):
+    try:
+        spec = spec_from_mapping(scenario, mapping)
+    except ConfigurationError:
+        return
+    assert isinstance(spec, ExperimentSpec)
 
 
 def test_spec_from_mapping():
@@ -275,3 +368,28 @@ def test_cmd_validate_default_passes():
     assert not any(line.startswith("FAIL ") for line in lines)
     assert any(line.startswith("PASS popularity-normalization") for line in lines)
     assert any(line.startswith("INFO link-rate-gap") for line in lines)
+
+
+def test_validate_snapshot_gates_ignore_the_seed():
+    spec = ExperimentSpec(scenario="validate")
+    records = _snapshot_checks(spec, 300)
+    assert [name for name, _, _ in records] == ["mode-frequency", "coop-count"]
+    assert _snapshot_checks(replace(spec, seed=7), 300) == records
+
+
+def test_link_rate_gap_is_reproducible():
+    config = SimConfig(
+        plan=defaults.reference_plan(),
+        radio=defaults.reference_radio(),
+        popularity=defaults.reference_popularity(),
+        strategy="coop",
+        trials=1,
+        seed=3,
+        eta=0.5,
+        min_pairing_distance_m=defaults.MIN_PAIRING_DISTANCE_M,
+    )
+    gap = link_rate_gap(config, 20)
+    assert link_rate_gap(config, 20) == gap
+    zf_mean, zf_links, nc_mean, nc_links = gap
+    assert 0 < zf_links <= 9 * 20 and 0 < nc_links <= 9 * 20
+    assert zf_mean > nc_mean > 0.0

@@ -118,23 +118,6 @@ def test_snapshot_determinism(ref_config):
     assert not np.array_equal(a.request_of, c.request_of)
 
 
-def test_uniform_placement_spans_hotspot(ref_config):
-    from dataclasses import replace
-
-    uniform = replace(ref_config, uniform_placement=True)
-    confined = drop_snapshot(ref_config, 3)
-    spread = drop_snapshot(uniform, 3)
-    # same request stream (placement consumes the same number of draws)
-    assert np.array_equal(confined.request_of, spread.request_of)
-    d = ref_config.plan.cluster_side_m
-    grid = math.isqrt(ref_config.plan.n_clusters)
-    col = np.floor(spread.positions[:, 0] / d).astype(int)
-    row = np.floor(spread.positions[:, 1] / d).astype(int)
-    assert not np.array_equal(row * grid + col, spread.cluster_of)
-    assert np.all(spread.positions >= 0.0)
-    assert np.all(spread.positions <= ref_config.plan.hotspot_side_m)
-
-
 def test_schedule_deterministic_single_cluster():
     # requests (1, 1, 2): group 1 is hit with a non-caching requester, group 2
     # only by its own cacher
@@ -218,11 +201,9 @@ def test_zf_single_link_matches_direct_formula(ref_radio):
 
 
 def test_zf_identity_channel_decouples_streams(ref_radio):
-    positions = np.zeros((6, 2))
-    links = [(0, 1), (2, 3), (4, 5)]
     rates = zf_rates(
         [(0, 1), (2, 3), (4, 5)],
-        positions,
+        np.zeros((6, 2)),
         ref_radio,
         np.random.default_rng(0),
         channel=np.eye(3),
@@ -230,22 +211,6 @@ def test_zf_identity_channel_decouples_streams(ref_radio):
     expected = math.log2(1.0 + ref_radio.tx_power_w / ref_radio.noise_w)
     assert expected == approx(38.20217309120923, rel=1e-13)
     np.testing.assert_allclose(rates, expected, rtol=1e-13)
-    capped = zf_rates(
-        links, positions, ref_radio, np.random.default_rng(0),
-        channel=np.eye(3), power_cap=True,
-    )
-    np.testing.assert_array_equal(rates, capped)  # cap not binding here
-
-
-def test_zf_power_cap_never_raises_rates(ref_radio):
-    rng = np.random.default_rng(123)
-    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    positions = np.zeros((8, 2))
-    links = [(0, 1), (2, 3), (4, 5), (6, 7)]
-    free = zf_rates(links, positions, ref_radio, rng, channel=h)
-    capped = zf_rates(links, positions, ref_radio, rng, channel=h, power_cap=True)
-    assert np.all(capped <= free + 1e-12)
-    assert capped.sum() < free.sum()  # a random channel loads some DT above P
 
 
 def test_zf_drops_worst_link_of_an_ill_conditioned_channel(ref_radio):
@@ -421,29 +386,6 @@ def test_tdma_baseline_runs_and_differs(ref_config):
     assert tdma.throughput_mean != nocoop.throughput_mean
 
 
-def test_per_dt_power_cap_never_helps(ref_config):
-    from dataclasses import replace
-
-    base = replace(ref_config, trials=100)
-    capped = replace(base, per_dt_power_cap=True)
-    a = run_campaign(base, keep_trials=True)
-    b = run_campaign(capped, keep_trials=True)
-    assert np.all(b.trials["throughput"] <= a.trials["throughput"] + 1e-6)
-    assert b.throughput_mean < a.throughput_mean
-
-
-def test_uniform_placement_campaign_changes_geometry_only(ref_config):
-    from dataclasses import replace
-
-    base = replace(ref_config, trials=100)
-    uniform = replace(base, uniform_placement=True)
-    a = run_campaign(base, keep_trials=True)
-    b = run_campaign(uniform, keep_trials=True)
-    assert np.array_equal(a.trials["mode"], b.trials["mode"])
-    assert np.array_equal(a.trials["n_coop"], b.trials["n_coop"])
-    assert a.throughput_mean != b.throughput_mean
-
-
 def test_sim_config_validation(ref_plan, ref_radio, ref_model):
     good = dict(
         plan=ref_plan, radio=ref_radio, popularity=ref_model,
@@ -458,8 +400,6 @@ def test_sim_config_validation(ref_plan, ref_radio, ref_model):
         SimConfig(**{**good, "trials": 0})
     with pytest.raises(ConfigurationError):
         SimConfig(**{**good, "eta": 1.5})
-    with pytest.raises(ConfigurationError):
-        SimConfig(**{**good, "strategy": "tdma", "reuse_factor": 3})
     with pytest.raises(ConfigurationError):
         SimConfig(**{**good, "plan": make_plan(75.0, 9, 16)})  # K > group count
     with pytest.raises(ConfigurationError):

@@ -1,17 +1,12 @@
-"""User-class populations: configurations, exact enumeration, Monte Carlo."""
+"""User-class populations: exact enumeration, Monte Carlo, class split."""
 
 import math
-from itertools import product
 
-import numpy as np
 import pytest
 from pytest import approx
 
 from coopd2d import (
-    RequestConfiguration,
     build_popularity,
-    configuration_probability,
-    coop_count,
     expected_cellular_and_noncoop,
     expected_coop_users_exact,
     expected_coop_users_mc,
@@ -19,79 +14,6 @@ from coopd2d import (
 from coopd2d.errors import ConsistencyError, EnumerationBudgetError
 
 import oracles
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-def test_request_configuration_validation():
-    RequestConfiguration(np.array([[1, 1], [2, 0]]))
-    with pytest.raises(ValueError):
-        RequestConfiguration(np.array([1, 1]))  # not a matrix
-    with pytest.raises(ValueError):
-        RequestConfiguration(np.array([[1, 1], [2, 1]]))  # unequal cluster sizes
-    with pytest.raises(ValueError):
-        RequestConfiguration(np.array([[1, -1], [0, 0]]))
-    with pytest.raises(ValueError):
-        RequestConfiguration(np.array([[0.5, 0.5]]))  # non-integer counts
-
-
-def test_request_configuration_properties():
-    config = RequestConfiguration(np.array([[1, 1], [2, 0]]))
-    assert config.n_clusters == 2
-    assert config.users_per_cluster == 2
-    with pytest.raises(ValueError):
-        config.counts[0, 0] = 5  # read-only
-
-
-def test_configuration_probability_single_user(two_group):
-    config = RequestConfiguration(np.array([[1, 0]]))
-    assert configuration_probability(config, two_group) == approx(0.7, rel=1e-15)
-
-
-def test_configuration_probability_binomial(two_group):
-    config = RequestConfiguration(np.array([[1, 1]]))
-    assert configuration_probability(config, two_group) == approx(0.42, rel=1e-14)
-
-
-def test_configuration_probability_width_check(two_group):
-    with pytest.raises(ValueError):
-        configuration_probability(RequestConfiguration(np.array([[1, 1, 1]])), two_group)
-
-
-def test_configuration_probabilities_sum_to_one():
-    model = oracles.make_synthetic_model([0.5, 0.3, 0.2])
-    total = math.fsum(
-        configuration_probability(
-            RequestConfiguration(np.array([row_a, row_b])), model
-        )
-        for row_a in _compositions(3, 3)
-        for row_b in _compositions(3, 3)
-    )
-    assert total == approx(1.0, abs=1e-12)
-
-
-def test_coop_count_examples():
-    # both single-user clusters request the cached group: both cooperate
-    both = RequestConfiguration(np.array([[1, 0], [1, 0]]))
-    assert coop_count(both, 1) == 2
-    # the clusters hit different groups: nobody cooperates
-    split = RequestConfiguration(np.array([[1, 0], [0, 1]]))
-    assert coop_count(split, 1) == 0
-    # group 0 hit everywhere (1 + 2 requesters), group 1 only in cluster 0
-    mixed = RequestConfiguration(np.array([[1, 1], [2, 0]]))
-    assert coop_count(mixed, 2) == 3
-
-
-def test_coop_count_ignores_uncached_groups():
-    config = RequestConfiguration(np.array([[1, 0, 2], [1, 1, 1]]))
-    assert coop_count(config, 2) == 2  # only group 0 is hit in both clusters
 
 
 def test_exact_two_cluster_single_user(two_group):
