@@ -24,21 +24,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--beta", type=float, default=1.0, help="popularity skew")
     parser.add_argument("--points", type=int, default=8, help="sweep points")
-    parser.add_argument(
-        "--population-trials",
-        type=int,
-        default=100_000,
-        help="Monte Carlo trials for the user-class averages",
-    )
     args = parser.parse_args(argv)
 
-    spec = ExperimentSpec(
-        scenario="bandwidth-sweep",
-        beta=args.beta,
-        population_trials=args.population_trials,
-    )
-    cache: dict = {}
-    base = analytic_point(spec, mu=0.0, _pop_cache=cache)
+    spec = ExperimentSpec(scenario="bandwidth-sweep", beta=args.beta)
+    base = analytic_point(spec, mu=0.0)
     print(
         "operating point: pc=%.6f, coop %.3f bit/s/Hz vs non-coop %.3f, "
         "user classes %.2f coop / %.2f non-coop / %.2f cellular"
@@ -56,7 +45,7 @@ def main(argv=None) -> int:
 
     print("   floor (bit/s)   eta*      binding              throughput (bit/s)  grid check")
     for mu in np.linspace(0.0, 1.05 * mu_max, args.points):
-        pt = analytic_point(spec, mu=float(mu), _pop_cache=cache)
+        pt = analytic_point(spec, mu=float(mu))
         sol = pt.solution
         grid = grid_search_eta(
             pt.pc,

@@ -26,19 +26,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--betas", type=float, nargs="+", default=[0.0, 0.6, 1.0], help="skews to run"
     )
-    parser.add_argument(
-        "--population-trials",
-        type=int,
-        default=50_000,
-        help="Monte Carlo trials for the user-class averages",
-    )
     args = parser.parse_args(argv)
 
     spec = ExperimentSpec(
-        scenario="throughput-compare",
-        trials=args.trials,
-        seed=args.seed,
-        population_trials=args.population_trials,
+        scenario="throughput-compare", trials=args.trials, seed=args.seed
     )
     for beta in args.betas:
         print("beta = %.2f, %d trials per strategy" % (beta, args.trials))

@@ -59,6 +59,7 @@ from .netsim import (
 from .population import (
     PopulationSummary,
     expected_cellular_and_noncoop,
+    expected_coop_users_closed,
     expected_coop_users_exact,
     expected_coop_users_mc,
 )
@@ -113,6 +114,7 @@ __all__ = [
     "noncoop_rates",
     "run_campaign",
     "PopulationSummary",
+    "expected_coop_users_closed",
     "expected_coop_users_exact",
     "expected_coop_users_mc",
     "expected_cellular_and_noncoop",

@@ -100,12 +100,12 @@ def hit_probability(model: PopularityModel, users_per_cluster: int) -> np.ndarra
 
     Raises
     ------
-    ValueError
+    ConfigurationError
         If ``users_per_cluster`` is out of range.
     """
     k = users_per_cluster
     if not 1 <= k <= model.group_count:
-        raise ValueError(
+        raise ConfigurationError(
             "users_per_cluster must be in [1, %d], got %r" % (model.group_count, k)
         )
     return 1.0 - (1.0 - model.group_probs[:k]) ** k

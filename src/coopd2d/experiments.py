@@ -21,13 +21,7 @@ import numpy as np
 from . import defaults
 from .bandwidth import BandwidthSolution, optimize_eta
 from .catalog import PopularityModel, build_popularity
-from .clusters import (
-    ClusterPlan,
-    coop_probability,
-    hit_probability,
-    make_plan,
-    optimize_cluster_size,
-)
+from .clusters import ClusterPlan, coop_probability, make_plan, optimize_cluster_size
 from .errors import ConfigurationError, EnumerationBudgetError, SingularChannelError
 from .geometry import SQRT2, SQRT5, interference_pdf, path_gain_moments, signal_pdf
 from .netsim import (
@@ -38,7 +32,11 @@ from .netsim import (
     schedule,
     zf_rates,
 )
-from .population import expected_coop_users_exact, expected_coop_users_mc
+from .population import (
+    expected_coop_users_closed,
+    expected_coop_users_exact,
+    expected_coop_users_mc,
+)
 from .rates import RadioParams, coop_link_rate, noncoop_link_rate
 
 __all__ = [
@@ -114,9 +112,10 @@ class ExperimentSpec:
     override them.  ``sweep_name``/``sweep_values`` select the swept
     parameter among the axes the scenario's command reads: ``beta`` and
     ``n_users`` for ``cluster-sweep``, ``beta`` and ``mu_bps`` for
-    ``bandwidth-sweep``, ``beta`` for ``throughput-compare``.  Every field
-    and sweep value is type- and range-checked here, so bad input surfaces
-    as a :class:`ConfigurationError`.
+    ``bandwidth-sweep``, ``beta`` for ``throughput-compare``.  Only
+    ``simulate`` reads ``eta``; ``population_trials`` only sizes the snapshot
+    gates of ``validate``.  Every field and sweep value is type- and
+    range-checked here, so bad input surfaces as a :class:`ConfigurationError`.
     """
 
     scenario: str
@@ -153,6 +152,8 @@ class ExperimentSpec:
         for name in _NUMERIC_FIELDS:
             if name != "eta" or self.eta is not None:
                 _check_number(name, getattr(self, name))
+        if self.eta is not None and self.scenario != "simulate":
+            raise ConfigurationError("only simulate reads eta, not %s" % self.scenario)
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigurationError("out must be a path, got %r" % (self.out,))
         if (self.sweep_name is None) != (len(self.sweep_values) == 0):
@@ -242,16 +243,6 @@ def geometry_of(spec: ExperimentSpec, plan: ClusterPlan):
     )
 
 
-def _closed_form_coop_mean(model: PopularityModel, k: int, b: int) -> float:
-    """Linearity-based expected cooperative count, ``M sum_k P_k hit_k^(B-1)``.
-
-    Independent of the enumeration/MC paths; used as the analytic reference
-    where the enumeration budget refuses (the full-size validation checks).
-    """
-    ph = hit_probability(model, k)
-    return k * b * float(np.sum(model.group_probs[:k] * ph ** (b - 1)))
-
-
 @dataclass(frozen=True)
 class AnalyticPoint:
     """Analytic pipeline output for one ``(beta, mu, K, B)`` operating point."""
@@ -274,14 +265,13 @@ def analytic_point(
     mu: float | None = None,
     n_clusters: int | None = None,
     users_per_cluster: int | None = None,
-    _pop_cache: dict | None = None,
 ) -> AnalyticPoint:
     """Run the full analytic pipeline at one operating point.
 
     Popularity, cooperation probability, truncated moments, link rates, user
-    populations (Monte Carlo unless the exact enumeration fits its budget),
-    then the bandwidth split.  ``_pop_cache`` lets sweeps reuse population
-    estimates across ``mu`` values.
+    populations (closed form, exact for i.i.d. requests), then the bandwidth
+    split.  Nothing here draws random numbers, so the point does not depend
+    on ``spec.seed`` or ``spec.population_trials``.
     """
     model = popularity_of(spec, beta)
     plan = plan_of(spec, n_clusters, users_per_cluster)
@@ -311,19 +301,7 @@ def analytic_point(
         rn,
     )
 
-    cache_key = (model.beta, k, b)
-    if _pop_cache is not None and cache_key in _pop_cache:
-        pop = _pop_cache[cache_key]
-    else:
-        try:
-            pop = expected_coop_users_exact(model, k, b)
-        except EnumerationBudgetError:
-            pop = expected_coop_users_mc(
-                model, k, b, spec.population_trials, spec.seed
-            )
-        if _pop_cache is not None:
-            _pop_cache[cache_key] = pop
-
+    pop = expected_coop_users_closed(model, k, b)
     solution = optimize_eta(
         pc,
         rc,
@@ -421,9 +399,9 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: str, schema: str, header: list[str], rows) -> None:
-    """Write rows with a schema tag line; byte-deterministic."""
+    """Write rows under a ``# schema=coopd2d.<name>.v<N>`` line; byte-deterministic."""
     with open(path, "w", newline="") as fh:
-        fh.write("# schema=coopd2d.%s.v1\n" % schema)
+        fh.write("# schema=coopd2d.%s\n" % schema)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -455,7 +433,7 @@ def cmd_optimize_cluster(spec: ExperimentSpec) -> str:
     path = spec.out or "cluster_profile.csv"
     write_csv(
         path,
-        "cluster_profile",
+        "cluster_profile.v1",
         ["beta", "n_users", "users_per_cluster", "objective_links", "k_star"],
         rows,
     )
@@ -466,11 +444,10 @@ def cmd_optimize_bandwidth(spec: ExperimentSpec) -> str:
     """Bandwidth split versus beta and mu, closed form plus grid column."""
     betas = _sweep_or(spec, "beta", spec.beta)
     mus = _sweep_or(spec, "mu_bps", spec.mu_bps)
-    pop_cache: dict = {}
     rows = []
     for beta in betas:
         for mu in mus:
-            pt = analytic_point(spec, beta, mu, _pop_cache=pop_cache)
+            pt = analytic_point(spec, beta, mu)
             sol = pt.solution
             eta_grid = grid_search_eta(
                 pt.pc,
@@ -502,7 +479,7 @@ def cmd_optimize_bandwidth(spec: ExperimentSpec) -> str:
     path = spec.out or "bandwidth_split.csv"
     write_csv(
         path,
-        "bandwidth_split",
+        "bandwidth_split.v2",
         [
             "beta",
             "mu_bps",
@@ -593,15 +570,12 @@ def compare_strategies(spec: ExperimentSpec, beta: float) -> list[tuple]:
     (the configured cluster size with its optimal split), ``nocoop``, and
     ``tdma`` (the last two at the configured size).
     """
-    pop_cache: dict = {}
     model = popularity_of(spec, beta)
     k_best, b_best = _best_sim_cluster_size(model, spec.n_users)
     rows = []
 
     def run(label: str, strategy: str, eta: float | None, k: int, b: int):
-        pt = analytic_point(
-            spec, beta, n_clusters=b, users_per_cluster=k, _pop_cache=pop_cache
-        )
+        pt = analytic_point(spec, beta, n_clusters=b, users_per_cluster=k)
         config = _campaign_config(spec, pt, strategy, eta)
         result = run_campaign(config, n_jobs=spec.n_jobs)
         rows.append(_campaign_row(label, beta, config, result))
@@ -620,7 +594,7 @@ def cmd_compare(spec: ExperimentSpec) -> str:
     for beta in betas:
         rows.extend(compare_strategies(spec, float(beta)))
     path = spec.out or "strategy_compare.csv"
-    write_csv(path, "strategy_compare", _COMPARE_HEADER, rows)
+    write_csv(path, "strategy_compare.v2", _COMPARE_HEADER, rows)
     return path
 
 
@@ -632,7 +606,7 @@ def cmd_simulate(spec: ExperimentSpec) -> str:
     rows = [
         (
             spec.strategy,
-            spec.beta,
+            float(spec.beta),
             k,
             b,
             config.eta,
@@ -648,7 +622,7 @@ def cmd_simulate(spec: ExperimentSpec) -> str:
     path = spec.out or "campaign_trials.csv"
     write_csv(
         path,
-        "campaign_trials",
+        "campaign_trials.v2",
         [
             "strategy",
             "beta",
@@ -738,7 +712,7 @@ def _snapshot_checks(spec: ExperimentSpec, n_snap: int) -> list[tuple[str, bool,
     pc_ref = coop_probability(model, k, b)
     freq = float(modes.mean())
     se = math.sqrt(max(pc_ref * (1.0 - pc_ref), 1e-300) / n_snap)
-    nc_closed = _closed_form_coop_mean(model, k, b)
+    nc_closed = expected_coop_users_closed(model, k, b).coop_mean
     nc_mean = float(coops.mean())
     se_c = float(coops.std(ddof=1)) / math.sqrt(n_snap)
     return [
@@ -853,7 +827,7 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
 
     small = build_popularity(2 * spec.cache_size, spec.cache_size, 1.0)
     exact = expected_coop_users_exact(small, 2, 2)
-    closed = _closed_form_coop_mean(small, 2, 2)
+    closed = expected_coop_users_closed(small, 2, 2).coop_mean
     mc = expected_coop_users_mc(small, 2, 2, 20_000, 0xB0B)
     ok = (
         abs(exact.coop_mean - closed) <= 1e-9 * closed

@@ -25,13 +25,14 @@ rather than an inf.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DivergenceError
+from .errors import ConfigurationError, DivergenceError
 
 __all__ = [
     "SQRT2",
@@ -206,8 +207,12 @@ def _moment(pdf, alpha: float, r_min: float, upper: float, breaks) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=64)
 def path_gain_moments(alpha: float, r_min: float = 0.0) -> GeometryTable:
     """Compute the truncated moments ``q1`` and ``q2``.
+
+    Memoized (a pure function returning a frozen table): a sweep pays for
+    each ``(alpha, r_min)`` quadrature once.
 
     Parameters
     ----------
@@ -228,7 +233,7 @@ def path_gain_moments(alpha: float, r_min: float = 0.0) -> GeometryTable:
         integrand behaves like ``r^(1-alpha)`` near 0 (divergent for
         ``alpha >= 2``) and the interference integrand like ``r^(2-alpha)``
         (divergent for ``alpha >= 3``).
-    ValueError
+    ConfigurationError
         For negative ``alpha`` or ``r_min``.
 
     Examples
@@ -238,9 +243,9 @@ def path_gain_moments(alpha: float, r_min: float = 0.0) -> GeometryTable:
     (9.0, 1.0)
     """
     if not alpha >= 0.0:
-        raise ValueError("alpha must be >= 0, got %r" % (alpha,))
+        raise ConfigurationError("alpha must be >= 0, got %r" % (alpha,))
     if not r_min >= 0.0:
-        raise ValueError("r_min must be >= 0, got %r" % (r_min,))
+        raise ConfigurationError("r_min must be >= 0, got %r" % (r_min,))
     if r_min == 0.0 and alpha >= 2.0:
         if alpha >= 3.0:
             raise DivergenceError(

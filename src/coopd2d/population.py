@@ -9,12 +9,11 @@ full catalog.  A user is
   network-wide hit,
 * cellular otherwise (group index ``>= K``; only counted, never rated).
 
-The exact expectation of the cooperative count enumerates per-cluster request
-compositions once (clusters are exchangeable and independent) and combines
-per-group sufficient statistics; everything runs in exact rational arithmetic
-on the stored float probabilities so the result is reproducible bit for bit
-against brute-force enumeration.  Large instances fall back to a seeded,
-chunk-parallel-safe Monte Carlo estimator.
+The pipeline takes the cooperative mean from linearity of expectation, exact
+for i.i.d. requests at any size.  Two independent routes cross-check it: an
+enumeration of per-cluster request compositions in exact rational arithmetic
+(bit for bit against brute force) and a seeded, chunk-parallel-safe Monte
+Carlo estimator.
 """
 
 from __future__ import annotations
@@ -26,10 +25,12 @@ from fractions import Fraction
 import numpy as np
 
 from .catalog import PopularityModel, cumulative_cached_prob
-from .errors import ConsistencyError, EnumerationBudgetError
+from .clusters import hit_probability
+from .errors import ConfigurationError, ConsistencyError, EnumerationBudgetError
 
 __all__ = [
     "PopulationSummary",
+    "expected_coop_users_closed",
     "expected_coop_users_exact",
     "expected_coop_users_mc",
     "expected_cellular_and_noncoop",
@@ -42,9 +43,9 @@ _MC_CHUNK = 4096  # fixed chunk size; part of the reproducibility contract
 class PopulationSummary:
     """Expected user-class sizes.
 
-    ``method`` is ``"exact"`` or ``"monte-carlo"``; ``std_error`` is the
-    standard error of ``coop_mean`` (0 for exact, ``inf`` when a single
-    Monte Carlo trial makes it undefined).
+    ``method`` is ``"closed-form"``, ``"exact"`` or ``"monte-carlo"``;
+    ``std_error`` is the standard error of ``coop_mean`` (0 for the first
+    two, ``inf`` when a single Monte Carlo trial makes it undefined).
     """
 
     coop_mean: float
@@ -52,6 +53,33 @@ class PopulationSummary:
     noncoop_mean: float
     method: str
     std_error: float
+
+
+def _summary(
+    model: PopularityModel, k: int, b: int, coop_mean: float, method: str
+) -> PopulationSummary:
+    cellular_mean, noncoop_mean = expected_cellular_and_noncoop(
+        model, k * b, k, coop_mean
+    )
+    return PopulationSummary(coop_mean, cellular_mean, noncoop_mean, method, 0.0)
+
+
+def expected_coop_users_closed(
+    model: PopularityModel, users_per_cluster: int, n_clusters: int
+) -> PopulationSummary:
+    """Exact expected user-class sizes by linearity of expectation.
+
+    A user is cooperative iff its request falls in a cached group ``k`` that
+    the other ``B - 1`` clusters hit too, so ``coop_mean = K B sum_k P_k
+    hit_k^(B-1)`` with ``hit_k = 1 - (1 - P_k)^K``.  Returns a summary with
+    ``method="closed-form"`` and ``std_error=0``.
+    """
+    k, b = users_per_cluster, n_clusters
+    if b < 1:
+        raise ConfigurationError("n_clusters must be >= 1, got %r" % (b,))
+    ph = hit_probability(model, k)
+    coop_mean = k * b * float(np.sum(model.group_probs[:k] * ph ** (b - 1)))
+    return _summary(model, k, b, coop_mean, "closed-form")
 
 
 def _multichoose(n: int, k: int) -> int:
@@ -105,19 +133,19 @@ def expected_coop_users_exact(
     Raises
     ------
     EnumerationBudgetError
-        Over budget; use :func:`expected_coop_users_mc` instead.
+        Over budget; use :func:`expected_coop_users_closed` instead.
     """
     k0 = model.group_count
     k, b = users_per_cluster, n_clusters
     if not 1 <= k <= k0:
-        raise ValueError("users_per_cluster must be in [1, %d], got %r" % (k0, k))
+        raise ConfigurationError("users_per_cluster must be in [1, %d], got %r" % (k0, k))
     if b < 1:
-        raise ValueError("n_clusters must be >= 1, got %r" % (b,))
+        raise ConfigurationError("n_clusters must be >= 1, got %r" % (b,))
     space = _multichoose(k0, k) ** b
     if space > budget:
         raise EnumerationBudgetError(
             "configuration space holds %d terms (budget %d); use "
-            "expected_coop_users_mc for this instance" % (space, budget)
+            "expected_coop_users_closed for this instance" % (space, budget)
         )
 
     # Exact rationals of the stored float probabilities.  The remainder part
@@ -147,18 +175,7 @@ def expected_coop_users_exact(
     nc = b * sum(
         (s * a ** (b - 1) for s, a in zip(mean_count, hit_prob)), Fraction(0)
     )
-    coop_mean = float(nc)
-    m = k * b
-    cellular_mean, noncoop_mean = expected_cellular_and_noncoop(
-        model, m, k, coop_mean
-    )
-    return PopulationSummary(
-        coop_mean=coop_mean,
-        cellular_mean=cellular_mean,
-        noncoop_mean=noncoop_mean,
-        method="exact",
-        std_error=0.0,
-    )
+    return _summary(model, k, b, float(nc), "exact")
 
 
 def expected_coop_users_mc(
@@ -194,9 +211,9 @@ def expected_coop_users_mc(
     k0 = model.group_count
     k, b = users_per_cluster, n_clusters
     if not 1 <= k <= k0:
-        raise ValueError("users_per_cluster must be in [1, %d], got %r" % (k0, k))
+        raise ConfigurationError("users_per_cluster must be in [1, %d], got %r" % (k0, k))
     if trials < 1:
-        raise ValueError("trials must be >= 1, got %r" % (trials,))
+        raise ConfigurationError("trials must be >= 1, got %r" % (trials,))
 
     cdf = np.cumsum(model.group_probs)
     coop = np.empty(trials, dtype=np.int64)
@@ -248,7 +265,7 @@ def expected_cellular_and_noncoop(
         which signals an inconsistent ``coop_mean``.
     """
     if not 0.0 <= coop_mean <= n_users:
-        raise ValueError(
+        raise ConfigurationError(
             "coop_mean must be in [0, n_users], got %r" % (coop_mean,)
         )
     cellular_mean = n_users * (1.0 - cumulative_cached_prob(model, users_per_cluster))

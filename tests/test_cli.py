@@ -101,6 +101,34 @@ def test_beta_and_mu_flags_reach_the_sweep(tmp_path):
     assert rows[0]["feasible"] == "true"
 
 
+def test_simulate_writes_beta_as_a_float(tmp_path):
+    outs = []
+    for beta in ("1", "1.0"):
+        cfg = tmp_path / ("beta%s.yaml" % beta)
+        cfg.write_text("beta: %s\n" % beta)
+        outs.append(tmp_path / ("beta%s.csv" % beta))
+        argv = ["simulate", "--config", str(cfg), "--trials", "2"]
+        assert main(argv + ["--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert read_csv(outs[0])[2][0]["beta"] == "1.0"
+
+
+def test_optimize_bandwidth_ignores_seed_and_population_trials(tmp_path):
+    outs = []
+    for seed, trials in (("1", 2000), ("2", 2000), ("1", 50000)):
+        cfg = tmp_path / ("run%d.yaml" % len(outs))
+        cfg.write_text(
+            "population_trials: %d\nsweep: {name: mu_bps, values: [0.0, 2.0e+6]}\n"
+            % trials
+        )
+        outs.append(tmp_path / ("run%d.csv" % len(outs)))
+        argv = ["optimize-bandwidth", "--config", str(cfg), "--seed", seed]
+        assert main(argv + ["--out", str(outs[-1])]) == 0
+    first = outs[0].read_bytes()
+    assert outs[1].read_bytes() == first and outs[2].read_bytes() == first
+    assert read_csv(outs[0])[0] == "# schema=coopd2d.bandwidth_split.v2"
+
+
 def test_bad_catalog_size_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.yaml"
     cfg.write_text("n_files: 301\n")
@@ -116,6 +144,7 @@ def test_bad_catalog_size_exits_2(tmp_path, capsys):
         (["optimize-bandwidth"], "beta: abc\n"),
         (["optimize-bandwidth"], "population_trials: 0\n"),
         (["simulate", "--strategy", "tdma", "--eta", "1.5", "--trials", "3"], ""),
+        (["compare", "--trials", "3"], "eta: 0.3\n"),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, argv, config):

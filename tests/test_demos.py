@@ -9,12 +9,10 @@ DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 
 # arguments that keep each demo to about a second
 ARGS = {
-    "bandwidth_split_sweep": ["--population-trials", "2000", "--points", "3"],
+    "bandwidth_split_sweep": ["--points", "3"],
     "cluster_size_sweep": [],
     "link_rate_gap": ["--snapshots", "20"],
-    "strategy_comparison": [
-        "--trials", "20", "--population-trials", "2000", "--betas", "1.0",
-    ],
+    "strategy_comparison": ["--trials", "20", "--betas", "1.0"],
 }
 # one line each demo must print
 EXPECT = {

@@ -13,7 +13,9 @@ from coopd2d import (
     SimConfig,
     analytic_point,
     defaults,
+    expected_coop_users_exact,
     grid_search_eta,
+    path_gain_moments,
     sim_feasible_cluster_sizes,
     spec_from_mapping,
 )
@@ -97,6 +99,15 @@ def test_spec_refuses_sweep_axes_the_command_ignores(scenario, axis):
         ExperimentSpec(scenario=scenario, sweep_name=axis, sweep_values=(1,))
 
 
+@pytest.mark.parametrize(
+    "scenario", ["cluster-sweep", "bandwidth-sweep", "throughput-compare", "validate"]
+)
+def test_spec_refuses_eta_outside_simulate(scenario):
+    with pytest.raises(ConfigurationError, match="eta"):
+        spec_from_mapping(scenario, {"eta": 0.3})
+    assert spec_from_mapping("simulate", {"eta": 0.3}).eta == 0.3
+
+
 def test_spec_checks_sweep_values():
     def spec(scenario, **sweep):
         return ExperimentSpec(scenario=scenario, **sweep)
@@ -164,21 +175,41 @@ def test_analytic_point_reference_frozen():
     assert pt.pc == approx(0.9999787380676235, rel=1e-12)
     assert pt.rate_coop == approx(15.288348744652652, rel=1e-12)
     assert pt.rate_noncoop == approx(2.4065033112793515, rel=1e-12)
-    assert pt.nc_bar == approx(80.54069, rel=1e-12)
-    assert pt.nn_bar == approx(54.45931, rel=1e-12)
+    assert pt.nc_bar == approx(80.56591137123345, rel=1e-12)
+    closed = oracles.closed_form_coop_mean(pt.model, 15, 9)
+    assert pt.nc_bar == approx(closed, rel=1e-12)
+    assert pt.nn_bar == approx(54.434088628766546, rel=1e-12)
     assert pt.nb_bar == 0.0
-    assert pt.solution.eta_star == approx(0.8742774544276946, rel=1e-12)
+    assert pt.solution.eta_star == approx(0.8743356794583512, rel=1e-12)
     assert pt.nc_bar + pt.nn_bar + pt.nb_bar == approx(135.0, abs=1e-9)
 
 
-def test_analytic_point_population_cache_reused():
-    cache = {}
-    spec = ExperimentSpec(scenario="bandwidth-sweep", population_trials=5_000)
-    a = analytic_point(spec, mu=1e6, _pop_cache=cache)
-    b = analytic_point(spec, mu=3e6, _pop_cache=cache)
-    assert len(cache) == 1
-    assert a.nc_bar == b.nc_bar  # same population estimate, different split
-    assert a.solution.eta_star != b.solution.eta_star
+def test_analytic_point_population_matches_enumeration():
+    # 3 cached groups, 4 clusters of 2 users: small enough to enumerate
+    spec = ExperimentSpec(
+        scenario="bandwidth-sweep",
+        n_files=60,
+        cache_size=20,
+        n_clusters=4,
+        users_per_cluster=2,
+        n_users=8,
+    )
+    pt = analytic_point(spec)
+    exact = expected_coop_users_exact(pt.model, 2, 4)
+    assert pt.nc_bar == approx(exact.coop_mean, rel=1e-12)
+    assert pt.nn_bar == approx(exact.noncoop_mean, rel=1e-12)
+    assert pt.nb_bar == approx(exact.cellular_mean, rel=1e-12)
+
+
+def test_analytic_point_reuses_the_path_gain_moments():
+    spec = ExperimentSpec(scenario="bandwidth-sweep")
+    path_gain_moments.cache_clear()
+    a = analytic_point(spec, beta=0.6, mu=1e6)
+    misses = path_gain_moments.cache_info().misses
+    b = analytic_point(spec, beta=1.2, mu=3e6)
+    info = path_gain_moments.cache_info()
+    assert (misses, info.misses, info.hits) == (1, 1, 1)
+    assert a.rate_coop == b.rate_coop and a.rate_noncoop == b.rate_noncoop
 
 
 def test_grid_search_eta_against_oracle():
@@ -206,12 +237,12 @@ def test_sim_feasible_cluster_sizes():
 def test_write_csv_deterministic_bytes(tmp_path):
     path = tmp_path / "table.csv"
     rows = [(1, 0.5, True, "label"), (2, 1.0 / 3.0, False, "x")]
-    write_csv(path, "unit_test", ["a", "b", "c", "d"], rows)
+    write_csv(path, "unit_test.v7", ["a", "b", "c", "d"], rows)
     first = path.read_bytes()
-    write_csv(path, "unit_test", ["a", "b", "c", "d"], rows)
+    write_csv(path, "unit_test.v7", ["a", "b", "c", "d"], rows)
     assert path.read_bytes() == first
     text = first.decode()
-    assert text.startswith("# schema=coopd2d.unit_test.v1\n")
+    assert text.startswith("# schema=coopd2d.unit_test.v7\n")
     assert "0.3333333333333333" in text  # full-precision float repr
     assert ",true," in text and ",false," in text
 
@@ -310,15 +341,14 @@ def test_cmd_simulate_emits_per_trial_rows(tmp_path):
     )
     cmd_simulate(spec)
     schema, header, rows = read_csv(out)
-    assert schema == "# schema=coopd2d.campaign_trials.v1"
+    assert schema == "# schema=coopd2d.campaign_trials.v2"
     assert len(rows) == 40
     assert [r["trial"] for r in rows] == [str(t) for t in range(40)]
     assert {r["strategy"] for r in rows} == {"coop"}
     assert {r["K"] for r in rows} == {"15"}
     assert {r["B"] for r in rows} == {"9"}
-    # the optimized split was applied (its exact value wanders a little with
-    # the reduced population sample, so only bracket it)
-    assert 0.85 <= float(rows[0]["eta"]) <= 0.90
+    # the optimized split of the reference point was applied
+    assert rows[0]["eta"] == "0.8743356794583512"
     for r in rows:
         total = int(r["n_coop"]) + int(r["n_noncoop"]) + int(r["n_cellular"])
         assert total == 135
@@ -348,7 +378,7 @@ def test_cmd_compare_smoke(tmp_path):
     )
     cmd_compare(spec)
     schema, header, rows = read_csv(out)
-    assert schema == "# schema=coopd2d.strategy_compare.v1"
+    assert schema == "# schema=coopd2d.strategy_compare.v2"
     assert [r["strategy"] for r in rows] == [
         "optimized", "eta0.5", "etaK", "nocoop", "tdma",
     ]

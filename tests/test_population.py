@@ -8,10 +8,12 @@ from pytest import approx
 from coopd2d import (
     build_popularity,
     expected_cellular_and_noncoop,
+    expected_coop_users_closed,
     expected_coop_users_exact,
     expected_coop_users_mc,
+    path_gain_moments,
 )
-from coopd2d.errors import ConsistencyError, EnumerationBudgetError
+from coopd2d.errors import CoopD2DError, ConsistencyError, EnumerationBudgetError
 
 import oracles
 
@@ -50,6 +52,45 @@ def test_exact_matches_linearity_closed_form():
     assert summary.coop_mean == approx(
         oracles.closed_form_coop_mean(model, 2, 2), rel=1e-12
     )
+
+
+def test_closed_form_matches_enumeration_and_oracle():
+    model = build_popularity(60, 20, 1.0)
+    for k, b in ((1, 2), (2, 2), (3, 2), (2, 3), (3, 4)):
+        closed = expected_coop_users_closed(model, k, b)
+        exact = expected_coop_users_exact(model, k, b)
+        assert closed.method == "closed-form" and closed.std_error == 0.0
+        assert closed.coop_mean == approx(exact.coop_mean, rel=1e-12)
+        assert closed.noncoop_mean == approx(exact.noncoop_mean, rel=1e-12)
+        assert closed.cellular_mean == exact.cellular_mean
+        assert closed.coop_mean == approx(
+            oracles.closed_form_coop_mean(model, k, b), rel=1e-15
+        )
+
+
+def test_closed_form_covers_the_full_size_catalog(ref_model):
+    # far past the enumeration budget; the sampler brackets it
+    closed = expected_coop_users_closed(ref_model, 15, 9)
+    mc = expected_coop_users_mc(ref_model, 15, 9, trials=20_000, seed=5)
+    assert abs(closed.coop_mean - mc.coop_mean) <= 3.0 * mc.std_error
+    total = closed.coop_mean + closed.cellular_mean + closed.noncoop_mean
+    assert total == approx(135.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: expected_coop_users_mc(m, 1, 2, trials=0, seed=3),
+        lambda m: expected_coop_users_exact(m, 0, 2),
+        lambda m: expected_coop_users_exact(m, 1, 0),
+        lambda m: expected_coop_users_closed(m, 1, 0),
+        lambda m: expected_cellular_and_noncoop(m, 2, 1, -0.5),
+        lambda m: path_gain_moments(-1.0, 0.1),
+    ],
+)
+def test_api_argument_errors_are_package_errors(two_group, call):
+    with pytest.raises(CoopD2DError):
+        call(two_group)
 
 
 def test_exact_budget_refusal(ref_model):
