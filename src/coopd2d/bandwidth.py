@@ -19,6 +19,7 @@ import logging
 import math
 from dataclasses import dataclass
 
+from .errors import ConfigurationError
 from .rates import network_throughput
 
 __all__ = ["BandwidthSolution", "optimize_eta"]
@@ -97,9 +98,9 @@ def optimize_eta(
     ``eta = 0``.
     """
     if min(pc, rc, rn, bandwidth_hz, nc_bar, nn_bar, mu) < 0:
-        raise ValueError("all optimizer inputs must be non-negative")
+        raise ConfigurationError("all optimizer inputs must be non-negative")
     if bandwidth_hz <= 0 or n_clusters <= 0:
-        raise ValueError("bandwidth_hz and n_clusters must be positive")
+        raise ConfigurationError("bandwidth_hz and n_clusters must be positive")
 
     wb = bandwidth_hz * n_clusters
     # Vacuous constraints: no users in a class, or no floor to honor.

@@ -145,11 +145,11 @@ def cumulative_cached_prob(model: PopularityModel, n_cached_groups: int) -> floa
 
     Raises
     ------
-    ValueError
+    ConfigurationError
         If ``n_cached_groups`` is out of range.
     """
     if not 1 <= n_cached_groups <= model.group_count:
-        raise ValueError(
+        raise ConfigurationError(
             "n_cached_groups must be in [1, %d], got %r"
             % (model.group_count, n_cached_groups)
         )

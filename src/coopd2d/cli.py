@@ -45,15 +45,29 @@ _SCENARIO_OF = {
 # flags whose spec field has another name
 _FIELD_OF_FLAG = {"mu": "mu_bps", "jobs": "n_jobs"}
 
+# flags beyond --config and --seed, per subcommand: only those its command reads
+_FLAGS_OF = {
+    "optimize-cluster": ("beta", "out"),
+    "optimize-bandwidth": ("beta", "mu", "out"),
+    "compare": ("trials", "beta", "mu", "out", "jobs"),
+    "validate": ("beta",),
+    "simulate": ("trials", "beta", "mu", "out", "jobs"),
+}
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+_FLAG_ARGS = {
+    "trials": {"type": int, "help": "trials per simulation campaign"},
+    "beta": {"type": float, "help": "popularity skew exponent"},
+    "mu": {"type": float, "help": "per-user rate floor in bit/s"},
+    "out": {"help": "output CSV path"},
+    "jobs": {"type": int, "help": "worker processes for campaigns"},
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
     parser.add_argument("--config", help="YAML file of parameter overrides")
     parser.add_argument("--seed", type=int, help="base RNG seed")
-    parser.add_argument("--trials", type=int, help="trials per simulation campaign")
-    parser.add_argument("--beta", type=float, help="popularity skew exponent")
-    parser.add_argument("--mu", type=float, help="per-user rate floor in bit/s")
-    parser.add_argument("--out", help="output CSV path")
-    parser.add_argument("--jobs", type=int, help="worker processes for campaigns")
+    for flag in flags:
+        parser.add_argument("--" + flag, **_FLAG_ARGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", "run one campaign and dump per-trial records"),
     ):
         p = sub.add_parser(name, help=blurb)
-        _add_common(p)
+        _add_flags(p, _FLAGS_OF[name])
         if name == "simulate":
             p.add_argument(
                 "--strategy",

@@ -138,7 +138,7 @@ def coop_probability(model: PopularityModel, users_per_cluster: int, n_clusters:
         Probability in [0, 1].
     """
     if n_clusters < 1:
-        raise ValueError("n_clusters must be >= 1, got %r" % (n_clusters,))
+        raise ConfigurationError("n_clusters must be >= 1, got %r" % (n_clusters,))
     ph = hit_probability(model, users_per_cluster)
     # hit_k == 1 would send log through -0.0; the exact value is then 1.
     if np.any(ph >= 1.0):
@@ -161,7 +161,7 @@ def expected_active_coop(model: PopularityModel, n_users: int, users_per_cluster
         Value in ``[0, B]``.
     """
     if n_users < users_per_cluster:
-        raise ValueError("n_users must be >= users_per_cluster")
+        raise ConfigurationError("n_users must be >= users_per_cluster")
     b = n_users / users_per_cluster
     return b * coop_probability(model, users_per_cluster, b)
 
@@ -190,7 +190,7 @@ def optimize_cluster_size(model: PopularityModel, n_users: int):
         its objective.  Useful for plotting the whole curve.
     """
     if n_users < 1:
-        raise ValueError("n_users must be >= 1, got %r" % (n_users,))
+        raise ConfigurationError("n_users must be >= 1, got %r" % (n_users,))
     candidates = range(1, min(model.group_count, n_users) + 1)
     profile = np.array(
         [[k, expected_active_coop(model, n_users, k)] for k in candidates]

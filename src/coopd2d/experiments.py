@@ -25,6 +25,7 @@ from .clusters import ClusterPlan, coop_probability, make_plan, optimize_cluster
 from .errors import ConfigurationError, EnumerationBudgetError, SingularChannelError
 from .geometry import SQRT2, SQRT5, interference_pdf, path_gain_moments, signal_pdf
 from .netsim import (
+    ROLE_COOP,
     SimConfig,
     drop_snapshot,
     noncoop_rates,
@@ -708,7 +709,7 @@ def _snapshot_checks(spec: ExperimentSpec, n_snap: int) -> list[tuple[str, bool,
     for t in range(n_snap):
         snap = drop_snapshot(snap_cfg, t)
         modes[t] = snap.mode
-        coops[t] = np.count_nonzero(snap.roles == "coop")
+        coops[t] = np.count_nonzero(snap.roles == ROLE_COOP)
     pc_ref = coop_probability(model, k, b)
     freq = float(modes.mean())
     se = math.sqrt(max(pc_ref * (1.0 - pc_ref), 1e-300) / n_snap)

@@ -55,7 +55,7 @@ _F_BREAKS = (1.0, SQRT2, 2.0)
 def _as_checked_array(r) -> tuple[np.ndarray, bool]:
     arr = np.asarray(r, dtype=np.float64)
     if np.any(arr < 0):
-        raise ValueError("distances must be non-negative")
+        raise ConfigurationError("distances must be non-negative")
     return arr, np.isscalar(r) or arr.ndim == 0
 
 
@@ -74,7 +74,7 @@ def signal_pdf(r):
 
     Raises
     ------
-    ValueError
+    ConfigurationError
         If any input is negative.
 
     Notes
@@ -116,7 +116,7 @@ def interference_pdf(r):
 
     Raises
     ------
-    ValueError
+    ConfigurationError
         If any input is negative.
 
     Notes

@@ -17,18 +17,28 @@ non-cooperative on the full band; identical to ``coop`` with ``eta = 0`` by
 construction, seeds included), and ``tdma`` (reuse-4 grid coloring, each
 color active every 4th slot on the full band).
 
+Engine: a campaign runs in blocks of trials, in two passes.  Pass 1
+(:func:`_run_trial`) runs one trial at a time and makes every draw of it;
+pass 2 (:func:`_rate_block`) rates the block together: zero-forcing
+channels and equal-size non-cooperative link sets are stacked and each
+stack is inverted or summed in one call.  Stacks are never padded, so each
+matrix sees the arithmetic it would see alone, and an ill-conditioned or
+singular channel takes the drop-worst-link fallback on its own.
+
 Reproducibility contract: trial ``t`` derives all of its randomness from
 ``default_rng([seed, t])`` with a fixed draw order (positions, requests,
 scheduling choices, fading), per-trial results live at index ``t`` of the
-campaign arrays, and aggregation runs over those ordered arrays; thread or
-process count therefore cannot change any output bit.
+campaign arrays, and aggregation runs over those ordered arrays; neither
+the block size nor the thread or process count can change any output bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +52,9 @@ __all__ = [
     "Snapshot",
     "SimResult",
     "TRIAL_DTYPE",
+    "ROLE_COOP",
+    "ROLE_NONCOOP",
+    "ROLE_CELLULAR",
     "drop_snapshot",
     "schedule",
     "zf_rates",
@@ -51,6 +64,9 @@ __all__ = [
 
 _COND_LIMIT = 1e8
 _STRATEGIES = ("coop", "nocoop", "tdma")
+_CHUNK = 128  # trials drawn (pass 1) before their link sets are rated (pass 2)
+
+ROLE_COOP, ROLE_NONCOOP, ROLE_CELLULAR = 0, 1, 2  # int8 codes of Snapshot.roles
 
 TRIAL_DTYPE = np.dtype(
     [
@@ -115,30 +131,45 @@ class SimConfig:
 class Snapshot:
     """One dropped network state.
 
-    Group indices are 0-based; ``roles`` holds ``"coop"``, ``"noncoop"`` or
-    ``"cellular"`` per user; ``mode`` is 1 iff some cached group is hit by
-    every cluster (``hit_groups`` non-empty).
+    Group indices are 0-based; ``request_counts[c, g]`` counts the requests
+    for cached group ``g`` in cluster ``c``; ``roles`` holds one int8 code
+    per user, :data:`ROLE_COOP`, :data:`ROLE_NONCOOP` or
+    :data:`ROLE_CELLULAR`; ``mode`` is 1 iff some cached group is hit by
+    every cluster (``hit_groups`` non-empty).  ``cluster_of`` and
+    ``cache_group_of`` are read-only arrays shared by every snapshot of the
+    same grid.
     """
 
     positions: np.ndarray = field(repr=False)
     cluster_of: np.ndarray = field(repr=False)
     cache_group_of: np.ndarray = field(repr=False)
     request_of: np.ndarray = field(repr=False)
+    request_counts: np.ndarray = field(repr=False)
     roles: np.ndarray = field(repr=False)
     mode: int
     hit_groups: frozenset
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(n_clusters: int, users_per_cluster: int, cluster_side_m: float):
+    """Read-only per-user cluster, cached group and cell corner of a grid."""
+    b, k = n_clusters, users_per_cluster
+    grid = math.isqrt(b)
+    cluster_of = np.repeat(np.arange(b), k)
+    cache_group_of = np.tile(np.arange(k), b)
+    origins = np.column_stack((np.arange(b) % grid, np.arange(b) // grid)) * cluster_side_m
+    corner = origins[cluster_of]
+    for array in (cluster_of, cache_group_of, corner):
+        array.flags.writeable = False
+    return cluster_of, cache_group_of, corner
 
 
 def _drop(config: SimConfig, rng: np.random.Generator) -> Snapshot:
     plan = config.plan
     b, k = plan.n_clusters, plan.users_per_cluster
     m, d = plan.n_users, plan.cluster_side_m
-    grid = math.isqrt(b)
-
-    cluster_of = np.repeat(np.arange(b), k)
-    cache_group_of = np.tile(np.arange(k), b)
-    origins = np.column_stack((np.arange(b) % grid, np.arange(b) // grid)) * d
-    positions = rng.random((m, 2)) * d + origins[cluster_of]
+    cluster_of, cache_group_of, corner = _layout(b, k, d)
+    positions = rng.random((m, 2)) * d + corner
 
     cdf = np.cumsum(config.popularity.group_probs)
     k0 = config.popularity.group_count
@@ -146,23 +177,22 @@ def _drop(config: SimConfig, rng: np.random.Generator) -> Snapshot:
         np.searchsorted(cdf, rng.random(m), side="right"), k0 - 1
     )
 
-    per_cluster = request_of.reshape(b, k)
-    counts = (per_cluster[:, :, None] == np.arange(k)[None, None, :]).sum(axis=1)
-    hit = np.flatnonzero((counts > 0).all(axis=0))
-
-    roles = np.full(m, "cellular", dtype="<U8")
-    roles[request_of < k] = "noncoop"
-    if hit.size:
-        roles[np.isin(request_of, hit)] = "coop"
+    counts = np.bincount(cluster_of * k0 + request_of, minlength=b * k0)
+    counts = counts.reshape(b, k0)[:, :k]
+    hit = (counts > 0).all(axis=0)
+    role_of_request = np.full(k0, ROLE_CELLULAR, dtype=np.int8)
+    role_of_request[:k] = np.where(hit, ROLE_COOP, ROLE_NONCOOP)
+    hit_groups = np.flatnonzero(hit)
 
     return Snapshot(
         positions=positions,
         cluster_of=cluster_of,
         cache_group_of=cache_group_of,
         request_of=request_of,
-        roles=roles,
-        mode=1 if hit.size else 0,
-        hit_groups=frozenset(int(g) for g in hit),
+        request_counts=counts,
+        roles=role_of_request[request_of],
+        mode=1 if hit_groups.size else 0,
+        hit_groups=frozenset(hit_groups.tolist()),
     )
 
 
@@ -175,6 +205,11 @@ def drop_snapshot(config: SimConfig, trial_index: int) -> Snapshot:
     """
     rng = np.random.default_rng([config.seed, trial_index])
     return _drop(config, rng)
+
+
+def _nth_true(mask: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Column of the ``n[r]``-th (0-based) True entry of each row ``r``."""
+    return np.argmax(mask.cumsum(axis=1) > n[:, None], axis=1)
 
 
 def schedule(snapshot: Snapshot, rng: np.random.Generator, cooperation: bool = True):
@@ -207,58 +242,157 @@ def schedule(snapshot: Snapshot, rng: np.random.Generator, cooperation: bool = T
     A user never pairs with itself: the receiver of group ``g`` is drawn
     among requesters other than the user caching ``g``.  In Mode 1 the
     transmitted group is drawn uniformly among hit groups that have such a
-    receiver in every cluster.
+    receiver in every cluster.  The draws are one ``integers`` call for the
+    group, then one call over the clusters' receiver counts, then one call
+    over the non-empty non-cooperative pools; an array of bounds draws the
+    same stream as one scalar call per cluster in cluster order.
     """
-    b = int(snapshot.cluster_of[-1]) + 1
-    m = snapshot.cluster_of.shape[0]
-    k = m // b
+    counts = snapshot.request_counts
+    b, k = counts.shape
     per_cluster = snapshot.request_of.reshape(b, k)
+    users = np.arange(k)
+    own = per_cluster == users  # user j requests the group it caches
+    restrict = cooperation and snapshot.mode == 1
 
     coop_links: list[tuple[int, int]] = []
-    chosen_group = -1
-    if cooperation and snapshot.mode == 1:
-        valid = []
-        for g in sorted(snapshot.hit_groups):
-            # eligible receiver in cluster c: requester of g other than user g
-            ok = True
-            for c in range(b):
-                req = np.flatnonzero(per_cluster[c] == g)
-                if req.size == 0 or (req.size == 1 and req[0] == g):
-                    ok = False
-                    break
-            if ok:
-                valid.append(g)
-        if valid:
-            chosen_group = valid[int(rng.integers(len(valid)))]
-            for c in range(b):
-                req = np.flatnonzero(per_cluster[c] == chosen_group)
-                req = req[req != chosen_group]
-                dr = int(req[int(rng.integers(req.size))])
-                coop_links.append((c * k + chosen_group, c * k + dr))
+    if restrict:
+        receivers = counts - own  # requesters of group g other than user g
+        valid = np.flatnonzero((receivers > 0).all(axis=0))
+        if valid.size:
+            g = int(valid[int(rng.integers(valid.size))])
+            picks = rng.integers(receivers[:, g])
+            dr = _nth_true((per_cluster == g) & (users != g), picks)
+            coop_links = [(c * k + g, c * k + j) for c, j in enumerate(dr.tolist())]
 
+    roles = snapshot.roles.reshape(b, k)
+    pool = ((roles == ROLE_NONCOOP) if restrict else (roles != ROLE_CELLULAR)) & ~own
+    sizes = pool.sum(axis=1)
+    active = np.flatnonzero(sizes)
     noncoop_links: list[tuple[int, int]] = []
-    restrict = cooperation and snapshot.mode == 1
-    for c in range(b):
-        reqs = per_cluster[c]
-        eligible = np.flatnonzero(
-            (reqs < k) & (reqs != np.arange(k))
-            & (~np.isin(reqs, list(snapshot.hit_groups)) if restrict else True)
+    if active.size:
+        j = _nth_true(pool[active], rng.integers(sizes[active]))
+        noncoop_links = list(
+            zip((active * k + per_cluster[active, j]).tolist(), (active * k + j).tolist())
         )
-        if eligible.size:
-            j = int(eligible[int(rng.integers(eligible.size))])
-            noncoop_links.append((c * k + int(reqs[j]), c * k + j))
-
     return coop_links, noncoop_links
 
 
-def _link_distances(
-    links, positions: np.ndarray, min_distance_m: float
-) -> np.ndarray:
-    """Matrix d[i, j] = distance from transmitter j to receiver i, floored."""
-    dt = positions[[t for t, _ in links]]
-    dr = positions[[r for _, r in links]]
-    d = np.linalg.norm(dr[:, None, :] - dt[None, :, :], axis=-1)
-    return np.maximum(d, min_distance_m)
+# A drawn link set is ``(ends, normals)``: ``ends[l]`` holds the transmitter
+# and receiver positions of link ``l`` (shape (n, 2, 2)), ``normals`` the two
+# standard-normal (n, n) matrices of its fading, drawn real part first.
+# The kernels below take stacks of them, (T, n, 2, 2) and (T, 2, n, n).
+
+
+def _ends(links, positions: np.ndarray) -> np.ndarray:
+    return positions[np.array(links)]
+
+
+def _fade(link_sets, positions: np.ndarray, rng: np.random.Generator) -> list:
+    """Draw the fading of each link set in turn; None for an empty set.
+
+    One ``standard_normal`` call draws every set's matrices: the generator
+    fills element by element, so this is the stream of one call per matrix.
+    """
+    sizes = [len(links) for links in link_sets]
+    if not any(sizes):
+        return [None] * len(sizes)
+    ends = _ends([link for links in link_sets for link in links], positions)
+    normals = rng.standard_normal(sum(2 * n * n for n in sizes))
+    drawn, i, j = [], 0, 0
+    for n in sizes:
+        drawn.append(
+            (ends[i : i + n], normals[j : j + 2 * n * n].reshape(2, n, n)) if n else None
+        )
+        i, j = i + n, j + 2 * n * n
+    return drawn
+
+
+def _path_gains(ends: np.ndarray, radio: RadioParams, min_distance_m: float) -> np.ndarray:
+    """Gains ``g[..., i, j]`` from transmitter ``j`` to receiver ``i``.
+
+    Every distance is floored at ``min_distance_m``.
+    """
+    tx, rx = ends[..., 0, :], ends[..., 1, :]
+    d = np.linalg.norm(rx[..., :, None, :] - tx[..., None, :, :], axis=-1)
+    return radio.path_gain(np.maximum(d, min_distance_m))
+
+
+def _zf_channel(ends, normals, radio: RadioParams, min_distance_m: float) -> np.ndarray:
+    """Composite channels ``sqrt(gain / 2) * (x + i y)`` of a stack."""
+    gain = _path_gains(ends, radio, min_distance_m)
+    return np.sqrt(gain / 2.0) * (normals[:, 0] + 1j * normals[:, 1])
+
+
+def _fading_power(normals: np.ndarray) -> np.ndarray:
+    x, y = normals[:, 0], normals[:, 1]
+    return (x * x + y * y) / 2.0
+
+
+def _col_norm2(inv: np.ndarray) -> np.ndarray:
+    return (np.abs(inv) ** 2).sum(axis=-2)
+
+
+def _zf_link_rates(col_norm2: np.ndarray, p_w: float, noise_w: float) -> np.ndarray:
+    return np.log2(1.0 + p_w / (noise_w * col_norm2))
+
+
+def _drop_worst_links(h: np.ndarray, p_w: float, noise_w: float):
+    """Zero-forcing rates of one ill-conditioned or singular channel.
+
+    Drops the worst link (largest inverse-column norm, rate 0) and
+    re-inverts until the condition number is at most the limit; returns
+    None when no usable channel is left.
+    """
+    rates = np.zeros(h.shape[0])
+    active = list(range(h.shape[0]))
+    while active:
+        sub = h[np.ix_(active, active)]
+        cond = np.linalg.cond(sub)
+        if not np.isfinite(cond):
+            return None
+        try:
+            col_norm2 = _col_norm2(np.linalg.inv(sub))
+        except np.linalg.LinAlgError:
+            return None
+        if cond <= _COND_LIMIT:
+            rates[active] = _zf_link_rates(col_norm2, p_w, noise_w)
+            return rates
+        active.pop(int(np.argmax(col_norm2)))
+    return None
+
+
+def _zf_stack(h: np.ndarray, p_w: float, noise_w: float):
+    """Zero-forcing rates of a (T, n, n) stack of composite channels.
+
+    Returns ``(rates, usable)``: ``rates`` is (T, n) with exact zeros for
+    dropped links; ``usable[t]`` is False when channel ``t`` stayed unusable
+    after dropping every link.  Channels with a condition number above the
+    limit (or singular) take :func:`_drop_worst_links` one at a time; the
+    rest are inverted together.
+    """
+    rates = np.zeros(h.shape[:2])
+    usable = np.ones(h.shape[0], dtype=bool)
+    fast = np.linalg.cond(h) <= _COND_LIMIT
+    if fast.any():
+        try:
+            rates[fast] = _zf_link_rates(_col_norm2(np.linalg.inv(h[fast])), p_w, noise_w)
+        except np.linalg.LinAlgError:
+            fast[:] = False
+    for t in np.flatnonzero(~fast):
+        kept = _drop_worst_links(h[t], p_w, noise_w)
+        if kept is None:
+            usable[t] = False
+        else:
+            rates[t] = kept
+    return rates, usable
+
+
+def _sinr_rates(ends, fading_power, radio: RadioParams, min_distance_m: float) -> np.ndarray:
+    """Treated-as-noise spectral efficiencies of a stack of link sets, (T, n)."""
+    received = radio.tx_power_w * (_path_gains(ends, radio, min_distance_m) * fading_power)
+    signal = np.diagonal(received, axis1=-2, axis2=-1).copy()
+    interference = received.sum(axis=-1) - signal
+    return np.log2(1.0 + signal / (interference + radio.noise_w))
 
 
 def zf_rates(
@@ -295,38 +429,19 @@ def zf_rates(
     numpy.ndarray
         Shape ``(len(coop_links),)``; exact zeros mark dropped links.
     """
-    n = len(coop_links)
-    if n == 0:
+    if len(coop_links) == 0:
         return np.zeros(0)
     if channel is None:
-        d = _link_distances(coop_links, positions, min_distance_m)
-        gain = radio.path_gain(d)
-        h = np.sqrt(gain / 2.0) * (
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        )
+        ends, normals = _fade([coop_links], positions, rng)[0]
+        h = _zf_channel(ends[None], normals[None], radio, min_distance_m)
     else:
-        h = np.asarray(channel, dtype=complex)
-
-    p_w, noise_w = radio.tx_power_w, radio.noise_w
-    rates = np.zeros(n)
-    active = list(range(n))
-    while active:
-        sub = h[np.ix_(active, active)]
-        cond = np.linalg.cond(sub)
-        if not np.isfinite(cond):
-            break
-        try:
-            inv = np.linalg.inv(sub)
-        except np.linalg.LinAlgError:
-            break
-        col_norm2 = (np.abs(inv) ** 2).sum(axis=0)
-        if cond <= _COND_LIMIT:
-            rates[active] = np.log2(1.0 + p_w / (noise_w * col_norm2))
-            return rates
-        active.pop(int(np.argmax(col_norm2)))
-    raise SingularChannelError(
-        "composite channel unusable after dropping all links"
-    )
+        h = np.asarray(channel, dtype=complex)[None]
+    rates, usable = _zf_stack(h, radio.tx_power_w, radio.noise_w)
+    if not usable[0]:
+        raise SingularChannelError(
+            "composite channel unusable after dropping all links"
+        )
+    return rates[0]
 
 
 def noncoop_rates(
@@ -356,109 +471,162 @@ def noncoop_rates(
     numpy.ndarray
         Shape ``(len(noncoop_links),)``.
     """
-    n = len(noncoop_links)
-    if n == 0:
+    if len(noncoop_links) == 0:
         return np.zeros(0)
-    d = _link_distances(noncoop_links, positions, min_distance_m)
-    gain = radio.path_gain(d)
     if fading_power is None:
-        x = rng.standard_normal((n, n))
-        y = rng.standard_normal((n, n))
-        fading_power = (x * x + y * y) / 2.0
-    power = gain * fading_power  # P-normalized received powers
-
-    p_w, noise_w = radio.tx_power_w, radio.noise_w
-    received = p_w * power
-    signal = np.diag(received).copy()
-    interference = received.sum(axis=1) - signal
-    return np.log2(1.0 + signal / (interference + noise_w))
+        ends, normals = _fade([noncoop_links], positions, rng)[0]
+        fading_power = _fading_power(normals[None])
+    else:
+        ends = _ends(noncoop_links, positions)
+        fading_power = np.asarray(fading_power)[None]
+    return _sinr_rates(ends[None], fading_power, radio, min_distance_m)[0]
 
 
-def _tdma_throughput(
-    config: SimConfig, snapshot: Snapshot, links, rng: np.random.Generator
-) -> float:
-    """Time-averaged throughput of the reuse-4 baseline for one trial."""
-    plan = config.plan
-    grid = math.isqrt(plan.n_clusters)
-    k = plan.users_per_cluster
-    w = config.radio.bandwidth_hz
+def _colour_slots(links, users_per_cluster: int, grid: int) -> list[list]:
+    """Split links by the reuse-4 colour of their cluster, colours in order."""
+    slots: list[list] = [[], [], [], []]
+    for link in links:
+        row, col = divmod(link[0] // users_per_cluster, grid)
+        slots[2 * (row % 2) + col % 2].append(link)
+    return slots
+
+
+def _tdma_throughput(bandwidth_hz: float, slot_sums) -> float:
+    """Time-averaged throughput of the reuse-4 baseline for one trial.
+
+    ``slot_sums`` are the rate sums of the four colour slots, each active
+    one slot in four on the full band.
+    """
     total = 0.0
-    for color in range(4):
-        row_par, col_par = divmod(color, 2)
-        slot_links = [
-            (dt, dr)
-            for dt, dr in links
-            if ((dt // k) // grid) % 2 == row_par and ((dt // k) % grid) % 2 == col_par
-        ]
-        slot = noncoop_rates(
-            slot_links,
-            snapshot.positions,
-            config.radio,
-            rng,
-            config.min_pairing_distance_m,
-        )
-        total += w * float(slot.sum())
+    for rate_sum in slot_sums:
+        total += bandwidth_hz * rate_sum
     return total / 4.0
 
 
-def _run_trial(config: SimConfig, trial_index: int) -> tuple:
+class _Drawn(NamedTuple):
+    """Pass 1 of a trial: its record's counters and its drawn link sets."""
+
+    mode: int
+    n_coop: int
+    n_noncoop: int
+    n_cellular: int
+    degenerate: int
+    silent_clusters: int
+    split: bool  # cooperation in Mode 1: the band is split
+    zf: tuple | None  # the cooperative link set
+    nc: list  # the non-cooperative set, or the four tdma colour slots
+
+
+_COUNTERS = _Drawn._fields[:6]  # copied into the record as they are
+
+
+def _run_trial(config: SimConfig, trial_index: int) -> _Drawn:
+    """Pass 1 of a trial: every draw of its stream, in the documented order."""
     rng = np.random.default_rng([config.seed, trial_index])
     snapshot = _drop(config, rng)
-    w, eta = config.radio.bandwidth_hz, config.eta
-    cooperation = config.strategy == "coop" and eta > 0.0
-
+    cooperation = config.strategy == "coop" and config.eta > 0.0
     coop_links, noncoop_links = schedule(snapshot, rng, cooperation=cooperation)
-    n_coop = int(np.count_nonzero(snapshot.roles == "coop"))
-    n_noncoop = int(np.count_nonzero(snapshot.roles == "noncoop"))
-    n_cellular = int(np.count_nonzero(snapshot.roles == "cellular"))
-    silent = config.plan.n_clusters - len(noncoop_links)
-    degenerate = int(cooperation and snapshot.mode == 1 and not coop_links)
+    split = cooperation and snapshot.mode == 1
 
-    dropped = 0
-    coop_band = 0.0
-    try:
-        if config.strategy == "tdma":
-            throughput = _tdma_throughput(config, snapshot, noncoop_links, rng)
-        else:
-            if cooperation and snapshot.mode == 1:
-                if coop_links:
-                    zf = zf_rates(
-                        coop_links,
-                        snapshot.positions,
-                        config.radio,
-                        rng,
-                        config.min_pairing_distance_m,
-                    )
-                    dropped = int(np.count_nonzero(zf == 0.0))
-                    coop_band = eta * w * float(zf.sum())
-                band_share = 1.0 - eta
-            else:
-                band_share = 1.0  # Mode 0 or eta=0: the whole band is non-coop
-            nc = noncoop_rates(
-                noncoop_links,
-                snapshot.positions,
-                config.radio,
-                rng,
-                config.min_pairing_distance_m,
-            )
-            throughput = coop_band + band_share * w * float(nc.sum())
-    except SingularChannelError:
-        return (
-            snapshot.mode, math.nan, n_coop, n_noncoop, n_cellular,
-            math.nan, 0, degenerate, silent, 1,
-        )
+    if config.strategy == "tdma":
+        grid = math.isqrt(config.plan.n_clusters)
+        sets = _colour_slots(noncoop_links, config.plan.users_per_cluster, grid)
+    else:
+        sets = [noncoop_links]
+    zf, *nc = _fade([coop_links] + sets, snapshot.positions, rng)
 
-    return (
-        snapshot.mode, throughput, n_coop, n_noncoop, n_cellular,
-        coop_band, dropped, degenerate, silent, 0,
+    n_coop, n_noncoop, n_cellular = np.bincount(snapshot.roles, minlength=3).tolist()
+    return _Drawn(
+        snapshot.mode, n_coop, n_noncoop, n_cellular,
+        int(split and not coop_links), config.plan.n_clusters - len(noncoop_links),
+        split, zf, nc,
     )
 
 
+def _stacks(drawn):
+    """Group the non-empty drawn link sets by link count.
+
+    Yields ``(indices, ends, normals)`` per count, the arrays stacked in
+    index order.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, link_set in enumerate(drawn):
+        if link_set is not None:
+            groups.setdefault(len(link_set[0]), []).append(i)
+    for idx in groups.values():
+        yield (
+            idx,
+            np.stack([drawn[i][0] for i in idx]),
+            np.stack([drawn[i][1] for i in idx]),
+        )
+
+
+def _rate_block(config: SimConfig, trials: list[_Drawn], out: np.ndarray) -> None:
+    """Pass 2: rate a block of drawn trials together and fill their records.
+
+    Link sets of equal size are stacked, so each matrix sees the same
+    arithmetic as when it is rated alone; the per-trial sums then combine
+    in the order of a single trial.
+    """
+    radio, floor = config.radio, config.min_pairing_distance_m
+    w, eta = radio.bandwidth_hz, config.eta
+    n = len(trials)
+    block = _Drawn(*zip(*trials))
+
+    zf_sum = np.zeros(n)
+    zf_dropped = np.zeros(n, dtype=np.int64)
+    usable = np.ones(n, dtype=bool)
+    for idx, ends, normals in _stacks(block.zf):
+        h = _zf_channel(ends, normals, radio, floor)
+        rates, ok = _zf_stack(h, radio.tx_power_w, radio.noise_w)
+        usable[idx] = ok
+        zf_sum[idx] = rates.sum(axis=1)
+        zf_dropped[idx] = np.count_nonzero(rates == 0.0, axis=1)
+
+    nc_drawn = [link_set for sets in block.nc for link_set in sets]
+    nc_sum = np.zeros(len(nc_drawn))
+    for idx, ends, normals in _stacks(nc_drawn):
+        rates = _sinr_rates(ends, _fading_power(normals), radio, floor)
+        nc_sum[idx] = rates.sum(axis=1)
+
+    per_trial = len(nc_drawn) // n
+    nc_sum, zf_sum, zf_dropped = nc_sum.tolist(), zf_sum.tolist(), zf_dropped.tolist()
+    throughput, coop_band, dropped = [], [], []
+    for i, split in enumerate(block.split):
+        sums = nc_sum[i * per_trial : (i + 1) * per_trial]
+        band, lost = 0.0, 0
+        if config.strategy == "tdma":
+            value = _tdma_throughput(w, sums)
+        elif not usable[i]:
+            value = band = math.nan
+        else:
+            share = 1.0  # Mode 0 or eta=0: the whole band is non-coop
+            if split:
+                if block.zf[i] is not None:
+                    lost = zf_dropped[i]
+                    band = eta * w * zf_sum[i]
+                share = 1.0 - eta
+            value = band + share * w * sums[0]
+        throughput.append(value)
+        coop_band.append(band)
+        dropped.append(lost)
+
+    for name in _COUNTERS:
+        out[name] = getattr(block, name)
+    out["throughput"] = throughput
+    out["coop_band"] = coop_band
+    out["dropped_links"] = dropped
+    out["discarded"] = ~usable
+
+
 def _run_range(args) -> np.ndarray:
+    """Records of trials ``start .. stop - 1``, in blocks of ``_CHUNK``."""
     config, start, stop = args
     out = np.empty(stop - start, dtype=TRIAL_DTYPE)
-    for t in range(start, stop):
-        out[t - start] = _run_trial(config, t)
+    for lo in range(start, stop, _CHUNK):
+        hi = min(lo + _CHUNK, stop)
+        trials = [_run_trial(config, t) for t in range(lo, hi)]
+        _rate_block(config, trials, out[lo - start : hi - start])
     return out
 
 

@@ -21,6 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from .errors import ConfigurationError
 from .geometry import GeometryTable
 
 __all__ = [
@@ -136,9 +137,9 @@ def coop_link_rate(
         ``log2(1 + P * D^-alpha * G0 * q1 / (B * sigma^2))`` bits/s/Hz.
     """
     if n_clusters < 1:
-        raise ValueError("n_clusters must be >= 1, got %r" % (n_clusters,))
+        raise ConfigurationError("n_clusters must be >= 1, got %r" % (n_clusters,))
     if not cluster_side_m > 0:
-        raise ValueError("cluster_side_m must be positive")
+        raise ConfigurationError("cluster_side_m must be positive")
     mean_gain = radio.intercept_linear * cluster_side_m ** (-geom.alpha) * geom.q1
     snr = radio.tx_power_w * mean_gain / (n_clusters * radio.noise_w)
     return math.log2(1.0 + snr)
@@ -159,7 +160,7 @@ def network_throughput(
     Affine in ``eta`` with slope ``W * B * pc * (rc - rn)``.
     """
     if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must be in [0, 1], got %r" % (eta,))
+        raise ConfigurationError("eta must be in [0, 1], got %r" % (eta,))
     if not 0.0 <= pc <= 1.0:
-        raise ValueError("pc must be in [0, 1], got %r" % (pc,))
+        raise ConfigurationError("pc must be in [0, 1], got %r" % (pc,))
     return bandwidth_hz * n_clusters * (pc * eta * rc + (1.0 - pc * eta) * rn)

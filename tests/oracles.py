@@ -11,6 +11,7 @@ against itself.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 
@@ -214,3 +215,149 @@ def mean_aggregate_snr_rate(
         aggregate += gain * rng.exponential(size=n)
     snr = tx_power_w * aggregate / (n_clusters * noise_w)
     return float(np.mean(np.log2(1.0 + snr)))
+
+
+def reference_campaign_records(config) -> np.ndarray:
+    """Per-trial records of a campaign, recomputed one trial at a time.
+
+    A plain transcription of the documented per-trial stream: trial ``t``
+    draws from ``default_rng([seed, t])`` the positions, then the requests,
+    then the scheduling choices (one scalar ``integers`` call per choice, in
+    cluster order), then the fading of each link set in the order it is
+    rated.  Every channel is inverted on its own (``cond`` + ``inv``, with
+    the drop-worst-link fallback), and a ``tdma`` trial rates its four
+    colour slots one after another.  Nothing here calls the simulator.
+    """
+    from coopd2d.netsim import TRIAL_DTYPE
+
+    rows = [_reference_trial(config, t) for t in range(config.trials)]
+    return np.array(rows, dtype=TRIAL_DTYPE)
+
+
+def _reference_trial(config, t: int) -> tuple:
+    plan, radio = config.plan, config.radio
+    b, k = plan.n_clusters, plan.users_per_cluster
+    m, side = b * k, plan.cluster_side_m
+    grid = math.isqrt(b)
+    rng = np.random.default_rng([config.seed, t])
+
+    cell = np.repeat(np.arange(b), k)
+    origin = np.column_stack((cell % grid, cell // grid)) * side
+    positions = rng.random((m, 2)) * side + origin
+    cdf = np.cumsum(config.popularity.group_probs).tolist()
+    last = config.popularity.group_count - 1
+    req = [min(bisect_right(cdf, u), last) for u in rng.random(m).tolist()]
+    rows = [req[c * k : (c + 1) * k] for c in range(b)]
+
+    hit = {g for g in range(k) if all(g in row for row in rows)}
+    n_cellular = sum(r >= k for r in req)
+    n_coop = sum(r in hit for r in req)
+    mode = 1 if hit else 0
+    cooperation = config.strategy == "coop" and config.eta > 0.0
+    restrict = cooperation and mode == 1
+
+    coop_links = []
+    if restrict:
+        valid = [
+            g for g in sorted(hit)
+            if all(any(row[j] == g and j != g for j in range(k)) for row in rows)
+        ]
+        if valid:
+            g = valid[int(rng.integers(len(valid)))]
+            for c, row in enumerate(rows):
+                receivers = [j for j in range(k) if row[j] == g and j != g]
+                coop_links.append((c * k + g, c * k + receivers[int(rng.integers(len(receivers)))]))
+    noncoop_links = []
+    for c, row in enumerate(rows):
+        pool = [
+            j for j in range(k)
+            if row[j] < k and row[j] != j and not (restrict and row[j] in hit)
+        ]
+        if pool:
+            j = pool[int(rng.integers(len(pool)))]
+            noncoop_links.append((c * k + row[j], c * k + j))
+
+    silent = b - len(noncoop_links)
+    degenerate = int(restrict and not coop_links)
+    w, eta = radio.bandwidth_hz, config.eta
+    floor = config.min_pairing_distance_m
+    dropped, coop_band = 0, 0.0
+    if config.strategy == "tdma":
+        total = 0.0
+        for color in range(4):
+            row_par, col_par = divmod(color, 2)
+            slot = [
+                (dt, dr) for dt, dr in noncoop_links
+                if (dt // k) // grid % 2 == row_par and (dt // k) % grid % 2 == col_par
+            ]
+            total += w * float(_reference_sinr_rates(slot, positions, radio, rng, floor).sum())
+        throughput = total / 4.0
+    else:
+        band_share = 1.0
+        if restrict:
+            if coop_links:
+                zf = _reference_zf_rates(coop_links, positions, radio, rng, floor)
+                if zf is None:
+                    return (mode, math.nan, n_coop, m - n_coop - n_cellular,
+                            n_cellular, math.nan, 0, degenerate, silent, 1)
+                dropped = int(np.count_nonzero(zf == 0.0))
+                coop_band = eta * w * float(zf.sum())
+            band_share = 1.0 - eta
+        nc = _reference_sinr_rates(noncoop_links, positions, radio, rng, floor)
+        throughput = coop_band + band_share * w * float(nc.sum())
+    return (mode, throughput, n_coop, m - n_coop - n_cellular, n_cellular,
+            coop_band, dropped, degenerate, silent, 0)
+
+
+def _reference_gains(links, positions, radio, floor):
+    dt = positions[[a for a, _ in links]]
+    dr = positions[[r for _, r in links]]
+    d = np.maximum(np.linalg.norm(dr[:, None, :] - dt[None, :, :], axis=-1), floor)
+    return radio.path_gain(d)
+
+
+def _reference_sinr_rates(links, positions, radio, rng, floor):
+    n = len(links)
+    if n == 0:
+        return np.zeros(0)
+    gain = _reference_gains(links, positions, radio, floor)
+    x = rng.standard_normal((n, n))
+    y = rng.standard_normal((n, n))
+    received = radio.tx_power_w * (gain * ((x * x + y * y) / 2.0))
+    signal = np.diag(received).copy()
+    return np.log2(1.0 + signal / (received.sum(axis=1) - signal + radio.noise_w))
+
+
+def _reference_zf_rates(links, positions, radio, rng, floor):
+    n = len(links)
+    gain = _reference_gains(links, positions, radio, floor)
+    h = np.sqrt(gain / 2.0) * (
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    )
+    return reference_zf_channel_rates(h, radio.tx_power_w, radio.noise_w)
+
+
+def reference_zf_channel_rates(h, p_w: float, noise_w: float):
+    """Zero-forcing rates of one channel matrix, or None if it is unusable.
+
+    Inverts the matrix; while its condition number exceeds 1e8, drops the
+    link with the largest inverse-column norm (rate 0) and inverts the rest.
+    """
+    n = h.shape[0]
+    rates = np.zeros(n)
+    active = list(range(n))
+    while active:
+        sub = h[np.ix_(active, active)]
+        cond = np.linalg.cond(sub)
+        if not np.isfinite(cond):
+            return None
+        try:
+            inv = np.linalg.inv(sub)
+        except np.linalg.LinAlgError:
+            return None
+        col_norm2 = (np.abs(inv) ** 2).sum(axis=0)
+        if cond <= 1e8:
+            rates[active] = np.log2(1.0 + p_w / (noise_w * col_norm2))
+            return rates
+        active.pop(int(np.argmax(col_norm2)))
+    return None

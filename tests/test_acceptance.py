@@ -27,6 +27,7 @@ from coopd2d.experiments import (
 )
 from coopd2d.geometry import SQRT2, SQRT5, interference_pdf, path_gain_moments, signal_pdf
 from coopd2d.netsim import (
+    ROLE_COOP,
     SimConfig,
     drop_snapshot,
     noncoop_rates,
@@ -235,7 +236,7 @@ def test_acceptance_4_simulation_vs_closed_forms(
     for t in range(n):
         snap = drop_snapshot(cfg, t)
         modes[t] = snap.mode
-        coops[t] = np.count_nonzero(snap.roles == "coop")
+        coops[t] = np.count_nonzero(snap.roles == ROLE_COOP)
 
     pc = coop_probability(ref_model, 15, 9)
     freq = float(modes.mean())

@@ -37,6 +37,32 @@ def test_strategy_flag_is_simulate_only():
         build_parser().parse_args(["optimize-cluster", "--strategy", "tdma"])
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("optimize-cluster", "--trials"),
+        ("optimize-cluster", "--jobs"),
+        ("optimize-cluster", "--mu"),
+        ("optimize-bandwidth", "--trials"),
+        ("optimize-bandwidth", "--jobs"),
+        ("validate", "--trials"),
+        ("validate", "--jobs"),
+        ("validate", "--mu"),
+        ("validate", "--out"),
+    ],
+)
+def test_flag_the_command_never_reads_exits_2(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(cli._SCENARIO_OF))
+def test_every_command_takes_seed(command):
+    assert build_parser().parse_args([command, "--seed", "7"]).seed == 7
+
+
 def test_missing_subcommand_exits():
     with pytest.raises(SystemExit):
         main([])

@@ -1,6 +1,7 @@
 """Snapshot simulator: drops, scheduling, link rates, campaigns."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,21 +18,23 @@ from coopd2d import (
     schedule,
     zf_rates,
 )
+from coopd2d import netsim
 from coopd2d.errors import ConfigurationError, SingularChannelError
+from coopd2d.netsim import ROLE_CELLULAR, ROLE_COOP, ROLE_NONCOOP
 
 import oracles
 
 
 def make_snapshot(request_of, k, b, positions=None):
-    """Assemble a Snapshot from explicit requests (roles and mode recomputed)."""
+    """Assemble a Snapshot from explicit requests (counts, roles and mode recomputed)."""
     req = np.asarray(request_of)
     per_cluster = req.reshape(b, k)
     counts = (per_cluster[:, :, None] == np.arange(k)[None, None, :]).sum(axis=1)
     hit = np.flatnonzero((counts > 0).all(axis=0))
-    roles = np.full(b * k, "cellular", dtype="<U8")
-    roles[req < k] = "noncoop"
+    roles = np.full(b * k, ROLE_CELLULAR, dtype=np.int8)
+    roles[req < k] = ROLE_NONCOOP
     if hit.size:
-        roles[np.isin(req, hit)] = "coop"
+        roles[np.isin(req, hit)] = ROLE_COOP
     if positions is None:
         positions = np.zeros((b * k, 2))
     return Snapshot(
@@ -39,6 +42,7 @@ def make_snapshot(request_of, k, b, positions=None):
         cluster_of=np.repeat(np.arange(b), k),
         cache_group_of=np.tile(np.arange(k), b),
         request_of=req,
+        request_counts=counts,
         roles=roles,
         mode=1 if hit.size else 0,
         hit_groups=frozenset(int(g) for g in hit),
@@ -72,6 +76,45 @@ def small_config(ref_radio, ref_model):
     )
 
 
+@pytest.fixture(scope="module")
+def sparse_config(ref_radio):
+    # beta 0, B = 16: zero-forcing almost never runs, a third of the
+    # requests are cellular
+    return SimConfig(
+        plan=make_plan(100.0, 16, 10),
+        radio=ref_radio,
+        popularity=build_popularity(300, 20, 0.0),
+        strategy="coop",
+        trials=300,
+        seed=4242,
+        eta=0.5,
+    )
+
+
+@pytest.mark.parametrize("strategy", ["coop", "nocoop", "tdma"])
+@pytest.mark.parametrize("base", ["ref_config", "sparse_config"])
+def test_campaign_records_match_the_per_trial_reference(request, base, strategy):
+    """Every record equals the one-trial-at-a-time oracle, byte for byte."""
+    config = request.getfixturevalue(base)
+    assert config.trials % netsim._CHUNK  # a last, partial block
+    if strategy != "coop":
+        config = replace(config, strategy=strategy, eta=0.0)
+    expected = oracles.reference_campaign_records(config)
+    if base == "ref_config" and strategy == "coop":
+        assert (expected["coop_band"] > 0).mean() > 0.9  # the ZF branch runs
+    for n_jobs in (1, 2):
+        records = run_campaign(config, n_jobs=n_jobs, keep_trials=True).trials
+        assert records.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("strategy", ["coop", "nocoop", "tdma"])
+def test_records_do_not_depend_on_the_block_size(ref_config, monkeypatch, strategy):
+    config = replace(ref_config, trials=40, strategy=strategy)
+    expected = run_campaign(config, keep_trials=True).trials.tobytes()
+    monkeypatch.setattr(netsim, "_CHUNK", 7)
+    assert run_campaign(config, keep_trials=True).trials.tobytes() == expected
+
+
 def test_snapshot_shapes_and_cell_confinement(ref_config):
     snap = drop_snapshot(ref_config, 0)
     m = ref_config.plan.n_users
@@ -100,11 +143,11 @@ def test_snapshot_roles_partition(small_config):
         assert snap.mode == (1 if hit else 0)
         for user, req in enumerate(snap.request_of):
             if req >= k:
-                assert snap.roles[user] == "cellular"
+                assert snap.roles[user] == ROLE_CELLULAR
             elif req in hit:
-                assert snap.roles[user] == "coop"
+                assert snap.roles[user] == ROLE_COOP
             else:
-                assert snap.roles[user] == "noncoop"
+                assert snap.roles[user] == ROLE_NONCOOP
         saw_cellular = saw_cellular or (snap.request_of >= k).any()
     assert saw_cellular  # the small catalog slice leaves uncached demand
 
@@ -233,6 +276,55 @@ def test_zf_singular_channel_raises(ref_radio):
         )
 
 
+def test_zf_stack_falls_back_one_matrix_at_a_time(ref_radio):
+    rng = np.random.default_rng(7)
+    well = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    ill = well.copy()
+    ill[1] = ill[0] * (1.0 + 1e-12)  # two nearly equal rows
+    singular = np.zeros((3, 3), dtype=complex)
+    assert 1e8 < np.linalg.cond(ill) < np.inf
+    p_w, noise_w = ref_radio.tx_power_w, ref_radio.noise_w
+    stack = np.stack([well, ill, singular, well])
+    rates, usable = netsim._zf_stack(stack, p_w, noise_w)
+    assert usable.tolist() == [True, True, False, True]
+    assert oracles.reference_zf_channel_rates(singular, p_w, noise_w) is None
+    for i in (0, 1, 3):
+        expected = oracles.reference_zf_channel_rates(stack[i], p_w, noise_w)
+        assert rates[i].tobytes() == expected.tobytes()
+    assert np.count_nonzero(rates[1] == 0.0) == 1
+    assert np.count_nonzero(rates[0] == 0.0) == 0
+
+
+def test_unusable_channel_discards_only_its_trial(ref_config, monkeypatch):
+    config = replace(ref_config, trials=6)
+    clean = run_campaign(config, keep_trials=True).trials
+    assert np.all(clean["coop_band"][:3] > 0.0)  # trials 0-2 stack their ZF sets
+    original = netsim._zf_channel
+    ill = []
+
+    def broken(ends, normals, radio, min_distance_m):
+        h = original(ends, normals, radio, min_distance_m)
+        h[1] = 0.0  # trial 1: no usable channel
+        h[2, 1] = h[2, 0] * (1.0 + 1e-12)  # trial 2: ill-conditioned
+        ill.append(h[2].copy())
+        return h
+
+    monkeypatch.setattr(netsim, "_zf_channel", broken)
+    records = run_campaign(config, keep_trials=True).trials
+    for t in (0, 3, 4, 5):
+        assert records[t].tobytes() == clean[t].tobytes()
+    lost = records[1]
+    assert lost["discarded"] == 1 and lost["dropped_links"] == 0
+    assert math.isnan(lost["throughput"]) and math.isnan(lost["coop_band"])
+    for name in ("mode", "n_coop", "n_noncoop", "n_cellular", "degenerate", "silent_clusters"):
+        assert lost[name] == clean[1][name]
+    radio = config.radio
+    expected = oracles.reference_zf_channel_rates(ill[0], radio.tx_power_w, radio.noise_w)
+    assert records[2]["discarded"] == 0
+    assert records[2]["dropped_links"] == np.count_nonzero(expected == 0.0) == 1
+    assert records[2]["coop_band"] == config.eta * radio.bandwidth_hz * float(expected.sum())
+
+
 def test_noncoop_single_link_is_pure_snr(ref_radio):
     positions = np.array([[0.0, 0.0], [10.0, 0.0]])
     rates = noncoop_rates(
@@ -322,9 +414,9 @@ def test_campaign_matches_public_snapshot_counts(ref_config):
         snap = drop_snapshot(ref_config, t)
         rec = result.trials[t]
         assert rec["mode"] == snap.mode
-        assert rec["n_coop"] == np.count_nonzero(snap.roles == "coop")
-        assert rec["n_noncoop"] == np.count_nonzero(snap.roles == "noncoop")
-        assert rec["n_cellular"] == np.count_nonzero(snap.roles == "cellular")
+        assert rec["n_coop"] == np.count_nonzero(snap.roles == ROLE_COOP)
+        assert rec["n_noncoop"] == np.count_nonzero(snap.roles == ROLE_NONCOOP)
+        assert rec["n_cellular"] == np.count_nonzero(snap.roles == ROLE_CELLULAR)
 
 
 def test_eta_zero_is_bytewise_the_nocoop_baseline(ref_config):

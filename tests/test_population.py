@@ -13,7 +13,12 @@ from coopd2d import (
     expected_coop_users_mc,
     path_gain_moments,
 )
+from coopd2d.bandwidth import optimize_eta
+from coopd2d.catalog import cumulative_cached_prob
+from coopd2d.clusters import coop_probability, expected_active_coop, optimize_cluster_size
 from coopd2d.errors import CoopD2DError, ConsistencyError, EnumerationBudgetError
+from coopd2d.geometry import interference_pdf, signal_pdf
+from coopd2d.rates import coop_link_rate, network_throughput
 
 import oracles
 
@@ -86,6 +91,18 @@ def test_closed_form_covers_the_full_size_catalog(ref_model):
         lambda m: expected_coop_users_closed(m, 1, 0),
         lambda m: expected_cellular_and_noncoop(m, 2, 1, -0.5),
         lambda m: path_gain_moments(-1.0, 0.1),
+        lambda m: optimize_eta(0.5, 10.0, 2.0, 20e6, 9, 80.0, -1.0, 1e6),
+        lambda m: optimize_eta(0.5, 10.0, 2.0, 20e6, 0, 80.0, 50.0, 1e6),
+        lambda m: cumulative_cached_prob(m, 3),
+        lambda m: coop_probability(m, 1, 0),
+        lambda m: expected_active_coop(m, 1, 2),
+        lambda m: optimize_cluster_size(m, 0),
+        lambda m: signal_pdf(-1.0),
+        lambda m: interference_pdf([0.5, -0.5]),
+        lambda m: coop_link_rate(path_gain_moments(3.68, 0.04), None, 25.0, 0),
+        lambda m: coop_link_rate(path_gain_moments(3.68, 0.04), None, 0.0, 9),
+        lambda m: network_throughput(0.5, 1.5, 10.0, 2.0, 20e6, 9),
+        lambda m: network_throughput(-0.1, 0.5, 10.0, 2.0, 20e6, 9),
     ],
 )
 def test_api_argument_errors_are_package_errors(two_group, call):
