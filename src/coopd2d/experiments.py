@@ -25,8 +25,11 @@ from .clusters import ClusterPlan, coop_probability, make_plan, optimize_cluster
 from .errors import ConfigurationError, EnumerationBudgetError, SingularChannelError
 from .geometry import SQRT2, SQRT5, interference_pdf, path_gain_moments, signal_pdf
 from .netsim import (
+    _CHUNK,
     ROLE_COOP,
     SimConfig,
+    _drop_block,
+    _generators,
     drop_snapshot,
     noncoop_rates,
     run_campaign,
@@ -114,9 +117,10 @@ class ExperimentSpec:
     parameter among the axes the scenario's command reads: ``beta`` and
     ``n_users`` for ``cluster-sweep``, ``beta`` and ``mu_bps`` for
     ``bandwidth-sweep``, ``beta`` for ``throughput-compare``.  Only
-    ``simulate`` reads ``eta``; ``population_trials`` only sizes the snapshot
-    gates of ``validate``.  Every field and sweep value is type- and
-    range-checked here, so bad input surfaces as a :class:`ConfigurationError`.
+    ``simulate`` reads ``strategy`` (``None`` means ``"coop"``) and ``eta``;
+    ``population_trials`` only sizes the snapshot gates of ``validate``.
+    Every field and sweep value is type- and range-checked here, so bad
+    input surfaces as a :class:`ConfigurationError`.
     """
 
     scenario: str
@@ -134,7 +138,7 @@ class ExperimentSpec:
     bandwidth_hz: float = defaults.BANDWIDTH_HZ
     mu_bps: float = defaults.MU_BPS
     min_pairing_distance_m: float = defaults.MIN_PAIRING_DISTANCE_M
-    strategy: str = "coop"
+    strategy: str | None = None
     eta: float | None = None
     trials: int = defaults.TRIALS
     population_trials: int = 100_000
@@ -153,8 +157,11 @@ class ExperimentSpec:
         for name in _NUMERIC_FIELDS:
             if name != "eta" or self.eta is not None:
                 _check_number(name, getattr(self, name))
-        if self.eta is not None and self.scenario != "simulate":
-            raise ConfigurationError("only simulate reads eta, not %s" % self.scenario)
+        for name in ("strategy", "eta"):
+            if getattr(self, name) is not None and self.scenario != "simulate":
+                raise ConfigurationError(
+                    "only simulate reads %s, not %s" % (name, self.scenario)
+                )
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigurationError("out must be a path, got %r" % (self.out,))
         if (self.sweep_name is None) != (len(self.sweep_values) == 0):
@@ -601,12 +608,13 @@ def cmd_compare(spec: ExperimentSpec) -> str:
 
 def cmd_simulate(spec: ExperimentSpec) -> str:
     """One campaign, per-trial records to CSV."""
-    config = _campaign_config(spec, analytic_point(spec), spec.strategy, spec.eta)
+    strategy = "coop" if spec.strategy is None else spec.strategy
+    config = _campaign_config(spec, analytic_point(spec), strategy, spec.eta)
     result = run_campaign(config, n_jobs=spec.n_jobs, keep_trials=True)
     k, b = config.plan.users_per_cluster, config.plan.n_clusters
     rows = [
         (
-            spec.strategy,
+            strategy,
             float(spec.beta),
             k,
             b,
@@ -641,7 +649,7 @@ def cmd_simulate(spec: ExperimentSpec) -> str:
     )
     logger.info(
         "%s: mean %.4g bps (ci95 %.3g) over %d trials",
-        spec.strategy,
+        strategy,
         result.throughput_mean,
         result.throughput_ci95,
         result.n_trials,
@@ -698,18 +706,20 @@ def _snapshot_config(spec: ExperimentSpec, seed: int) -> SimConfig:
 def _snapshot_checks(spec: ExperimentSpec, n_snap: int) -> list[tuple[str, bool, str]]:
     """Gate the simulated Mode-1 frequency and cooperative count.
 
-    Snapshots ``0 .. n_snap - 1`` are drawn at the fixed seed
-    :data:`defaults.SEED`, so the records do not depend on ``spec.seed``.
+    Snapshots ``0 .. n_snap - 1`` (those of :func:`drop_snapshot`) are drawn
+    at the fixed seed :data:`defaults.SEED`, so the records do not depend on
+    ``spec.seed``.
     Returns ``(name, passed, detail)`` records.
     """
     snap_cfg = _snapshot_config(spec, defaults.SEED)
     model, k, b = snap_cfg.popularity, spec.users_per_cluster, spec.n_clusters
     modes = np.empty(n_snap, dtype=np.int8)
     coops = np.empty(n_snap, dtype=np.int16)
-    for t in range(n_snap):
-        snap = drop_snapshot(snap_cfg, t)
-        modes[t] = snap.mode
-        coops[t] = np.count_nonzero(snap.roles == ROLE_COOP)
+    for lo in range(0, n_snap, _CHUNK):  # blocks of the campaign engine
+        hi = min(lo + _CHUNK, n_snap)
+        drops = _drop_block(snap_cfg, _generators(snap_cfg, lo, hi))
+        modes[lo:hi] = drops.hit.any(axis=1)
+        coops[lo:hi] = np.count_nonzero(drops.roles == ROLE_COOP, axis=1)
     pc_ref = coop_probability(model, k, b)
     freq = float(modes.mean())
     se = math.sqrt(max(pc_ref * (1.0 - pc_ref), 1e-300) / n_snap)

@@ -17,13 +17,24 @@ non-cooperative on the full band; identical to ``coop`` with ``eta = 0`` by
 construction, seeds included), and ``tdma`` (reuse-4 grid coloring, each
 color active every 4th slot on the full band).
 
-Engine: a campaign runs in blocks of trials, in two passes.  Pass 1
-(:func:`_run_trial`) runs one trial at a time and makes every draw of it;
-pass 2 (:func:`_rate_block`) rates the block together: zero-forcing
-channels and equal-size non-cooperative link sets are stacked and each
-stack is inverted or summed in one call.  Stacks are never padded, so each
-matrix sees the arithmetic it would see alone, and an ill-conditioned or
-singular channel takes the drop-worst-link fallback on its own.
+Engine: a campaign runs in blocks of ``_CHUNK`` trials, in two passes.
+Pass 1 keeps the block's generators alive and runs five stages; the stages
+that draw run per trial, the others per block:
+
+1. per trial, the positions and request uniforms (:func:`_drop_block`);
+2. per block, the request counts, hit groups, modes and roles;
+3. per trial, the scheduling choices, from bounds computed for the block
+   (:func:`_pick_links`);
+4. per block, the links those choices pick;
+5. per trial, the fading of every link set of the trial (:func:`_run_block`).
+
+Pass 2 rates the block together: zero-forcing channels and equal-size
+non-cooperative link sets are gathered from the block arrays, stacked, and
+each stack is inverted or summed in one call.  Stacks are never padded, so
+each matrix sees the arithmetic it would see alone, and an ill-conditioned
+or singular channel takes the drop-worst-link fallback on its own.
+:func:`drop_snapshot` and :func:`schedule` run the same stages on a block
+of one trial.
 
 Reproducibility contract: trial ``t`` derives all of its randomness from
 ``default_rng([seed, t])`` with a fixed draw order (positions, requests,
@@ -164,33 +175,65 @@ def _layout(n_clusters: int, users_per_cluster: int, cluster_side_m: float):
     return cluster_of, cache_group_of, corner
 
 
+class _Drops(NamedTuple):
+    """Stages 1 and 2 of a block of ``T`` trials (``M`` users, ``B`` x ``K`` grid)."""
+
+    positions: np.ndarray  # (T, M, 2)
+    request_of: np.ndarray  # (T, M) requested group, 0-based
+    counts: np.ndarray  # (T, B, K) requests per cluster and cached group
+    hit: np.ndarray  # (T, K) cached groups requested in every cluster
+    roles: np.ndarray  # (T, M) int8 role codes
+
+
+def _generators(config: SimConfig, start: int, stop: int) -> list:
+    """The generators ``default_rng([seed, t])`` of trials ``start .. stop - 1``."""
+    return [np.random.default_rng([config.seed, t]) for t in range(start, stop)]
+
+
+def _drop_block(config: SimConfig, rngs) -> _Drops:
+    """Drop one snapshot per generator.
+
+    Stage 1 (per trial): one ``random`` call fills the ``M x 2`` positions
+    and then the ``M`` request uniforms, the stream of the two calls in
+    turn.  Stage 2 (per block): one ``searchsorted`` and one ``bincount``
+    over (trial, cluster, group) classify every trial at once.
+    """
+    plan, popularity = config.plan, config.popularity
+    b, k, m, d = plan.n_clusters, plan.users_per_cluster, plan.n_users, plan.cluster_side_m
+    cluster_of, _, corner = _layout(b, k, d)
+    n = len(rngs)
+    draws = np.empty((n, 3 * m))
+    for rng, row in zip(rngs, draws):
+        rng.random(out=row)
+    positions = draws[:, : 2 * m].reshape(n, m, 2) * d + corner
+
+    k0 = popularity.group_count
+    cdf = np.cumsum(popularity.group_probs)
+    request_of = np.minimum(np.searchsorted(cdf, draws[:, 2 * m :], side="right"), k0 - 1)
+    trial = np.arange(n)[:, None]
+    cell = trial * b + cluster_of  # (trial, cluster) of every user
+    counts = np.bincount((cell * k0 + request_of).ravel(), minlength=n * b * k0)
+    counts = counts.reshape(n, b, k0)[:, :, :k]
+    hit = (counts > 0).all(axis=1)
+    role_of_request = np.full((n, k0), ROLE_CELLULAR, dtype=np.int8)
+    role_of_request[:, :k] = np.where(hit, ROLE_COOP, ROLE_NONCOOP)
+    return _Drops(positions, request_of, counts, hit, role_of_request[trial, request_of])
+
+
 def _drop(config: SimConfig, rng: np.random.Generator) -> Snapshot:
     plan = config.plan
-    b, k = plan.n_clusters, plan.users_per_cluster
-    m, d = plan.n_users, plan.cluster_side_m
-    cluster_of, cache_group_of, corner = _layout(b, k, d)
-    positions = rng.random((m, 2)) * d + corner
-
-    cdf = np.cumsum(config.popularity.group_probs)
-    k0 = config.popularity.group_count
-    request_of = np.minimum(
-        np.searchsorted(cdf, rng.random(m), side="right"), k0 - 1
+    cluster_of, cache_group_of, _ = _layout(
+        plan.n_clusters, plan.users_per_cluster, plan.cluster_side_m
     )
-
-    counts = np.bincount(cluster_of * k0 + request_of, minlength=b * k0)
-    counts = counts.reshape(b, k0)[:, :k]
-    hit = (counts > 0).all(axis=0)
-    role_of_request = np.full(k0, ROLE_CELLULAR, dtype=np.int8)
-    role_of_request[:k] = np.where(hit, ROLE_COOP, ROLE_NONCOOP)
-    hit_groups = np.flatnonzero(hit)
-
+    drop = _drop_block(config, [rng])
+    hit_groups = np.flatnonzero(drop.hit[0])
     return Snapshot(
-        positions=positions,
+        positions=drop.positions[0],
         cluster_of=cluster_of,
         cache_group_of=cache_group_of,
-        request_of=request_of,
-        request_counts=counts,
-        roles=role_of_request[request_of],
+        request_of=drop.request_of[0],
+        request_counts=drop.counts[0],
+        roles=drop.roles[0],
         mode=1 if hit_groups.size else 0,
         hit_groups=frozenset(hit_groups.tolist()),
     )
@@ -210,6 +253,73 @@ def drop_snapshot(config: SimConfig, trial_index: int) -> Snapshot:
 def _nth_true(mask: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Column of the ``n[r]``-th (0-based) True entry of each row ``r``."""
     return np.argmax(mask.cumsum(axis=1) > n[:, None], axis=1)
+
+
+class _Links(NamedTuple):
+    """Stages 3 and 4 of a block: its scheduled links.
+
+    Users are numbered within their cluster.  Trial ``coop[i]`` sends group
+    ``group[i]`` from user ``group[i]`` of each cluster ``c`` to user
+    ``coop_rx[i, c]``.  Non-cooperative link ``l`` of trial ``nc_trial[l]``
+    runs in cluster ``nc_cluster[l]`` from user ``nc_tx[l]`` to user
+    ``nc_rx[l]``; links are in trial, then cluster order.
+    """
+
+    coop: np.ndarray
+    group: np.ndarray
+    coop_rx: np.ndarray
+    nc_trial: np.ndarray
+    nc_cluster: np.ndarray
+    nc_tx: np.ndarray
+    nc_rx: np.ndarray
+
+
+def _pick_links(request_of, counts, roles, restrict, rngs) -> _Links:
+    """Schedule a block: each trial's choices (stage 3), then its links (stage 4).
+
+    ``restrict[t]`` is cooperation in Mode 1: trial ``t`` forms a cooperative
+    set, and its non-cooperative pools leave the hit groups out.  Bounds are
+    computed for the whole block; each generator then draws one
+    ``integers`` call for the group, one over the clusters' receiver counts
+    and one over the non-empty pools.  The links of every trial are picked
+    together with :func:`_nth_true`.
+    """
+    n, b, k = counts.shape
+    per_cluster = request_of.reshape(n, b, k)
+    users = np.arange(k)
+    own = per_cluster == users  # user j requests the group it caches
+    receivers = counts - own  # requesters of group g other than user g
+    valid_trial, valid_group = np.nonzero(restrict[:, None] & (receivers > 0).all(axis=1))
+    roles = roles.reshape(n, b, k)
+    in_pool = np.where(restrict[:, None, None], roles == ROLE_NONCOOP, roles != ROLE_CELLULAR)
+    pool = in_pool & ~own
+    sizes = pool.sum(axis=2)
+    active = sizes > 0
+    pool_sizes = sizes[active]
+
+    group = np.full(n, -1)
+    rx_picks = np.empty((n, b), dtype=np.int64)
+    pool_picks = np.empty(pool_sizes.size, dtype=np.int64)
+    v = a = 0
+    n_valid = np.bincount(valid_trial, minlength=n).tolist()
+    for i, (rng, nv, na) in enumerate(zip(rngs, n_valid, active.sum(axis=1).tolist())):
+        if nv:
+            g = valid_group[v + int(rng.integers(nv))]
+            group[i] = g
+            rx_picks[i] = rng.integers(receivers[i, :, g])
+            v += nv
+        if na:
+            pool_picks[a : a + na] = rng.integers(pool_sizes[a : a + na])
+            a += na
+
+    coop = np.flatnonzero(group >= 0)
+    g = group[coop, None, None]
+    eligible = (per_cluster[coop] == g) & (users != g)
+    coop_rx = _nth_true(eligible.reshape(-1, k), rx_picks[coop].ravel()).reshape(-1, b)
+    nc_trial, nc_cluster = np.nonzero(active)
+    nc_rx = _nth_true(pool[active], pool_picks)
+    nc_tx = per_cluster[nc_trial, nc_cluster, nc_rx]
+    return _Links(coop, group[coop], coop_rx, nc_trial, nc_cluster, nc_tx, nc_rx)
 
 
 def schedule(snapshot: Snapshot, rng: np.random.Generator, cooperation: bool = True):
@@ -247,64 +357,35 @@ def schedule(snapshot: Snapshot, rng: np.random.Generator, cooperation: bool = T
     over the non-empty non-cooperative pools; an array of bounds draws the
     same stream as one scalar call per cluster in cluster order.
     """
-    counts = snapshot.request_counts
-    b, k = counts.shape
-    per_cluster = snapshot.request_of.reshape(b, k)
-    users = np.arange(k)
-    own = per_cluster == users  # user j requests the group it caches
-    restrict = cooperation and snapshot.mode == 1
-
+    k = snapshot.request_counts.shape[1]
+    restrict = np.array([cooperation and snapshot.mode == 1])
+    links = _pick_links(
+        snapshot.request_of[None], snapshot.request_counts[None], snapshot.roles[None],
+        restrict, [rng],
+    )
     coop_links: list[tuple[int, int]] = []
-    if restrict:
-        receivers = counts - own  # requesters of group g other than user g
-        valid = np.flatnonzero((receivers > 0).all(axis=0))
-        if valid.size:
-            g = int(valid[int(rng.integers(valid.size))])
-            picks = rng.integers(receivers[:, g])
-            dr = _nth_true((per_cluster == g) & (users != g), picks)
-            coop_links = [(c * k + g, c * k + j) for c, j in enumerate(dr.tolist())]
-
-    roles = snapshot.roles.reshape(b, k)
-    pool = ((roles == ROLE_NONCOOP) if restrict else (roles != ROLE_CELLULAR)) & ~own
-    sizes = pool.sum(axis=1)
-    active = np.flatnonzero(sizes)
-    noncoop_links: list[tuple[int, int]] = []
-    if active.size:
-        j = _nth_true(pool[active], rng.integers(sizes[active]))
-        noncoop_links = list(
-            zip((active * k + per_cluster[active, j]).tolist(), (active * k + j).tolist())
-        )
+    if links.coop.size:
+        g = int(links.group[0])
+        coop_links = [(c * k + g, c * k + j) for c, j in enumerate(links.coop_rx[0].tolist())]
+    base = links.nc_cluster * k
+    noncoop_links = list(zip((base + links.nc_tx).tolist(), (base + links.nc_rx).tolist()))
     return coop_links, noncoop_links
 
 
-# A drawn link set is ``(ends, normals)``: ``ends[l]`` holds the transmitter
-# and receiver positions of link ``l`` (shape (n, 2, 2)), ``normals`` the two
-# standard-normal (n, n) matrices of its fading, drawn real part first.
-# The kernels below take stacks of them, (T, n, 2, 2) and (T, 2, n, n).
+# A link set is rated from its ends, ``ends[..., l, :, :]`` holding the
+# transmitter and receiver positions of link ``l``, and from two standard
+# normal (n, n) matrices of fading, drawn real part first.  The kernels below
+# take stacks of them, (T, n, 2, 2) and (T, 2, n, n).
 
 
 def _ends(links, positions: np.ndarray) -> np.ndarray:
     return positions[np.array(links)]
 
 
-def _fade(link_sets, positions: np.ndarray, rng: np.random.Generator) -> list:
-    """Draw the fading of each link set in turn; None for an empty set.
-
-    One ``standard_normal`` call draws every set's matrices: the generator
-    fills element by element, so this is the stream of one call per matrix.
-    """
-    sizes = [len(links) for links in link_sets]
-    if not any(sizes):
-        return [None] * len(sizes)
-    ends = _ends([link for links in link_sets for link in links], positions)
-    normals = rng.standard_normal(sum(2 * n * n for n in sizes))
-    drawn, i, j = [], 0, 0
-    for n in sizes:
-        drawn.append(
-            (ends[i : i + n], normals[j : j + 2 * n * n].reshape(2, n, n)) if n else None
-        )
-        i, j = i + n, j + 2 * n * n
-    return drawn
+def _fade(links, positions: np.ndarray, rng: np.random.Generator):
+    """Ends (n, 2, 2) and fading normals (2, n, n) of one link set."""
+    n = len(links)
+    return _ends(links, positions), rng.standard_normal(2 * n * n).reshape(2, n, n)
 
 
 def _path_gains(ends: np.ndarray, radio: RadioParams, min_distance_m: float) -> np.ndarray:
@@ -432,7 +513,7 @@ def zf_rates(
     if len(coop_links) == 0:
         return np.zeros(0)
     if channel is None:
-        ends, normals = _fade([coop_links], positions, rng)[0]
+        ends, normals = _fade(coop_links, positions, rng)
         h = _zf_channel(ends[None], normals[None], radio, min_distance_m)
     else:
         h = np.asarray(channel, dtype=complex)[None]
@@ -474,7 +555,7 @@ def noncoop_rates(
     if len(noncoop_links) == 0:
         return np.zeros(0)
     if fading_power is None:
-        ends, normals = _fade([noncoop_links], positions, rng)[0]
+        ends, normals = _fade(noncoop_links, positions, rng)
         fading_power = _fading_power(normals[None])
     else:
         ends = _ends(noncoop_links, positions)
@@ -482,140 +563,116 @@ def noncoop_rates(
     return _sinr_rates(ends[None], fading_power, radio, min_distance_m)[0]
 
 
-def _colour_slots(links, users_per_cluster: int, grid: int) -> list[list]:
-    """Split links by the reuse-4 colour of their cluster, colours in order."""
-    slots: list[list] = [[], [], [], []]
-    for link in links:
-        row, col = divmod(link[0] // users_per_cluster, grid)
-        slots[2 * (row % 2) + col % 2].append(link)
-    return slots
+def _tdma_throughput(bandwidth_hz: float, slot_sums: np.ndarray) -> np.ndarray:
+    """Time-averaged throughput of the reuse-4 baseline, one per trial.
 
-
-def _tdma_throughput(bandwidth_hz: float, slot_sums) -> float:
-    """Time-averaged throughput of the reuse-4 baseline for one trial.
-
-    ``slot_sums`` are the rate sums of the four colour slots, each active
-    one slot in four on the full band.
+    ``slot_sums[t]`` are the rate sums of trial ``t``'s four colour slots,
+    each active one slot in four on the full band.
     """
-    total = 0.0
-    for rate_sum in slot_sums:
+    total = np.zeros(len(slot_sums))
+    for rate_sum in slot_sums.T:
         total += bandwidth_hz * rate_sum
     return total / 4.0
 
 
-class _Drawn(NamedTuple):
-    """Pass 1 of a trial: its record's counters and its drawn link sets."""
-
-    mode: int
-    n_coop: int
-    n_noncoop: int
-    n_cellular: int
-    degenerate: int
-    silent_clusters: int
-    split: bool  # cooperation in Mode 1: the band is split
-    zf: tuple | None  # the cooperative link set
-    nc: list  # the non-cooperative set, or the four tdma colour slots
+def _block_ends(positions: np.ndarray, trial: np.ndarray, tx, rx) -> np.ndarray:
+    """Ends ``(..., n, 2, 2)`` of the links ``tx -> rx`` of ``trial``."""
+    return positions[trial[..., None], np.stack((tx, rx), axis=-1)]
 
 
-_COUNTERS = _Drawn._fields[:6]  # copied into the record as they are
+def _normals_at(normals: np.ndarray, offsets: np.ndarray, n: int) -> np.ndarray:
+    """The ``(len(offsets), 2, n, n)`` fading normals stored from ``offsets``."""
+    return normals[offsets[:, None] + np.arange(2 * n * n)].reshape(-1, 2, n, n)
 
 
-def _run_trial(config: SimConfig, trial_index: int) -> _Drawn:
-    """Pass 1 of a trial: every draw of its stream, in the documented order."""
-    rng = np.random.default_rng([config.seed, trial_index])
-    snapshot = _drop(config, rng)
-    cooperation = config.strategy == "coop" and config.eta > 0.0
-    coop_links, noncoop_links = schedule(snapshot, rng, cooperation=cooperation)
-    split = cooperation and snapshot.mode == 1
+def _run_block(config: SimConfig, start: int, out: np.ndarray) -> None:
+    """Fill the records of trials ``start .. start + len(out) - 1``.
 
-    if config.strategy == "tdma":
-        grid = math.isqrt(config.plan.n_clusters)
-        sets = _colour_slots(noncoop_links, config.plan.users_per_cluster, grid)
+    Pass 1 runs stages 1-4 (:func:`_drop_block`, :func:`_pick_links`), then
+    stage 5: each trial draws the fading of all its link sets in one
+    ``standard_normal`` call, cooperative set first, then the
+    non-cooperative set or the four tdma colour slots in colour order.
+    Pass 2 stacks the link sets of equal size, so each matrix sees the
+    arithmetic it would see alone, and combines the rate sums in the order
+    of a single trial.
+    """
+    plan, radio = config.plan, config.radio
+    b, k = plan.n_clusters, plan.users_per_cluster
+    n = len(out)
+    rngs = _generators(config, start, start + n)
+    drops = _drop_block(config, rngs)
+    mode = drops.hit.any(axis=1)
+    split = mode & (config.strategy == "coop" and config.eta > 0.0)
+    links = _pick_links(drops.request_of, drops.counts, drops.roles, split, rngs)
+
+    tdma = config.strategy == "tdma"
+    n_slots = 4 if tdma else 1
+    if tdma:
+        grid = math.isqrt(b)
+        row, col = np.divmod(links.nc_cluster, grid)
+        slot = links.nc_trial * 4 + 2 * (row % 2) + col % 2
     else:
-        sets = [noncoop_links]
-    zf, *nc = _fade([coop_links] + sets, snapshot.positions, rng)
+        slot = links.nc_trial
+    order = np.argsort(slot, kind="stable")  # each set's links together, in cluster order
+    set_size = np.bincount(slot, minlength=n * n_slots)
+    has_zf = np.zeros(n, dtype=bool)
+    has_zf[links.coop] = True
+    set_draws = 2 * set_size.reshape(n, n_slots) ** 2
+    zf_draws = np.where(has_zf, 2 * b * b, 0)
+    trial_draws = zf_draws + set_draws.sum(axis=1)
+    trial_end = np.cumsum(trial_draws)
+    trial_start = trial_end - trial_draws
+    normals = np.empty(trial_end[-1])
+    for rng, lo, hi in zip(rngs, trial_start.tolist(), trial_end.tolist()):
+        if hi > lo:
+            rng.standard_normal(out=normals[lo:hi])
+    set_start = (trial_start + zf_draws)[:, None] + np.cumsum(set_draws, axis=1) - set_draws
 
-    n_coop, n_noncoop, n_cellular = np.bincount(snapshot.roles, minlength=3).tolist()
-    return _Drawn(
-        snapshot.mode, n_coop, n_noncoop, n_cellular,
-        int(split and not coop_links), config.plan.n_clusters - len(noncoop_links),
-        split, zf, nc,
-    )
-
-
-def _stacks(drawn):
-    """Group the non-empty drawn link sets by link count.
-
-    Yields ``(indices, ends, normals)`` per count, the arrays stacked in
-    index order.
-    """
-    groups: dict[int, list[int]] = {}
-    for i, link_set in enumerate(drawn):
-        if link_set is not None:
-            groups.setdefault(len(link_set[0]), []).append(i)
-    for idx in groups.values():
-        yield (
-            idx,
-            np.stack([drawn[i][0] for i in idx]),
-            np.stack([drawn[i][1] for i in idx]),
-        )
-
-
-def _rate_block(config: SimConfig, trials: list[_Drawn], out: np.ndarray) -> None:
-    """Pass 2: rate a block of drawn trials together and fill their records.
-
-    Link sets of equal size are stacked, so each matrix sees the same
-    arithmetic as when it is rated alone; the per-trial sums then combine
-    in the order of a single trial.
-    """
-    radio, floor = config.radio, config.min_pairing_distance_m
-    w, eta = radio.bandwidth_hz, config.eta
-    n = len(trials)
-    block = _Drawn(*zip(*trials))
-
+    floor, cells = config.min_pairing_distance_m, np.arange(b) * k
     zf_sum = np.zeros(n)
     zf_dropped = np.zeros(n, dtype=np.int64)
     usable = np.ones(n, dtype=bool)
-    for idx, ends, normals in _stacks(block.zf):
-        h = _zf_channel(ends, normals, radio, floor)
+    if links.coop.size:
+        ends = _block_ends(
+            drops.positions, links.coop[:, None],
+            cells + links.group[:, None], cells + links.coop_rx,
+        )
+        h = _zf_channel(ends, _normals_at(normals, trial_start[links.coop], b), radio, floor)
         rates, ok = _zf_stack(h, radio.tx_power_w, radio.noise_w)
-        usable[idx] = ok
-        zf_sum[idx] = rates.sum(axis=1)
-        zf_dropped[idx] = np.count_nonzero(rates == 0.0, axis=1)
+        usable[links.coop] = ok
+        zf_sum[links.coop] = rates.sum(axis=1)
+        zf_dropped[links.coop] = np.count_nonzero(rates == 0.0, axis=1)
 
-    nc_drawn = [link_set for sets in block.nc for link_set in sets]
-    nc_sum = np.zeros(len(nc_drawn))
-    for idx, ends, normals in _stacks(nc_drawn):
-        rates = _sinr_rates(ends, _fading_power(normals), radio, floor)
-        nc_sum[idx] = rates.sum(axis=1)
+    tx = (links.nc_cluster * k + links.nc_tx)[order]
+    rx = (links.nc_cluster * k + links.nc_rx)[order]
+    first_link = np.cumsum(set_size) - set_size  # of each set, in ``order``
+    nc_sum = np.zeros(n * n_slots)
+    for size in np.unique(set_size[set_size > 0]).tolist():
+        sets = np.flatnonzero(set_size == size)
+        idx = first_link[sets, None] + np.arange(size)
+        ends = _block_ends(drops.positions, sets[:, None] // n_slots, tx[idx], rx[idx])
+        power = _fading_power(_normals_at(normals, set_start.ravel()[sets], size))
+        nc_sum[sets] = _sinr_rates(ends, power, radio, floor).sum(axis=1)
 
-    per_trial = len(nc_drawn) // n
-    nc_sum, zf_sum, zf_dropped = nc_sum.tolist(), zf_sum.tolist(), zf_dropped.tolist()
-    throughput, coop_band, dropped = [], [], []
-    for i, split in enumerate(block.split):
-        sums = nc_sum[i * per_trial : (i + 1) * per_trial]
-        band, lost = 0.0, 0
-        if config.strategy == "tdma":
-            value = _tdma_throughput(w, sums)
-        elif not usable[i]:
-            value = band = math.nan
-        else:
-            share = 1.0  # Mode 0 or eta=0: the whole band is non-coop
-            if split:
-                if block.zf[i] is not None:
-                    lost = zf_dropped[i]
-                    band = eta * w * zf_sum[i]
-                share = 1.0 - eta
-            value = band + share * w * sums[0]
-        throughput.append(value)
-        coop_band.append(band)
-        dropped.append(lost)
-
-    for name in _COUNTERS:
-        out[name] = getattr(block, name)
-    out["throughput"] = throughput
-    out["coop_band"] = coop_band
-    out["dropped_links"] = dropped
+    w, eta = radio.bandwidth_hz, config.eta
+    if tdma:
+        out["throughput"] = _tdma_throughput(w, nc_sum.reshape(n, 4))
+        out["coop_band"] = 0.0
+        out["dropped_links"] = 0
+    else:
+        coop_band = eta * w * zf_sum
+        # Mode 0 or eta = 0: the whole band is non-cooperative
+        share = np.where(split, 1.0 - eta, 1.0)
+        throughput = coop_band + share * w * nc_sum
+        throughput[~usable] = coop_band[~usable] = math.nan
+        out["throughput"] = throughput
+        out["coop_band"] = coop_band
+        out["dropped_links"] = np.where(usable, zf_dropped, 0)
+    out["mode"] = mode
+    for code, name in enumerate(("n_coop", "n_noncoop", "n_cellular")):  # the role codes
+        out[name] = np.count_nonzero(drops.roles == code, axis=1)
+    out["degenerate"] = split & ~has_zf
+    out["silent_clusters"] = b - np.bincount(links.nc_trial, minlength=n)
     out["discarded"] = ~usable
 
 
@@ -624,9 +681,7 @@ def _run_range(args) -> np.ndarray:
     config, start, stop = args
     out = np.empty(stop - start, dtype=TRIAL_DTYPE)
     for lo in range(start, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        trials = [_run_trial(config, t) for t in range(lo, hi)]
-        _rate_block(config, trials, out[lo - start : hi - start])
+        _run_block(config, lo, out[lo - start : min(lo + _CHUNK, stop) - start])
     return out
 
 

@@ -171,6 +171,11 @@ def test_bad_catalog_size_exits_2(tmp_path, capsys):
         (["optimize-bandwidth"], "population_trials: 0\n"),
         (["simulate", "--strategy", "tdma", "--eta", "1.5", "--trials", "3"], ""),
         (["compare", "--trials", "3"], "eta: 0.3\n"),
+        # only simulate reads a strategy
+        (["optimize-cluster"], "strategy: bogus\n"),
+        (["optimize-bandwidth"], "strategy: coop\n"),
+        (["compare", "--trials", "3"], "strategy: tdma\n"),
+        (["simulate", "--trials", "3"], "strategy: bogus\n"),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, argv, config):

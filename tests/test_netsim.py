@@ -91,8 +91,32 @@ def sparse_config(ref_radio):
     )
 
 
+@pytest.fixture(scope="module")
+def eta0_config(ref_config):
+    # cooperation without a band: hit-group requesters join the non-coop pool
+    return replace(ref_config, eta=0.0, trials=150)
+
+
+@pytest.fixture(scope="module")
+def single_cluster_config(ref_radio, ref_model):
+    # B = 1: every requested cached group is hit, ZF is one 1x1 channel and
+    # the four tdma slots hold one link at most
+    return SimConfig(
+        plan=make_plan(25.0, 1, 15),
+        radio=ref_radio,
+        popularity=ref_model,
+        strategy="coop",
+        trials=150,
+        seed=31,
+        eta=0.6,
+    )
+
+
 @pytest.mark.parametrize("strategy", ["coop", "nocoop", "tdma"])
-@pytest.mark.parametrize("base", ["ref_config", "sparse_config"])
+@pytest.mark.parametrize(
+    "base",
+    ["ref_config", "sparse_config", "small_config", "eta0_config", "single_cluster_config"],
+)
 def test_campaign_records_match_the_per_trial_reference(request, base, strategy):
     """Every record equals the one-trial-at-a-time oracle, byte for byte."""
     config = request.getfixturevalue(base)
@@ -102,6 +126,12 @@ def test_campaign_records_match_the_per_trial_reference(request, base, strategy)
     expected = oracles.reference_campaign_records(config)
     if base == "ref_config" and strategy == "coop":
         assert (expected["coop_band"] > 0).mean() > 0.9  # the ZF branch runs
+    if base == "small_config":
+        assert expected["silent_clusters"].any()
+        if strategy == "coop":
+            assert expected["degenerate"].any()
+    if base == "single_cluster_config" and strategy == "coop":
+        assert (expected["coop_band"] > 0).any()
     for n_jobs in (1, 2):
         records = run_campaign(config, n_jobs=n_jobs, keep_trials=True).trials
         assert records.tobytes() == expected.tobytes()
