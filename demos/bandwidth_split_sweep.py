@@ -17,7 +17,8 @@ import argparse
 
 import numpy as np
 
-from coopd2d import ExperimentSpec, analytic_point, grid_search_eta
+from coopd2d import ExperimentSpec, analytic_point
+from coopd2d.experiments import grid_search_eta
 
 
 def main(argv=None) -> int:

@@ -17,14 +17,10 @@ Run it as::
 
 import argparse
 
-from coopd2d import (
-    SimConfig,
-    coop_link_rate,
-    defaults,
-    dump_pdf_table,
-    noncoop_link_rate,
-)
-from coopd2d.experiments import link_rate_gap
+from coopd2d import SimConfig, defaults
+from coopd2d.checks import link_rate_gap
+from coopd2d.geometry import dump_pdf_table
+from coopd2d.rates import coop_link_rate, noncoop_link_rate
 
 
 def main(argv=None) -> int:

@@ -1,0 +1,327 @@
+"""Self-validation: the ``validate`` command and the checks only it runs.
+
+Each gate compares two independent routes to one quantity.  The analytic
+side of a gate is read from :func:`coopd2d.experiments.analytic_point`, and
+every simulated side runs on a config from the same
+``_campaign_config`` the commands use, so ``validate`` checks the pipeline
+the commands run instead of a copy of it.  Every check is one
+``(name, passed, detail)`` record; ``passed`` is ``None`` for a line that
+is reported but not gated.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+from scipy.integrate import quad
+
+from . import defaults
+from .bandwidth import optimize_eta
+from .catalog import build_popularity
+from .clusters import optimize_cluster_size
+from .errors import EnumerationBudgetError, SingularChannelError
+from .experiments import (
+    AnalyticPoint,
+    ExperimentSpec,
+    _campaign_config,
+    analytic_point,
+    grid_search_eta,
+)
+from .geometry import SQRT2, SQRT5, interference_pdf, path_gain_moments, signal_pdf
+from .netsim import (
+    _CHUNK,
+    ROLE_COOP,
+    SimConfig,
+    _drop_block,
+    _generators,
+    drop_snapshot,
+    noncoop_rates,
+    run_campaign,
+    schedule,
+    zf_rates,
+)
+from .population import (
+    expected_coop_users_closed,
+    expected_coop_users_exact,
+    expected_coop_users_mc,
+)
+
+__all__ = ["cmd_validate", "link_rate_gap"]
+
+_VALIDATE_SNAPSHOTS = 100_000
+
+
+def _empirical_moment(
+    alpha: float, r_min: float, n_samples: int, seed: int, interference: bool
+) -> tuple[float, float]:
+    """Geometric Monte Carlo estimate of a truncated path-loss moment.
+
+    Samples endpoint pairs directly (receiver uniform in the unit square,
+    transmitter uniform in the same or the side-adjacent square), so the
+    estimate is independent of the analytic distance densities it checks.
+    Returns ``(mean, standard_error)`` of ``r**-alpha * 1{r >= r_min}``.
+    """
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    total_sq = 0.0
+    remaining = n_samples
+    while remaining:
+        n = min(1_000_000, remaining)
+        remaining -= n
+        dr = rng.random((n, 2))
+        dt = rng.random((n, 2))
+        if interference:
+            dt[:, 0] += 1.0
+        r = np.linalg.norm(dt - dr, axis=1)
+        vals = np.zeros(n)
+        mask = r >= r_min if r_min > 0 else r > 0
+        vals[mask] = r[mask] ** (-alpha)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+    mean = total / n_samples
+    var = max(total_sq / n_samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / n_samples)
+
+
+def _snapshot_config(spec: ExperimentSpec, seed: int) -> tuple[AnalyticPoint, SimConfig]:
+    """The skew-1 analytic point and the cooperative config (``eta = 0.5``,
+    seeded with ``seed``) whose snapshots ``validate`` draws."""
+    pt = analytic_point(spec, beta=1.0)
+    return pt, replace(_campaign_config(spec, pt, "coop", 0.5), trials=1, seed=seed)
+
+
+def _snapshot_checks(spec: ExperimentSpec, n_snap: int) -> list[tuple[str, bool, str]]:
+    """Gate the simulated Mode-1 frequency and cooperative count.
+
+    Snapshots ``0 .. n_snap - 1`` (those of :func:`drop_snapshot`) are drawn
+    at the fixed seed :data:`defaults.SEED`, so the records do not depend on
+    ``spec.seed``.
+    Returns ``(name, passed, detail)`` records.
+    """
+    pt, snap_cfg = _snapshot_config(spec, defaults.SEED)
+    modes = np.empty(n_snap, dtype=np.int8)
+    coops = np.empty(n_snap, dtype=np.int16)
+    for lo in range(0, n_snap, _CHUNK):  # blocks of the campaign engine
+        hi = min(lo + _CHUNK, n_snap)
+        drops = _drop_block(snap_cfg, _generators(snap_cfg, lo, hi))
+        modes[lo:hi] = drops.hit.any(axis=1)
+        coops[lo:hi] = np.count_nonzero(drops.roles == ROLE_COOP, axis=1)
+    freq = float(modes.mean())
+    se = math.sqrt(max(pt.pc * (1.0 - pt.pc), 1e-300) / n_snap)
+    nc_mean = float(coops.mean())
+    se_c = float(coops.std(ddof=1)) / math.sqrt(n_snap)
+    return [
+        ("mode-frequency", abs(freq - pt.pc) <= 3.0 * se,
+         "empirical %.5f vs formula %.5f over %d snapshots (3 SE = %.5f)"
+         % (freq, pt.pc, n_snap, 3.0 * se)),
+        ("coop-count", abs(nc_mean - pt.nc_bar) <= 3.0 * se_c,
+         "empirical %.4f vs linearity %.4f (3 SE = %.4f)"
+         % (nc_mean, pt.nc_bar, 3.0 * se_c)),
+    ]
+
+
+def link_rate_gap(config: SimConfig, n_snapshots: int) -> tuple[float, int, float, int]:
+    """Fading-averaged link rates of the first ``n_snapshots`` snapshots.
+
+    Snapshot ``t`` is :func:`drop_snapshot` of ``config``; its scheduling
+    and fading draw from ``default_rng([config.seed, t, 1])``.  Returns
+    ``(zf_mean, zf_links, noncoop_mean, noncoop_links)``: the mean
+    zero-forcing rate over the links that kept a non-zero rate, the mean
+    single-cell rate over all single-cell links (bits/s/Hz), and the two
+    link counts.  A mean over no links is 0.
+    """
+    radio, floor_m = config.radio, config.min_pairing_distance_m
+    zf_sum, zf_n, nc_sum, nc_n = 0.0, 0, 0.0, 0
+    for t in range(n_snapshots):
+        snap = drop_snapshot(config, t)
+        link_rng = np.random.default_rng([config.seed, t, 1])
+        coop_links, nlinks = schedule(snap, link_rng, cooperation=True)
+        if coop_links:
+            try:
+                zf = zf_rates(coop_links, snap.positions, radio, link_rng, floor_m)
+            except SingularChannelError:
+                zf = np.zeros(0)
+            zf_sum += float(zf[zf > 0].sum())
+            zf_n += int(np.count_nonzero(zf > 0))
+        if nlinks:
+            ncr = noncoop_rates(nlinks, snap.positions, radio, link_rng, floor_m)
+            nc_sum += float(ncr.sum())
+            nc_n += len(nlinks)
+    return zf_sum / max(zf_n, 1), zf_n, nc_sum / max(nc_n, 1), nc_n
+
+
+def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
+    """Self-consistency sweep over the analytic and simulation layers.
+
+    Gated checks (they decide the return value) compare independent
+    evaluation routes of the same quantity: popularity normalization,
+    density normalization/continuity, free-space moment anchors, geometric
+    Monte Carlo versus quadrature moments, enumeration versus closed-form
+    versus Monte Carlo populations, closed-form versus grid-search bandwidth
+    splits, simulated snapshot statistics versus their formulas, the
+    ``eta = 0`` equivalence, and worker-count determinism.
+
+    INFO lines report the measured gap between simulated fading-averaged
+    link rates and the moment-based closed forms; the closed forms move the
+    expectation inside a concave SINR logarithm, so a gap is structural, not
+    a defect, and these lines are not gated.
+
+    Monte Carlo checks use fixed internal seeds so the verdict does not
+    depend on ``spec.seed``; the seed moves only the draws of the two
+    campaign comparisons and of the INFO line.
+    """
+    pt = analytic_point(spec)
+    checks: list[tuple[str, bool | None, str]] = []
+
+    worst = 0.0
+    for beta in (0.0, 0.4, 0.78, 1.0, 1.2):
+        model = build_popularity(spec.n_files, spec.cache_size, beta)
+        worst = max(worst, abs(math.fsum(model.group_probs.tolist()) - 1.0))
+    checks.append(
+        ("popularity-normalization", worst < 1e-12, "max |sum P - 1| = %.3e" % worst)
+    )
+
+    gi, _ = quad(signal_pdf, 0.0, SQRT2, points=[1.0], limit=200)
+    fi, _ = quad(interference_pdf, 0.0, SQRT5, points=[1.0, SQRT2, 2.0], limit=200)
+    checks.append((
+        "pdf-normalization",
+        abs(gi - 1.0) < 1e-6 and abs(fi - 1.0) < 1e-6,
+        "int g = %.9f, int f = %.9f" % (gi, fi),
+    ))
+
+    step = 1e-12
+    worst = 0.0
+    for fn, breaks in ((signal_pdf, (1.0,)), (interference_pdf, (1.0, SQRT2, 2.0))):
+        for bpt in breaks:
+            worst = max(worst, abs(float(fn(bpt - step)) - float(fn(bpt + step))))
+    checks.append(
+        ("pdf-continuity", worst < 1e-9, "max jump at a breakpoint = %.3e" % worst)
+    )
+
+    anchor = path_gain_moments(0.0, 0.0)
+    checks.append((
+        "moment-anchors",
+        abs(anchor.q1 - 9.0) < 1e-6 and abs(anchor.q2 - 1.0) < 1e-6,
+        "alpha=0: q1 = %.9f (want 9), q2 = %.9f (want 1)" % (anchor.q1, anchor.q2),
+    ))
+
+    geom = pt.geom
+    s_hat, _ = _empirical_moment(spec.alpha, geom.r_min, 10_000_000, 0x51C4A1, False)
+    q2_hat, _ = _empirical_moment(spec.alpha, geom.r_min, 20_000_000, 0x1F7E2F, True)
+    rel_s = abs(s_hat - geom.signal_moment) / geom.signal_moment
+    rel_q2 = abs(q2_hat - geom.q2) / geom.q2
+    checks.append((
+        "moment-mc",
+        rel_s < 0.01 and rel_q2 < 0.03,
+        "geometric MC off by %.2f%% signal (tol 1%%), %.2f%% interference (tol 3%%)"
+        % (100 * rel_s, 100 * rel_q2),
+    ))
+
+    small = build_popularity(2 * spec.cache_size, spec.cache_size, 1.0)
+    exact = expected_coop_users_exact(small, 2, 2)
+    closed = expected_coop_users_closed(small, 2, 2).coop_mean
+    mc = expected_coop_users_mc(small, 2, 2, 20_000, 0xB0B)
+    checks.append((
+        "population-consistency",
+        abs(exact.coop_mean - closed) <= 1e-9 * closed
+        and abs(mc.coop_mean - exact.coop_mean) <= 3.0 * mc.std_error,
+        "enumeration %.12f vs linearity %.12f vs MC %.4f +- %.4f"
+        % (exact.coop_mean, closed, mc.coop_mean, mc.std_error),
+    ))
+
+    ref_model = build_popularity(defaults.N_FILES, defaults.CACHE_SIZE, 1.0)
+    try:
+        expected_coop_users_exact(
+            ref_model, defaults.USERS_PER_CLUSTER, defaults.N_CLUSTERS
+        )
+        refused = False
+    except EnumerationBudgetError:
+        refused = True
+    checks.append((
+        "population-budget",
+        refused,
+        "enumeration refuses the full-size catalog instead of stalling",
+    ))
+
+    # K* must hit the cache-partition ceiling once the hotspot is dense
+    # enough; the crossover for the reference catalog sits near 2.4e5 users.
+    k_star, _, _ = optimize_cluster_size(ref_model, 1_000_000)
+    checks.append((
+        "cluster-optimum",
+        k_star == ref_model.group_count,
+        "K* = %d at 1e6 users (cache-partition ceiling %d)"
+        % (k_star, ref_model.group_count),
+    ))
+
+    rng = np.random.default_rng(0x0A71)
+    b = pt.plan.n_clusters
+    n_bad = 0
+    worst_dev = 0.0
+    for _ in range(200):
+        pc = rng.uniform(0.05, 1.0)
+        rc = rng.uniform(0.05, 25.0)
+        rn = rng.uniform(0.05, 25.0)
+        nc = rng.uniform(0.5, 120.0)
+        nn = rng.uniform(0.5, 120.0)
+        mu_max = spec.bandwidth_hz * b / (nc / rc + nn / rn)
+        mu = rng.uniform(0.0, 1.5 * mu_max)
+        sol = optimize_eta(pc, rc, rn, spec.bandwidth_hz, b, nc, nn, mu)
+        eta_grid = grid_search_eta(pc, rc, rn, spec.bandwidth_hz, b, nc, nn, mu)
+        if sol.feasible != (not math.isnan(eta_grid)):
+            n_bad += 1
+        elif sol.feasible:
+            dev = abs(sol.eta_star - eta_grid)
+            worst_dev = max(worst_dev, dev)
+            if dev > 1e-4:
+                n_bad += 1
+    checks.append((
+        "optimizer-grid",
+        n_bad == 0,
+        "200 random instances, max |closed - grid| = %.2e, disagreements %d"
+        % (worst_dev, n_bad),
+    ))
+
+    checks.extend(_snapshot_checks(spec, _VALIDATE_SNAPSHOTS))
+
+    cfg_eta0 = replace(_campaign_config(spec, pt, "coop", 0.0), trials=300)
+    res_eta0 = run_campaign(cfg_eta0, keep_trials=True)
+    res_nocoop = run_campaign(replace(cfg_eta0, strategy="nocoop"), keep_trials=True)
+    checks.append((
+        "eta0-equivalence",
+        res_eta0.trials.tobytes() == res_nocoop.trials.tobytes(),
+        "coop(eta=0) and nocoop trial records byte-identical over 300 trials",
+    ))
+
+    cfg_det = replace(cfg_eta0, eta=0.5, trials=200)
+    res_one = run_campaign(cfg_det, n_jobs=1, keep_trials=True)
+    res_two = run_campaign(cfg_det, n_jobs=2, keep_trials=True)
+    checks.append((
+        "determinism",
+        res_one.trials.tobytes() == res_two.trials.tobytes()
+        and res_one.throughput_mean == res_two.throughput_mean,
+        "1-worker and 2-worker campaigns byte-identical over 200 trials",
+    ))
+
+    zf_mean, _, nc_mean, _ = link_rate_gap(_snapshot_config(spec, spec.seed)[1], 2000)
+    rc, rn = pt.rate_coop, pt.rate_noncoop
+    checks.append((
+        "link-rate-gap",
+        None,  # reported, not gated
+        "fading-averaged ZF link rate %.3f vs moment closed form %.3f "
+        "(ratio %.3f); non-cooperative %.3f vs %.3f (ratio %.3f); the closed "
+        "forms average SINR before the log, so ratios below 1 are expected"
+        % (zf_mean, rc, zf_mean / rc, nc_mean, rn, nc_mean / rn),
+    ))
+
+    verdicts = [ok for _, ok, _ in checks if ok is not None]
+    for name, ok, detail in checks:
+        tag = "INFO" if ok is None else "PASS" if ok else "FAIL"
+        report("%s %s: %s" % (tag, name, detail))
+    all_ok = all(verdicts)
+    report(
+        "validation %s (%d gated checks)"
+        % ("passed" if all_ok else "FAILED", len(verdicts))
+    )
+    return all_ok

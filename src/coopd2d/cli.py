@@ -8,8 +8,12 @@ Five subcommands map onto the experiment scenarios:
 * ``validate``: self-consistency checks; exit 1 when any gated check fails.
 * ``simulate``: one campaign, per-trial CSV.
 
+``validate`` runs from :mod:`coopd2d.checks`, the other four from
+:mod:`coopd2d.experiments`.
+
 Exit codes: 0 success, 1 validation failure, 2 configuration error (bad
-flag values, malformed config file, divergent parameter combinations).
+flag values, malformed or non-UTF-8 config file, divergent parameter
+combinations).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import replace
 
 import yaml
 
+from .checks import cmd_validate
 from .errors import ConfigurationError
 from .experiments import (
     ExperimentSpec,
@@ -28,7 +33,6 @@ from .experiments import (
     cmd_optimize_bandwidth,
     cmd_optimize_cluster,
     cmd_simulate,
-    cmd_validate,
     spec_from_mapping,
 )
 
@@ -102,8 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
     mapping: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            loaded = yaml.safe_load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                loaded = yaml.safe_load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(
+                "config file %s is not UTF-8 text: %s" % (args.config, exc)
+            ) from None
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):

@@ -234,7 +234,9 @@ def path_gain_moments(alpha: float, r_min: float = 0.0) -> GeometryTable:
         ``alpha >= 2``) and the interference integrand like ``r^(2-alpha)``
         (divergent for ``alpha >= 3``).
     ConfigurationError
-        For negative ``alpha`` or ``r_min``.
+        For negative ``alpha`` or ``r_min``, or for ``r_min >= sqrt(5)``: a
+        pairing floor that long excludes every signal and interference
+        distance, so no link rate exists.
 
     Examples
     --------
@@ -246,6 +248,11 @@ def path_gain_moments(alpha: float, r_min: float = 0.0) -> GeometryTable:
         raise ConfigurationError("alpha must be >= 0, got %r" % (alpha,))
     if not r_min >= 0.0:
         raise ConfigurationError("r_min must be >= 0, got %r" % (r_min,))
+    if r_min >= SQRT5:
+        raise ConfigurationError(
+            "pairing floor r_min=%g cluster sides is not below sqrt(5), the "
+            "longest link distance: every path-gain moment would be 0" % r_min
+        )
     if r_min == 0.0 and alpha >= 2.0:
         if alpha >= 3.0:
             raise DivergenceError(
@@ -260,7 +267,7 @@ def path_gain_moments(alpha: float, r_min: float = 0.0) -> GeometryTable:
         )
 
     s = _moment(signal_pdf, alpha, r_min, SQRT2, _G_BREAKS) if r_min < SQRT2 else 0.0
-    q2 = _moment(interference_pdf, alpha, r_min, SQRT5, _F_BREAKS) if r_min < SQRT5 else 0.0
+    q2 = _moment(interference_pdf, alpha, r_min, SQRT5, _F_BREAKS)
     return GeometryTable(alpha=float(alpha), r_min=float(r_min), q1=s + 8.0 * q2, q2=q2)
 
 

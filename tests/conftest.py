@@ -2,7 +2,7 @@
 
 import pytest
 
-import coopd2d as cd
+from coopd2d import defaults
 
 import oracles
 
@@ -22,30 +22,30 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def ref_model():
     """Reference catalog: 300 files, cache 20, beta 1."""
-    return cd.defaults.reference_popularity()
+    return defaults.reference_popularity()
 
 
 @pytest.fixture(scope="session")
 def uniform_model():
     """Reference catalog at beta 0 (uniform popularity)."""
-    return cd.defaults.reference_popularity(beta=0.0)
+    return defaults.reference_popularity(beta=0.0)
 
 
 @pytest.fixture(scope="session")
 def ref_plan():
     """75 m hotspot, 9 clusters of 15 users."""
-    return cd.defaults.reference_plan()
+    return defaults.reference_plan()
 
 
 @pytest.fixture(scope="session")
 def ref_radio():
-    return cd.defaults.reference_radio()
+    return defaults.reference_radio()
 
 
 @pytest.fixture(scope="session")
 def ref_geom():
     """Truncated moments at (alpha, r_min) = (3.68, 1 m / 25 m)."""
-    return cd.defaults.reference_geometry()
+    return defaults.reference_geometry()
 
 
 @pytest.fixture(scope="session")

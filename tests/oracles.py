@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 from scipy.integrate import quad
 
-from coopd2d import PopularityModel
+from coopd2d.catalog import PopularityModel
 
 _BLOCK = 2_000_000  # sampling block size; bounds peak memory
 

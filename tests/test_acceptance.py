@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from coopd2d.bandwidth import optimize_eta
 from coopd2d.catalog import build_popularity
 from coopd2d.clusters import coop_probability, optimize_cluster_size
-from coopd2d.errors import SingularChannelError
+from coopd2d.checks import link_rate_gap
 from coopd2d.experiments import (
     ExperimentSpec,
     analytic_point,
@@ -26,15 +26,7 @@ from coopd2d.experiments import (
     cmd_simulate,
 )
 from coopd2d.geometry import SQRT2, SQRT5, interference_pdf, path_gain_moments, signal_pdf
-from coopd2d.netsim import (
-    ROLE_COOP,
-    SimConfig,
-    drop_snapshot,
-    noncoop_rates,
-    run_campaign,
-    schedule,
-    zf_rates,
-)
+from coopd2d.netsim import ROLE_COOP, SimConfig, drop_snapshot, run_campaign
 from coopd2d.population import expected_coop_users_exact, expected_coop_users_mc
 from coopd2d.rates import coop_link_rate, noncoop_link_rate
 
@@ -261,26 +253,9 @@ def test_acceptance_4_simulation_vs_closed_forms(
         )
     )
 
-    zf_sum, zf_n, nn_sum, nn_n = 0.0, 0, 0.0, 0
-    for t in range(2000):
-        snap = drop_snapshot(cfg, t)
-        link_rng = np.random.default_rng([cfg.seed, t, 1])
-        coop_links, nlinks = schedule(snap, link_rng, cooperation=True)
-        if coop_links:
-            try:
-                zf = zf_rates(coop_links, snap.positions, ref_radio, link_rng, 1.0)
-            except SingularChannelError:
-                zf = np.zeros(0)
-            zf_sum += float(zf[zf > 0].sum())
-            zf_n += int(np.count_nonzero(zf > 0))
-        if nlinks:
-            r = noncoop_rates(nlinks, snap.positions, ref_radio, link_rng, 1.0)
-            nn_sum += float(r.sum())
-            nn_n += len(nlinks)
+    zf_mean, _, nn_mean, _ = link_rate_gap(cfg, 2000)
     rc = coop_link_rate(ref_geom, ref_radio, ref_plan.cluster_side_m, 9)
     rn = noncoop_link_rate(ref_geom)
-    zf_mean = zf_sum / zf_n
-    nn_mean = nn_sum / nn_n
     checks.append(
         (
             "noncoop-link-rate",
@@ -386,9 +361,7 @@ def test_acceptance_6_byte_determinism(tmp_path):
     checks = []
 
     outs = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
-    spec = ExperimentSpec(
-        scenario="simulate", trials=400, population_trials=5_000, out=str(outs[0])
-    )
+    spec = ExperimentSpec(scenario="simulate", trials=400, out=str(outs[0]))
     cmd_simulate(spec)
     cmd_simulate(replace(spec, out=str(outs[1]), n_jobs=2))
     cmd_simulate(replace(spec, out=str(outs[2])))
@@ -407,7 +380,6 @@ def test_acceptance_6_byte_determinism(tmp_path):
         scenario="bandwidth-sweep",
         sweep_name="mu_bps",
         sweep_values=(0.0, 1e6, 2e6),
-        population_trials=10_000,
         out=str(sweep_out),
     )
     cmd_optimize_bandwidth(sweep)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from coopd2d import network_throughput, optimize_eta
+from coopd2d.bandwidth import optimize_eta
+from coopd2d.rates import network_throughput
 
 import oracles
 

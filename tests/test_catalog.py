@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
-from coopd2d import build_popularity, cumulative_cached_prob
+from coopd2d.catalog import build_popularity, cumulative_cached_prob
 from coopd2d.errors import ConfigurationError
 
 import oracles

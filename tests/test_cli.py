@@ -82,7 +82,6 @@ def test_config_file_with_flag_overrides(tmp_path):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(
         "trials: 5\n"
-        "population_trials: 2000\n"
         "strategy: tdma\n"
         "out: %s\n" % (tmp_path / "ignored.csv")
     )
@@ -99,25 +98,17 @@ def test_config_file_with_flag_overrides(tmp_path):
 
 
 def test_simulate_eta_flag(tmp_path):
-    cfg = tmp_path / "run.yaml"
-    cfg.write_text("population_trials: 2000\n")
     out = tmp_path / "trials.csv"
-    code = main(
-        ["simulate", "--config", str(cfg), "--trials", "4", "--eta", "0.7",
-         "--out", str(out)]
-    )
+    code = main(["simulate", "--trials", "4", "--eta", "0.7", "--out", str(out)])
     assert code == 0
     _, _, rows = read_csv(out)
     assert {r["eta"] for r in rows} == {"0.7"}
 
 
 def test_beta_and_mu_flags_reach_the_sweep(tmp_path):
-    cfg = tmp_path / "run.yaml"
-    cfg.write_text("population_trials: 20000\n")
     out = tmp_path / "split.csv"
     code = main(
-        ["optimize-bandwidth", "--config", str(cfg), "--beta", "0.9",
-         "--mu", "2000000", "--out", str(out)]
+        ["optimize-bandwidth", "--beta", "0.9", "--mu", "2000000", "--out", str(out)]
     )
     assert code == 0
     _, _, rows = read_csv(out)
@@ -139,15 +130,12 @@ def test_simulate_writes_beta_as_a_float(tmp_path):
     assert read_csv(outs[0])[2][0]["beta"] == "1.0"
 
 
-def test_optimize_bandwidth_ignores_seed_and_population_trials(tmp_path):
+def test_optimize_bandwidth_ignores_seed(tmp_path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("sweep: {name: mu_bps, values: [0.0, 2.0e+6]}\n")
     outs = []
-    for seed, trials in (("1", 2000), ("2", 2000), ("1", 50000)):
-        cfg = tmp_path / ("run%d.yaml" % len(outs))
-        cfg.write_text(
-            "population_trials: %d\nsweep: {name: mu_bps, values: [0.0, 2.0e+6]}\n"
-            % trials
-        )
-        outs.append(tmp_path / ("run%d.csv" % len(outs)))
+    for seed in ("1", "2", "7"):
+        outs.append(tmp_path / ("run%s.csv" % seed))
         argv = ["optimize-bandwidth", "--config", str(cfg), "--seed", seed]
         assert main(argv + ["--out", str(outs[-1])]) == 0
     first = outs[0].read_bytes()
@@ -168,7 +156,8 @@ def test_bad_catalog_size_exits_2(tmp_path, capsys):
         # PyYAML reads 1.0e6 (no exponent sign) as a string
         (["optimize-bandwidth"], "sweep:\n  name: mu_bps\n  values: [0.0, 1.0e6]\n"),
         (["optimize-bandwidth"], "beta: abc\n"),
-        (["optimize-bandwidth"], "population_trials: 0\n"),
+        # no longer a spec field
+        (["optimize-bandwidth"], "population_trials: 100000\n"),
         (["simulate", "--strategy", "tdma", "--eta", "1.5", "--trials", "3"], ""),
         (["compare", "--trials", "3"], "eta: 0.3\n"),
         # only simulate reads a strategy
@@ -183,7 +172,10 @@ def test_bad_config_values_exit_2(tmp_path, capsys, argv, config):
     cfg.write_text(config)
     out = tmp_path / "out.csv"
     assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    key = config.partition(":")[0]
+    assert key in ("", "sweep") or key in err  # the message names the bad key
     assert not out.exists()
 
 
@@ -229,6 +221,13 @@ def test_malformed_yaml_exits_2(tmp_path):
     assert main(["simulate", "--config", str(cfg)]) == 2
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "utf16.yaml"
+    cfg.write_bytes("beta: 0.8\n".encode("utf-16"))  # starts with a BOM, 0xff 0xfe
+    assert main(["optimize-cluster", "--config", str(cfg)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_non_mapping_yaml_exits_2(tmp_path):
     cfg = tmp_path / "list.yaml"
     cfg.write_text("- 1\n- 2\n")
@@ -239,9 +238,20 @@ def test_divergent_geometry_exits_2(tmp_path, capsys):
     # a zero pairing floor makes the truncated moments diverge at the
     # reference path-loss exponent
     cfg = tmp_path / "run.yaml"
-    cfg.write_text("min_pairing_distance_m: 0.0\npopulation_trials: 2000\n")
+    cfg.write_text("min_pairing_distance_m: 0.0\n")
     assert main(["optimize-bandwidth", "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config", ["min_pairing_distance_m: 60.0\n", "hotspot_side_m: 1.0e-300\n"]
+)
+def test_pairing_floor_past_every_link_exits_2(tmp_path, capsys, config):
+    # a floor of at least sqrt(5) cluster sides leaves no link distance
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(config)
+    assert main(["optimize-bandwidth", "--config", str(cfg)]) == 2
+    assert "pairing floor" in capsys.readouterr().err
 
 
 def test_validate_exit_code_mapping(monkeypatch):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from coopd2d import (
+from coopd2d.catalog import build_popularity
+from coopd2d.clusters import (
     ClusterPlan,
-    build_popularity,
     coop_probability,
     expected_active_coop,
     hit_probability,

@@ -8,28 +8,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
-from coopd2d import (
-    ExperimentSpec,
-    SimConfig,
-    analytic_point,
-    defaults,
-    expected_coop_users_exact,
-    grid_search_eta,
-    path_gain_moments,
-    sim_feasible_cluster_sizes,
-    spec_from_mapping,
-)
+from coopd2d import defaults
+from coopd2d.checks import _snapshot_checks, cmd_validate, link_rate_gap
 from coopd2d.errors import ConfigurationError
 from coopd2d.experiments import (
-    _snapshot_checks,
+    ExperimentSpec,
+    analytic_point,
     cmd_compare,
     cmd_optimize_bandwidth,
     cmd_optimize_cluster,
     cmd_simulate,
-    cmd_validate,
-    link_rate_gap,
+    grid_search_eta,
+    sim_feasible_cluster_sizes,
+    spec_from_mapping,
     write_csv,
 )
+from coopd2d.geometry import path_gain_moments
+from coopd2d.netsim import SimConfig
+from coopd2d.population import expected_coop_users_exact
 
 import oracles
 
@@ -69,7 +65,6 @@ def test_spec_validation():
         {"mu_bps": math.inf},
         {"alpha": True},
         {"trials": 2.5},
-        {"population_trials": 0},
         {"seed": -1},
         {"n_jobs": 0},
         {"eta": 1.5},
@@ -287,7 +282,6 @@ def test_cmd_optimize_bandwidth_mu_sweep(tmp_path):
         scenario="bandwidth-sweep",
         sweep_name="mu_bps",
         sweep_values=(0.0, 1e6, 2e6, 4e6),
-        population_trials=20_000,
         out=str(out),
     )
     cmd_optimize_bandwidth(spec)
@@ -309,7 +303,6 @@ def test_cmd_optimize_bandwidth_beta_sweep(tmp_path):
         scenario="bandwidth-sweep",
         sweep_name="beta",
         sweep_values=(0.0, 0.4, 0.8, 1.2),
-        population_trials=20_000,
         out=str(out),
     )
     cmd_optimize_bandwidth(spec)
@@ -325,9 +318,7 @@ def test_cmd_optimize_bandwidth_beta_sweep(tmp_path):
 
 def test_cmd_optimize_bandwidth_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "rerun.csv"
-    spec = ExperimentSpec(
-        scenario="bandwidth-sweep", population_trials=10_000, out=str(out)
-    )
+    spec = ExperimentSpec(scenario="bandwidth-sweep", out=str(out))
     cmd_optimize_bandwidth(spec)
     first = out.read_bytes()
     cmd_optimize_bandwidth(spec)
@@ -336,9 +327,7 @@ def test_cmd_optimize_bandwidth_rerun_is_byte_identical(tmp_path):
 
 def test_cmd_simulate_emits_per_trial_rows(tmp_path):
     out = tmp_path / "trials.csv"
-    spec = ExperimentSpec(
-        scenario="simulate", trials=40, population_trials=5_000, out=str(out)
-    )
+    spec = ExperimentSpec(scenario="simulate", trials=40, out=str(out))
     cmd_simulate(spec)
     schema, header, rows = read_csv(out)
     assert schema == "# schema=coopd2d.campaign_trials.v2"
@@ -360,7 +349,6 @@ def test_cmd_simulate_fixed_eta_and_strategy(tmp_path):
         scenario="simulate",
         strategy="nocoop",
         trials=10,
-        population_trials=5_000,
         out=str(out),
     )
     cmd_simulate(spec)
@@ -373,7 +361,6 @@ def test_cmd_compare_smoke(tmp_path):
     spec = ExperimentSpec(
         scenario="throughput-compare",
         trials=10,
-        population_trials=5_000,
         out=str(out),
     )
     cmd_compare(spec)
@@ -391,7 +378,7 @@ def test_cmd_compare_smoke(tmp_path):
 
 def test_cmd_validate_default_passes():
     lines = []
-    spec = ExperimentSpec(scenario="validate", population_trials=100_000)
+    spec = ExperimentSpec(scenario="validate")
     assert cmd_validate(spec, report=lines.append) is True
     assert lines[-1] == "validation passed (13 gated checks)"
     assert sum(line.startswith("PASS ") for line in lines) == 13

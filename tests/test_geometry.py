@@ -8,7 +8,7 @@ import pytest
 from pytest import approx
 from scipy.integrate import quad
 
-from coopd2d import (
+from coopd2d.geometry import (
     SQRT2,
     SQRT5,
     GeometryTable,
@@ -17,7 +17,7 @@ from coopd2d import (
     path_gain_moments,
     signal_pdf,
 )
-from coopd2d.errors import DivergenceError
+from coopd2d.errors import ConfigurationError, DivergenceError
 
 import oracles
 
@@ -147,6 +147,10 @@ def test_truncation_beyond_signal_support():
     table = path_gain_moments(3.68, 1.5)
     assert table.signal_moment == 0.0
     assert table.q1 == approx(8.0 * table.q2, rel=1e-15)
+    # past sqrt(5) every moment would vanish, so the floor is refused
+    for r_min in (SQRT5, 2.4):
+        with pytest.raises(ConfigurationError, match="pairing floor"):
+            path_gain_moments(3.68, r_min)
 
 
 def test_geometry_table_is_frozen():

@@ -7,20 +7,22 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from coopd2d import (
+from coopd2d import netsim
+from coopd2d.catalog import build_popularity
+from coopd2d.clusters import make_plan
+from coopd2d.errors import ConfigurationError, SingularChannelError
+from coopd2d.netsim import (
+    ROLE_CELLULAR,
+    ROLE_COOP,
+    ROLE_NONCOOP,
     SimConfig,
     Snapshot,
-    build_popularity,
     drop_snapshot,
-    make_plan,
     noncoop_rates,
     run_campaign,
     schedule,
     zf_rates,
 )
-from coopd2d import netsim
-from coopd2d.errors import ConfigurationError, SingularChannelError
-from coopd2d.netsim import ROLE_CELLULAR, ROLE_COOP, ROLE_NONCOOP
 
 import oracles
 

@@ -5,19 +5,17 @@ import math
 import pytest
 from pytest import approx
 
-from coopd2d import (
-    build_popularity,
+from coopd2d.bandwidth import optimize_eta
+from coopd2d.catalog import build_popularity, cumulative_cached_prob
+from coopd2d.clusters import coop_probability, expected_active_coop, optimize_cluster_size
+from coopd2d.errors import CoopD2DError, ConsistencyError, EnumerationBudgetError
+from coopd2d.geometry import interference_pdf, path_gain_moments, signal_pdf
+from coopd2d.population import (
     expected_cellular_and_noncoop,
     expected_coop_users_closed,
     expected_coop_users_exact,
     expected_coop_users_mc,
-    path_gain_moments,
 )
-from coopd2d.bandwidth import optimize_eta
-from coopd2d.catalog import cumulative_cached_prob
-from coopd2d.clusters import coop_probability, expected_active_coop, optimize_cluster_size
-from coopd2d.errors import CoopD2DError, ConsistencyError, EnumerationBudgetError
-from coopd2d.geometry import interference_pdf, signal_pdf
 from coopd2d.rates import coop_link_rate, network_throughput
 
 import oracles

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from coopd2d import (
-    GeometryTable,
+from coopd2d.geometry import GeometryTable, path_gain_moments
+from coopd2d.rates import (
     RadioParams,
     coop_link_rate,
     dbm_to_watts,
     network_throughput,
     noncoop_link_rate,
-    path_gain_moments,
 )
 
 import oracles
