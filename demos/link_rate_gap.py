@@ -18,8 +18,8 @@ Run it as::
 import argparse
 
 from coopd2d import SimConfig, defaults
-from coopd2d.checks import link_rate_gap
 from coopd2d.geometry import dump_pdf_table
+from coopd2d.netsim import link_rate_gap
 from coopd2d.rates import coop_link_rate, noncoop_link_rate
 
 

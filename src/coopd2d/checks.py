@@ -21,7 +21,7 @@ from . import defaults
 from .bandwidth import optimize_eta
 from .catalog import build_popularity
 from .clusters import optimize_cluster_size
-from .errors import EnumerationBudgetError, SingularChannelError
+from .errors import EnumerationBudgetError
 from .experiments import (
     AnalyticPoint,
     ExperimentSpec,
@@ -30,25 +30,14 @@ from .experiments import (
     grid_search_eta,
 )
 from .geometry import SQRT2, SQRT5, interference_pdf, path_gain_moments, signal_pdf
-from .netsim import (
-    _CHUNK,
-    ROLE_COOP,
-    SimConfig,
-    _drop_block,
-    _generators,
-    drop_snapshot,
-    noncoop_rates,
-    run_campaign,
-    schedule,
-    zf_rates,
-)
+from .netsim import SimConfig, link_rate_gap, run_campaign, snapshot_counts
 from .population import (
     expected_coop_users_closed,
     expected_coop_users_exact,
     expected_coop_users_mc,
 )
 
-__all__ = ["cmd_validate", "link_rate_gap"]
+__all__ = ["cmd_validate"]
 
 _VALIDATE_SNAPSHOTS = 100_000
 
@@ -85,6 +74,18 @@ def _empirical_moment(
     return mean, math.sqrt(var / n_samples)
 
 
+def _rel_error(estimate: float, exact: float) -> float:
+    """``|estimate - exact| / exact``; 0 or inf for an exact value of 0."""
+    if exact == 0.0:
+        return 0.0 if estimate == 0.0 else math.inf
+    return abs(estimate - exact) / exact
+
+
+def _ratio(measured: float, closed_form: float) -> float:
+    """``measured / closed_form``, or nan when the closed form is 0."""
+    return measured / closed_form if closed_form else math.nan
+
+
 def _snapshot_config(spec: ExperimentSpec, seed: int) -> tuple[AnalyticPoint, SimConfig]:
     """The skew-1 analytic point and the cooperative config (``eta = 0.5``,
     seeded with ``seed``) whose snapshots ``validate`` draws."""
@@ -95,19 +96,12 @@ def _snapshot_config(spec: ExperimentSpec, seed: int) -> tuple[AnalyticPoint, Si
 def _snapshot_checks(spec: ExperimentSpec, n_snap: int) -> list[tuple[str, bool, str]]:
     """Gate the simulated Mode-1 frequency and cooperative count.
 
-    Snapshots ``0 .. n_snap - 1`` (those of :func:`drop_snapshot`) are drawn
-    at the fixed seed :data:`defaults.SEED`, so the records do not depend on
-    ``spec.seed``.
+    Snapshots ``0 .. n_snap - 1`` are drawn at the fixed seed
+    :data:`defaults.SEED`, so the records do not depend on ``spec.seed``.
     Returns ``(name, passed, detail)`` records.
     """
     pt, snap_cfg = _snapshot_config(spec, defaults.SEED)
-    modes = np.empty(n_snap, dtype=np.int8)
-    coops = np.empty(n_snap, dtype=np.int16)
-    for lo in range(0, n_snap, _CHUNK):  # blocks of the campaign engine
-        hi = min(lo + _CHUNK, n_snap)
-        drops = _drop_block(snap_cfg, _generators(snap_cfg, lo, hi))
-        modes[lo:hi] = drops.hit.any(axis=1)
-        coops[lo:hi] = np.count_nonzero(drops.roles == ROLE_COOP, axis=1)
+    modes, coops = snapshot_counts(snap_cfg, n_snap)
     freq = float(modes.mean())
     se = math.sqrt(max(pt.pc * (1.0 - pt.pc), 1e-300) / n_snap)
     nc_mean = float(coops.mean())
@@ -120,36 +114,6 @@ def _snapshot_checks(spec: ExperimentSpec, n_snap: int) -> list[tuple[str, bool,
          "empirical %.4f vs linearity %.4f (3 SE = %.4f)"
          % (nc_mean, pt.nc_bar, 3.0 * se_c)),
     ]
-
-
-def link_rate_gap(config: SimConfig, n_snapshots: int) -> tuple[float, int, float, int]:
-    """Fading-averaged link rates of the first ``n_snapshots`` snapshots.
-
-    Snapshot ``t`` is :func:`drop_snapshot` of ``config``; its scheduling
-    and fading draw from ``default_rng([config.seed, t, 1])``.  Returns
-    ``(zf_mean, zf_links, noncoop_mean, noncoop_links)``: the mean
-    zero-forcing rate over the links that kept a non-zero rate, the mean
-    single-cell rate over all single-cell links (bits/s/Hz), and the two
-    link counts.  A mean over no links is 0.
-    """
-    radio, floor_m = config.radio, config.min_pairing_distance_m
-    zf_sum, zf_n, nc_sum, nc_n = 0.0, 0, 0.0, 0
-    for t in range(n_snapshots):
-        snap = drop_snapshot(config, t)
-        link_rng = np.random.default_rng([config.seed, t, 1])
-        coop_links, nlinks = schedule(snap, link_rng, cooperation=True)
-        if coop_links:
-            try:
-                zf = zf_rates(coop_links, snap.positions, radio, link_rng, floor_m)
-            except SingularChannelError:
-                zf = np.zeros(0)
-            zf_sum += float(zf[zf > 0].sum())
-            zf_n += int(np.count_nonzero(zf > 0))
-        if nlinks:
-            ncr = noncoop_rates(nlinks, snap.positions, radio, link_rng, floor_m)
-            nc_sum += float(ncr.sum())
-            nc_n += len(nlinks)
-    return zf_sum / max(zf_n, 1), zf_n, nc_sum / max(nc_n, 1), nc_n
 
 
 def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
@@ -210,8 +174,8 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
     geom = pt.geom
     s_hat, _ = _empirical_moment(spec.alpha, geom.r_min, 10_000_000, 0x51C4A1, False)
     q2_hat, _ = _empirical_moment(spec.alpha, geom.r_min, 20_000_000, 0x1F7E2F, True)
-    rel_s = abs(s_hat - geom.signal_moment) / geom.signal_moment
-    rel_q2 = abs(q2_hat - geom.q2) / geom.q2
+    rel_s = _rel_error(s_hat, geom.signal_moment)
+    rel_q2 = _rel_error(q2_hat, geom.q2)
     checks.append((
         "moment-mc",
         rel_s < 0.01 and rel_q2 < 0.03,
@@ -312,7 +276,7 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
         "fading-averaged ZF link rate %.3f vs moment closed form %.3f "
         "(ratio %.3f); non-cooperative %.3f vs %.3f (ratio %.3f); the closed "
         "forms average SINR before the log, so ratios below 1 are expected"
-        % (zf_mean, rc, zf_mean / rc, nc_mean, rn, nc_mean / rn),
+        % (zf_mean, rc, _ratio(zf_mean, rc), nc_mean, rn, _ratio(nc_mean, rn)),
     ))
 
     verdicts = [ok for _, ok, _ in checks if ok is not None]

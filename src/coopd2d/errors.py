@@ -11,7 +11,6 @@ __all__ = [
     "DivergenceError",
     "EnumerationBudgetError",
     "ConsistencyError",
-    "SingularChannelError",
 ]
 
 
@@ -37,7 +36,3 @@ class EnumerationBudgetError(CoopD2DError):
 
 class ConsistencyError(CoopD2DError):
     """Derived quantities violate an internal conservation law."""
-
-
-class SingularChannelError(CoopD2DError):
-    """Composite channel unusable even after the conditioning fallback."""

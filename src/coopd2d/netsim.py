@@ -33,14 +33,20 @@ non-cooperative link sets are gathered from the block arrays, stacked, and
 each stack is inverted or summed in one call.  Stacks are never padded, so
 each matrix sees the arithmetic it would see alone, and an ill-conditioned
 or singular channel takes the drop-worst-link fallback on its own.
-:func:`drop_snapshot` and :func:`schedule` run the same stages on a block
-of one trial.
+Stages 1-5 and pass 2 are the rating step (:func:`_rate_block`); a campaign
+turns its output into trial records (:func:`_run_block`).  The same engine
+serves the two snapshot measurements: :func:`snapshot_counts` runs stages 1
+and 2 only, and :func:`link_rate_gap` runs the rating step with a second
+generator per snapshot for stages 3 and 5.
 
 Reproducibility contract: trial ``t`` derives all of its randomness from
 ``default_rng([seed, t])`` with a fixed draw order (positions, requests,
 scheduling choices, fading), per-trial results live at index ``t`` of the
 campaign arrays, and aggregation runs over those ordered arrays; neither
 the block size nor the thread or process count can change any output bit.
+:func:`link_rate_gap` draws snapshot ``t``'s positions and requests from
+``default_rng([seed, t])`` and its scheduling choices and fading from
+``default_rng([seed, t, 1])``.
 """
 
 from __future__ import annotations
@@ -55,29 +61,26 @@ import numpy as np
 
 from .catalog import PopularityModel
 from .clusters import ClusterPlan
-from .errors import ConfigurationError, SingularChannelError
+from .errors import ConfigurationError
 from .rates import RadioParams
 
 __all__ = [
     "SimConfig",
-    "Snapshot",
     "SimResult",
     "TRIAL_DTYPE",
     "ROLE_COOP",
     "ROLE_NONCOOP",
     "ROLE_CELLULAR",
-    "drop_snapshot",
-    "schedule",
-    "zf_rates",
-    "noncoop_rates",
     "run_campaign",
+    "link_rate_gap",
+    "snapshot_counts",
 ]
 
 _COND_LIMIT = 1e8
 _STRATEGIES = ("coop", "nocoop", "tdma")
 _CHUNK = 128  # trials drawn (pass 1) before their link sets are rated (pass 2)
 
-ROLE_COOP, ROLE_NONCOOP, ROLE_CELLULAR = 0, 1, 2  # int8 codes of Snapshot.roles
+ROLE_COOP, ROLE_NONCOOP, ROLE_CELLULAR = 0, 1, 2  # int8 role code of each user
 
 TRIAL_DTYPE = np.dtype(
     [
@@ -93,6 +96,12 @@ TRIAL_DTYPE = np.dtype(
         ("discarded", np.int8),
     ]
 )
+
+
+def _check_int(name: str, value, low: int) -> None:
+    """Refuse a value that is not an integer of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ConfigurationError("%s must be an integer >= %d, got %r" % (name, low, value))
 
 
 @dataclass(frozen=True)
@@ -125,8 +134,8 @@ class SimConfig:
             raise ConfigurationError(
                 "strategy must be one of %s, got %r" % (_STRATEGIES, self.strategy)
             )
-        if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1, got %r" % (self.trials,))
+        _check_int("trials", self.trials, 1)
+        _check_int("seed", self.seed, 0)
         if self.strategy == "coop" and not 0.0 <= self.eta <= 1.0:
             raise ConfigurationError("eta must be in [0, 1], got %r" % (self.eta,))
         if self.plan.users_per_cluster > self.popularity.group_count:
@@ -134,45 +143,24 @@ class SimConfig:
                 "users_per_cluster (%d) exceeds the catalog's group count (%d)"
                 % (self.plan.users_per_cluster, self.popularity.group_count)
             )
-        if self.min_pairing_distance_m < 0:
-            raise ConfigurationError("min_pairing_distance_m must be >= 0")
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """One dropped network state.
-
-    Group indices are 0-based; ``request_counts[c, g]`` counts the requests
-    for cached group ``g`` in cluster ``c``; ``roles`` holds one int8 code
-    per user, :data:`ROLE_COOP`, :data:`ROLE_NONCOOP` or
-    :data:`ROLE_CELLULAR`; ``mode`` is 1 iff some cached group is hit by
-    every cluster (``hit_groups`` non-empty).  ``cluster_of`` and
-    ``cache_group_of`` are read-only arrays shared by every snapshot of the
-    same grid.
-    """
-
-    positions: np.ndarray = field(repr=False)
-    cluster_of: np.ndarray = field(repr=False)
-    cache_group_of: np.ndarray = field(repr=False)
-    request_of: np.ndarray = field(repr=False)
-    request_counts: np.ndarray = field(repr=False)
-    roles: np.ndarray = field(repr=False)
-    mode: int
-    hit_groups: frozenset
+        if not 0.0 <= self.min_pairing_distance_m < math.inf:
+            raise ConfigurationError(
+                "min_pairing_distance_m must be finite and >= 0, got %r"
+                % (self.min_pairing_distance_m,)
+            )
 
 
 @functools.lru_cache(maxsize=16)
 def _layout(n_clusters: int, users_per_cluster: int, cluster_side_m: float):
-    """Read-only per-user cluster, cached group and cell corner of a grid."""
+    """Read-only per-user cluster and cell corner of a grid."""
     b, k = n_clusters, users_per_cluster
     grid = math.isqrt(b)
     cluster_of = np.repeat(np.arange(b), k)
-    cache_group_of = np.tile(np.arange(k), b)
     origins = np.column_stack((np.arange(b) % grid, np.arange(b) // grid)) * cluster_side_m
     corner = origins[cluster_of]
-    for array in (cluster_of, cache_group_of, corner):
+    for array in (cluster_of, corner):
         array.flags.writeable = False
-    return cluster_of, cache_group_of, corner
+    return cluster_of, corner
 
 
 class _Drops(NamedTuple):
@@ -200,7 +188,7 @@ def _drop_block(config: SimConfig, rngs) -> _Drops:
     """
     plan, popularity = config.plan, config.popularity
     b, k, m, d = plan.n_clusters, plan.users_per_cluster, plan.n_users, plan.cluster_side_m
-    cluster_of, _, corner = _layout(b, k, d)
+    cluster_of, corner = _layout(b, k, d)
     n = len(rngs)
     draws = np.empty((n, 3 * m))
     for rng, row in zip(rngs, draws):
@@ -218,36 +206,6 @@ def _drop_block(config: SimConfig, rngs) -> _Drops:
     role_of_request = np.full((n, k0), ROLE_CELLULAR, dtype=np.int8)
     role_of_request[:, :k] = np.where(hit, ROLE_COOP, ROLE_NONCOOP)
     return _Drops(positions, request_of, counts, hit, role_of_request[trial, request_of])
-
-
-def _drop(config: SimConfig, rng: np.random.Generator) -> Snapshot:
-    plan = config.plan
-    cluster_of, cache_group_of, _ = _layout(
-        plan.n_clusters, plan.users_per_cluster, plan.cluster_side_m
-    )
-    drop = _drop_block(config, [rng])
-    hit_groups = np.flatnonzero(drop.hit[0])
-    return Snapshot(
-        positions=drop.positions[0],
-        cluster_of=cluster_of,
-        cache_group_of=cache_group_of,
-        request_of=drop.request_of[0],
-        request_counts=drop.counts[0],
-        roles=drop.roles[0],
-        mode=1 if hit_groups.size else 0,
-        hit_groups=frozenset(hit_groups.tolist()),
-    )
-
-
-def drop_snapshot(config: SimConfig, trial_index: int) -> Snapshot:
-    """Drop the deterministic snapshot of trial ``trial_index``.
-
-    Equivalent to the first phase of a campaign trial: the generator is
-    ``default_rng([config.seed, trial_index])`` and the draw order is
-    positions, then requests.
-    """
-    rng = np.random.default_rng([config.seed, trial_index])
-    return _drop(config, rng)
 
 
 def _nth_true(mask: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -282,7 +240,10 @@ def _pick_links(request_of, counts, roles, restrict, rngs) -> _Links:
     computed for the whole block; each generator then draws one
     ``integers`` call for the group, one over the clusters' receiver counts
     and one over the non-empty pools.  The links of every trial are picked
-    together with :func:`_nth_true`.
+    together with :func:`_nth_true`.  A user never serves itself: the
+    receivers of group ``g`` are its requesters other than user ``g``, and a
+    Mode-1 trial in which no hit group has a receiver in every cluster forms
+    no cooperative set.
     """
     n, b, k = counts.shape
     per_cluster = request_of.reshape(n, b, k)
@@ -322,70 +283,10 @@ def _pick_links(request_of, counts, roles, restrict, rngs) -> _Links:
     return _Links(coop, group[coop], coop_rx, nc_trial, nc_cluster, nc_tx, nc_rx)
 
 
-def schedule(snapshot: Snapshot, rng: np.random.Generator, cooperation: bool = True):
-    """Pick the cooperative link set and per-cluster non-cooperative links.
-
-    Parameters
-    ----------
-    snapshot : Snapshot
-    rng : numpy.random.Generator
-        Continues the trial's stream; choices draw in cluster order.
-    cooperation : bool, optional
-        When False (the ``eta = 0`` / baseline semantics) no cooperative
-        links are formed and the non-cooperative pool covers requesters of
-        ANY cached group.  When True, the pool covers only non-hit cached
-        groups (hit-group requesters are cooperative users awaiting their
-        band).
-
-    Returns
-    -------
-    coop_links : list of (dt, dr)
-        Global user indices, one pair per cluster in Mode 1 (empty in Mode 0
-        or in the degenerate case where no hit group has an eligible
-        receiver in every cluster).
-    noncoop_links : list of (dt, dr)
-        At most one per cluster; clusters without an eligible pair are
-        silent.
-
-    Notes
-    -----
-    A user never pairs with itself: the receiver of group ``g`` is drawn
-    among requesters other than the user caching ``g``.  In Mode 1 the
-    transmitted group is drawn uniformly among hit groups that have such a
-    receiver in every cluster.  The draws are one ``integers`` call for the
-    group, then one call over the clusters' receiver counts, then one call
-    over the non-empty non-cooperative pools; an array of bounds draws the
-    same stream as one scalar call per cluster in cluster order.
-    """
-    k = snapshot.request_counts.shape[1]
-    restrict = np.array([cooperation and snapshot.mode == 1])
-    links = _pick_links(
-        snapshot.request_of[None], snapshot.request_counts[None], snapshot.roles[None],
-        restrict, [rng],
-    )
-    coop_links: list[tuple[int, int]] = []
-    if links.coop.size:
-        g = int(links.group[0])
-        coop_links = [(c * k + g, c * k + j) for c, j in enumerate(links.coop_rx[0].tolist())]
-    base = links.nc_cluster * k
-    noncoop_links = list(zip((base + links.nc_tx).tolist(), (base + links.nc_rx).tolist()))
-    return coop_links, noncoop_links
-
-
 # A link set is rated from its ends, ``ends[..., l, :, :]`` holding the
 # transmitter and receiver positions of link ``l``, and from two standard
 # normal (n, n) matrices of fading, drawn real part first.  The kernels below
 # take stacks of them, (T, n, 2, 2) and (T, 2, n, n).
-
-
-def _ends(links, positions: np.ndarray) -> np.ndarray:
-    return positions[np.array(links)]
-
-
-def _fade(links, positions: np.ndarray, rng: np.random.Generator):
-    """Ends (n, 2, 2) and fading normals (2, n, n) of one link set."""
-    n = len(links)
-    return _ends(links, positions), rng.standard_normal(2 * n * n).reshape(2, n, n)
 
 
 def _path_gains(ends: np.ndarray, radio: RadioParams, min_distance_m: float) -> np.ndarray:
@@ -476,93 +377,6 @@ def _sinr_rates(ends, fading_power, radio: RadioParams, min_distance_m: float) -
     return np.log2(1.0 + signal / (interference + radio.noise_w))
 
 
-def zf_rates(
-    coop_links,
-    positions: np.ndarray,
-    radio: RadioParams,
-    rng: np.random.Generator,
-    min_distance_m: float = 0.0,
-    channel: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-link spectral efficiency of the jointly precoded cooperative set.
-
-    Builds the composite channel ``H[i, j] = sqrt(gain(d_ij) / 2) *
-    (x + i y)`` with standard normal ``x, y`` (unit mean-square fading),
-    precodes with the columns of ``H^-1`` at equal per-stream transmit power
-    ``P`` (sum ``B * P``), and returns ``log2(1 + P / (sigma^2 *
-    ||column_i||^2))`` per link.
-
-    If the channel's condition number exceeds 1e8, the worst link (largest
-    inverse-column norm) is dropped, the reduced system re-inverted, and the
-    dropped link reported as rate 0; if the reduction bottoms out without a
-    usable channel a :class:`SingularChannelError` asks the caller to
-    discard the trial.
-
-    Parameters
-    ----------
-    channel : numpy.ndarray, optional
-        Inject the composite (gain-weighted) channel matrix instead of
-        drawing fading; useful for constructed test cases.  No fading draws
-        are consumed from ``rng`` in that case.
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape ``(len(coop_links),)``; exact zeros mark dropped links.
-    """
-    if len(coop_links) == 0:
-        return np.zeros(0)
-    if channel is None:
-        ends, normals = _fade(coop_links, positions, rng)
-        h = _zf_channel(ends[None], normals[None], radio, min_distance_m)
-    else:
-        h = np.asarray(channel, dtype=complex)[None]
-    rates, usable = _zf_stack(h, radio.tx_power_w, radio.noise_w)
-    if not usable[0]:
-        raise SingularChannelError(
-            "composite channel unusable after dropping all links"
-        )
-    return rates[0]
-
-
-def noncoop_rates(
-    noncoop_links,
-    positions: np.ndarray,
-    radio: RadioParams,
-    rng: np.random.Generator,
-    min_distance_m: float = 0.0,
-    fading_power: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-link spectral efficiency of simultaneous non-cooperative links.
-
-    Every link treats all others as noise; the thermal noise term stays in
-    the denominator (quantifying, rather than assuming, the
-    interference-limited approximation):
-
-        SINR_i = P g_ii |h_ii|^2 / (sum_{j != i} P g_ij |h_ij|^2 + sigma^2)
-
-    Parameters
-    ----------
-    fading_power : numpy.ndarray, optional
-        Inject the ``|h_ij|^2`` matrix (e.g. all ones for unit fading)
-        instead of drawing Rayleigh fading; no draws consumed then.
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape ``(len(noncoop_links),)``.
-    """
-    if len(noncoop_links) == 0:
-        return np.zeros(0)
-    if fading_power is None:
-        ends, normals = _fade(noncoop_links, positions, rng)
-        fading_power = _fading_power(normals[None])
-    else:
-        ends = _ends(noncoop_links, positions)
-        fading_power = np.asarray(fading_power)[None]
-    return _sinr_rates(ends[None], fading_power, radio, min_distance_m)[0]
-
-
 def _tdma_throughput(bandwidth_hz: float, slot_sums: np.ndarray) -> np.ndarray:
     """Time-averaged throughput of the reuse-4 baseline, one per trial.
 
@@ -585,29 +399,45 @@ def _normals_at(normals: np.ndarray, offsets: np.ndarray, n: int) -> np.ndarray:
     return normals[offsets[:, None] + np.arange(2 * n * n)].reshape(-1, 2, n, n)
 
 
-def _run_block(config: SimConfig, start: int, out: np.ndarray) -> None:
-    """Fill the records of trials ``start .. start + len(out) - 1``.
+class _Rated(NamedTuple):
+    """Stages 1-5 and pass 2 of a block of ``T`` trials, ``S`` link sets each.
 
-    Pass 1 runs stages 1-4 (:func:`_drop_block`, :func:`_pick_links`), then
-    stage 5: each trial draws the fading of all its link sets in one
-    ``standard_normal`` call, cooperative set first, then the
-    non-cooperative set or the four tdma colour slots in colour order.
-    Pass 2 stacks the link sets of equal size, so each matrix sees the
-    arithmetic it would see alone, and combines the rate sums in the order
-    of a single trial.
+    ``S`` is 4 for ``tdma`` (the colour slots) and 1 otherwise.  A trial
+    without a cooperative set, or whose channel stayed unusable, has a
+    zero-forcing rate sum of 0; an unusable channel counts all its links as
+    dropped.
+    """
+
+    drops: _Drops
+    split: np.ndarray  # (T,) cooperation in Mode 1: the band is split
+    has_zf: np.ndarray  # (T,) a cooperative set was scheduled
+    zf_sum: np.ndarray  # (T,) zero-forcing rate sum
+    zf_dropped: np.ndarray  # (T,) zero-forcing links of rate 0
+    usable: np.ndarray  # (T,) False when the channel stayed unusable
+    nc_sum: np.ndarray  # (T, S) non-cooperative rate sum of each set
+    nc_links: np.ndarray  # (T, S) links of each set
+
+
+def _rate_block(config: SimConfig, rngs, link_rngs) -> _Rated:
+    """Draw, schedule and rate one trial per generator.
+
+    ``rngs`` draw stage 1 and ``link_rngs`` stages 3 and 5; a campaign
+    passes the same list twice.  Pass 1 runs stages 1-4
+    (:func:`_drop_block`, :func:`_pick_links`), then stage 5: each trial
+    draws the fading of all its link sets in one ``standard_normal`` call,
+    cooperative set first, then the non-cooperative set or the four tdma
+    colour slots in colour order.  Pass 2 stacks the link sets of equal
+    size, so each matrix sees the arithmetic it would see alone.
     """
     plan, radio = config.plan, config.radio
     b, k = plan.n_clusters, plan.users_per_cluster
-    n = len(out)
-    rngs = _generators(config, start, start + n)
+    n = len(rngs)
     drops = _drop_block(config, rngs)
-    mode = drops.hit.any(axis=1)
-    split = mode & (config.strategy == "coop" and config.eta > 0.0)
-    links = _pick_links(drops.request_of, drops.counts, drops.roles, split, rngs)
+    split = drops.hit.any(axis=1) & (config.strategy == "coop" and config.eta > 0.0)
+    links = _pick_links(drops.request_of, drops.counts, drops.roles, split, link_rngs)
 
-    tdma = config.strategy == "tdma"
-    n_slots = 4 if tdma else 1
-    if tdma:
+    n_slots = 4 if config.strategy == "tdma" else 1
+    if n_slots == 4:
         grid = math.isqrt(b)
         row, col = np.divmod(links.nc_cluster, grid)
         slot = links.nc_trial * 4 + 2 * (row % 2) + col % 2
@@ -623,7 +453,7 @@ def _run_block(config: SimConfig, start: int, out: np.ndarray) -> None:
     trial_end = np.cumsum(trial_draws)
     trial_start = trial_end - trial_draws
     normals = np.empty(trial_end[-1])
-    for rng, lo, hi in zip(rngs, trial_start.tolist(), trial_end.tolist()):
+    for rng, lo, hi in zip(link_rngs, trial_start.tolist(), trial_end.tolist()):
         if hi > lo:
             rng.standard_normal(out=normals[lo:hi])
     set_start = (trial_start + zf_draws)[:, None] + np.cumsum(set_draws, axis=1) - set_draws
@@ -653,26 +483,40 @@ def _run_block(config: SimConfig, start: int, out: np.ndarray) -> None:
         ends = _block_ends(drops.positions, sets[:, None] // n_slots, tx[idx], rx[idx])
         power = _fading_power(_normals_at(normals, set_start.ravel()[sets], size))
         nc_sum[sets] = _sinr_rates(ends, power, radio, floor).sum(axis=1)
+    return _Rated(
+        drops, split, has_zf, zf_sum, zf_dropped, usable,
+        nc_sum.reshape(n, n_slots), set_size.reshape(n, n_slots),
+    )
 
-    w, eta = radio.bandwidth_hz, config.eta
-    if tdma:
-        out["throughput"] = _tdma_throughput(w, nc_sum.reshape(n, 4))
+
+def _run_block(config: SimConfig, start: int, out: np.ndarray) -> None:
+    """Fill the records of trials ``start .. start + len(out) - 1``.
+
+    The rate sums are combined in the order of a single trial.
+    """
+    rngs = _generators(config, start, start + len(out))
+    rated = _rate_block(config, rngs, rngs)
+    usable, split = rated.usable, rated.split
+    w, eta = config.radio.bandwidth_hz, config.eta
+    if config.strategy == "tdma":
+        out["throughput"] = _tdma_throughput(w, rated.nc_sum)
         out["coop_band"] = 0.0
         out["dropped_links"] = 0
     else:
-        coop_band = eta * w * zf_sum
+        coop_band = eta * w * rated.zf_sum
         # Mode 0 or eta = 0: the whole band is non-cooperative
         share = np.where(split, 1.0 - eta, 1.0)
-        throughput = coop_band + share * w * nc_sum
+        throughput = coop_band + share * w * rated.nc_sum[:, 0]
         throughput[~usable] = coop_band[~usable] = math.nan
         out["throughput"] = throughput
         out["coop_band"] = coop_band
-        out["dropped_links"] = np.where(usable, zf_dropped, 0)
-    out["mode"] = mode
+        out["dropped_links"] = np.where(usable, rated.zf_dropped, 0)
+    roles = rated.drops.roles
+    out["mode"] = rated.drops.hit.any(axis=1)
     for code, name in enumerate(("n_coop", "n_noncoop", "n_cellular")):  # the role codes
-        out[name] = np.count_nonzero(drops.roles == code, axis=1)
-    out["degenerate"] = split & ~has_zf
-    out["silent_clusters"] = b - np.bincount(links.nc_trial, minlength=n)
+        out[name] = np.count_nonzero(roles == code, axis=1)
+    out["degenerate"] = split & ~rated.has_zf
+    out["silent_clusters"] = config.plan.n_clusters - rated.nc_links.sum(axis=1)
     out["discarded"] = ~usable
 
 
@@ -774,3 +618,49 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
         silent_cluster_fraction=float(kept["silent_clusters"].sum()) / max(1, n_valid * b),
         trials=records if keep_trials else None,
     )
+
+
+def snapshot_counts(config: SimConfig, n_snapshots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Modes and cooperative-user counts of the first ``n_snapshots`` snapshots.
+
+    Snapshot ``t`` is the drop of campaign trial ``t`` (stages 1 and 2 only):
+    its positions and requests come from ``default_rng([config.seed, t])``.
+    Returns the int8 modes (1 in Mode 1) and the int16 counts.
+    """
+    _check_int("n_snapshots", n_snapshots, 1)
+    modes = np.empty(n_snapshots, dtype=np.int8)
+    coops = np.empty(n_snapshots, dtype=np.int16)
+    for lo in range(0, n_snapshots, _CHUNK):
+        hi = min(lo + _CHUNK, n_snapshots)
+        drops = _drop_block(config, _generators(config, lo, hi))
+        modes[lo:hi] = drops.hit.any(axis=1)
+        coops[lo:hi] = np.count_nonzero(drops.roles == ROLE_COOP, axis=1)
+    return modes, coops
+
+
+def link_rate_gap(config: SimConfig, n_snapshots: int) -> tuple[float, int, float, int]:
+    """Fading-averaged link rates of the first ``n_snapshots`` snapshots.
+
+    Snapshot ``t`` is dropped as campaign trial ``t``, from
+    ``default_rng([config.seed, t])``; its scheduling choices and fading
+    draw from ``default_rng([config.seed, t, 1])``, in the campaign's order.
+    The links are those ``config``'s strategy schedules.  Returns
+    ``(zf_mean, zf_links, noncoop_mean, noncoop_links)``: the mean
+    zero-forcing rate over the links that kept a non-zero rate (an unusable
+    channel keeps none), the mean rate over all non-cooperative links
+    (bits/s/Hz), and the two link counts.  The rate sums are exactly
+    rounded, and a mean over no links is 0.
+    """
+    _check_int("n_snapshots", n_snapshots, 1)
+    b = config.plan.n_clusters
+    zf_sums, nc_sums = [], []
+    zf_n = nc_n = 0
+    for lo in range(0, n_snapshots, _CHUNK):
+        hi = min(lo + _CHUNK, n_snapshots)
+        link_rngs = [np.random.default_rng([config.seed, t, 1]) for t in range(lo, hi)]
+        rated = _rate_block(config, _generators(config, lo, hi), link_rngs)
+        zf_sums += rated.zf_sum.tolist()
+        zf_n += int((b - rated.zf_dropped)[rated.has_zf].sum())
+        nc_sums += rated.nc_sum.ravel().tolist()
+        nc_n += int(rated.nc_links.sum())
+    return math.fsum(zf_sums) / max(zf_n, 1), zf_n, math.fsum(nc_sums) / max(nc_n, 1), nc_n

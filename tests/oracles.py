@@ -234,13 +234,49 @@ def reference_campaign_records(config) -> np.ndarray:
     return np.array(rows, dtype=TRIAL_DTYPE)
 
 
-def _reference_trial(config, t: int) -> tuple:
-    plan, radio = config.plan, config.radio
+def reference_link_rate_gap(config, n_snapshots: int, edit_channel=None) -> tuple:
+    """The link-rate means of ``netsim.link_rate_gap``, one snapshot at a time.
+
+    Snapshot ``t`` draws its positions and requests from
+    ``default_rng([seed, t])``, and its scheduling choices and the fading of
+    its cooperative set, then of its non-cooperative set, from
+    ``default_rng([seed, t, 1])`` (``coop`` and ``nocoop`` strategies).  A
+    mean is a :func:`math.fsum` of the per-snapshot rate sums over the links
+    that kept a non-zero rate, or 0 over no links.  ``edit_channel(i, h)``
+    may replace the ``i``-th cooperative channel, counted in snapshot order,
+    before it is rated.  Nothing here calls the simulator.
+    """
+    radio, floor = config.radio, config.min_pairing_distance_m
+    zf_sums, nc_sums, zf_n, nc_n = [], [], 0, 0
+    for t in range(n_snapshots):
+        link_rng = np.random.default_rng([config.seed, t, 1])
+        positions, _, _, coop_links, noncoop_links = _reference_schedule(
+            config, np.random.default_rng([config.seed, t]), link_rng
+        )
+        if coop_links:
+            h = _reference_zf_channel(coop_links, positions, radio, link_rng, floor)
+            if edit_channel is not None:
+                h = edit_channel(len(zf_sums), h)
+            zf = reference_zf_channel_rates(h, radio.tx_power_w, radio.noise_w)
+            zf_sums.append(0.0 if zf is None else float(zf.sum()))
+            zf_n += 0 if zf is None else int(np.count_nonzero(zf))
+        nc = _reference_sinr_rates(noncoop_links, positions, radio, link_rng, floor)
+        nc_sums.append(float(nc.sum()))
+        nc_n += len(noncoop_links)
+    return math.fsum(zf_sums) / max(zf_n, 1), zf_n, math.fsum(nc_sums) / max(nc_n, 1), nc_n
+
+
+def _reference_schedule(config, rng, link_rng):
+    """Positions, requests, hit groups and links of one snapshot.
+
+    ``rng`` draws the positions and then the requests; ``link_rng`` draws
+    the scheduling choices, one scalar ``integers`` call per choice, in
+    cluster order.  Links are ``(tx, rx)`` pairs of user indices.
+    """
+    plan = config.plan
     b, k = plan.n_clusters, plan.users_per_cluster
     m, side = b * k, plan.cluster_side_m
     grid = math.isqrt(b)
-    rng = np.random.default_rng([config.seed, t])
-
     cell = np.repeat(np.arange(b), k)
     origin = np.column_stack((cell % grid, cell // grid)) * side
     positions = rng.random((m, 2)) * side + origin
@@ -250,12 +286,7 @@ def _reference_trial(config, t: int) -> tuple:
     rows = [req[c * k : (c + 1) * k] for c in range(b)]
 
     hit = {g for g in range(k) if all(g in row for row in rows)}
-    n_cellular = sum(r >= k for r in req)
-    n_coop = sum(r in hit for r in req)
-    mode = 1 if hit else 0
-    cooperation = config.strategy == "coop" and config.eta > 0.0
-    restrict = cooperation and mode == 1
-
+    restrict = config.strategy == "coop" and config.eta > 0.0 and bool(hit)
     coop_links = []
     if restrict:
         valid = [
@@ -263,10 +294,12 @@ def _reference_trial(config, t: int) -> tuple:
             if all(any(row[j] == g and j != g for j in range(k)) for row in rows)
         ]
         if valid:
-            g = valid[int(rng.integers(len(valid)))]
+            g = valid[int(link_rng.integers(len(valid)))]
             for c, row in enumerate(rows):
                 receivers = [j for j in range(k) if row[j] == g and j != g]
-                coop_links.append((c * k + g, c * k + receivers[int(rng.integers(len(receivers)))]))
+                coop_links.append(
+                    (c * k + g, c * k + receivers[int(link_rng.integers(len(receivers)))])
+                )
     noncoop_links = []
     for c, row in enumerate(rows):
         pool = [
@@ -274,8 +307,21 @@ def _reference_trial(config, t: int) -> tuple:
             if row[j] < k and row[j] != j and not (restrict and row[j] in hit)
         ]
         if pool:
-            j = pool[int(rng.integers(len(pool)))]
+            j = pool[int(link_rng.integers(len(pool)))]
             noncoop_links.append((c * k + row[j], c * k + j))
+    return positions, req, hit, coop_links, noncoop_links
+
+
+def _reference_trial(config, t: int) -> tuple:
+    plan, radio = config.plan, config.radio
+    b, k = plan.n_clusters, plan.users_per_cluster
+    m, grid = b * k, math.isqrt(b)
+    rng = np.random.default_rng([config.seed, t])
+    positions, req, hit, coop_links, noncoop_links = _reference_schedule(config, rng, rng)
+    n_cellular = sum(r >= k for r in req)
+    n_coop = sum(r in hit for r in req)
+    mode = 1 if hit else 0
+    restrict = config.strategy == "coop" and config.eta > 0.0 and mode == 1
 
     silent = b - len(noncoop_links)
     degenerate = int(restrict and not coop_links)
@@ -296,7 +342,8 @@ def _reference_trial(config, t: int) -> tuple:
         band_share = 1.0
         if restrict:
             if coop_links:
-                zf = _reference_zf_rates(coop_links, positions, radio, rng, floor)
+                h = _reference_zf_channel(coop_links, positions, radio, rng, floor)
+                zf = reference_zf_channel_rates(h, radio.tx_power_w, radio.noise_w)
                 if zf is None:
                     return (mode, math.nan, n_coop, m - n_coop - n_cellular,
                             n_cellular, math.nan, 0, degenerate, silent, 1)
@@ -328,13 +375,12 @@ def _reference_sinr_rates(links, positions, radio, rng, floor):
     return np.log2(1.0 + signal / (received.sum(axis=1) - signal + radio.noise_w))
 
 
-def _reference_zf_rates(links, positions, radio, rng, floor):
+def _reference_zf_channel(links, positions, radio, rng, floor):
     n = len(links)
     gain = _reference_gains(links, positions, radio, floor)
-    h = np.sqrt(gain / 2.0) * (
+    return np.sqrt(gain / 2.0) * (
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     )
-    return reference_zf_channel_rates(h, radio.tx_power_w, radio.noise_w)
 
 
 def reference_zf_channel_rates(h, p_w: float, noise_w: float):

@@ -18,7 +18,6 @@ from scipy.integrate import quad
 from coopd2d.bandwidth import optimize_eta
 from coopd2d.catalog import build_popularity
 from coopd2d.clusters import coop_probability, optimize_cluster_size
-from coopd2d.checks import link_rate_gap
 from coopd2d.experiments import (
     ExperimentSpec,
     analytic_point,
@@ -26,7 +25,7 @@ from coopd2d.experiments import (
     cmd_simulate,
 )
 from coopd2d.geometry import SQRT2, SQRT5, interference_pdf, path_gain_moments, signal_pdf
-from coopd2d.netsim import ROLE_COOP, SimConfig, drop_snapshot, run_campaign
+from coopd2d.netsim import SimConfig, link_rate_gap, run_campaign, snapshot_counts
 from coopd2d.population import expected_coop_users_exact, expected_coop_users_mc
 from coopd2d.rates import coop_link_rate, noncoop_link_rate
 
@@ -223,12 +222,7 @@ def test_acceptance_4_simulation_vs_closed_forms(
     )
 
     n = 100_000
-    modes = np.empty(n, dtype=np.int8)
-    coops = np.empty(n, dtype=np.int16)
-    for t in range(n):
-        snap = drop_snapshot(cfg, t)
-        modes[t] = snap.mode
-        coops[t] = np.count_nonzero(snap.roles == ROLE_COOP)
+    modes, coops = snapshot_counts(cfg, n)
 
     pc = coop_probability(ref_model, 15, 9)
     freq = float(modes.mean())

@@ -6,6 +6,7 @@ import re
 import pytest
 import yaml
 
+import coopd2d.checks as checks
 import coopd2d.cli as cli
 from coopd2d.cli import build_parser, main
 from coopd2d.experiments import spec_from_mapping
@@ -252,6 +253,19 @@ def test_pairing_floor_past_every_link_exits_2(tmp_path, capsys, config):
     cfg.write_text(config)
     assert main(["optimize-bandwidth", "--config", str(cfg)]) == 2
     assert "pairing floor" in capsys.readouterr().err
+
+
+def test_validate_survives_a_zero_signal_moment(tmp_path, capsys, monkeypatch):
+    # a floor between sqrt(2) and sqrt(5) cluster sides leaves no in-cell
+    # link distance, so the signal moment and the closed-form single-cell
+    # rate are 0; the snapshot gates are not at stake and draw fewer snapshots
+    monkeypatch.setattr(checks, "_VALIDATE_SNAPSHOTS", 2000)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("min_pairing_distance_m: 36.0\n")
+    assert main(["validate", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS moment-mc: geometric MC off by 0.00% signal" in out
+    assert "vs 0.000 (ratio nan)" in out
 
 
 def test_validate_exit_code_mapping(monkeypatch):

@@ -1,11 +1,15 @@
-"""Smoke runs of every script in ``demos/`` with tiny arguments."""
+"""Smoke runs of every script in ``demos/`` with tiny arguments, and of the
+README's code."""
 
+import importlib
 import importlib.util
 import pathlib
+import re
 
 import pytest
 
 DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
+README = DEMOS.parent / "README.md"
 
 # arguments that keep each demo to about a second
 ARGS = {
@@ -50,3 +54,18 @@ def test_demo_file_outputs(tmp_path, capsys):
     assert _load("link_rate_gap").main(argv) == 0
     assert densities.stat().st_size > 0
     assert "wrote %s" % densities in capsys.readouterr().out
+
+
+def test_readme_quick_start_runs():
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    namespace = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["result"].n_trials == 1000
+
+
+def test_readme_imports_resolve():
+    imports = re.findall(r"from (coopd2d\.\w+) import (\w+(?:, \w+)*)", README.read_text())
+    assert imports
+    for module, names in imports:
+        for name in names.split(", "):
+            assert hasattr(importlib.import_module(module), name), (module, name)

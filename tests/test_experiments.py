@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from coopd2d import defaults
-from coopd2d.checks import _snapshot_checks, cmd_validate, link_rate_gap
+from coopd2d.checks import _snapshot_checks, cmd_validate
 from coopd2d.errors import ConfigurationError
 from coopd2d.experiments import (
     ExperimentSpec,
@@ -24,7 +24,7 @@ from coopd2d.experiments import (
     write_csv,
 )
 from coopd2d.geometry import path_gain_moments
-from coopd2d.netsim import SimConfig
+from coopd2d.netsim import SimConfig, link_rate_gap
 from coopd2d.population import expected_coop_users_exact
 
 import oracles

@@ -5,11 +5,18 @@ import math
 import pytest
 from pytest import approx
 
+from coopd2d import defaults
 from coopd2d.bandwidth import optimize_eta
 from coopd2d.catalog import build_popularity, cumulative_cached_prob
-from coopd2d.clusters import coop_probability, expected_active_coop, optimize_cluster_size
+from coopd2d.clusters import (
+    coop_probability,
+    expected_active_coop,
+    make_plan,
+    optimize_cluster_size,
+)
 from coopd2d.errors import CoopD2DError, ConsistencyError, EnumerationBudgetError
 from coopd2d.geometry import interference_pdf, path_gain_moments, signal_pdf
+from coopd2d.netsim import SimConfig, link_rate_gap, snapshot_counts
 from coopd2d.population import (
     expected_cellular_and_noncoop,
     expected_coop_users_closed,
@@ -19,6 +26,15 @@ from coopd2d.population import (
 from coopd2d.rates import coop_link_rate, network_throughput
 
 import oracles
+
+
+def sim_config(model, **changes):
+    """A 4-cluster, 2-user campaign on ``model`` with ``changes`` applied."""
+    fields = dict(
+        plan=make_plan(75.0, 4, 2), radio=defaults.reference_radio(), popularity=model,
+        strategy="coop", trials=10, seed=1, eta=0.5,
+    )
+    return SimConfig(**{**fields, **changes})
 
 
 def test_exact_two_cluster_single_user(two_group):
@@ -101,6 +117,12 @@ def test_closed_form_covers_the_full_size_catalog(ref_model):
         lambda m: coop_link_rate(path_gain_moments(3.68, 0.04), None, 0.0, 9),
         lambda m: network_throughput(0.5, 1.5, 10.0, 2.0, 20e6, 9),
         lambda m: network_throughput(-0.1, 0.5, 10.0, 2.0, 20e6, 9),
+        lambda m: sim_config(m, trials=2.5),
+        lambda m: sim_config(m, trials=True),
+        lambda m: sim_config(m, seed=-1),
+        lambda m: sim_config(m, min_pairing_distance_m=math.nan),
+        lambda m: snapshot_counts(sim_config(m), 0),
+        lambda m: link_rate_gap(sim_config(m), 0),
     ],
 )
 def test_api_argument_errors_are_package_errors(two_group, call):
