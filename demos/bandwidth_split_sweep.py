@@ -14,6 +14,7 @@ Run it as::
 """
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,12 +24,14 @@ from coopd2d.experiments import grid_search_eta
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--beta", type=float, default=1.0, help="popularity skew")
+    parser.add_argument(
+        "--beta", type=float, default=ExperimentSpec.beta, help="popularity skew"
+    )
     parser.add_argument("--points", type=int, default=8, help="sweep points")
     args = parser.parse_args(argv)
 
     spec = ExperimentSpec(scenario="bandwidth-sweep", beta=args.beta)
-    base = analytic_point(spec, mu=0.0)
+    base = analytic_point(replace(spec, mu_bps=0.0))
     print(
         "operating point: pc=%.6f, coop %.3f bit/s/Hz vs non-coop %.3f, "
         "user classes %.2f coop / %.2f non-coop / %.2f cellular"
@@ -46,7 +49,7 @@ def main(argv=None) -> int:
 
     print("   floor (bit/s)   eta*      binding              throughput (bit/s)  grid check")
     for mu in np.linspace(0.0, 1.05 * mu_max, args.points):
-        pt = analytic_point(spec, mu=float(mu))
+        pt = analytic_point(replace(spec, mu_bps=float(mu)))
         sol = pt.solution
         grid = grid_search_eta(
             pt.pc,

@@ -15,14 +15,17 @@ Run it as::
 
 import argparse
 
-from coopd2d import build_popularity, optimize_cluster_size
+from coopd2d import ExperimentSpec, build_popularity, optimize_cluster_size
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n-files", type=int, default=300, help="catalog size")
-    parser.add_argument("--cache-size", type=int, default=20, help="files per device")
-    parser.add_argument("--beta", type=float, default=1.0, help="popularity skew")
+    ref = ExperimentSpec  # the reference scenario is its field defaults
+    parser.add_argument("--n-files", type=int, default=ref.n_files, help="catalog size")
+    parser.add_argument(
+        "--cache-size", type=int, default=ref.cache_size, help="files per device"
+    )
+    parser.add_argument("--beta", type=float, default=ref.beta, help="popularity skew")
     parser.add_argument("--out", help="optional CSV path for the density sweep")
     args = parser.parse_args(argv)
 
@@ -32,8 +35,10 @@ def main(argv=None) -> int:
         % (args.n_files, args.cache_size, args.beta, model.group_count)
     )
 
-    print("\nexpected active links by users per cluster (135-user hotspot):")
-    _, _, profile = optimize_cluster_size(model, 135)
+    print(
+        "\nexpected active links by users per cluster (%d-user hotspot):" % ref.n_users
+    )
+    _, _, profile = optimize_cluster_size(model, ref.n_users)
     best = max(objective for _, objective in profile)
     for k, objective in profile:
         bar = "#" * round(40.0 * objective / best)

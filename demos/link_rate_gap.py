@@ -17,36 +17,27 @@ Run it as::
 
 import argparse
 
-from coopd2d import SimConfig, defaults
+from coopd2d import ExperimentSpec, analytic_point
+from coopd2d.experiments import campaign_config
 from coopd2d.geometry import dump_pdf_table
 from coopd2d.netsim import link_rate_gap
-from coopd2d.rates import coop_link_rate, noncoop_link_rate
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--snapshots", type=int, default=500, help="snapshots to average")
-    parser.add_argument("--seed", type=int, default=20230817, help="base RNG seed")
+    parser.add_argument(
+        "--seed", type=int, default=ExperimentSpec.seed, help="base RNG seed"
+    )
     parser.add_argument("--densities-out", help="optional CSV path for the two densities")
     args = parser.parse_args(argv)
 
-    plan = defaults.reference_plan()
-    radio = defaults.reference_radio()
-    geom = defaults.reference_geometry()
-    cfg = SimConfig(
-        plan=plan,
-        radio=radio,
-        popularity=defaults.reference_popularity(1.0),
-        strategy="coop",
-        trials=1,
-        seed=args.seed,
-        eta=0.5,
-        min_pairing_distance_m=defaults.MIN_PAIRING_DISTANCE_M,
-    )
+    spec = ExperimentSpec(scenario="simulate", trials=1, seed=args.seed)
+    pt = analytic_point(spec)
+    cfg = campaign_config(spec, pt, "coop", 0.5)
     zf_mean, zf_n, nn_mean, nn_n = link_rate_gap(cfg, args.snapshots)
 
-    rc = coop_link_rate(geom, radio, plan.cluster_side_m, plan.n_clusters)
-    rn = noncoop_link_rate(geom)
+    rc, rn = pt.rate_coop, pt.rate_noncoop
     print("%d snapshots, %d cooperative and %d single-cell links rated"
           % (args.snapshots, zf_n, nn_n))
     print("  cooperative: simulated %.4f vs closed form %.4f bit/s/Hz (ratio %.3f)"

@@ -22,7 +22,9 @@ from coopd2d.experiments import compare_strategies
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=1000, help="trials per campaign")
-    parser.add_argument("--seed", type=int, default=20230817, help="base RNG seed")
+    parser.add_argument(
+        "--seed", type=int, default=ExperimentSpec.seed, help="base RNG seed"
+    )
     parser.add_argument(
         "--betas", type=float, nargs="+", default=[0.0, 0.6, 1.0], help="skews to run"
     )

@@ -3,8 +3,8 @@
 Each gate compares two independent routes to one quantity.  The analytic
 side of a gate is read from :func:`coopd2d.experiments.analytic_point`, and
 every simulated side runs on a config from the same
-``_campaign_config`` the commands use, so ``validate`` checks the pipeline
-the commands run instead of a copy of it.  Every check is one
+:func:`coopd2d.experiments.campaign_config` the commands use, so
+``validate`` checks the pipeline the commands run instead of a copy of it.  Every check is one
 ``(name, passed, detail)`` record; ``passed`` is ``None`` for a line that
 is reported but not gated.
 """
@@ -17,7 +17,6 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import quad
 
-from . import defaults
 from .bandwidth import optimize_eta
 from .catalog import build_popularity
 from .clusters import optimize_cluster_size
@@ -25,8 +24,8 @@ from .errors import EnumerationBudgetError
 from .experiments import (
     AnalyticPoint,
     ExperimentSpec,
-    _campaign_config,
     analytic_point,
+    campaign_config,
     grid_search_eta,
 )
 from .geometry import SQRT2, SQRT5, interference_pdf, path_gain_moments, signal_pdf
@@ -89,18 +88,18 @@ def _ratio(measured: float, closed_form: float) -> float:
 def _snapshot_config(spec: ExperimentSpec, seed: int) -> tuple[AnalyticPoint, SimConfig]:
     """The skew-1 analytic point and the cooperative config (``eta = 0.5``,
     seeded with ``seed``) whose snapshots ``validate`` draws."""
-    pt = analytic_point(spec, beta=1.0)
-    return pt, replace(_campaign_config(spec, pt, "coop", 0.5), trials=1, seed=seed)
+    pt = analytic_point(replace(spec, beta=1.0))
+    return pt, replace(campaign_config(spec, pt, "coop", 0.5), trials=1, seed=seed)
 
 
 def _snapshot_checks(spec: ExperimentSpec, n_snap: int) -> list[tuple[str, bool, str]]:
     """Gate the simulated Mode-1 frequency and cooperative count.
 
-    Snapshots ``0 .. n_snap - 1`` are drawn at the fixed seed
-    :data:`defaults.SEED`, so the records do not depend on ``spec.seed``.
+    Snapshots ``0 .. n_snap - 1`` are drawn at the reference seed
+    ``ExperimentSpec.seed``, so the records do not depend on ``spec.seed``.
     Returns ``(name, passed, detail)`` records.
     """
-    pt, snap_cfg = _snapshot_config(spec, defaults.SEED)
+    pt, snap_cfg = _snapshot_config(spec, ExperimentSpec.seed)
     modes, coops = snapshot_counts(snap_cfg, n_snap)
     freq = float(modes.mean())
     se = math.sqrt(max(pt.pc * (1.0 - pt.pc), 1e-300) / n_snap)
@@ -195,11 +194,10 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
         % (exact.coop_mean, closed, mc.coop_mean, mc.std_error),
     ))
 
-    ref_model = build_popularity(defaults.N_FILES, defaults.CACHE_SIZE, 1.0)
+    ref = ExperimentSpec  # the reference scenario is its field defaults
+    ref_model = build_popularity(ref.n_files, ref.cache_size, 1.0)
     try:
-        expected_coop_users_exact(
-            ref_model, defaults.USERS_PER_CLUSTER, defaults.N_CLUSTERS
-        )
+        expected_coop_users_exact(ref_model, ref.users_per_cluster, ref.n_clusters)
         refused = False
     except EnumerationBudgetError:
         refused = True
@@ -249,7 +247,7 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
 
     checks.extend(_snapshot_checks(spec, _VALIDATE_SNAPSHOTS))
 
-    cfg_eta0 = replace(_campaign_config(spec, pt, "coop", 0.0), trials=300)
+    cfg_eta0 = replace(campaign_config(spec, pt, "coop", 0.0), trials=300)
     res_eta0 = run_campaign(cfg_eta0, keep_trials=True)
     res_nocoop = run_campaign(replace(cfg_eta0, strategy="nocoop"), keep_trials=True)
     checks.append((
@@ -275,7 +273,7 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
         None,  # reported, not gated
         "fading-averaged ZF link rate %.3f vs moment closed form %.3f "
         "(ratio %.3f); non-cooperative %.3f vs %.3f (ratio %.3f); the closed "
-        "forms average SINR before the log, so ratios below 1 are expected"
+        "forms average SINR before the log"
         % (zf_mean, rc, _ratio(zf_mean, rc), nc_mean, rn, _ratio(nc_mean, rn)),
     ))
 

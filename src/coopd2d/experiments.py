@@ -3,8 +3,9 @@
 This layer glues the analytic modules to the simulator for the scenarios the
 command line exposes: cluster-size profiles, bandwidth-split sweeps,
 strategy comparisons, and raw campaign dumps.  :func:`analytic_point` is the
-one place the closed-form chain runs; :mod:`coopd2d.checks` (``validate``)
-reads its results instead of recomputing them.  All CSV output is
+one place the closed-form chain runs and :func:`campaign_config` the one
+place a campaign is configured from it; :mod:`coopd2d.checks` (``validate``)
+reads both instead of recomputing them.  All CSV output is
 byte-deterministic: floats are serialized with ``repr`` (shortest round
 trip), row order is fixed by the sweep definition, and a schema tag line
 precedes the header.
@@ -16,14 +17,19 @@ import csv
 import logging
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import defaults
 from .bandwidth import BandwidthSolution, optimize_eta
 from .catalog import PopularityModel, build_popularity
-from .clusters import ClusterPlan, coop_probability, make_plan, optimize_cluster_size
+from .clusters import (
+    ClusterPlan,
+    coop_probability,
+    expected_active_coop,
+    make_plan,
+    optimize_cluster_size,
+)
 from .errors import ConfigurationError
 from .geometry import GeometryTable, path_gain_moments
 from .netsim import SimConfig, run_campaign
@@ -34,6 +40,7 @@ __all__ = [
     "ExperimentSpec",
     "spec_from_mapping",
     "analytic_point",
+    "campaign_config",
     "grid_search_eta",
     "sim_feasible_cluster_sizes",
     "cmd_optimize_cluster",
@@ -90,35 +97,45 @@ def _check_number(name: str, value) -> None:
 class ExperimentSpec:
     """Complete description of one command invocation.
 
-    Field defaults are the reference scenario; a config file and flags
-    override them.  ``sweep_name``/``sweep_values`` select the swept
-    parameter among the axes the scenario's command reads: ``beta`` and
-    ``n_users`` for ``cluster-sweep``, ``beta`` and ``mu_bps`` for
-    ``bandwidth-sweep``, ``beta`` for ``throughput-compare``.  Only
-    ``simulate`` reads ``strategy`` (``None`` means ``"coop"``) and ``eta``.
+    Field defaults are the reference scenario, declared nowhere else: a
+    75 m square hotspot with 135 users in a 3x3 cluster grid (15 users per
+    25 m cell), a 300-file catalog cached 20 files per user under Zipf
+    skew 1, 20 MHz of D2D bandwidth at 20 dBm transmit power over a
+    ``37.6 + 36.8 log10(r [m])`` path-loss law with -95 dBm noise, a 1 m
+    pairing floor and a 1 Mbps per-user floor; campaigns run 10,000 trials
+    from seed 20230817.  Every command and demo starts from these values
+    (a default reads as ``ExperimentSpec.seed``); a config file and flags
+    override them field by field, and code varies a field with
+    ``dataclasses.replace``.
+
+    ``sweep_name``/``sweep_values`` select the swept parameter among the
+    axes the scenario's command reads: ``beta`` and ``n_users`` for
+    ``cluster-sweep``, ``beta`` and ``mu_bps`` for ``bandwidth-sweep``,
+    ``beta`` for ``throughput-compare``.  Only ``simulate`` reads
+    ``strategy`` (``None`` means ``"coop"``) and ``eta``.
     Every field and sweep value is type- and range-checked here, so bad
     input surfaces as a :class:`ConfigurationError`.
     """
 
     scenario: str
-    hotspot_side_m: float = defaults.HOTSPOT_SIDE_M
-    n_clusters: int = defaults.N_CLUSTERS
-    users_per_cluster: int = defaults.USERS_PER_CLUSTER
-    n_users: int = defaults.N_USERS
-    n_files: int = defaults.N_FILES
-    cache_size: int = defaults.CACHE_SIZE
-    beta: float = defaults.BETA
-    tx_power_dbm: float = defaults.TX_POWER_DBM
-    noise_dbm: float = defaults.NOISE_DBM
-    path_loss_intercept_db: float = defaults.PATH_LOSS_INTERCEPT_DB
-    alpha: float = defaults.ALPHA
-    bandwidth_hz: float = defaults.BANDWIDTH_HZ
-    mu_bps: float = defaults.MU_BPS
-    min_pairing_distance_m: float = defaults.MIN_PAIRING_DISTANCE_M
+    hotspot_side_m: float = 75.0
+    n_clusters: int = 9
+    users_per_cluster: int = 15
+    n_users: int = 135
+    n_files: int = 300
+    cache_size: int = 20
+    beta: float = 1.0
+    tx_power_dbm: float = 20.0
+    noise_dbm: float = -95.0
+    path_loss_intercept_db: float = 37.6
+    alpha: float = 3.68
+    bandwidth_hz: float = 20e6
+    mu_bps: float = 1e6
+    min_pairing_distance_m: float = 1.0
     strategy: str | None = None
     eta: float | None = None
-    trials: int = defaults.TRIALS
-    seed: int = defaults.SEED
+    trials: int = 10_000
+    seed: int = 20230817
     n_jobs: int = 1
     sweep_name: str | None = None
     sweep_values: tuple = ()
@@ -210,28 +227,17 @@ class AnalyticPoint:
     solution: BandwidthSolution
 
 
-def analytic_point(
-    spec: ExperimentSpec,
-    beta: float | None = None,
-    mu: float | None = None,
-    n_clusters: int | None = None,
-    users_per_cluster: int | None = None,
-) -> AnalyticPoint:
-    """Run the full analytic pipeline at one operating point.
+def analytic_point(spec: ExperimentSpec) -> AnalyticPoint:
+    """Run the full analytic pipeline at the operating point ``spec`` describes.
 
+    Another point is ``analytic_point(dataclasses.replace(spec, ...))``.
     Popularity, cooperation probability, truncated moments, link rates, user
     populations (closed form, exact for i.i.d. requests), then the bandwidth
     split.  Nothing here draws random numbers, so the point does not depend
     on ``spec.seed``.
     """
-    model = build_popularity(
-        spec.n_files, spec.cache_size, spec.beta if beta is None else beta
-    )
-    plan = make_plan(
-        spec.hotspot_side_m,
-        spec.n_clusters if n_clusters is None else n_clusters,
-        spec.users_per_cluster if users_per_cluster is None else users_per_cluster,
-    )
+    model = build_popularity(spec.n_files, spec.cache_size, spec.beta)
+    plan = make_plan(spec.hotspot_side_m, spec.n_clusters, spec.users_per_cluster)
     radio = RadioParams(
         tx_power_dbm=spec.tx_power_dbm,
         noise_dbm=spec.noise_dbm,
@@ -275,7 +281,7 @@ def analytic_point(
         b,
         pop.coop_mean,
         pop.noncoop_mean,
-        spec.mu_bps if mu is None else mu,
+        spec.mu_bps,
     )
     return AnalyticPoint(
         model=model,
@@ -348,7 +354,7 @@ def _best_sim_cluster_size(model: PopularityModel, n_users: int) -> tuple[int, i
         )
     best = None
     for k, b in sorted(feasible):
-        objective = b * coop_probability(model, k, b)
+        objective = expected_active_coop(model, n_users, k)
         if best is None or objective > best[0]:
             best = (objective, k, b)
     return best[1], best[2]
@@ -413,7 +419,7 @@ def cmd_optimize_bandwidth(spec: ExperimentSpec) -> str:
     rows = []
     for beta in betas:
         for mu in mus:
-            pt = analytic_point(spec, beta, mu)
+            pt = analytic_point(replace(spec, beta=beta, mu_bps=mu))
             sol = pt.solution
             eta_grid = grid_search_eta(
                 pt.pc,
@@ -503,14 +509,15 @@ def _campaign_row(label: str, beta: float, config: SimConfig, result) -> tuple:
     )
 
 
-def _campaign_config(
+def campaign_config(
     spec: ExperimentSpec, pt: AnalyticPoint, strategy: str, eta: float | None
 ) -> SimConfig:
-    """Campaign at an analytic point.
+    """The campaign ``spec`` describes, at the analytic point ``pt``.
 
-    ``coop`` runs at ``eta``, or at the point's optimal split when ``eta`` is
-    None (the whole band when the split is infeasible); the other
-    strategies run at ``eta = 0``.
+    Trial count, seed and pairing floor come from ``spec``; plan, radio and
+    catalog from ``pt``.  ``coop`` runs at ``eta``, or at the point's
+    optimal split when ``eta`` is None (the whole band when the split is
+    infeasible); the other strategies run at ``eta = 0``.
     """
     if strategy != "coop":
         eta = 0.0
@@ -541,8 +548,9 @@ def compare_strategies(spec: ExperimentSpec, beta: float) -> list[tuple]:
     rows = []
 
     def run(label: str, strategy: str, eta: float | None, k: int, b: int):
-        pt = analytic_point(spec, beta, n_clusters=b, users_per_cluster=k)
-        config = _campaign_config(spec, pt, strategy, eta)
+        point = replace(spec, beta=beta, n_clusters=b, users_per_cluster=k)
+        pt = analytic_point(point)
+        config = campaign_config(spec, pt, strategy, eta)
         result = run_campaign(config, n_jobs=spec.n_jobs)
         rows.append(_campaign_row(label, beta, config, result))
 
@@ -567,7 +575,7 @@ def cmd_compare(spec: ExperimentSpec) -> str:
 def cmd_simulate(spec: ExperimentSpec) -> str:
     """One campaign, per-trial records to CSV."""
     strategy = "coop" if spec.strategy is None else spec.strategy
-    config = _campaign_config(spec, analytic_point(spec), strategy, spec.eta)
+    config = campaign_config(spec, analytic_point(spec), strategy, spec.eta)
     result = run_campaign(config, n_jobs=spec.n_jobs, keep_trials=True)
     k, b = config.plan.users_per_cluster, config.plan.n_clusters
     rows = [

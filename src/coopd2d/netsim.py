@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -561,8 +562,9 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
     ----------
     config : SimConfig
     n_jobs : int, optional
-        Worker processes; results are bit-identical for any value because
-        trial randomness and storage are indexed by trial.
+        Worker processes, capped at the CPU count and at the number of trial
+        ranges; results are bit-identical for any value because trial
+        randomness and storage are indexed by trial.
     keep_trials : bool, optional
         Attach the per-trial record array to the result (needed for
         per-trial CSV emission).
@@ -582,7 +584,8 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
             for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo
         ]
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for (_, lo, hi), chunk in zip(jobs, pool.map(_run_range, jobs)):
                 records[lo:hi] = chunk
 

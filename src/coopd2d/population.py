@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _MC_CHUNK = 4096  # fixed chunk size; part of the reproducibility contract
+# Largest raw configuration space exact enumeration stands in for.
+_ENUMERATION_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,6 @@ def expected_coop_users_exact(
     model: PopularityModel,
     users_per_cluster: int,
     n_clusters: int,
-    budget: int = 10_000_000,
 ) -> PopulationSummary:
     """Exact expected cooperative-user count by composition enumeration.
 
@@ -121,10 +122,6 @@ def expected_coop_users_exact(
     model : PopularityModel
     users_per_cluster, n_clusters : int
         ``K`` and ``B``.
-    budget : int, optional
-        Refuse if ``multichoose(group_count, K) ** B`` exceeds this (the raw
-        configuration-space size this computation stands in for).
-
     Returns
     -------
     PopulationSummary
@@ -133,7 +130,10 @@ def expected_coop_users_exact(
     Raises
     ------
     EnumerationBudgetError
-        Over budget; use :func:`expected_coop_users_closed` instead.
+        When ``multichoose(group_count, K) ** B`` (the raw configuration
+        space this computation stands in for) exceeds
+        ``_ENUMERATION_BUDGET`` (10 million); use
+        :func:`expected_coop_users_closed` instead.
     """
     k0 = model.group_count
     k, b = users_per_cluster, n_clusters
@@ -142,10 +142,11 @@ def expected_coop_users_exact(
     if b < 1:
         raise ConfigurationError("n_clusters must be >= 1, got %r" % (b,))
     space = _multichoose(k0, k) ** b
-    if space > budget:
+    if space > _ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
             "configuration space holds %d terms (budget %d); use "
-            "expected_coop_users_closed for this instance" % (space, budget)
+            "expected_coop_users_closed for this instance"
+            % (space, _ENUMERATION_BUDGET)
         )
 
     # Exact rationals of the stored float probabilities.  The remainder part

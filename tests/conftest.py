@@ -1,10 +1,15 @@
 """Shared fixtures and the acceptance-summary reporting hook."""
 
+from dataclasses import replace
+
 import pytest
 
-from coopd2d import defaults
+from coopd2d import ExperimentSpec, analytic_point
 
 import oracles
+
+# The reference scenario is ExperimentSpec's field defaults.
+REFERENCE = ExperimentSpec(scenario="simulate")
 
 # Acceptance tests append one "ACCEPTANCE n: PASS/FAIL ..." line each; the
 # terminal-summary hook replays them after the run so the verdicts are visible
@@ -20,32 +25,38 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture(scope="session")
-def ref_model():
+def ref_point():
+    """The analytic pipeline at the reference scenario."""
+    return analytic_point(REFERENCE)
+
+
+@pytest.fixture(scope="session")
+def ref_model(ref_point):
     """Reference catalog: 300 files, cache 20, beta 1."""
-    return defaults.reference_popularity()
+    return ref_point.model
 
 
 @pytest.fixture(scope="session")
 def uniform_model():
     """Reference catalog at beta 0 (uniform popularity)."""
-    return defaults.reference_popularity(beta=0.0)
+    return analytic_point(replace(REFERENCE, beta=0.0)).model
 
 
 @pytest.fixture(scope="session")
-def ref_plan():
+def ref_plan(ref_point):
     """75 m hotspot, 9 clusters of 15 users."""
-    return defaults.reference_plan()
+    return ref_point.plan
 
 
 @pytest.fixture(scope="session")
-def ref_radio():
-    return defaults.reference_radio()
+def ref_radio(ref_point):
+    return ref_point.radio
 
 
 @pytest.fixture(scope="session")
-def ref_geom():
+def ref_geom(ref_point):
     """Truncated moments at (alpha, r_min) = (3.68, 1 m / 25 m)."""
-    return defaults.reference_geometry()
+    return ref_point.geom
 
 
 @pytest.fixture(scope="session")

@@ -282,7 +282,7 @@ def test_acceptance_5_strategy_throughput_ratios():
     checks = []
     spec = ExperimentSpec(scenario="simulate")
     pt1 = analytic_point(spec)
-    pt0 = analytic_point(spec, beta=0.0)
+    pt0 = analytic_point(replace(spec, beta=0.0))
     assert pt1.solution.feasible and pt0.solution.feasible
 
     def campaign(model, strategy, eta):

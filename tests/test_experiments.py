@@ -1,6 +1,7 @@
 """Experiment orchestration: specs, sweeps, CSV emission, self-validation."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
-from coopd2d import defaults
 from coopd2d.checks import _snapshot_checks, cmd_validate
 from coopd2d.errors import ConfigurationError
 from coopd2d.experiments import (
     ExperimentSpec,
     analytic_point,
+    campaign_config,
     cmd_compare,
     cmd_optimize_bandwidth,
     cmd_optimize_cluster,
@@ -24,7 +25,7 @@ from coopd2d.experiments import (
     write_csv,
 )
 from coopd2d.geometry import path_gain_moments
-from coopd2d.netsim import SimConfig, link_rate_gap
+from coopd2d.netsim import link_rate_gap
 from coopd2d.population import expected_coop_users_exact
 
 import oracles
@@ -199,9 +200,9 @@ def test_analytic_point_population_matches_enumeration():
 def test_analytic_point_reuses_the_path_gain_moments():
     spec = ExperimentSpec(scenario="bandwidth-sweep")
     path_gain_moments.cache_clear()
-    a = analytic_point(spec, beta=0.6, mu=1e6)
+    a = analytic_point(replace(spec, beta=0.6, mu_bps=1e6))
     misses = path_gain_moments.cache_info().misses
-    b = analytic_point(spec, beta=1.2, mu=3e6)
+    b = analytic_point(replace(spec, beta=1.2, mu_bps=3e6))
     info = path_gain_moments.cache_info()
     assert (misses, info.misses, info.hits) == (1, 1, 1)
     assert a.rate_coop == b.rate_coop and a.rate_noncoop == b.rate_noncoop
@@ -384,7 +385,11 @@ def test_cmd_validate_default_passes():
     assert sum(line.startswith("PASS ") for line in lines) == 13
     assert not any(line.startswith("FAIL ") for line in lines)
     assert any(line.startswith("PASS popularity-normalization") for line in lines)
-    assert any(line.startswith("INFO link-rate-gap") for line in lines)
+    (info,) = [line for line in lines if line.startswith("INFO link-rate-gap")]
+    ratios = [float(r) for r in re.findall(r"\(ratio ([^)]+)\)", info)]
+    assert len(ratios) == 2
+    # the line may only call the ratios below 1 when both printed ones are
+    assert "below 1" not in info or max(ratios) < 1.0
 
 
 def test_validate_snapshot_gates_ignore_the_seed():
@@ -395,16 +400,8 @@ def test_validate_snapshot_gates_ignore_the_seed():
 
 
 def test_link_rate_gap_is_reproducible():
-    config = SimConfig(
-        plan=defaults.reference_plan(),
-        radio=defaults.reference_radio(),
-        popularity=defaults.reference_popularity(),
-        strategy="coop",
-        trials=1,
-        seed=3,
-        eta=0.5,
-        min_pairing_distance_m=defaults.MIN_PAIRING_DISTANCE_M,
-    )
+    spec = ExperimentSpec(scenario="simulate", trials=1, seed=3)
+    config = campaign_config(spec, analytic_point(spec), "coop", 0.5)
     gap = link_rate_gap(config, 20)
     assert link_rate_gap(config, 20) == gap
     zf_mean, zf_links, nc_mean, nc_links = gap

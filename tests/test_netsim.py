@@ -475,6 +475,38 @@ def test_campaign_worker_count_does_not_change_results(ref_config):
     assert serial.mode1_frequency == parallel.mode1_frequency
 
 
+@pytest.mark.parametrize(
+    "n_jobs, cpus, workers",
+    [(5000, 64, 10), (5000, 3, 3), (5000, None, 1), (2, 64, 2)],
+)
+def test_campaign_pool_is_capped_by_ranges_and_cpus(
+    ref_config, monkeypatch, n_jobs, cpus, workers
+):
+    """10 trials split into at most 10 ranges; no real process is started."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(netsim, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(netsim.os, "cpu_count", lambda: cpus)
+    config = replace(ref_config, trials=10)
+    serial = run_campaign(config, n_jobs=1, keep_trials=True)
+    pooled = run_campaign(config, n_jobs=n_jobs, keep_trials=True)
+    assert sizes == [workers]
+    assert pooled.trials.tobytes() == serial.trials.tobytes()
+
+
 def test_tdma_baseline_runs_and_differs(ref_config):
     from dataclasses import replace
 

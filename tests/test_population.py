@@ -5,7 +5,7 @@ import math
 import pytest
 from pytest import approx
 
-from coopd2d import defaults
+from coopd2d import ExperimentSpec, analytic_point, population
 from coopd2d.bandwidth import optimize_eta
 from coopd2d.catalog import build_popularity, cumulative_cached_prob
 from coopd2d.clusters import (
@@ -30,8 +30,9 @@ import oracles
 
 def sim_config(model, **changes):
     """A 4-cluster, 2-user campaign on ``model`` with ``changes`` applied."""
+    radio = analytic_point(ExperimentSpec(scenario="simulate")).radio
     fields = dict(
-        plan=make_plan(75.0, 4, 2), radio=defaults.reference_radio(), popularity=model,
+        plan=make_plan(75.0, 4, 2), radio=radio, popularity=model,
         strategy="coop", trials=10, seed=1, eta=0.5,
     )
     return SimConfig(**{**fields, **changes})
@@ -130,11 +131,14 @@ def test_api_argument_errors_are_package_errors(two_group, call):
         call(two_group)
 
 
-def test_exact_budget_refusal(ref_model):
+def test_exact_budget_refusal(ref_model, monkeypatch):
     with pytest.raises(EnumerationBudgetError):
         expected_coop_users_exact(ref_model, 15, 9)
+    small = build_popularity(60, 20, 1.0)  # multichoose(3, 3) ** 2 = 100 terms
+    expected_coop_users_exact(small, 3, 2)
+    monkeypatch.setattr(population, "_ENUMERATION_BUDGET", 10)
     with pytest.raises(EnumerationBudgetError):
-        expected_coop_users_exact(build_popularity(60, 20, 1.0), 3, 2, budget=10)
+        expected_coop_users_exact(small, 3, 2)
 
 
 def test_exact_input_checks(two_group):
