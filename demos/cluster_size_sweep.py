@@ -35,10 +35,9 @@ def main(argv=None) -> int:
         % (args.n_files, args.cache_size, args.beta, model.group_count)
     )
 
-    print(
-        "\nexpected active links by users per cluster (%d-user hotspot):" % ref.n_users
-    )
-    _, _, profile = optimize_cluster_size(model, ref.n_users)
+    n_users = ref.n_clusters * ref.users_per_cluster
+    print("\nexpected active links by users per cluster (%d-user hotspot):" % n_users)
+    _, _, profile = optimize_cluster_size(model, n_users)
     best = max(objective for _, objective in profile)
     for k, objective in profile:
         bar = "#" * round(40.0 * objective / best)

@@ -36,13 +36,20 @@ def main(argv=None) -> int:
     for beta in args.betas:
         print("beta = %.2f, %d trials per strategy" % (beta, args.trials))
         rows = compare_strategies(spec, float(beta))
-        baseline = next(r for r in rows if r[0] == "nocoop")[6]
+        baseline = next(r for r in rows if r["strategy"] == "nocoop")
         print("  strategy    K   eta      throughput (bit/s)    ratio  mode-1 freq")
         for r in rows:
-            label, _, k, _, eta, _, mean, ci95, freq = r[:9]
             print(
                 "  %-9s  %2d  %5.3f   %.4e +- %.2e  %5.2f  %.4f"
-                % (label, k, eta, mean, ci95, mean / baseline, freq)
+                % (
+                    r["strategy"],
+                    r["users_per_cluster"],
+                    r["eta"],
+                    r["throughput_mean_bps"],
+                    r["throughput_ci95_bps"],
+                    r["throughput_mean_bps"] / baseline["throughput_mean_bps"],
+                    r["mode1_frequency"],
+                )
             )
         print()
     return 0

@@ -9,8 +9,9 @@ maximize average network throughput subject to per-user quality floors:
                 0 <= eta <= 1
 
 The objective is affine in ``eta``, so the optimum sits on a constraint
-boundary and has a closed form; a dense grid search lives in the test suite
-as an independent check, never in this module.
+boundary and has a closed form.  A dense grid search that shares no code
+with this module, :func:`coopd2d.experiments.grid_search_eta`, cross-checks
+it in ``optimize-bandwidth`` (the ``eta_star_grid`` column) and ``validate``.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ _FLAGS_OF = {
     "optimize-bandwidth": ("beta", "mu", "out"),
     "compare": ("trials", "beta", "mu", "out", "jobs"),
     "validate": ("beta",),
-    "simulate": ("trials", "beta", "mu", "out", "jobs"),
+    "simulate": ("trials", "beta", "mu", "out", "jobs", "strategy", "eta"),
 }
 
 _FLAG_ARGS = {
@@ -64,6 +64,14 @@ _FLAG_ARGS = {
     "mu": {"type": float, "help": "per-user rate floor in bit/s"},
     "out": {"help": "output CSV path"},
     "jobs": {"type": int, "help": "worker processes for campaigns"},
+    "strategy": {
+        "choices": ("coop", "nocoop", "tdma"),
+        "help": "transmission strategy (default coop)",
+    },
+    "eta": {
+        "type": float,
+        "help": "fixed cooperative band fraction (default: optimized split)",
+    },
 }
 
 
@@ -89,17 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         _add_flags(p, _FLAGS_OF[name])
-        if name == "simulate":
-            p.add_argument(
-                "--strategy",
-                choices=("coop", "nocoop", "tdma"),
-                help="transmission strategy (default coop)",
-            )
-            p.add_argument(
-                "--eta",
-                type=float,
-                help="fixed cooperative band fraction (default: optimized split)",
-            )
     return parser
 
 
@@ -121,8 +118,8 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
     spec = spec_from_mapping(_SCENARIO_OF[args.command], mapping)
 
     overrides = {}
-    for flag in ("seed", "trials", "beta", "mu", "out", "jobs", "strategy", "eta"):
-        value = getattr(args, flag, None)
+    for flag in ("seed",) + _FLAGS_OF[args.command]:
+        value = getattr(args, flag)
         if value is not None:
             overrides[_FIELD_OF_FLAG.get(flag, flag)] = value
     return replace(spec, **overrides) if overrides else spec

@@ -40,44 +40,35 @@ class ClusterPlan:
         Number of square cells ``B``.
     users_per_cluster : int
         Users per cell ``K``.
-    cluster_side_m : float
-        Cell side, ``hotspot_side_m / sqrt(n_clusters)``.
-    n_users : int
-        Total users ``M = K * B``.
     """
 
     hotspot_side_m: float
     n_clusters: int
     users_per_cluster: int
-    cluster_side_m: float
-    n_users: int
 
     def __post_init__(self) -> None:
         if self.n_clusters < 1 or self.users_per_cluster < 1:
             raise ConfigurationError("n_clusters and users_per_cluster must be >= 1")
-        if self.users_per_cluster * self.n_clusters != self.n_users:
-            raise ConfigurationError(
-                "n_users must equal users_per_cluster * n_clusters exactly"
-            )
         if not self.hotspot_side_m > 0:
             raise ConfigurationError("hotspot_side_m must be positive")
-        expected = self.hotspot_side_m / math.sqrt(self.n_clusters)
-        if abs(self.cluster_side_m - expected) > 1e-12 * expected:
-            raise ConfigurationError(
-                "cluster_side_m inconsistent with hotspot_side_m / sqrt(n_clusters)"
-            )
+
+    @property
+    def cluster_side_m(self) -> float:
+        """Cell side, ``hotspot_side_m / sqrt(n_clusters)``."""
+        return self.hotspot_side_m / math.sqrt(self.n_clusters)
+
+    @property
+    def n_users(self) -> int:
+        """Total users ``M = K * B``."""
+        return self.users_per_cluster * self.n_clusters
 
 
 def make_plan(hotspot_side_m: float, n_clusters: int, users_per_cluster: int) -> ClusterPlan:
-    """Construct a :class:`ClusterPlan` with the derived fields filled in."""
-    if n_clusters < 1:
-        raise ConfigurationError("n_clusters must be >= 1, got %r" % (n_clusters,))
+    """Construct a :class:`ClusterPlan` from plain numbers."""
     return ClusterPlan(
         hotspot_side_m=float(hotspot_side_m),
         n_clusters=int(n_clusters),
         users_per_cluster=int(users_per_cluster),
-        cluster_side_m=float(hotspot_side_m) / math.sqrt(n_clusters),
-        n_users=int(users_per_cluster) * int(n_clusters),
     )
 
 

@@ -106,7 +106,8 @@ class ExperimentSpec:
     from seed 20230817.  Every command and demo starts from these values
     (a default reads as ``ExperimentSpec.seed``); a config file and flags
     override them field by field, and code varies a field with
-    ``dataclasses.replace``.
+    ``dataclasses.replace``.  The population ``n_users`` is derived
+    (``n_clusters * users_per_cluster``), so it is a property, not a field.
 
     ``sweep_name``/``sweep_values`` select the swept parameter among the
     axes the scenario's command reads: ``beta`` and ``n_users`` for
@@ -121,7 +122,6 @@ class ExperimentSpec:
     hotspot_side_m: float = 75.0
     n_clusters: int = 9
     users_per_cluster: int = 15
-    n_users: int = 135
     n_files: int = 300
     cache_size: int = 20
     beta: float = 1.0
@@ -167,16 +167,16 @@ class ExperimentSpec:
             )
         for value in self.sweep_values:
             _check_number(self.sweep_name, value)
-        if self.n_users != self.n_clusters * self.users_per_cluster:
-            raise ConfigurationError(
-                "n_users (%d) must equal n_clusters * users_per_cluster (%d)"
-                % (self.n_users, self.n_clusters * self.users_per_cluster)
-            )
         if self.users_per_cluster > self.n_files // self.cache_size:
             raise ConfigurationError(
                 "users_per_cluster (%d) exceeds the %d cacheable file groups"
                 % (self.users_per_cluster, self.n_files // self.cache_size)
             )
+
+    @property
+    def n_users(self) -> int:
+        """Hotspot population ``n_clusters * users_per_cluster``."""
+        return self.n_clusters * self.users_per_cluster
 
 
 _SPEC_FIELDS = {f for f in ExperimentSpec.__dataclass_fields__}
@@ -370,14 +370,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, schema: str, header: list[str], rows) -> None:
-    """Write rows under a ``# schema=coopd2d.<name>.v<N>`` line; byte-deterministic."""
+def write_csv(path: str | None, schema: str, rows: list[dict]) -> str:
+    """Write records under a ``# schema=coopd2d.<name>.v<N>`` line; returns the path.
+
+    Each record maps column name to value in column order; the first
+    record's keys are the header.  ``path`` defaults to ``<name>.csv``.
+    Byte-deterministic.
+    """
+    path = path or schema.split(".")[0] + ".csv"
     with open(path, "w", newline="") as fh:
         fh.write("# schema=coopd2d.%s\n" % schema)
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([_fmt(v) for v in row.values()])
+    return path
 
 
 def _sweep_or(spec: ExperimentSpec, name: str, fallback) -> list:
@@ -401,15 +408,16 @@ def cmd_optimize_cluster(spec: ExperimentSpec) -> str:
         for m in ms:
             k_star, _, profile = optimize_cluster_size(model, m)
             for k, objective in profile:
-                rows.append((float(beta), m, int(k), float(objective), k_star))
-    path = spec.out or "cluster_profile.csv"
-    write_csv(
-        path,
-        "cluster_profile.v1",
-        ["beta", "n_users", "users_per_cluster", "objective_links", "k_star"],
-        rows,
-    )
-    return path
+                rows.append(
+                    {
+                        "beta": float(beta),
+                        "n_users": m,
+                        "users_per_cluster": int(k),  # profile is a float array
+                        "objective_links": objective,
+                        "k_star": k_star,
+                    }
+                )
+    return write_csv(spec.out, "cluster_profile.v1", rows)
 
 
 def cmd_optimize_bandwidth(spec: ExperimentSpec) -> str:
@@ -432,81 +440,23 @@ def cmd_optimize_bandwidth(spec: ExperimentSpec) -> str:
                 float(mu),
             )
             rows.append(
-                (
-                    float(beta),
-                    float(mu),
-                    pt.pc,
-                    pt.rate_coop,
-                    pt.rate_noncoop,
-                    pt.nc_bar,
-                    pt.nn_bar,
-                    sol.eta_star,
-                    eta_grid,
-                    sol.feasible,
-                    sol.binding,
-                    sol.objective,
-                    sol.mu_max,
-                )
+                {
+                    "beta": float(beta),
+                    "mu_bps": float(mu),
+                    "pc": pt.pc,
+                    "rate_coop": pt.rate_coop,
+                    "rate_noncoop": pt.rate_noncoop,
+                    "nc_bar": pt.nc_bar,
+                    "nn_bar": pt.nn_bar,
+                    "eta_star": sol.eta_star,
+                    "eta_star_grid": eta_grid,
+                    "feasible": sol.feasible,
+                    "binding": sol.binding,
+                    "throughput_bps": sol.objective,
+                    "mu_max_bps": sol.mu_max,
+                }
             )
-    path = spec.out or "bandwidth_split.csv"
-    write_csv(
-        path,
-        "bandwidth_split.v2",
-        [
-            "beta",
-            "mu_bps",
-            "pc",
-            "rate_coop",
-            "rate_noncoop",
-            "nc_bar",
-            "nn_bar",
-            "eta_star",
-            "eta_star_grid",
-            "feasible",
-            "binding",
-            "throughput_bps",
-            "mu_max_bps",
-        ],
-        rows,
-    )
-    return path
-
-
-_COMPARE_HEADER = [
-    "strategy",
-    "beta",
-    "users_per_cluster",
-    "n_clusters",
-    "eta",
-    "trials",
-    "throughput_mean_bps",
-    "throughput_ci95_bps",
-    "mode1_frequency",
-    "mean_coop",
-    "mean_noncoop",
-    "mean_cellular",
-    "user_coop_bps",
-    "user_noncoop_bps",
-]
-
-
-def _campaign_row(label: str, beta: float, config: SimConfig, result) -> tuple:
-    return (
-        label,
-        float(beta),
-        config.plan.users_per_cluster,
-        config.plan.n_clusters,
-        config.eta,
-        result.n_trials,
-        result.throughput_mean,
-        result.throughput_ci95,
-        result.mode1_frequency,
-        result.mean_counts[0],
-        result.mean_counts[1],
-        result.mean_counts[2],
-        result.user_throughput_coop,
-        result.user_throughput_noncoop,
-    )
+    return write_csv(spec.out, "bandwidth_split.v2", rows)
 
 
 def campaign_config(
@@ -535,8 +485,8 @@ def campaign_config(
     )
 
 
-def compare_strategies(spec: ExperimentSpec, beta: float) -> list[tuple]:
-    """Run the five compared strategies at one beta; returns CSV rows.
+def compare_strategies(spec: ExperimentSpec, beta: float) -> list[dict]:
+    """Run the five compared strategies at one beta; returns CSV records.
 
     Strategies: ``optimized`` (best grid-feasible cluster size with its
     optimal split), ``eta0.5`` (best size, fixed even split), ``etaK``
@@ -552,7 +502,24 @@ def compare_strategies(spec: ExperimentSpec, beta: float) -> list[tuple]:
         pt = analytic_point(point)
         config = campaign_config(spec, pt, strategy, eta)
         result = run_campaign(config, n_jobs=spec.n_jobs)
-        rows.append(_campaign_row(label, beta, config, result))
+        rows.append(
+            {
+                "strategy": label,
+                "beta": float(beta),
+                "users_per_cluster": k,
+                "n_clusters": b,
+                "eta": config.eta,
+                "trials": result.n_trials,
+                "throughput_mean_bps": result.throughput_mean,
+                "throughput_ci95_bps": result.throughput_ci95,
+                "mode1_frequency": result.mode1_frequency,
+                "mean_coop": result.mean_counts[0],
+                "mean_noncoop": result.mean_counts[1],
+                "mean_cellular": result.mean_counts[2],
+                "user_coop_bps": result.user_throughput_coop,
+                "user_noncoop_bps": result.user_throughput_noncoop,
+            }
+        )
 
     run("optimized", "coop", None, k_best, b_best)
     run("eta0.5", "coop", 0.5, k_best, b_best)
@@ -567,9 +534,7 @@ def cmd_compare(spec: ExperimentSpec) -> str:
     rows = []
     for beta in betas:
         rows.extend(compare_strategies(spec, float(beta)))
-    path = spec.out or "strategy_compare.csv"
-    write_csv(path, "strategy_compare.v2", _COMPARE_HEADER, rows)
-    return path
+    return write_csv(spec.out, "strategy_compare.v2", rows)
 
 
 def cmd_simulate(spec: ExperimentSpec) -> str:
@@ -579,40 +544,21 @@ def cmd_simulate(spec: ExperimentSpec) -> str:
     result = run_campaign(config, n_jobs=spec.n_jobs, keep_trials=True)
     k, b = config.plan.users_per_cluster, config.plan.n_clusters
     rows = [
-        (
-            strategy,
-            float(spec.beta),
-            k,
-            b,
-            config.eta,
-            trial,
-            int(rec["mode"]),
-            float(rec["throughput"]),
-            int(rec["n_coop"]),
-            int(rec["n_noncoop"]),
-            int(rec["n_cellular"]),
-        )
+        {
+            "strategy": strategy,
+            "beta": float(spec.beta),
+            "K": k,
+            "B": b,
+            "eta": config.eta,
+            "trial": trial,
+            "mode": rec["mode"],
+            "throughput_bps": rec["throughput"],
+            "n_coop": rec["n_coop"],
+            "n_noncoop": rec["n_noncoop"],
+            "n_cellular": rec["n_cellular"],
+        }
         for trial, rec in enumerate(result.trials)
     ]
-    path = spec.out or "campaign_trials.csv"
-    write_csv(
-        path,
-        "campaign_trials.v2",
-        [
-            "strategy",
-            "beta",
-            "K",
-            "B",
-            "eta",
-            "trial",
-            "mode",
-            "throughput_bps",
-            "n_coop",
-            "n_noncoop",
-            "n_cellular",
-        ],
-        rows,
-    )
     logger.info(
         "%s: mean %.4g bps (ci95 %.3g) over %d trials",
         strategy,
@@ -620,4 +566,4 @@ def cmd_simulate(spec: ExperimentSpec) -> str:
         result.throughput_ci95,
         result.n_trials,
     )
-    return path
+    return write_csv(spec.out, "campaign_trials.v2", rows)

@@ -195,7 +195,8 @@ class GeometryTable:
 
 def _moment(pdf, alpha: float, r_min: float, upper: float, breaks) -> float:
     pts = [p for p in breaks if r_min < p < upper]
-    value, _ = quad(
+    # full_output: quad appends a message, instead of warning, when it fails
+    value, _, _, *failure = quad(
         lambda r: r ** (-alpha) * pdf(r),
         r_min,
         upper,
@@ -203,7 +204,14 @@ def _moment(pdf, alpha: float, r_min: float, upper: float, breaks) -> float:
         limit=200,
         epsabs=1e-9,
         epsrel=1e-10,
+        full_output=1,
     )
+    if failure:
+        raise ConfigurationError(
+            "path-gain quadrature did not converge for pairing floor r_min=%g "
+            "cluster sides at alpha=%g (%s); raise the pairing floor"
+            % (r_min, alpha, failure[0].splitlines()[0].strip())
+        )
     return value
 
 

@@ -166,6 +166,8 @@ def test_bad_catalog_size_exits_2(tmp_path, capsys):
         (["optimize-bandwidth"], "strategy: coop\n"),
         (["compare", "--trials", "3"], "strategy: tdma\n"),
         (["simulate", "--trials", "3"], "strategy: bogus\n"),
+        # derived from n_clusters and users_per_cluster, not a spec field
+        (["optimize-cluster"], "n_users: 135\n"),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, argv, config):
@@ -245,14 +247,27 @@ def test_divergent_geometry_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config", ["min_pairing_distance_m: 60.0\n", "hotspot_side_m: 1.0e-300\n"]
+    "config",
+    [
+        # a floor of at least sqrt(5) cluster sides leaves no link distance
+        "min_pairing_distance_m: 60.0\n",
+        "hotspot_side_m: 1.0e-300\n",
+        # a floor this far below the cluster side defeats the moment
+        # quadrature, whose unconverged result must not reach a CSV
+        "min_pairing_distance_m: 0.000025\n",
+        "min_pairing_distance_m: 0.000001\n",
+        "min_pairing_distance_m: 0.00004\n",
+        "min_pairing_distance_m: 0.00002\n",
+        "hotspot_side_m: 1.0e+300\n",
+    ],
 )
 def test_pairing_floor_past_every_link_exits_2(tmp_path, capsys, config):
-    # a floor of at least sqrt(5) cluster sides leaves no link distance
     cfg = tmp_path / "run.yaml"
     cfg.write_text(config)
-    assert main(["optimize-bandwidth", "--config", str(cfg)]) == 2
+    out = tmp_path / "out.csv"
+    assert main(["optimize-bandwidth", "--config", str(cfg), "--out", str(out)]) == 2
     assert "pairing floor" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_survives_a_zero_signal_moment(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,6 @@ from pytest import approx
 
 from coopd2d.catalog import build_popularity
 from coopd2d.clusters import (
-    ClusterPlan,
     coop_probability,
     expected_active_coop,
     hit_probability,
@@ -28,22 +27,6 @@ def test_make_plan_reference():
 def test_plan_validation():
     with pytest.raises(ConfigurationError):
         make_plan(75.0, 0, 15)
-    with pytest.raises(ConfigurationError):
-        ClusterPlan(
-            hotspot_side_m=75.0,
-            n_clusters=9,
-            users_per_cluster=15,
-            cluster_side_m=25.0,
-            n_users=134,
-        )
-    with pytest.raises(ConfigurationError):
-        ClusterPlan(
-            hotspot_side_m=75.0,
-            n_clusters=9,
-            users_per_cluster=15,
-            cluster_side_m=30.0,
-            n_users=135,
-        )
     with pytest.raises(ConfigurationError):
         make_plan(-1.0, 9, 15)
 

@@ -53,8 +53,8 @@ def test_spec_validation():
         ExperimentSpec(scenario="simulate", sweep_name="bogus", sweep_values=(1,))
     with pytest.raises(ConfigurationError):
         ExperimentSpec(scenario="simulate", sweep_name="beta")  # empty values
-    with pytest.raises(ConfigurationError):
-        ExperimentSpec(scenario="simulate", n_users=100)
+    with pytest.raises(ConfigurationError, match="unknown config key 'n_users'"):
+        spec_from_mapping("simulate", {"n_users": 135})  # derived, not a field
 
 
 @pytest.mark.parametrize(
@@ -188,7 +188,6 @@ def test_analytic_point_population_matches_enumeration():
         cache_size=20,
         n_clusters=4,
         users_per_cluster=2,
-        n_users=8,
     )
     pt = analytic_point(spec)
     exact = expected_coop_users_exact(pt.model, 2, 4)
@@ -232,15 +231,61 @@ def test_sim_feasible_cluster_sizes():
 
 def test_write_csv_deterministic_bytes(tmp_path):
     path = tmp_path / "table.csv"
-    rows = [(1, 0.5, True, "label"), (2, 1.0 / 3.0, False, "x")]
-    write_csv(path, "unit_test.v7", ["a", "b", "c", "d"], rows)
+    rows = [
+        {"a": 1, "b": 0.5, "c": True, "d": "label"},
+        {"a": 2, "b": 1.0 / 3.0, "c": False, "d": "x"},
+    ]
+    assert write_csv(path, "unit_test.v7", rows) == path
     first = path.read_bytes()
-    write_csv(path, "unit_test.v7", ["a", "b", "c", "d"], rows)
+    write_csv(path, "unit_test.v7", rows)
     assert path.read_bytes() == first
     text = first.decode()
-    assert text.startswith("# schema=coopd2d.unit_test.v7\n")
+    assert text.startswith("# schema=coopd2d.unit_test.v7\na,b,c,d\n")
     assert "0.3333333333333333" in text  # full-precision float repr
     assert ",true," in text and ",false," in text
+
+
+@pytest.mark.parametrize(
+    "command, scenario, schema, header",
+    [
+        (
+            cmd_optimize_cluster,
+            "cluster-sweep",
+            "cluster_profile.v1",
+            "beta,n_users,users_per_cluster,objective_links,k_star",
+        ),
+        (
+            cmd_optimize_bandwidth,
+            "bandwidth-sweep",
+            "bandwidth_split.v2",
+            "beta,mu_bps,pc,rate_coop,rate_noncoop,nc_bar,nn_bar,eta_star,"
+            "eta_star_grid,feasible,binding,throughput_bps,mu_max_bps",
+        ),
+        (
+            cmd_compare,
+            "throughput-compare",
+            "strategy_compare.v2",
+            "strategy,beta,users_per_cluster,n_clusters,eta,trials,"
+            "throughput_mean_bps,throughput_ci95_bps,mode1_frequency,mean_coop,"
+            "mean_noncoop,mean_cellular,user_coop_bps,user_noncoop_bps",
+        ),
+        (
+            cmd_simulate,
+            "simulate",
+            "campaign_trials.v2",
+            "strategy,beta,K,B,eta,trial,mode,throughput_bps,n_coop,n_noncoop,"
+            "n_cellular",
+        ),
+    ],
+    ids=["cluster_profile", "bandwidth_split", "strategy_compare", "campaign_trials"],
+)
+def test_csv_schema_and_header_lines(tmp_path, monkeypatch, command, scenario, schema, header):
+    # without --out each command writes <schema name>.csv in the working directory
+    monkeypatch.chdir(tmp_path)
+    path = command(ExperimentSpec(scenario=scenario, trials=2))
+    assert path == schema.split(".")[0] + ".csv"
+    lines = (tmp_path / path).read_text().splitlines()
+    assert lines[:2] == ["# schema=coopd2d." + schema, header]
 
 
 def test_cmd_optimize_cluster_sweep(tmp_path):

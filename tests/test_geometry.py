@@ -153,6 +153,14 @@ def test_truncation_beyond_signal_support():
             path_gain_moments(3.68, r_min)
 
 
+@pytest.mark.parametrize("r_min", [1e-6, 2e-6, 4e-8, 3e-300])
+def test_unconverged_quadrature_is_refused(r_min):
+    # floors this short leave quad an integrand it cannot resolve; at 1e-6
+    # its unconverged result used to be a negative signal moment
+    with pytest.raises(ConfigurationError, match="pairing floor"):
+        path_gain_moments(3.68, r_min)
+
+
 def test_geometry_table_is_frozen():
     table = GeometryTable(alpha=3.68, r_min=0.04, q1=10.0, q2=1.0)
     with pytest.raises(AttributeError):
