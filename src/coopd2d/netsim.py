@@ -40,13 +40,19 @@ and 2 only, and :func:`link_rate_gap` runs the rating step with a second
 generator per snapshot for stages 3 and 5.
 
 Reproducibility contract: trial ``t`` derives all of its randomness from
-``default_rng([seed, t])`` with a fixed draw order (positions, requests,
-scheduling choices, fading), per-trial results live at index ``t`` of the
-campaign arrays, and aggregation runs over those ordered arrays; neither
-the block size nor the thread or process count can change any output bit.
+one generator with a fixed draw order (positions, requests, scheduling
+choices, fading), per-trial results live at index ``t`` of the campaign
+arrays, and aggregation runs over those ordered arrays; neither the block
+size nor the thread or process count can change any output bit.
 :func:`link_rate_gap` draws snapshot ``t``'s positions and requests from
-``default_rng([seed, t])`` and its scheduling choices and fading from
-``default_rng([seed, t, 1])``.
+the same generator and its scheduling choices and fading from a second
+one.  The block seeder :func:`_generators` builds every generator of the
+module: it runs numpy's SeedSequence hash over a whole block in one
+vectorised pass, and trial ``t``'s generator is state for state
+``numpy.random.default_rng([seed, t])``, the second one
+``default_rng([seed, t, 1])``.  An oracle test in ``tests/test_netsim.py``
+pins both against numpy, so a change to numpy's seeding fails it instead
+of moving the streams.
 """
 
 from __future__ import annotations
@@ -174,9 +180,95 @@ class _Drops(NamedTuple):
     roles: np.ndarray  # (T, M) int8 role codes
 
 
-def _generators(config: SimConfig, start: int, stop: int) -> list:
-    """The generators ``default_rng([seed, t])`` of trials ``start .. stop - 1``."""
-    return [np.random.default_rng([config.seed, t]) for t in range(start, stop)]
+# numpy.random.SeedSequence's hash constants and pool size.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32, _POOL = 0xFFFFFFFF, 4
+
+
+def _words(n: int) -> list[int]:
+    """``n`` as SeedSequence encodes it: little-endian 32-bit words, ``0`` as one."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int, n: int):
+    """The ``(xor, multiplier)`` pairs of ``n`` hash calls, as masked ints."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return zip(consts[:-1], consts[1:])
+
+
+def _seed_states(entropy: list) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` of every row ``e``.
+
+    ``entropy`` holds one ``(T,)`` uint32 column per entropy word.  The
+    pool mixing and the state generation run column-wise in wrapping
+    uint32 arithmetic, call for call as in numpy's SeedSequence.
+    """
+    n = len(entropy)
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL * max(n, _POOL))
+    b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+
+    def hashmix(value, consts):
+        xor, mult = next(consts)
+        value = (value ^ xor) * mult
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ (r >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < n else zero, a) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], a))
+    for src in range(_POOL, n):
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src], a))
+    state = [hashmix(pool[i % _POOL], b).astype(np.uint64) for i in range(2 * _POOL)]
+    return np.stack([lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])], axis=1)
+
+
+class _Seeded(np.random.bit_generator.ISeedSequence):
+    """Hands one row of :func:`_seed_states` to ``PCG64``, which asks for 4 uint64 words."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _generators(config: SimConfig, start: int, stop: int, *suffix: int) -> list:
+    """The generators of trials ``start .. stop - 1``, entropy ``[seed, t, *suffix]``.
+
+    This is the block seeder of the module's reproducibility contract.  A
+    block is split where the word count of ``t`` changes, at multiples of
+    ``2**32``; the seed's and the suffix's words are fixed columns.
+    """
+    head, tail = _words(config.seed), [w for s in suffix for w in _words(s)]
+    rngs = []
+    while start < stop:
+        n_t = len(_words(start))  # the same up to the next multiple of 2**(32 * n_t)
+        end = min(stop, 1 << 32 * n_t)
+        size = end - start
+        entropy = [np.full(size, w, dtype=np.uint32) for w in head]
+        carry = np.arange(size, dtype=np.uint64)
+        for j in range(n_t):  # the words of t = start + i, carrying between them
+            limb = carry + (start >> 32 * j & _MASK32)
+            entropy.append((limb & _MASK32).astype(np.uint32))
+            carry = limb >> 32
+        entropy += [np.full(size, w, dtype=np.uint32) for w in tail]
+        rngs += [np.random.Generator(np.random.PCG64(_Seeded(s))) for s in _seed_states(entropy)]
+        start = end
+    return rngs
 
 
 def _drop_block(config: SimConfig, rngs) -> _Drops:
@@ -626,8 +718,8 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
 def snapshot_counts(config: SimConfig, n_snapshots: int) -> tuple[np.ndarray, np.ndarray]:
     """Modes and cooperative-user counts of the first ``n_snapshots`` snapshots.
 
-    Snapshot ``t`` is the drop of campaign trial ``t`` (stages 1 and 2 only):
-    its positions and requests come from ``default_rng([config.seed, t])``.
+    Snapshot ``t`` is the drop of campaign trial ``t`` (stages 1 and 2 only),
+    from trial ``t``'s generator (the module's reproducibility contract).
     Returns the int8 modes (1 in Mode 1) and the int16 counts.
     """
     _check_int("n_snapshots", n_snapshots, 1)
@@ -644,10 +736,10 @@ def snapshot_counts(config: SimConfig, n_snapshots: int) -> tuple[np.ndarray, np
 def link_rate_gap(config: SimConfig, n_snapshots: int) -> tuple[float, int, float, int]:
     """Fading-averaged link rates of the first ``n_snapshots`` snapshots.
 
-    Snapshot ``t`` is dropped as campaign trial ``t``, from
-    ``default_rng([config.seed, t])``; its scheduling choices and fading
-    draw from ``default_rng([config.seed, t, 1])``, in the campaign's order.
-    The links are those ``config``'s strategy schedules.  Returns
+    Snapshot ``t`` is dropped as campaign trial ``t``; its scheduling
+    choices and fading draw from the second generator of the module's
+    reproducibility contract, in the campaign's order.  The links are
+    those ``config``'s strategy schedules.  Returns
     ``(zf_mean, zf_links, noncoop_mean, noncoop_links)``: the mean
     zero-forcing rate over the links that kept a non-zero rate (an unusable
     channel keeps none), the mean rate over all non-cooperative links
@@ -660,8 +752,8 @@ def link_rate_gap(config: SimConfig, n_snapshots: int) -> tuple[float, int, floa
     zf_n = nc_n = 0
     for lo in range(0, n_snapshots, _CHUNK):
         hi = min(lo + _CHUNK, n_snapshots)
-        link_rngs = [np.random.default_rng([config.seed, t, 1]) for t in range(lo, hi)]
-        rated = _rate_block(config, _generators(config, lo, hi), link_rngs)
+        rngs, link_rngs = _generators(config, lo, hi), _generators(config, lo, hi, 1)
+        rated = _rate_block(config, rngs, link_rngs)
         zf_sums += rated.zf_sum.tolist()
         zf_n += int((b - rated.zf_dropped)[rated.has_zf].sum())
         nc_sums += rated.nc_sum.ravel().tolist()

@@ -90,6 +90,34 @@ def closed_form_coop_mean(model: PopularityModel, k: int, b: int) -> float:
     return float(k * b * np.sum(p * ph ** (b - 1)))
 
 
+def exact_coop_probability(model: PopularityModel, k: int, b: int) -> float:
+    """Probability that some cached group is requested in every cluster, exactly.
+
+    A cluster's ``K`` requests are one multinomial draw, so its hits of
+    different groups are dependent; the clusters are independent.  For a set
+    ``S`` of cached groups, inclusion-exclusion over the missed groups
+    ``T`` gives ``P(S) = P(a cluster requests all of S) = sum_{T subset of
+    S} (-1)^|T| (1 - p_T)^K``, and over ``S``, ``P_coop = sum_{S != {}}
+    (-1)^(|S|+1) P(S)^B``.  The inner sums of all ``S`` come from one subset-sum
+    transform.  The float group probabilities share a power-of-two
+    denominator, so every term is an exact integer over it.
+    """
+    probs = [Fraction(float(x)) for x in model.group_probs[:k]]
+    den = max(p.denominator for p in probs)
+    num = [int(p * den) for p in probs]
+    missed = [0] * (1 << k)  # den * p_T of every set T of cached groups
+    for mask in range(1, 1 << k):
+        low = mask & -mask
+        missed[mask] = missed[mask ^ low] + num[low.bit_length() - 1]
+    all_hit = [(-1) ** mask.bit_count() * (den - m) ** k for mask, m in enumerate(missed)]
+    for i in range(k):
+        for mask in range(1 << k):
+            if mask >> i & 1:
+                all_hit[mask] += all_hit[mask ^ 1 << i]
+    total = sum((-1) ** (s.bit_count() + 1) * all_hit[s] ** b for s in range(1, 1 << k))
+    return float(Fraction(total, den ** (k * b)))
+
+
 def grid_best_eta(
     pc: float,
     rc: float,

@@ -73,6 +73,35 @@ def test_coop_probability_two_group_example(two_group):
     assert pc == approx(0.8728111899999998, rel=1e-13)
 
 
+def test_exact_coop_probability_two_group_example(two_group):
+    # hand expansion: a cluster hits both groups with 2 * 0.7 * 0.3 = 0.42, so
+    # P(A0 or A1) = 0.91^2 + 0.51^2 - 0.42^2
+    assert oracles.exact_coop_probability(two_group, 2, 2) == approx(0.9118, rel=1e-13)
+
+
+def test_coop_probability_independence_error(ref_model, uniform_model):
+    """The independence approximation against exact inclusion-exclusion.
+
+    One cluster's hits of different groups are negatively associated, so the
+    approximation is never above the exact value.
+    """
+
+    def error(model, k, b):
+        exact = oracles.exact_coop_probability(model, k, b)
+        return coop_probability(model, k, b) / exact - 1.0
+
+    half = build_popularity(300, 20, 0.5)
+    for model in (uniform_model, half, ref_model):
+        for k in range(1, 7):
+            for b in (1, 2, 4, 9):
+                assert error(model, k, b) <= 1e-12
+    assert -1.1e-6 < error(ref_model, 15, 9) < -1.0e-6  # reference point
+    assert -0.0062 < error(half, 3, 4) < -0.0060
+    for k in (8, 10):
+        assert -1e-4 < error(ref_model, k, 9) < 0.0
+    assert -0.023 < error(uniform_model, 15, 9) < -0.022
+
+
 def test_coop_probability_single_cluster_whole_catalog(ref_model):
     # one cluster, every group cached: some group is always requested
     assert coop_probability(ref_model, 15, 1) == approx(1.0, abs=1e-7)

@@ -1,6 +1,8 @@
 """Snapshot simulator: drops, scheduling, link rates, campaigns."""
 
+import ast
 import math
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -189,6 +191,32 @@ def test_records_do_not_depend_on_the_block_size(ref_config, monkeypatch, strate
     expected = run_campaign(config, keep_trials=True).trials.tobytes()
     monkeypatch.setattr(netsim, "_CHUNK", 7)
     assert run_campaign(config, keep_trials=True).trials.tobytes() == expected
+
+
+@pytest.mark.parametrize("suffix", [(), (1,)], ids=["trial", "link"])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63, 2**64 + 5])
+def test_block_seeder_matches_default_rng(ref_config, seed, suffix):
+    # each entropy integer is one 32-bit word below 2**32 (0 included) and
+    # more above it; the second block crosses t = 2**32
+    config = replace(ref_config, seed=seed)
+    for start, stop in ((0, 2), (2**32 - 1, 2**32 + 2)):
+        rngs = netsim._generators(config, start, stop, *suffix)
+        assert len(rngs) == stop - start
+        for t, rng in zip(range(start, stop), rngs):
+            reference = np.random.default_rng([seed, t, *suffix])
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert np.array_equal(rng.random(8), reference.random(8))
+
+
+def test_netsim_builds_no_generator_outside_the_block_seeder():
+    source = pathlib.Path(netsim.__file__).read_text()
+    calls = [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "default_rng"
+    ]
+    assert calls == []
 
 
 def test_snapshot_shapes_and_cell_confinement(ref_config):
