@@ -23,8 +23,8 @@ that draw run per trial, the others per block:
 
 1. per trial, the positions and request uniforms (:func:`_drop_block`);
 2. per block, the request counts, hit groups, modes and roles;
-3. per trial, the scheduling choices, from bounds computed for the block
-   (:func:`_pick_links`);
+3. per trial, the raw words of the scheduling choices, which are reduced
+   for the block against bounds computed for the block (:func:`_pick_links`);
 4. per block, the links those choices pick;
 5. per trial, the fading of every link set of the trial (:func:`_run_block`).
 
@@ -50,9 +50,14 @@ one.  The block seeder :func:`_generators` builds every generator of the
 module: it runs numpy's SeedSequence hash over a whole block in one
 vectorised pass, and trial ``t``'s generator is state for state
 ``numpy.random.default_rng([seed, t])``, the second one
-``default_rng([seed, t, 1])``.  An oracle test in ``tests/test_netsim.py``
-pins both against numpy, so a change to numpy's seeding fails it instead
-of moving the streams.
+``default_rng([seed, t, 1])``.  Stage 3 draws raw PCG64 words and reduces
+them by numpy's bounded-integer rule, as ``Generator.integers`` would; this
+assumes that no 32-bit draw precedes stage 3 on either generator.  Oracle
+tests in ``tests/test_netsim.py`` pin the seeder and these draws against
+numpy, so a change to numpy's seeding or bounded integers fails them
+instead of moving the streams.  Zero-forcing takes a channel's exact
+condition number only when a Frobenius-norm screen cannot decide
+(:func:`_zf_stack`).
 """
 
 from __future__ import annotations
@@ -325,18 +330,83 @@ class _Links(NamedTuple):
     nc_rx: np.ndarray
 
 
+def _lemire(words, bounds):
+    """numpy's bounded-integer rule on 32-bit ``words``: ``(draws, rejected)``."""
+    m = words * bounds
+    return m >> 32, (m & _MASK32) < (2**32 - bounds) % bounds
+
+
+def _redraw(rng, words: list, bounds: list):
+    """One row of :func:`_integers` in sequence, from ``words`` and then fresh ones."""
+    out, i = [], 0
+    for h in bounds:
+        rejected = True
+        while rejected:
+            if i == len(words):
+                word = rng.bit_generator.random_raw()
+                words += [word & _MASK32, word >> 32]
+            draw, rejected = _lemire(words[i], h)
+            i += 1
+        out.append(draw)
+    return out, words[i] if i < len(words) else -1
+
+
+def _integers(rngs, bounds: np.ndarray, carry: np.ndarray):
+    """``[rngs[t].integers(h) for h in bounds[t]]`` of every row ``t``, from raw words.
+
+    numpy draws below ``h > 1`` by Lemire's rule from the generator's next
+    32-bit word, the low half of a fresh 64-bit word and then its buffered
+    high half, and draws nothing for ``h = 1``.  ``carry[t]`` is generator
+    ``t``'s buffered half, -1 if none; returns ``(draws, carry)``.  Each
+    generator draws, in one ``random_raw`` call, the words its row takes
+    without rejection; a row with a rejected word is redrawn in sequence
+    (:func:`_redraw`), so no generator draws more words than numpy would.
+    """
+    h = bounds.astype(np.uint64)
+    drawn = h > 1
+    n_draws = drawn.sum(axis=1)
+    has = carry >= 0
+    need = (n_draws - has + 1) // 2  # fresh 64-bit words
+    size = has + 2 * need
+    end = np.cumsum(size)
+    start = end - size
+    stream = np.empty(end[-1], dtype=np.uint64)  # the 32-bit words of each row
+    fresh = np.ones(end[-1], dtype=bool)
+    fresh[start[has]] = False
+    stream[~fresh] = carry[has]
+    rows = np.flatnonzero(need).tolist()
+    if rows:
+        raw = np.concatenate([rngs[t].bit_generator.random_raw(need[t]) for t in rows])
+        stream[fresh] = np.stack((raw & _MASK32, raw >> 32), axis=1).ravel()
+    out = np.zeros(h.shape, dtype=np.int64)
+    at = (start[:, None] + drawn.cumsum(axis=1) - 1)[drawn]
+    out[drawn], rejected = _lemire(stream[at], h[drawn])
+    carry = np.full(len(h), -1)
+    left = size > n_draws
+    carry[left] = stream[end[left] - 1]
+    for t in np.unique(np.nonzero(drawn)[0][rejected]).tolist():
+        out[t, drawn[t]], carry[t] = _redraw(
+            rngs[t], stream[start[t] : end[t]].tolist(), h[t, drawn[t]].tolist()
+        )
+    return out, carry
+
+
 def _pick_links(request_of, counts, roles, restrict, rngs) -> _Links:
     """Schedule a block: each trial's choices (stage 3), then its links (stage 4).
 
     ``restrict[t]`` is cooperation in Mode 1: trial ``t`` forms a cooperative
     set, and its non-cooperative pools leave the hit groups out.  Bounds are
-    computed for the whole block; each generator then draws one
-    ``integers`` call for the group, one over the clusters' receiver counts
-    and one over the non-empty pools.  The links of every trial are picked
-    together with :func:`_nth_true`.  A user never serves itself: the
-    receivers of group ``g`` are its requesters other than user ``g``, and a
-    Mode-1 trial in which no hit group has a receiver in every cluster forms
-    no cooperative set.
+    computed for the whole block.  Each generator draws, as numpy's
+    ``integers`` would, the group below its count of valid groups, then
+    the receiver in each cluster and the user of each non-empty pool.
+    These draws are raw PCG64 words reduced by numpy's bounded-integer rule
+    (:func:`_integers`), in two block passes, the group before the bounds
+    that depend on it; this assumes that no 32-bit draw precedes stage 3 on
+    the generator.  The links of every trial are picked together with
+    :func:`_nth_true`.  A user never serves itself: the receivers of group
+    ``g`` are its requesters other than user ``g``, and a Mode-1 trial in
+    which no hit group has a receiver in every cluster forms no cooperative
+    set.
     """
     n, b, k = counts.shape
     per_cluster = request_of.reshape(n, b, k)
@@ -349,31 +419,23 @@ def _pick_links(request_of, counts, roles, restrict, rngs) -> _Links:
     pool = in_pool & ~own
     sizes = pool.sum(axis=2)
     active = sizes > 0
-    pool_sizes = sizes[active]
 
-    group = np.full(n, -1)
-    rx_picks = np.empty((n, b), dtype=np.int64)
-    pool_picks = np.empty(pool_sizes.size, dtype=np.int64)
-    v = a = 0
-    n_valid = np.bincount(valid_trial, minlength=n).tolist()
-    for i, (rng, nv, na) in enumerate(zip(rngs, n_valid, active.sum(axis=1).tolist())):
-        if nv:
-            g = valid_group[v + int(rng.integers(nv))]
-            group[i] = g
-            rx_picks[i] = rng.integers(receivers[i, :, g])
-            v += nv
-        if na:
-            pool_picks[a : a + na] = rng.integers(pool_sizes[a : a + na])
-            a += na
+    n_valid = np.bincount(valid_trial, minlength=n)
+    pick, carry = _integers(rngs, np.maximum(n_valid, 1)[:, None], np.full(n, -1))
+    coop = np.flatnonzero(n_valid)
+    group = valid_group[np.cumsum(n_valid)[coop] - n_valid[coop] + pick[coop, 0]]
+    bounds = np.ones((n, 2 * b), dtype=np.int64)  # the receivers', then the pools' bounds
+    bounds[coop, :b] = receivers[coop, :, group]
+    bounds[:, b:] = np.maximum(sizes, 1)
+    picks, _ = _integers(rngs, bounds, carry)
 
-    coop = np.flatnonzero(group >= 0)
-    g = group[coop, None, None]
+    g = group[:, None, None]
     eligible = (per_cluster[coop] == g) & (users != g)
-    coop_rx = _nth_true(eligible.reshape(-1, k), rx_picks[coop].ravel()).reshape(-1, b)
+    coop_rx = _nth_true(eligible.reshape(-1, k), picks[coop, :b].ravel()).reshape(-1, b)
     nc_trial, nc_cluster = np.nonzero(active)
-    nc_rx = _nth_true(pool[active], pool_picks)
+    nc_rx = _nth_true(pool[active], picks[:, b:][active])
     nc_tx = per_cluster[nc_trial, nc_cluster, nc_rx]
-    return _Links(coop, group[coop], coop_rx, nc_trial, nc_cluster, nc_tx, nc_rx)
+    return _Links(coop, group, coop_rx, nc_trial, nc_cluster, nc_tx, nc_rx)
 
 
 # A link set is rated from its ends, ``ends[..., l, :, :]`` holding the
@@ -441,18 +503,21 @@ def _zf_stack(h: np.ndarray, p_w: float, noise_w: float):
 
     Returns ``(rates, usable)``: ``rates`` is (T, n) with exact zeros for
     dropped links; ``usable[t]`` is False when channel ``t`` stayed unusable
-    after dropping every link.  Channels with a condition number above the
-    limit (or singular) take :func:`_drop_worst_links` one at a time; the
-    rest are inverted together.
+    after dropping every link.  The stack is inverted together, and a
+    channel takes these rates when ``||H||_F ||H^-1||_F``, an upper bound
+    on its condition number, is at most an eighth of the limit (the margin
+    covers rounding).  The others, and every channel of a stack with a
+    singular matrix, take :func:`_drop_worst_links` and its exact condition
+    number one at a time.
     """
     rates = np.zeros(h.shape[:2])
     usable = np.ones(h.shape[0], dtype=bool)
-    fast = np.linalg.cond(h) <= _COND_LIMIT
-    if fast.any():
-        try:
-            rates[fast] = _zf_link_rates(_col_norm2(np.linalg.inv(h[fast])), p_w, noise_w)
-        except np.linalg.LinAlgError:
-            fast[:] = False
+    try:
+        col_norm2 = _col_norm2(np.linalg.inv(h))
+        fast = _col_norm2(h).sum(axis=1) * col_norm2.sum(axis=1) <= (_COND_LIMIT / 8) ** 2
+        rates[fast] = _zf_link_rates(col_norm2[fast], p_w, noise_w)
+    except np.linalg.LinAlgError:
+        fast = np.zeros(len(h), dtype=bool)
     for t in np.flatnonzero(~fast):
         kept = _drop_worst_links(h[t], p_w, noise_w)
         if kept is None:
@@ -654,9 +719,9 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
     ----------
     config : SimConfig
     n_jobs : int, optional
-        Worker processes, capped at the CPU count and at the number of trial
-        ranges; results are bit-identical for any value because trial
-        randomness and storage are indexed by trial.
+        Worker processes, an integer of at least 1, capped at the CPU count
+        and at the number of trial ranges; results are bit-identical for any
+        value because trial randomness and storage are indexed by trial.
     keep_trials : bool, optional
         Attach the per-trial record array to the result (needed for
         per-trial CSV emission).
@@ -665,9 +730,10 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
     -------
     SimResult
     """
+    _check_int("n_jobs", n_jobs, 1)
     trials = config.trials
     records = np.empty(trials, dtype=TRIAL_DTYPE)
-    if n_jobs <= 1:
+    if n_jobs == 1:
         records[:] = _run_range((config, 0, trials))
     else:
         bounds = np.linspace(0, trials, num=min(n_jobs * 4, trials) + 1, dtype=int)

@@ -208,15 +208,51 @@ def test_block_seeder_matches_default_rng(ref_config, seed, suffix):
             assert np.array_equal(rng.random(8), reference.random(8))
 
 
-def test_netsim_builds_no_generator_outside_the_block_seeder():
+def netsim_calls(name):
+    """Lines of ``netsim.py`` that call a function or method named ``name``."""
     source = pathlib.Path(netsim.__file__).read_text()
-    calls = [
+    return [
         node.lineno
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "default_rng"
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == name
     ]
-    assert calls == []
+
+
+def test_netsim_builds_no_generator_outside_the_block_seeder():
+    assert netsim_calls("default_rng") == []
+
+
+def test_raw_word_draws_match_generator_integers(ref_config, monkeypatch):
+    """Stage 3's two passes draw what ``Generator.integers`` draws, and no more words."""
+    n, m = 64, ref_config.plan.n_users
+    ours, theirs = (netsim._generators(ref_config, 0, n) for _ in range(2))
+    for a, b in zip(ours, theirs):  # stage 1 draws doubles only
+        a.random(3 * m)
+        b.random(3 * m)
+    pick = np.random.default_rng(5)
+    first = pick.integers(1, 4, size=(n, 1))  # one bound per row; a bound of 1 draws nothing
+    second = pick.choice([1, 1, 2, 3, 7, 15, 2**16 + 1, 2**31 + 5], size=(n, 5))
+    second[:6] = 1  # rows that draw nothing in the second pass
+    second[6:12] = 15  # rows that draw in the second pass only
+    first[6:12] = 1
+    words = (first > 1).sum(axis=1) + (second > 1).sum(axis=1)
+    assert {0, 1} <= set((words % 2).tolist())  # odd and even 32-bit word counts
+    redraws = []
+    redraw = netsim._redraw
+    monkeypatch.setattr(netsim, "_redraw", lambda *a: redraws.append(1) or redraw(*a))
+
+    drawn, carry = netsim._integers(ours, first, np.full(n, -1))
+    again, _ = netsim._integers(ours, second, carry)
+    assert len(redraws) > 3  # 2**31 + 5 rejects about half of its words
+    for t, rng in enumerate(theirs):
+        assert drawn[t, 0] == rng.integers(int(first[t, 0]))
+        assert again[t].tolist() == rng.integers(second[t]).tolist()
+        assert ours[t].standard_normal(7).tobytes() == rng.standard_normal(7).tobytes()
+
+
+def test_netsim_draws_no_bounded_integers():
+    assert netsim_calls("integers") == []
 
 
 def test_snapshot_shapes_and_cell_confinement(ref_config):
@@ -381,6 +417,50 @@ def test_zf_stack_falls_back_one_matrix_at_a_time(ref_radio):
     assert np.count_nonzero(rates[0] == 0.0) == 0
 
 
+@pytest.mark.parametrize("with_singular", [False, True])
+def test_zf_screen_matches_the_exact_condition_number(ref_radio, monkeypatch, with_singular):
+    """Each kind of channel gets the one-matrix oracle's rates, byte for byte.
+
+    Only the channels the screen cannot clear, or every channel of a stack
+    with a singular matrix, reach the exact condition number.
+    """
+    rng = np.random.default_rng(11)
+    well = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    u, _, vh = np.linalg.svd(well)
+    near = u @ np.diag([1.0, 1.0, 1.0, 2e-8]) @ vh  # fails the screen, cond below the limit
+    ill = well.copy()
+    ill[1] = ill[0] * (1.0 + 1e-12)
+    fro = np.linalg.norm(near) * np.linalg.norm(np.linalg.inv(near))
+    assert fro > netsim._COND_LIMIT / 8 and np.linalg.cond(near) < netsim._COND_LIMIT
+    assert np.linalg.cond(ill) > netsim._COND_LIMIT
+    stack = [well, near, ill] + [np.zeros((4, 4), dtype=complex)] * with_singular
+    p_w, noise_w = ref_radio.tx_power_w, ref_radio.noise_w
+    exact = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda x: exact.append(x.tobytes()) or cond(x))
+    rates, usable = netsim._zf_stack(np.stack(stack), p_w, noise_w)
+    monkeypatch.undo()
+    assert usable.tolist() == [True, True, True] + [False] * with_singular
+    assert (well.tobytes() in exact) == with_singular
+    assert near.tobytes() in exact and ill.tobytes() in exact
+    for i, channel in enumerate(stack):
+        expected = oracles.reference_zf_channel_rates(channel, p_w, noise_w)
+        if expected is None:
+            assert not rates[i].any()
+        else:
+            assert rates[i].tobytes() == expected.tobytes()
+    assert np.count_nonzero(rates[:3] == 0.0, axis=1).tolist() == [0, 0, 1]
+
+
+def test_reference_campaign_takes_no_exact_condition_number(ref_config, monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda *a, **kw: calls.append(1) or cond(*a, **kw))
+    records = run_campaign(replace(ref_config, trials=200), keep_trials=True).trials
+    assert (records["coop_band"] > 0).mean() > 0.9  # the ZF branch runs
+    assert calls == []
+
+
 def test_unusable_channel_discards_only_its_trial(ref_config, monkeypatch):
     config = replace(ref_config, trials=6)
     clean = run_campaign(config, keep_trials=True).trials
@@ -533,6 +613,12 @@ def test_campaign_pool_is_capped_by_ranges_and_cpus(
     pooled = run_campaign(config, n_jobs=n_jobs, keep_trials=True)
     assert sizes == [workers]
     assert pooled.trials.tobytes() == serial.trials.tobytes()
+
+
+@pytest.mark.parametrize("n_jobs", [0, -1, 2.5, "2", None, True])
+def test_campaign_refuses_a_bad_worker_count(ref_config, n_jobs):
+    with pytest.raises(ConfigurationError, match="n_jobs"):
+        run_campaign(replace(ref_config, trials=5), n_jobs=n_jobs)
 
 
 def test_tdma_baseline_runs_and_differs(ref_config):
