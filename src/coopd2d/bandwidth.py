@@ -9,9 +9,12 @@ maximize average network throughput subject to per-user quality floors:
                 0 <= eta <= 1
 
 The objective is affine in ``eta``, so the optimum sits on a constraint
-boundary and has a closed form.  A dense grid search that shares no code
-with this module, :func:`coopd2d.experiments.grid_search_eta`, cross-checks
-it in ``optimize-bandwidth`` (the ``eta_star_grid`` column) and ``validate``.
+boundary and has a closed form.  A search of a 100,001-point grid that
+shares no code with this module, :func:`coopd2d.experiments.grid_search_eta`,
+cross-checks it in ``optimize-bandwidth`` (the ``eta_star_grid`` column) and
+``validate``.  That search returns what a scan of every grid point returns,
+but finds the feasible points by bisection and evaluates the objective only
+in an error-bounded window.
 """
 
 from __future__ import annotations

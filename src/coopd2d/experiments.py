@@ -17,6 +17,7 @@ import csv
 import logging
 import math
 import numbers
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,6 +74,7 @@ _NUMERIC_RULES = (
                                        "path_loss_intercept_db")),
 )
 _NUMERIC_FIELDS = {name: rule[:3] for rule in _NUMERIC_RULES for name in rule[3]}
+_GRID_POINTS = 100_001  # grid_search_eta's grid, steps of 1e-5
 
 
 def _check_number(name: str, value) -> None:
@@ -307,28 +309,62 @@ def grid_search_eta(
     nc_bar: float,
     nn_bar: float,
     mu: float,
-    n_points: int = 100_001,
 ) -> float:
-    """Dense-grid maximizer of the bandwidth-split program.
+    """Grid maximizer of the bandwidth-split program.
 
     Brute-force cross-check of the closed form (the grid, not a solver, so
     it shares no code with :func:`coopd2d.bandwidth.optimize_eta`).  Ties
     resolve toward the largest feasible ``eta``, matching the closed form's
     tie-break.  Returns ``nan`` when no grid point is feasible.
+
+    The grid is ``np.linspace(0, 1, n)`` with ``n = 100,001``: point ``i``
+    is ``i * (1 / (n - 1))``, which for this ``n`` is exactly 1.0 at the
+    last point, where ``linspace`` puts 1.0 itself.  For finite inputs the
+    result is the float a scan of every point returns, but only
+    O(log n + window) points are evaluated:
+
+    * Feasibility.  Rounding is monotone, so each floor, evaluated as
+      written, holds on one run of indices (or none): the coop floor from
+      some index on, the non-coop floor up to some index.  Bisection finds
+      the feasible run ``[lo, hi]``.
+    * Argmax.  The objective is affine in ``eta``, with slope
+      ``wb pc (rc - rn)`` (``wb`` the whole band), so the exact optimum is
+      the end of the run the slope favours.  With ``u = 2**-53`` and
+      ``M = |wb| (|pc rc| + (1 + |pc|) |rn|)``, the six rounded operations
+      of a point put it within ``5.1 u M`` of the exact objective at its
+      grid value (no underflow or overflow), and grid values stray at most
+      ``2.01 u`` from ``i / (n - 1)``, which moves the exact objective by
+      at most ``2.01 u M``.  With ``D = |wb pc (rc - rn)|``, a point ``k``
+      steps from the favoured end thus ties or beats it only if
+      ``k D / (n - 1) <= 2 (5.1 + 2.01) u M < 14.3 u M``.  The scan's
+      expression and tie-break run over the ``(n - 1) 16 u M / D`` points
+      nearest that end, or over the whole run when ``D`` is 0 or the
+      window is wider.
     """
-    eta = np.linspace(0.0, 1.0, n_points)
+    n = _GRID_POINTS
+    step = 1.0 / (n - 1)
     wb = bandwidth_hz * n_clusters
-    ok = np.ones(n_points, dtype=bool)
+    lo, hi = 0, n - 1
     if mu > 0 and nc_bar > 0:
-        ok &= wb * eta * rc >= mu * nc_bar
+        lo = bisect_left(range(n), True, key=lambda i: wb * (i * step) * rc >= mu * nc_bar)
     if mu > 0 and nn_bar > 0:
-        ok &= wb * (1.0 - eta) * rn >= mu * nn_bar
-    if not ok.any():
+        hi = bisect_left(
+            range(n), True, key=lambda i: not wb * (1.0 - i * step) * rn >= mu * nn_bar
+        ) - 1
+    if lo > hi:
         return math.nan
+    slope = wb * pc * (rc - rn)
+    bound = 16 * 2.0**-53 * abs(wb) * (abs(pc * rc) + (1.0 + abs(pc)) * abs(rn))
+    window = (n - 1) * bound / abs(slope) if slope else math.inf
+    if window < hi - lo:
+        if slope > 0:
+            lo = hi - int(window) - 1
+        else:
+            hi = lo + int(window) + 1
+    eta = np.arange(lo, hi + 1) * step
     objective = wb * (pc * eta * rc + (1.0 - pc * eta) * rn)
-    objective = np.where(ok, objective, -np.inf)
     # argmax of the reversed array prefers the largest eta among exact ties
-    return float(eta[n_points - 1 - int(np.argmax(objective[::-1]))])
+    return float(eta[hi - lo - int(np.argmax(objective[::-1]))])
 
 
 def sim_feasible_cluster_sizes(n_users: int, group_count: int) -> list[tuple[int, int]]:

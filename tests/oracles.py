@@ -149,6 +149,39 @@ def grid_best_eta(
     return float(eta[np.flatnonzero(value == value.max())[-1]])
 
 
+def dense_grid_search_eta(
+    pc: float,
+    rc: float,
+    rn: float,
+    bandwidth_hz: float,
+    n_clusters: int,
+    nc_bar: float,
+    nn_bar: float,
+    mu: float,
+    n_points: int = 100_001,
+) -> float:
+    """Dense-grid maximizer of the bandwidth-split program.
+
+    Evaluates every point of ``np.linspace(0, 1, n_points)``: the bit-exact
+    reference for :func:`coopd2d.experiments.grid_search_eta`, which
+    evaluates only a few of them.  Ties resolve toward the largest feasible
+    ``eta``.  Returns ``nan`` when no grid point is feasible.
+    """
+    eta = np.linspace(0.0, 1.0, n_points)
+    wb = bandwidth_hz * n_clusters
+    ok = np.ones(n_points, dtype=bool)
+    if mu > 0 and nc_bar > 0:
+        ok &= wb * eta * rc >= mu * nc_bar
+    if mu > 0 and nn_bar > 0:
+        ok &= wb * (1.0 - eta) * rn >= mu * nn_bar
+    if not ok.any():
+        return math.nan
+    objective = wb * (pc * eta * rc + (1.0 - pc * eta) * rn)
+    objective = np.where(ok, objective, -np.inf)
+    # argmax of the reversed array prefers the largest eta among exact ties
+    return float(eta[n_points - 1 - int(np.argmax(objective[::-1]))])
+
+
 def sample_distances(rng: np.random.Generator, n: int, adjacent: bool = False) -> np.ndarray:
     """Distances between uniform points of the unit square and itself or its
     edge-adjacent neighbor (``[1, 2] x [0, 1]``)."""

@@ -8,8 +8,11 @@ import yaml
 
 import coopd2d.checks as checks
 import coopd2d.cli as cli
+import coopd2d.experiments as experiments
 from coopd2d.cli import build_parser, main
 from coopd2d.experiments import spec_from_mapping
+
+import oracles
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -142,6 +145,22 @@ def test_optimize_bandwidth_ignores_seed(tmp_path):
     first = outs[0].read_bytes()
     assert outs[1].read_bytes() == first and outs[2].read_bytes() == first
     assert read_csv(outs[0])[0] == "# schema=coopd2d.bandwidth_split.v2"
+
+
+@pytest.mark.parametrize("beta", [0.4, 0.7, 1.0, 1.2])
+def test_optimize_bandwidth_bytes_match_the_dense_grid(tmp_path, monkeypatch, beta):
+    # the benchmark's analytic sweep: rate floors on both sides of mu_max
+    mus = [0.0, 0.5e6, 1e6, 2e6, 3e6, 4e6, 6e6, 10e6]
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({"beta": beta, "sweep": {"name": "mu_bps", "values": mus}}))
+    argv = ["optimize-bandwidth", "--config", str(cfg), "--out"]
+    assert main(argv + [str(tmp_path / "fast.csv")]) == 0
+    monkeypatch.setattr(experiments, "grid_search_eta", oracles.dense_grid_search_eta)
+    assert main(argv + [str(tmp_path / "dense.csv")]) == 0
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "dense.csv").read_bytes()
+    grid = [row["eta_star_grid"] for row in read_csv(tmp_path / "fast.csv")[2]]
+    assert len(grid) == 8 and "nan" in grid and grid[0] == "1.0"
 
 
 def test_bad_catalog_size_exits_2(tmp_path, capsys):

@@ -223,6 +223,86 @@ def test_grid_search_breaks_ties_toward_largest_eta():
     assert grid_search_eta(0.5, 2.0, 2.0, 1e6, 9, 10.0, 10.0, 0.0) == 1.0
 
 
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def test_grid_search_eta_points_are_linspace_points():
+    # unit band and rates: the two floors leave point i the only feasible one
+    grid = np.linspace(0.0, 1.0, 100_001)
+    for i in [0, 1, 2, 99_998, 99_999, 100_000] + list(range(3, 99_998, 997)):
+        assert grid_search_eta(0.5, 1.0, 1.0, 1.0, 1, grid[i], 1.0 - grid[i], 1.0) == grid[i]
+
+
+_REF_SPLIT = (
+    0.9999787380676235, 15.288348744652652, 2.4065033112793515, 20e6, 9, 80.54069, 54.45931
+)
+
+
+def _grid_edge_cases():
+    pc, rc, rn, bw, b, nc, nn = _REF_SPLIT
+    wb = bw * b
+    mu_max = wb / (nc / rc + nn / rn)
+    cases = []
+    for mu in (0.0, 1e6, 3e6, mu_max * (1 - 1e-9), mu_max * (1 + 1e-9), 1e9):
+        variants = [("pc=%g" % p, (p, rc, rn, nc, nn)) for p in (0.0, 1e-9, 1.0)]
+        variants += [
+            ("rn=rc*(1%+g)" % rel, (pc, rc, rc * (1 + rel), nc, nn))
+            for rel in (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-7, -1e-7)
+        ]
+        variants += [
+            ("bars=%g,%g" % bars, (pc, rc, rn) + bars)
+            for bars in ((0.0, nn), (nc, 0.0), (0.0, 0.0))
+        ]
+        variants += [  # outside the model, where the scan still returns a point
+            ("signs=%g,%g,%g" % signs, (pc * signs[0], rc * signs[1], rn * signs[2], nc, nn))
+            for signs in ((-1, 1, 1), (1, -1, 1), (1, 1, -1), (1, -1, -1))
+        ]
+        variants.append(("rn=rc*(1+1e-12)<0", (pc, -rc, -rc * (1 + 1e-12), nc, nn)))
+        cases += [
+            ("%s,mu=%.10g" % (name, mu), (p, r1, r2, bw, b, n1, n2, mu))
+            for name, (p, r1, r2, n1, n2) in variants
+        ]
+        cases.append(("bw<0,mu=%.10g" % mu, (pc, rc, rn, -bw, b, nc, nn, mu)))
+    # a floor exactly on grid point i, against either slope
+    grid = np.linspace(0.0, 1.0, 100_001)
+    for i in (0, 1, 7, 54_321, 99_999, 100_000):
+        for r1, r2 in ((rc, rn), (rn, rc)):
+            tag = "on-%d,rc=%g" % (i, r1)
+            coop_mu, noncoop_mu = wb * grid[i] * r1, wb * (1.0 - grid[i]) * r2
+            cases.append(("coop-floor-" + tag, (pc, r1, r2, bw, b, 1.0, 0.0, coop_mu)))
+            cases.append(("noncoop-floor-" + tag, (pc, r1, r2, bw, b, 0.0, 1.0, noncoop_mu)))
+    return [pytest.param(*args, id=name) for name, args in cases]
+
+
+@pytest.mark.parametrize("pc, rc, rn, bw, b, nc, nn, mu", _grid_edge_cases())
+def test_grid_search_eta_edges_match_the_dense_scan(pc, rc, rn, bw, b, nc, nn, mu):
+    args = (pc, rc, rn, bw, b, nc, nn, mu)
+    assert _same(grid_search_eta(*args), oracles.dense_grid_search_eta(*args))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pc=st.floats(0.0, 1.0),
+    rc=st.floats(1e-3, 1e3),
+    rn=st.floats(1e-3, 1e3),
+    near=st.sampled_from([None, 0.0, 1e-15, -1e-15, 1e-12, -1e-9, 1e-7]),
+    n_clusters=st.integers(1, 30),
+    nc_bar=st.floats(0.0, 150.0),
+    nn_bar=st.floats(0.0, 150.0),
+    load=st.floats(0.0, 1.5),
+)
+def test_grid_search_eta_matches_the_dense_scan(
+    pc, rc, rn, near, n_clusters, nc_bar, nn_bar, load
+):
+    if near is not None:  # rates equal or within rounding of each other
+        rn = rc * (1.0 + near)
+    need = nc_bar / rc + nn_bar / rn
+    mu = load * 20e6 * n_clusters / need if need > 0 else load * 1e6  # load * mu_max
+    args = (pc, rc, rn, 20e6, n_clusters, nc_bar, nn_bar, mu)
+    assert _same(grid_search_eta(*args), oracles.dense_grid_search_eta(*args))
+
+
 def test_sim_feasible_cluster_sizes():
     assert sim_feasible_cluster_sizes(135, 15) == [(15, 9)]
     assert sim_feasible_cluster_sizes(64, 15) == [(4, 16), (1, 64)]
