@@ -74,7 +74,6 @@ _NUMERIC_RULES = (
                                        "path_loss_intercept_db")),
 )
 _NUMERIC_FIELDS = {name: rule[:3] for rule in _NUMERIC_RULES for name in rule[3]}
-_GRID_POINTS = 100_001  # grid_search_eta's grid, steps of 1e-5
 
 
 def _check_number(name: str, value) -> None:
@@ -319,9 +318,10 @@ def grid_search_eta(
 
     The grid is ``np.linspace(0, 1, n)`` with ``n = 100,001``: point ``i``
     is ``i * (1 / (n - 1))``, which for this ``n`` is exactly 1.0 at the
-    last point, where ``linspace`` puts 1.0 itself.  For finite inputs the
-    result is the float a scan of every point returns, but only
-    O(log n + window) points are evaluated:
+    last point, where ``linspace`` puts 1.0 itself.  For the inputs callers
+    pass (band, rates, ``pc``, floors and ``mu`` non-negative, and no
+    underflow or overflow in the objective) the result is the float a scan
+    of every point returns, but only O(log n + window) points are evaluated:
 
     * Feasibility.  Rounding is monotone, so each floor, evaluated as
       written, holds on one run of indices (or none): the coop floor from
@@ -330,18 +330,18 @@ def grid_search_eta(
     * Argmax.  The objective is affine in ``eta``, with slope
       ``wb pc (rc - rn)`` (``wb`` the whole band), so the exact optimum is
       the end of the run the slope favours.  With ``u = 2**-53`` and
-      ``M = |wb| (|pc rc| + (1 + |pc|) |rn|)``, the six rounded operations
-      of a point put it within ``5.1 u M`` of the exact objective at its
-      grid value (no underflow or overflow), and grid values stray at most
-      ``2.01 u`` from ``i / (n - 1)``, which moves the exact objective by
-      at most ``2.01 u M``.  With ``D = |wb pc (rc - rn)|``, a point ``k``
-      steps from the favoured end thus ties or beats it only if
+      ``M = wb (pc rc + (1 + pc) rn)``, the six rounded operations of a
+      point put it within ``5.1 u M`` of the exact objective at its grid
+      value, and grid values stray at most ``2.01 u`` from ``i / (n - 1)``,
+      which moves the exact objective by at most ``2.01 u M``.  With
+      ``D = |wb pc (rc - rn)|``, a point ``k`` steps from the favoured end
+      thus ties or beats it only if
       ``k D / (n - 1) <= 2 (5.1 + 2.01) u M < 14.3 u M``.  The scan's
       expression and tie-break run over the ``(n - 1) 16 u M / D`` points
       nearest that end, or over the whole run when ``D`` is 0 or the
       window is wider.
     """
-    n = _GRID_POINTS
+    n = 100_001  # another n breaks the exact last point argued above
     step = 1.0 / (n - 1)
     wb = bandwidth_hz * n_clusters
     lo, hi = 0, n - 1
@@ -354,7 +354,7 @@ def grid_search_eta(
     if lo > hi:
         return math.nan
     slope = wb * pc * (rc - rn)
-    bound = 16 * 2.0**-53 * abs(wb) * (abs(pc * rc) + (1.0 + abs(pc)) * abs(rn))
+    bound = 16 * 2.0**-53 * wb * (pc * rc + (1.0 + pc) * rn)
     window = (n - 1) * bound / abs(slope) if slope else math.inf
     if window < hi - lo:
         if slope > 0:

@@ -506,25 +506,18 @@ def _zf_stack(h: np.ndarray, p_w: float, noise_w: float):
     after dropping every link.  The stack is inverted together, and a
     channel takes these rates when ``||H||_F ||H^-1||_F``, an upper bound
     on its condition number, is at most an eighth of the limit (the margin
-    covers rounding).  A stack with a singular matrix is inverted one
-    channel at a time, and a singular channel counts as failing that test.
-    Channels that fail it take :func:`_drop_worst_links` and its exact
-    condition number one at a time.
+    covers rounding).  The others, and every channel of a stack with a
+    singular matrix, take :func:`_drop_worst_links` and its exact condition
+    number one at a time.
     """
     rates = np.zeros(h.shape[:2])
     usable = np.ones(h.shape[0], dtype=bool)
     try:
-        inv = np.linalg.inv(h)
+        col_norm2 = _col_norm2(np.linalg.inv(h))
+        fast = _col_norm2(h).sum(axis=1) * col_norm2.sum(axis=1) <= (_COND_LIMIT / 8) ** 2
+        rates[fast] = _zf_link_rates(col_norm2[fast], p_w, noise_w)
     except np.linalg.LinAlgError:
-        inv = np.full_like(h, np.nan)  # stays NaN where a channel is singular
-        for t, channel in enumerate(h):
-            try:
-                inv[t] = np.linalg.inv(channel)
-            except np.linalg.LinAlgError:
-                pass
-    col_norm2 = _col_norm2(inv)
-    fast = _col_norm2(h).sum(axis=1) * col_norm2.sum(axis=1) <= (_COND_LIMIT / 8) ** 2
-    rates[fast] = _zf_link_rates(col_norm2[fast], p_w, noise_w)
+        fast = np.zeros(len(h), dtype=bool)
     for t in np.flatnonzero(~fast):
         kept = _drop_worst_links(h[t], p_w, noise_w)
         if kept is None:
