@@ -278,6 +278,8 @@ def test_divergent_geometry_exits_2(tmp_path, capsys):
         "min_pairing_distance_m: 0.00004\n",
         "min_pairing_distance_m: 0.00002\n",
         "hotspot_side_m: 1.0e+300\n",
+        # r^-alpha overflows a float near the floor
+        "alpha: 300.0\n",
     ],
 )
 def test_pairing_floor_past_every_link_exits_2(tmp_path, capsys, config):

@@ -8,6 +8,7 @@ import pytest
 from pytest import approx
 from scipy.integrate import quad
 
+from coopd2d import geometry
 from coopd2d.geometry import (
     SQRT2,
     SQRT5,
@@ -43,13 +44,46 @@ def test_negative_distance_rejected():
 
 
 def test_vectorized_evaluation_matches_scalar():
-    grid = np.linspace(0.0, SQRT5, 257)
-    g = signal_pdf(grid)
-    f = interference_pdf(grid)
-    assert g.shape == f.shape == grid.shape
-    for i in (0, 64, 200, 256):
-        assert g[i] == signal_pdf(float(grid[i]))
-        assert f[i] == interference_pdf(float(grid[i]))
+    # quad evaluates the densities one Python float at a time; the scalar
+    # path must return the array path's bits, break points included
+    rng = np.random.default_rng(0xB17)
+    points = [float(x) for x in rng.uniform(0.0, 2.3, 100_000)]
+    for b in (0.0, 1.0, SQRT2, 2.0, SQRT5):
+        points += [math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)]
+    points = np.array([x for x in points if x >= 0.0])
+    for pdf in (signal_pdf, interference_pdf):
+        assert pdf(points).shape == points.shape
+        scalar = np.array([pdf(float(x)) for x in points])
+        np.testing.assert_array_equal(
+            scalar.view(np.uint64), pdf(points).view(np.uint64), err_msg=pdf.__name__
+        )
+
+
+# float.hex of (q1, q2) per (alpha, r_min): the reference floor (1 m at
+# 25 m cells, every command's default), validate's alpha = 0 anchor, the
+# 1 m floor at 1, 4, 16 and 25 cells of the 75 m hotspot, and corners of a
+# 7-alpha x 25-floor scan.  Changes to the densities or the quadrature must
+# keep these bits.
+_PINNED_MOMENTS = {
+    (3.68, 0.04): ("0x1.c8f436ff3feb1p+9", "0x1.58bfb12762f2cp+4"),
+    (0.0, 0.0): ("0x1.1ffffffffff2bp+3", "0x1.0000000000011p+0"),
+    (3.68, 1 / 37.5): ("0x1.b842da314061fp+10", "0x1.dbe9c0c00f0f3p+4"),
+    (3.68, 1 / 18.75): ("0x1.200a43eba47f0p+9", "0x1.0fd8bb0d9ab77p+4"),
+    (3.68, 1 / 15): ("0x1.9392a544af6c0p+8", "0x1.c1581f9a2317ap+3"),
+    (3.68, 1 / 75): ("0x1.566370f365b6ap+12", "0x1.92fcc92733629p+5"),
+    (3.68, 1.0): ("0x1.0061829a5fe42p+1", "0x1.fbbd40ed2fbdfp-3"),
+    (2.5, 1.5): ("0x1.6a31c35519555p-2", "0x1.6a31c35519555p-5"),
+    (2.0, 0.0002): ("0x1.eab30b022b912p+5", "0x1.d9908206c52b4p+0"),
+    (4.5, 0.0002): ("0x1.08edc5e1999cep+32", "0x1.cc37febf48081p+18"),
+    (2.0, 2.2): ("0x1.905212ea00081p-20", "0x1.905212ea00081p-23"),
+    (4.5, 2.2): ("0x1.ba8561f2f3273p-23", "0x1.ba8561f2f3273p-26"),
+}
+
+
+@pytest.mark.parametrize("alpha, r_min", sorted(_PINNED_MOMENTS))
+def test_moment_bits_pinned(alpha, r_min):
+    table = path_gain_moments(alpha, r_min)
+    assert (table.q1.hex(), table.q2.hex()) == _PINNED_MOMENTS[alpha, r_min]
 
 
 def test_densities_nonnegative_on_dense_grid():
@@ -140,6 +174,54 @@ def test_divergence_reporting():
         path_gain_moments(-1.0, 0.1)
     with pytest.raises(ValueError):
         path_gain_moments(3.68, -0.1)
+
+
+@pytest.mark.parametrize(
+    "alpha, match",
+    [
+        (math.inf, "alpha must be"),
+        (math.nan, "alpha must be"),
+        (True, "alpha must be"),
+        (np.True_, "alpha must be"),
+        ("3.68", "alpha must be"),
+        # r^-alpha overflows a float near the floor
+        (1e308, "overflows"),
+        (300.0, "overflows"),
+    ],
+)
+def test_bad_alpha_refused(alpha, match):
+    path_gain_moments(1.0, 0.04)  # a cached equal float must not admit True
+    with pytest.raises(ConfigurationError, match=match):
+        path_gain_moments(alpha, 0.04)
+
+
+def test_bool_or_infinite_floor_refused():
+    with pytest.raises(ConfigurationError, match="r_min must be"):
+        path_gain_moments(3.68, True)
+    with pytest.raises(ConfigurationError, match="r_min must be"):
+        path_gain_moments(3.68, math.inf)
+
+
+def test_non_finite_moment_refused(monkeypatch):
+    monkeypatch.setattr(geometry, "quad", lambda *args, **kwargs: (math.inf, 0.0, {}))
+    with pytest.raises(ConfigurationError, match=r"r_min=0\.0123.*alpha=3\.21"):
+        path_gain_moments(3.21, 0.0123)
+
+
+@pytest.mark.parametrize(
+    "r", [math.nan, np.float64(math.nan), np.array(math.nan), [0.5, math.nan]]
+)
+def test_nan_distance_rejected(r):
+    for pdf in (signal_pdf, interference_pdf):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            pdf(r)
+
+
+def test_infinite_distance_has_zero_density():
+    assert signal_pdf(math.inf) == 0.0
+    assert interference_pdf(math.inf) == 0.0
+    assert interference_pdf([0.5, math.inf]).tolist() == [0.375, 0.0]
+    assert signal_pdf(np.array([0.5, math.inf]))[1] == 0.0
 
 
 def test_truncation_beyond_signal_support():

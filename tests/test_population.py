@@ -114,6 +114,10 @@ def test_closed_form_covers_the_full_size_catalog(ref_model):
         lambda m: optimize_cluster_size(m, 0),
         lambda m: signal_pdf(-1.0),
         lambda m: interference_pdf([0.5, -0.5]),
+        lambda m: signal_pdf(math.nan),
+        lambda m: interference_pdf([0.5, math.nan]),
+        lambda m: path_gain_moments(math.inf, 0.04),
+        lambda m: path_gain_moments(1e308, 0.04),
         lambda m: coop_link_rate(path_gain_moments(3.68, 0.04), None, 25.0, 0),
         lambda m: coop_link_rate(path_gain_moments(3.68, 0.04), None, 0.0, 9),
         lambda m: network_throughput(0.5, 1.5, 10.0, 2.0, 20e6, 9),
