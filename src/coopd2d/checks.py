@@ -15,7 +15,6 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bandwidth import optimize_eta
 from .catalog import build_popularity
@@ -28,13 +27,15 @@ from .experiments import (
     campaign_config,
     grid_search_eta,
 )
-from .geometry import SQRT2, SQRT5, interference_pdf, path_gain_moments, signal_pdf
-from .netsim import SimConfig, link_rate_gap, run_campaign, snapshot_counts
-from .population import (
-    expected_coop_users_closed,
-    expected_coop_users_exact,
-    expected_coop_users_mc,
+from .geometry import (
+    INTERFERENCE_BREAKS,
+    SIGNAL_BREAKS,
+    interference_pdf,
+    path_gain_moments,
+    signal_pdf,
 )
+from .netsim import SimConfig, link_rate_gap, run_campaign, snapshot_counts
+from .population import expected_coop_users_closed, expected_coop_users_exact
 
 __all__ = ["cmd_validate"]
 
@@ -120,11 +121,12 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
 
     Gated checks (they decide the return value) compare independent
     evaluation routes of the same quantity: popularity normalization,
-    density normalization/continuity, free-space moment anchors, geometric
-    Monte Carlo versus quadrature moments, enumeration versus closed-form
-    versus Monte Carlo populations, closed-form versus grid-search bandwidth
-    splits, simulated snapshot statistics versus their formulas, the
-    ``eta = 0`` equivalence, and worker-count determinism.
+    density continuity, free-space moment anchors (the densities'
+    integrals), geometric Monte Carlo versus quadrature moments, enumeration
+    versus closed-form versus simulated-snapshot populations, closed-form
+    versus grid-search bandwidth splits, simulated snapshot statistics
+    versus their formulas, the ``eta = 0`` equivalence, and worker-count
+    determinism.
 
     INFO lines report the measured gap between simulated fading-averaged
     link rates and the moment-based closed forms; the closed forms move the
@@ -146,28 +148,25 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
         ("popularity-normalization", worst < 1e-12, "max |sum P - 1| = %.3e" % worst)
     )
 
-    gi, _ = quad(signal_pdf, 0.0, SQRT2, points=[1.0], limit=200)
-    fi, _ = quad(interference_pdf, 0.0, SQRT5, points=[1.0, SQRT2, 2.0], limit=200)
-    checks.append((
-        "pdf-normalization",
-        abs(gi - 1.0) < 1e-6 and abs(fi - 1.0) < 1e-6,
-        "int g = %.9f, int f = %.9f" % (gi, fi),
-    ))
-
     step = 1e-12
     worst = 0.0
-    for fn, breaks in ((signal_pdf, (1.0,)), (interference_pdf, (1.0, SQRT2, 2.0))):
+    for fn, breaks in ((signal_pdf, SIGNAL_BREAKS), (interference_pdf, INTERFERENCE_BREAKS)):
         for bpt in breaks:
             worst = max(worst, abs(float(fn(bpt - step)) - float(fn(bpt + step))))
     checks.append(
         ("pdf-continuity", worst < 1e-9, "max jump at a breakpoint = %.3e" % worst)
     )
 
+    # at alpha = 0 the moments are the densities' integrals: int g = q1 - 8 q2
+    # and int f = q2 must both be 1
     anchor = path_gain_moments(0.0, 0.0)
     checks.append((
         "moment-anchors",
-        abs(anchor.q1 - 9.0) < 1e-6 and abs(anchor.q2 - 1.0) < 1e-6,
-        "alpha=0: q1 = %.9f (want 9), q2 = %.9f (want 1)" % (anchor.q1, anchor.q2),
+        abs(anchor.q1 - 9.0) < 1e-6
+        and abs(anchor.q2 - 1.0) < 1e-6
+        and abs(anchor.signal_moment - 1.0) < 1e-6,
+        "alpha=0: q1 = %.9f (want 9), q2 = int f = %.9f (want 1), "
+        "int g = %.9f (want 1)" % (anchor.q1, anchor.q2, anchor.signal_moment),
     ))
 
     geom = pt.geom
@@ -182,16 +181,24 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
         % (100 * rel_s, 100 * rel_q2),
     ))
 
+    # two cached groups, K = 2 users in each cell of a 2 x 2 grid
     small = build_popularity(2 * spec.cache_size, spec.cache_size, 1.0)
-    exact = expected_coop_users_exact(small, 2, 2)
-    closed = expected_coop_users_closed(small, 2, 2).coop_mean
-    mc = expected_coop_users_mc(small, 2, 2, 20_000, 0xB0B)
+    exact = expected_coop_users_exact(small, 2, 4).coop_mean
+    closed = expected_coop_users_closed(small, 2, 4).coop_mean
+    small_cfg = replace(
+        campaign_config(spec, pt, "coop", 0.5),
+        plan=replace(pt.plan, n_clusters=4, users_per_cluster=2),
+        popularity=small,
+        seed=0xB0B,
+    )
+    _, coops = snapshot_counts(small_cfg, 20_000)
+    sampled = float(coops.mean())
+    se = float(coops.std(ddof=1)) / math.sqrt(coops.size)
     checks.append((
         "population-consistency",
-        abs(exact.coop_mean - closed) <= 1e-9 * closed
-        and abs(mc.coop_mean - exact.coop_mean) <= 3.0 * mc.std_error,
-        "enumeration %.12f vs linearity %.12f vs MC %.4f +- %.4f"
-        % (exact.coop_mean, closed, mc.coop_mean, mc.std_error),
+        abs(exact - closed) <= 1e-9 * closed and abs(sampled - exact) <= 3.0 * se,
+        "enumeration %.12f vs linearity %.12f vs snapshots %.4f +- %.4f"
+        % (exact, closed, sampled, se),
     ))
 
     ref = ExperimentSpec  # the reference scenario is its field defaults

@@ -25,7 +25,9 @@ Each density piece is written once, as a function of a float or an array.
 A scalar distance (``quad`` passes one per node, about 840 for the
 reference moments) picks its piece by bisecting the break points; an array
 applies the pieces under masks.  Both paths return the same bits, which
-the tests check on 10^5 points and at every break point.  Only ``+ - * /``
+the tests check on 10^5 points and at every break point.  Within about
+1e-5 of the end of its support a piece rounds to a few 1e-15 below 0; both
+paths clamp it to +0.0 (``-0.0`` included).  Only ``+ - * /``
 use Python operators inside a piece: with numpy's SIMD loops,
 ``math.acos``/``math.asin`` differ from ``np.arccos``/``np.arcsin`` by an
 ulp at 9-10 % of points, and ``r ** 3`` on a float differs from the array
@@ -53,6 +55,8 @@ from .errors import ConfigurationError, DivergenceError
 __all__ = [
     "SQRT2",
     "SQRT5",
+    "SIGNAL_BREAKS",
+    "INTERFERENCE_BREAKS",
     "GeometryTable",
     "signal_pdf",
     "interference_pdf",
@@ -111,8 +115,8 @@ _G_PIECES = (_g_near, _g_far)
 _F_EDGES = (0.0, 1.0, SQRT2, 2.0, math.nextafter(SQRT5, math.inf))
 _F_PIECES = (_f_near, _f_mid, _f_far, _f_tail)
 # Interior piece boundaries, where the quadrature splits its range.
-_G_BREAKS = _G_EDGES[1:-1]
-_F_BREAKS = _F_EDGES[1:-1]
+SIGNAL_BREAKS = _G_EDGES[1:-1]
+INTERFERENCE_BREAKS = _F_EDGES[1:-1]
 
 _REAL_SCALARS = (float, int, np.floating, np.integer)
 
@@ -123,7 +127,8 @@ def _piecewise(r, edges, pieces):
         if not x >= 0.0:
             raise ConfigurationError("distances must be non-negative, got %r" % r)
         i = bisect.bisect_right(edges, x) - 1
-        return float(pieces[i](x)) if i < len(pieces) else 0.0
+        value = float(pieces[i](x)) if i < len(pieces) else 0.0
+        return value if value > 0.0 else 0.0
     arr = np.asarray(r, dtype=np.float64)
     if not np.all(arr >= 0.0):  # NaN fails the comparison too
         raise ConfigurationError("distances must be non-negative, not NaN")
@@ -131,6 +136,7 @@ def _piecewise(r, edges, pieces):
     for lo, hi, piece in zip(edges, edges[1:], pieces):
         mask = (arr >= lo) & (arr < hi)
         out[mask] = piece(arr[mask])
+    out = np.where(out > 0.0, out, 0.0)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -329,8 +335,8 @@ def path_gain_moments(alpha: float, r_min: float = 0.0) -> GeometryTable:
             "by the cluster side" % alpha
         )
 
-    s = _moment(signal_pdf, alpha, r_min, SQRT2, _G_BREAKS) if r_min < SQRT2 else 0.0
-    q2 = _moment(interference_pdf, alpha, r_min, SQRT5, _F_BREAKS)
+    s = _moment(signal_pdf, alpha, r_min, SQRT2, SIGNAL_BREAKS) if r_min < SQRT2 else 0.0
+    q2 = _moment(interference_pdf, alpha, r_min, SQRT5, INTERFERENCE_BREAKS)
     return GeometryTable(alpha=float(alpha), r_min=float(r_min), q1=s + 8.0 * q2, q2=q2)
 
 

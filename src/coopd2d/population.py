@@ -10,10 +10,11 @@ full catalog.  A user is
 * cellular otherwise (group index ``>= K``; only counted, never rated).
 
 The pipeline takes the cooperative mean from linearity of expectation, exact
-for i.i.d. requests at any size.  Two independent routes cross-check it: an
-enumeration of per-cluster request compositions in exact rational arithmetic
-(bit for bit against brute force) and a seeded, chunk-parallel-safe Monte
-Carlo estimator.
+for i.i.d. requests at any size.  An enumeration of per-cluster request
+compositions in exact rational arithmetic (bit for bit against brute force)
+cross-checks it; the sampled counterpart is the snapshot simulator's
+:func:`coopd2d.netsim.snapshot_counts`, which classifies requests as the
+campaigns do.
 """
 
 from __future__ import annotations
@@ -32,38 +33,27 @@ __all__ = [
     "PopulationSummary",
     "expected_coop_users_closed",
     "expected_coop_users_exact",
-    "expected_coop_users_mc",
     "expected_cellular_and_noncoop",
 ]
 
-_MC_CHUNK = 4096  # fixed chunk size; part of the reproducibility contract
 # Largest raw configuration space exact enumeration stands in for.
 _ENUMERATION_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
 class PopulationSummary:
-    """Expected user-class sizes.
-
-    ``method`` is ``"closed-form"``, ``"exact"`` or ``"monte-carlo"``;
-    ``std_error`` is the standard error of ``coop_mean`` (0 for the first
-    two, ``inf`` when a single Monte Carlo trial makes it undefined).
-    """
+    """Expected user-class sizes."""
 
     coop_mean: float
     cellular_mean: float
     noncoop_mean: float
-    method: str
-    std_error: float
 
 
-def _summary(
-    model: PopularityModel, k: int, b: int, coop_mean: float, method: str
-) -> PopulationSummary:
+def _summary(model: PopularityModel, k: int, b: int, coop_mean: float) -> PopulationSummary:
     cellular_mean, noncoop_mean = expected_cellular_and_noncoop(
         model, k * b, k, coop_mean
     )
-    return PopulationSummary(coop_mean, cellular_mean, noncoop_mean, method, 0.0)
+    return PopulationSummary(coop_mean, cellular_mean, noncoop_mean)
 
 
 def expected_coop_users_closed(
@@ -73,15 +63,14 @@ def expected_coop_users_closed(
 
     A user is cooperative iff its request falls in a cached group ``k`` that
     the other ``B - 1`` clusters hit too, so ``coop_mean = K B sum_k P_k
-    hit_k^(B-1)`` with ``hit_k = 1 - (1 - P_k)^K``.  Returns a summary with
-    ``method="closed-form"`` and ``std_error=0``.
+    hit_k^(B-1)`` with ``hit_k = 1 - (1 - P_k)^K``.
     """
     k, b = users_per_cluster, n_clusters
     if b < 1:
         raise ConfigurationError("n_clusters must be >= 1, got %r" % (b,))
     ph = hit_probability(model, k)
     coop_mean = k * b * float(np.sum(model.group_probs[:k] * ph ** (b - 1)))
-    return _summary(model, k, b, coop_mean, "closed-form")
+    return _summary(model, k, b, coop_mean)
 
 
 def _multichoose(n: int, k: int) -> int:
@@ -125,7 +114,6 @@ def expected_coop_users_exact(
     Returns
     -------
     PopulationSummary
-        With ``method="exact"`` and ``std_error=0``.
 
     Raises
     ------
@@ -176,75 +164,7 @@ def expected_coop_users_exact(
     nc = b * sum(
         (s * a ** (b - 1) for s, a in zip(mean_count, hit_prob)), Fraction(0)
     )
-    return _summary(model, k, b, float(nc), "exact")
-
-
-def expected_coop_users_mc(
-    model: PopularityModel,
-    users_per_cluster: int,
-    n_clusters: int,
-    trials: int,
-    seed: int,
-) -> PopulationSummary:
-    """Monte Carlo estimate of the expected user-class sizes.
-
-    Draws per-user requests i.i.d. from the full catalog (uncached groups
-    included, so the cellular count comes from the same sampler), computes
-    the cooperative count per trial, and averages.
-
-    Trials are processed in fixed-size chunks, each seeded as
-    ``default_rng([seed, chunk_index])``, so any parallel or out-of-order
-    chunk execution reproduces the same stream.
-
-    Parameters
-    ----------
-    trials : int
-        Number of independent snapshots, ``>= 1``.
-    seed : int
-        Campaign seed.
-
-    Returns
-    -------
-    PopulationSummary
-        ``method="monte-carlo"``; ``std_error`` is the standard error of the
-        cooperative mean (``inf`` for a single trial).
-    """
-    k0 = model.group_count
-    k, b = users_per_cluster, n_clusters
-    if not 1 <= k <= k0:
-        raise ConfigurationError("users_per_cluster must be in [1, %d], got %r" % (k0, k))
-    if trials < 1:
-        raise ConfigurationError("trials must be >= 1, got %r" % (trials,))
-
-    cdf = np.cumsum(model.group_probs)
-    coop = np.empty(trials, dtype=np.int64)
-    cellular = np.empty(trials, dtype=np.int64)
-    for chunk_index, start in enumerate(range(0, trials, _MC_CHUNK)):
-        n = min(_MC_CHUNK, trials - start)
-        rng = np.random.default_rng([seed, chunk_index])
-        u = rng.random((n, b, k))
-        draws = np.minimum(np.searchsorted(cdf, u, side="right"), k0 - 1)
-        nc = np.zeros(n, dtype=np.int64)
-        for g in range(k):
-            counts = (draws == g).sum(axis=2)
-            nc += np.where(np.all(counts > 0, axis=1), counts.sum(axis=1), 0)
-        coop[start : start + n] = nc
-        cellular[start : start + n] = (draws >= k).sum(axis=(1, 2))
-
-    coop_mean = float(coop.mean())
-    if trials == 1:
-        std_error = math.inf
-    else:
-        std_error = float(coop.std(ddof=1) / math.sqrt(trials))
-    m = k * b
-    cellular_mean = float(cellular.mean())
-    return PopulationSummary(
-        coop_mean=coop_mean,
-        cellular_mean=cellular_mean,
-        noncoop_mean=m - coop_mean - cellular_mean,
-        method="monte-carlo",
-        std_error=std_error,
-    )
+    return _summary(model, k, b, float(nc))
 
 
 def expected_cellular_and_noncoop(

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 from coopd2d.bandwidth import optimize_eta
 from coopd2d.catalog import build_popularity
-from coopd2d.clusters import coop_probability, optimize_cluster_size
+from coopd2d.clusters import coop_probability, make_plan, optimize_cluster_size
 from coopd2d.experiments import (
     ExperimentSpec,
     analytic_point,
@@ -26,7 +26,7 @@ from coopd2d.experiments import (
 )
 from coopd2d.geometry import SQRT2, SQRT5, interference_pdf, path_gain_moments, signal_pdf
 from coopd2d.netsim import SimConfig, link_rate_gap, run_campaign, snapshot_counts
-from coopd2d.population import expected_coop_users_exact, expected_coop_users_mc
+from coopd2d.population import expected_coop_users_exact
 from coopd2d.rates import coop_link_rate, noncoop_link_rate
 
 import conftest
@@ -103,10 +103,10 @@ def test_acceptance_1_popularity_and_distance_densities():
     _verdict(1, "popularity-and-distance-densities", checks)
 
 
-def test_acceptance_2_population_enumeration_exactness():
+def test_acceptance_2_population_enumeration_exactness(ref_radio):
     """The exact user-class enumeration reproduces a rational brute-force
-    enumeration bit for bit, and the Monte Carlo estimator agrees within
-    three standard errors."""
+    enumeration bit for bit, and the simulator's snapshots agree with it
+    within three standard errors."""
     checks = []
 
     n_cases = 0
@@ -132,13 +132,19 @@ def test_acceptance_2_population_enumeration_exactness():
     model = build_popularity(60, 20, 1.0)
     mc_parts = []
     mc_ok = True
-    for k, b, seed in ((2, 3, 0xACCE01), (3, 2, 0xACCE02)):
+    n = 100_000
+    for k, b, seed in ((2, 4, 0xACCE01), (3, 4, 0xACCE02)):
         exact = expected_coop_users_exact(model, k, b)
-        mc = expected_coop_users_mc(model, k, b, 100_000, seed)
-        dev = abs(mc.coop_mean - exact.coop_mean)
-        mc_ok = mc_ok and dev <= 3.0 * mc.std_error
-        mc_parts.append("K=%d B=%d |MC - exact| = %.4f (3 SE = %.4f)"
-                        % (k, b, dev, 3.0 * mc.std_error))
+        cfg = SimConfig(
+            plan=make_plan(75.0, b, k), radio=ref_radio, popularity=model,
+            strategy="coop", trials=1, seed=seed, eta=0.5,
+        )
+        _, coops = snapshot_counts(cfg, n)
+        se = float(coops.std(ddof=1)) / math.sqrt(n)
+        dev = abs(float(coops.mean()) - exact.coop_mean)
+        mc_ok = mc_ok and dev <= 3.0 * se
+        mc_parts.append("K=%d B=%d |snapshots - exact| = %.4f (3 SE = %.4f)"
+                        % (k, b, dev, 3.0 * se))
     checks.append(("monte-carlo", mc_ok, ", ".join(mc_parts)))
 
     _verdict(2, "population-enumeration-exactness", checks)

@@ -1,5 +1,6 @@
 """Command line surface: flag plumbing, config files, exit codes."""
 
+import hashlib
 import pathlib
 import re
 
@@ -161,6 +162,42 @@ def test_optimize_bandwidth_bytes_match_the_dense_grid(tmp_path, monkeypatch, be
     assert fast == (tmp_path / "dense.csv").read_bytes()
     grid = [row["eta_star_grid"] for row in read_csv(tmp_path / "fast.csv")[2]]
     assert len(grid) == 8 and "nan" in grid and grid[0] == "1.0"
+
+
+# sha256 of the analytic commands' CSVs at the reference point and on the
+# benchmark's 4 skews x 8 rate floors.  Their bytes come from closed forms
+# and quadrature, not from a random stream or a BLAS call, so a refactor
+# that moves one of them changes a number on purpose or not at all.
+_SWEEP_MUS = [0.0, 0.5e6, 1e6, 2e6, 3e6, 4e6, 6e6, 10e6]
+_PINNED_CSV_SHA256 = {
+    ("optimize-cluster", None):
+        "08e70ca3d5a824c0b85dc3f5428cf4cc2cb8e013c28962092920425e9f34e654",
+    ("optimize-bandwidth", None):
+        "4082c0b3083fa6b2f99d6f62c57f17c59590edbdb9daa14d4a45fea8f6104b02",
+    ("optimize-bandwidth", 0.4):
+        "cb1d20896d5da3ff7205ef51a01deb96dad7ee1afb486d400f0132dd97a38ce8",
+    ("optimize-bandwidth", 0.7):
+        "8971076e3a370fea8687781776f092266d3a2f881a7738f6422f11044fa61995",
+    ("optimize-bandwidth", 1.0):
+        "a982b4c3d026532294fe9d2efb8ca867b60db4a9bf97d0c5f57c121d677e29b0",
+    ("optimize-bandwidth", 1.2):
+        "aed404a85daf62720c7de7b70987d9147ff98247e5bb7f7b1e9a4dc6964457b1",
+}
+
+
+@pytest.mark.parametrize("command, beta", list(_PINNED_CSV_SHA256))
+def test_analytic_csv_bytes_are_pinned(tmp_path, command, beta):
+    out = tmp_path / "out.csv"
+    argv = [command, "--out", str(out)]
+    if beta is not None:
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(
+            yaml.safe_dump({"beta": beta, "sweep": {"name": "mu_bps", "values": _SWEEP_MUS}})
+        )
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == _PINNED_CSV_SHA256[command, beta]
 
 
 def test_bad_catalog_size_exits_2(tmp_path, capsys):

@@ -500,8 +500,8 @@ def test_cmd_validate_default_passes():
     lines = []
     spec = ExperimentSpec(scenario="validate")
     assert cmd_validate(spec, report=lines.append) is True
-    assert lines[-1] == "validation passed (13 gated checks)"
-    assert sum(line.startswith("PASS ") for line in lines) == 13
+    assert lines[-1] == "validation passed (12 gated checks)"
+    assert sum(line.startswith("PASS ") for line in lines) == 12
     assert not any(line.startswith("FAIL ") for line in lines)
     assert any(line.startswith("PASS popularity-normalization") for line in lines)
     (info,) = [line for line in lines if line.startswith("INFO link-rate-gap")]

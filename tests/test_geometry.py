@@ -50,6 +50,7 @@ def test_vectorized_evaluation_matches_scalar():
     points = [float(x) for x in rng.uniform(0.0, 2.3, 100_000)]
     for b in (0.0, 1.0, SQRT2, 2.0, SQRT5):
         points += [math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)]
+    points += [-0.0] + [end - d for end in (SQRT2, SQRT5) for d in (1e-15, 1e-9, 1e-6)]
     points = np.array([x for x in points if x >= 0.0])
     for pdf in (signal_pdf, interference_pdf):
         assert pdf(points).shape == points.shape
@@ -87,9 +88,16 @@ def test_moment_bits_pinned(alpha, r_min):
 
 
 def test_densities_nonnegative_on_dense_grid():
-    grid = np.linspace(0.0, SQRT5, 20_001)
-    assert np.all(signal_pdf(grid) >= 0.0)
-    assert np.all(interference_pdf(grid) >= 0.0)
+    # the closed forms round below 0 within about 1e-5 of their support's
+    # end (down to -2.5e-15 for g, -7e-15 for f); -0.0 is clamped to +0.0
+    near_end = np.geomspace(1e-16, 1e-4, 4001)
+    grid = np.concatenate(
+        ([-0.0], np.linspace(0.0, SQRT5, 20_001), SQRT2 - near_end, SQRT5 - near_end)
+    )
+    for pdf in (signal_pdf, interference_pdf):
+        values = pdf(grid)
+        assert np.all(values >= 0.0) and not np.any(np.signbit(values)), pdf.__name__
+        assert all(math.copysign(1.0, pdf(float(x))) == 1.0 for x in grid[::7])
 
 
 def test_densities_integrate_to_one():

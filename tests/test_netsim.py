@@ -208,19 +208,22 @@ def test_block_seeder_matches_default_rng(ref_config, seed, suffix):
             assert np.array_equal(rng.random(8), reference.random(8))
 
 
-def netsim_calls(name):
-    """Lines of ``netsim.py`` that call a function or method named ``name``."""
-    source = pathlib.Path(netsim.__file__).read_text()
+def calls_in(path, name):
+    """Lines of the source file ``path`` that call a function or method named ``name``."""
     return [
         node.lineno
-        for node in ast.walk(ast.parse(source))
+        for node in ast.walk(ast.parse(pathlib.Path(path).read_text()))
         if isinstance(node, ast.Call)
         and getattr(node.func, "attr", getattr(node.func, "id", None)) == name
     ]
 
 
 def test_netsim_builds_no_generator_outside_the_block_seeder():
-    assert netsim_calls("default_rng") == []
+    # every snapshot sampler of the package runs on the block seeder; only
+    # the self-checks draw their own independent samples
+    package = pathlib.Path(netsim.__file__).parent
+    callers = {p.name for p in package.glob("*.py") if calls_in(p, "default_rng")}
+    assert callers == {"checks.py"}
 
 
 def test_raw_word_draws_match_generator_integers(ref_config, monkeypatch):
@@ -252,7 +255,7 @@ def test_raw_word_draws_match_generator_integers(ref_config, monkeypatch):
 
 
 def test_netsim_draws_no_bounded_integers():
-    assert netsim_calls("integers") == []
+    assert calls_in(netsim.__file__, "integers") == []
 
 
 def test_snapshot_shapes_and_cell_confinement(ref_config):

@@ -1,4 +1,4 @@
-"""User-class populations: exact enumeration, Monte Carlo, class split."""
+"""User-class populations: closed form, exact enumeration, snapshots, class split."""
 
 import math
 
@@ -21,7 +21,6 @@ from coopd2d.population import (
     expected_cellular_and_noncoop,
     expected_coop_users_closed,
     expected_coop_users_exact,
-    expected_coop_users_mc,
 )
 from coopd2d.rates import coop_link_rate, network_throughput
 
@@ -40,8 +39,6 @@ def sim_config(model, **changes):
 
 def test_exact_two_cluster_single_user(two_group):
     summary = expected_coop_users_exact(two_group, 1, 2)
-    assert summary.method == "exact"
-    assert summary.std_error == 0.0
     assert summary.coop_mean == approx(0.98, rel=1e-12)
     assert summary.cellular_mean == approx(0.6, rel=1e-12)
     assert summary.noncoop_mean == approx(0.42, rel=1e-12)
@@ -79,7 +76,6 @@ def test_closed_form_matches_enumeration_and_oracle():
     for k, b in ((1, 2), (2, 2), (3, 2), (2, 3), (3, 4)):
         closed = expected_coop_users_closed(model, k, b)
         exact = expected_coop_users_exact(model, k, b)
-        assert closed.method == "closed-form" and closed.std_error == 0.0
         assert closed.coop_mean == approx(exact.coop_mean, rel=1e-12)
         assert closed.noncoop_mean == approx(exact.noncoop_mean, rel=1e-12)
         assert closed.cellular_mean == exact.cellular_mean
@@ -88,11 +84,17 @@ def test_closed_form_matches_enumeration_and_oracle():
         )
 
 
-def test_closed_form_covers_the_full_size_catalog(ref_model):
-    # far past the enumeration budget; the sampler brackets it
+def snapshot_coop_mean(config, n):
+    """Mean and standard error of the cooperative count over ``n`` snapshots."""
+    _, coops = snapshot_counts(config, n)
+    return float(coops.mean()), float(coops.std(ddof=1)) / math.sqrt(n)
+
+
+def test_closed_form_covers_the_full_size_catalog(ref_model, ref_plan):
+    # far past the enumeration budget; the simulator's snapshots bracket it
     closed = expected_coop_users_closed(ref_model, 15, 9)
-    mc = expected_coop_users_mc(ref_model, 15, 9, trials=20_000, seed=5)
-    assert abs(closed.coop_mean - mc.coop_mean) <= 3.0 * mc.std_error
+    mean, se = snapshot_coop_mean(sim_config(ref_model, plan=ref_plan, seed=5), 20_000)
+    assert abs(closed.coop_mean - mean) <= 3.0 * se
     total = closed.coop_mean + closed.cellular_mean + closed.noncoop_mean
     assert total == approx(135.0, abs=1e-9)
 
@@ -100,7 +102,7 @@ def test_closed_form_covers_the_full_size_catalog(ref_model):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda m: expected_coop_users_mc(m, 1, 2, trials=0, seed=3),
+        lambda m: expected_coop_users_closed(m, 3, 2),
         lambda m: expected_coop_users_exact(m, 0, 2),
         lambda m: expected_coop_users_exact(m, 1, 0),
         lambda m: expected_coop_users_closed(m, 1, 0),
@@ -154,44 +156,15 @@ def test_exact_input_checks(two_group):
         expected_coop_users_exact(two_group, 1, 0)
 
 
-def test_mc_agrees_with_exact_within_three_sigma(two_group):
-    exact = expected_coop_users_exact(two_group, 2, 3).coop_mean
-    mc = expected_coop_users_mc(two_group, 2, 3, trials=100_000, seed=7)
-    assert mc.method == "monte-carlo"
-    assert abs(mc.coop_mean - exact) <= 3.0 * mc.std_error
-    total = mc.coop_mean + mc.cellular_mean + mc.noncoop_mean
-    assert total == approx(6.0, abs=1e-9)  # role counts partition every draw
-
-
-def test_mc_reproducible_and_seed_sensitive(two_group):
-    a = expected_coop_users_mc(two_group, 2, 2, trials=5_000, seed=11)
-    b = expected_coop_users_mc(two_group, 2, 2, trials=5_000, seed=11)
-    c = expected_coop_users_mc(two_group, 2, 2, trials=5_000, seed=12)
-    assert a == b
-    assert a.coop_mean != c.coop_mean
-
-
-def test_mc_single_trial_has_undefined_error(two_group):
-    summary = expected_coop_users_mc(two_group, 2, 2, trials=1, seed=3)
-    assert summary.std_error == math.inf
-
-
-def test_mc_input_checks(two_group):
-    with pytest.raises(ValueError):
-        expected_coop_users_mc(two_group, 2, 2, trials=0, seed=3)
-    with pytest.raises(ValueError):
-        expected_coop_users_mc(two_group, 5, 2, trials=10, seed=3)
-
-
-def test_coop_mean_nondecreasing_in_skew():
+def test_coop_mean_nondecreasing_in_skew(ref_plan):
     # larger skew concentrates requests on cached groups; verified CI-aware
     means = []
     errs = []
     for beta in (0.0, 0.3, 0.6, 0.9, 1.2):
         model = build_popularity(300, 20, beta)
-        summary = expected_coop_users_mc(model, 15, 9, trials=20_000, seed=0xBE7A)
-        means.append(summary.coop_mean)
-        errs.append(summary.std_error)
+        mean, se = snapshot_coop_mean(sim_config(model, plan=ref_plan, seed=0xBE7A), 20_000)
+        means.append(mean)
+        errs.append(se)
     for i in range(len(means) - 1):
         assert means[i + 1] - means[i] > -3.0 * math.hypot(errs[i], errs[i + 1]), (
             means,
