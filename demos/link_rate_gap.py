@@ -17,9 +17,11 @@ Run it as::
 
 import argparse
 
+import numpy as np
+
 from coopd2d import ExperimentSpec, analytic_point
-from coopd2d.experiments import campaign_config
-from coopd2d.geometry import dump_pdf_table
+from coopd2d.experiments import campaign_config, write_csv
+from coopd2d.geometry import SQRT5, interference_pdf, signal_pdf
 from coopd2d.netsim import link_rate_gap
 
 
@@ -29,13 +31,14 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--seed", type=int, default=ExperimentSpec.seed, help="base RNG seed"
     )
-    parser.add_argument("--densities-out", help="optional CSV path for the two densities")
+    parser.add_argument(
+        "--densities-out", help="optional CSV path for the two densities on [0, sqrt(5)]"
+    )
     args = parser.parse_args(argv)
 
-    spec = ExperimentSpec(scenario="simulate", trials=1, seed=args.seed)
+    spec = ExperimentSpec(scenario="simulate", trials=args.snapshots, seed=args.seed)
     pt = analytic_point(spec)
-    cfg = campaign_config(spec, pt, "coop", 0.5)
-    zf_mean, zf_n, nn_mean, nn_n = link_rate_gap(cfg, args.snapshots)
+    zf_mean, zf_n, nn_mean, nn_n = link_rate_gap(campaign_config(spec, pt, "coop", 0.5))
 
     rc, rn = pt.rate_coop, pt.rate_noncoop
     print("%d snapshots, %d cooperative and %d single-cell links rated"
@@ -48,8 +51,12 @@ def main(argv=None) -> int:
     print("not a bug, and the throughput comparisons inherit it")
 
     if args.densities_out:
-        dump_pdf_table(args.densities_out)
-        print("wrote %s" % args.densities_out)
+        r = np.linspace(0.0, SQRT5, 512)
+        rows = [
+            {"r": x, "g": g, "f": f}
+            for x, g, f in zip(r, signal_pdf(r), interference_pdf(r))
+        ]
+        print("wrote %s" % write_csv(args.densities_out, "distance_pdf.v1", rows))
     return 0
 
 

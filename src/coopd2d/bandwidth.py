@@ -19,7 +19,6 @@ in an error-bounded window.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -27,8 +26,6 @@ from .errors import ConfigurationError
 from .rates import network_throughput
 
 __all__ = ["BandwidthSolution", "optimize_eta"]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -129,9 +126,6 @@ def optimize_eta(
     upper = min(hi, 1.0)
     if lo > upper or lo > 1.0:
         violated = "coop-constraint" if lo > 1.0 else "noncoop-constraint"
-        logger.debug(
-            "infeasible split: lo=%.6g hi=%.6g mu=%.6g mu_max=%.6g", lo, hi, mu, mu_max
-        )
         return BandwidthSolution(
             eta_star=math.nan,
             objective=math.nan,
@@ -150,13 +144,6 @@ def optimize_eta(
         eta = min(lo, 1.0)
         binding = "upper-bound" if eta == 1.0 and lo >= 1.0 else "coop-constraint"
 
-    logger.debug(
-        "coop rate %s non-coop rate (rc=%.6g, rn=%.6g): slope sign %+d",
-        ">=" if rc >= rn else "<",
-        rc,
-        rn,
-        1 if rc >= rn else -1,
-    )
     return BandwidthSolution(
         eta_star=eta,
         objective=network_throughput(pc, eta, rc, rn, bandwidth_hz, n_clusters),

@@ -86,11 +86,11 @@ def _ratio(measured: float, closed_form: float) -> float:
     return measured / closed_form if closed_form else math.nan
 
 
-def _snapshot_config(spec: ExperimentSpec, seed: int) -> tuple[AnalyticPoint, SimConfig]:
-    """The skew-1 analytic point and the cooperative config (``eta = 0.5``,
-    seeded with ``seed``) whose snapshots ``validate`` draws."""
+def _snapshot_config(spec: ExperimentSpec) -> tuple[AnalyticPoint, SimConfig]:
+    """The skew-1 analytic point and the cooperative config (``eta = 0.5``)
+    whose snapshots ``validate`` draws; callers set its trials and seed."""
     pt = analytic_point(replace(spec, beta=1.0))
-    return pt, replace(campaign_config(spec, pt, "coop", 0.5), trials=1, seed=seed)
+    return pt, campaign_config(spec, pt, "coop", 0.5)
 
 
 def _snapshot_checks(spec: ExperimentSpec, n_snap: int) -> list[tuple[str, bool, str]]:
@@ -100,8 +100,8 @@ def _snapshot_checks(spec: ExperimentSpec, n_snap: int) -> list[tuple[str, bool,
     ``ExperimentSpec.seed``, so the records do not depend on ``spec.seed``.
     Returns ``(name, passed, detail)`` records.
     """
-    pt, snap_cfg = _snapshot_config(spec, ExperimentSpec.seed)
-    modes, coops = snapshot_counts(snap_cfg, n_snap)
+    pt, config = _snapshot_config(spec)
+    modes, coops = snapshot_counts(replace(config, trials=n_snap, seed=ExperimentSpec.seed))
     freq = float(modes.mean())
     se = math.sqrt(max(pt.pc * (1.0 - pt.pc), 1e-300) / n_snap)
     nc_mean = float(coops.mean())
@@ -189,9 +189,10 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
         campaign_config(spec, pt, "coop", 0.5),
         plan=replace(pt.plan, n_clusters=4, users_per_cluster=2),
         popularity=small,
+        trials=20_000,
         seed=0xB0B,
     )
-    _, coops = snapshot_counts(small_cfg, 20_000)
+    _, coops = snapshot_counts(small_cfg)
     sampled = float(coops.mean())
     se = float(coops.std(ddof=1)) / math.sqrt(coops.size)
     checks.append((
@@ -273,7 +274,7 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
         "1-worker and 2-worker campaigns byte-identical over 200 trials",
     ))
 
-    zf_mean, _, nc_mean, _ = link_rate_gap(_snapshot_config(spec, spec.seed)[1], 2000)
+    zf_mean, _, nc_mean, _ = link_rate_gap(replace(_snapshot_config(spec)[1], trials=2000))
     rc, rn = pt.rate_coop, pt.rate_noncoop
     checks.append((
         "link-rate-gap",

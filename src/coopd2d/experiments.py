@@ -180,7 +180,9 @@ class ExperimentSpec:
         return self.n_clusters * self.users_per_cluster
 
 
-_SPEC_FIELDS = {f for f in ExperimentSpec.__dataclass_fields__}
+# The spec fields a config file sets directly; a sweep is the nested ``sweep`` key.
+_SWEEP_FIELDS = ("sweep_name", "sweep_values")
+_CONFIG_KEYS = set(ExperimentSpec.__dataclass_fields__) - {"scenario", *_SWEEP_FIELDS}
 
 
 def _as_tuple(values) -> tuple:
@@ -192,8 +194,9 @@ def _as_tuple(values) -> tuple:
 def spec_from_mapping(scenario: str, mapping: dict) -> ExperimentSpec:
     """Build a spec from a flat mapping (config file contents).
 
-    The ``sweep`` key may be a nested ``{name, values}`` mapping; every
-    other key must name an :class:`ExperimentSpec` field.
+    A sweep is spelled only as the nested ``sweep: {name, values}``
+    mapping; every other key must name an :class:`ExperimentSpec` field
+    other than ``scenario``, ``sweep_name`` and ``sweep_values``.
     """
     kwargs = {}
     for key, value in mapping.items():
@@ -204,8 +207,12 @@ def spec_from_mapping(scenario: str, mapping: dict) -> ExperimentSpec:
                 )
             kwargs["sweep_name"] = value.get("name")
             kwargs["sweep_values"] = _as_tuple(value.get("values", ()))
-        elif key in _SPEC_FIELDS and key != "scenario":
-            kwargs[key] = _as_tuple(value) if key == "sweep_values" else value
+        elif key in _CONFIG_KEYS:
+            kwargs[key] = value
+        elif key in _SWEEP_FIELDS:
+            raise ConfigurationError(
+                "config key %r: spell a sweep as 'sweep: {name: ..., values: [...]}'" % key
+            )
         else:
             raise ConfigurationError("unknown config key %r" % (key,))
     return ExperimentSpec(scenario=scenario, **kwargs)
@@ -253,25 +260,6 @@ def analytic_point(spec: ExperimentSpec) -> AnalyticPoint:
     pc = coop_probability(model, k, b)
     rn = noncoop_link_rate(geom)
     rc = coop_link_rate(geom, radio, plan.cluster_side_m, b)
-
-    # Interference-dominance sufficient condition for rc >= rn: evaluated and
-    # logged, never assumed.
-    mean_interference = (
-        radio.tx_power_w
-        * radio.intercept_linear
-        * plan.cluster_side_m ** (-spec.alpha)
-        * 8.0
-        * geom.q2
-    )
-    logger.debug(
-        "mean interference %.3e W vs B*noise %.3e W: sufficient condition %s "
-        "(rc=%.4f, rn=%.4f)",
-        mean_interference,
-        b * radio.noise_w,
-        "holds" if mean_interference >= b * radio.noise_w else "does not hold",
-        rc,
-        rn,
-    )
 
     pop = expected_coop_users_closed(model, k, b)
     solution = optimize_eta(

@@ -21,27 +21,22 @@ normalized by ``D``).  Without truncation the moments diverge for the
 path-loss exponents of interest, which is surfaced as an explicit error
 rather than an inf.
 
-Each density piece is written once, as a function of a float or an array.
-A scalar distance (``quad`` passes one per node, about 840 for the
-reference moments) picks its piece by bisecting the break points; an array
-applies the pieces under masks.  Both paths return the same bits, which
-the tests check on 10^5 points and at every break point.  Within about
-1e-5 of the end of its support a piece rounds to a few 1e-15 below 0; both
-paths clamp it to +0.0 (``-0.0`` included).  Only ``+ - * /``
-use Python operators inside a piece: with numpy's SIMD loops,
-``math.acos``/``math.asin`` differ from ``np.arccos``/``np.arcsin`` by an
-ulp at 9-10 % of points, and ``r ** 3`` on a float differs from the array
-loop at 5 % (uniform points on [0, 2.3]), so the pieces call ufuncs for
-the rest, ``np.power(r, 3)`` included.  The first
-``path_gain_moments(3.68, 0.04)`` call in a fresh interpreter took 53 ms
-when scalars went through the masked array code, and takes 3.6 ms now
-(medians of 5 interpreters, 2 cores, numpy 2.4).
+Each density piece is written once and evaluated on one float at a time:
+``quad`` passes one per node (about 840 for the reference moments), and an
+array is evaluated element by element.  A distance picks its piece by
+bisecting the break points.  Within about 1e-5 of the end of its support a
+piece rounds to a few 1e-15 below 0; it is clamped to +0.0 (``-0.0``
+included).  Only ``+ - * /`` use Python operators inside a piece: with
+numpy's SIMD loops, ``math.acos``/``math.asin`` differ from
+``np.arccos``/``np.arcsin`` by an ulp at 9-10 % of points, and ``r ** 3``
+on a float differs from the array loop at 5 % (uniform points on
+[0, 2.3]), so the pieces call ufuncs for the rest, ``np.power(r, 3)``
+included, and the pinned moment bits depend on them.
 """
 
 from __future__ import annotations
 
 import bisect
-import csv
 import functools
 import math
 import numbers
@@ -61,14 +56,13 @@ __all__ = [
     "signal_pdf",
     "interference_pdf",
     "path_gain_moments",
-    "dump_pdf_table",
 ]
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
 
-# Density pieces, shared by the scalar and the array path (see the module
-# docstring): Python operators only for + - * /, numpy ufuncs for the rest.
+# Density pieces (see the module docstring): Python operators only for
+# + - * /, numpy ufuncs for the rest.
 
 
 def _g_near(r):
@@ -122,22 +116,16 @@ _REAL_SCALARS = (float, int, np.floating, np.integer)
 
 
 def _piecewise(r, edges, pieces):
-    if isinstance(r, _REAL_SCALARS):
-        x = float(r)
-        if not x >= 0.0:
-            raise ConfigurationError("distances must be non-negative, got %r" % r)
-        i = bisect.bisect_right(edges, x) - 1
-        value = float(pieces[i](x)) if i < len(pieces) else 0.0
-        return value if value > 0.0 else 0.0
-    arr = np.asarray(r, dtype=np.float64)
-    if not np.all(arr >= 0.0):  # NaN fails the comparison too
-        raise ConfigurationError("distances must be non-negative, not NaN")
-    out = np.zeros_like(arr)
-    for lo, hi, piece in zip(edges, edges[1:], pieces):
-        mask = (arr >= lo) & (arr < hi)
-        out[mask] = piece(arr[mask])
-    out = np.where(out > 0.0, out, 0.0)
-    return float(out) if arr.ndim == 0 else out
+    if not isinstance(r, _REAL_SCALARS):
+        arr = np.asarray(r, dtype=np.float64)
+        values = [_piecewise(x, edges, pieces) for x in arr.ravel().tolist()]
+        return np.array(values).reshape(arr.shape)
+    x = float(r)
+    if not x >= 0.0:  # NaN fails the comparison too
+        raise ConfigurationError("distances must be non-negative, got %r" % r)
+    i = bisect.bisect_right(edges, x) - 1
+    value = float(pieces[i](x)) if i < len(pieces) else 0.0
+    return value if value > 0.0 else 0.0
 
 
 def signal_pdf(r):
@@ -152,7 +140,7 @@ def signal_pdf(r):
     Returns
     -------
     float or numpy.ndarray
-        A float for a scalar input, bit for bit the array path's value.
+        A float for a scalar input, else an array of the input's shape.
 
     Raises
     ------
@@ -184,7 +172,7 @@ def interference_pdf(r):
     Returns
     -------
     float or numpy.ndarray
-        A float for a scalar input, bit for bit the array path's value.
+        A float for a scalar input, else an array of the input's shape.
 
     Raises
     ------
@@ -339,19 +327,3 @@ def path_gain_moments(alpha: float, r_min: float = 0.0) -> GeometryTable:
     q2 = _moment(interference_pdf, alpha, r_min, SQRT5, INTERFERENCE_BREAKS)
     return GeometryTable(alpha=float(alpha), r_min=float(r_min), q1=s + 8.0 * q2, q2=q2)
 
-
-def dump_pdf_table(path, n_points: int = 512) -> None:
-    """Write both densities on a uniform grid over ``[0, sqrt(5)]`` as CSV.
-
-    Columns: ``r``, ``g`` (signal density), ``f`` (interference density).
-    Intended for eyeballing the curves against histograms; nothing in the
-    package reads the file back.
-    """
-    grid = np.linspace(0.0, SQRT5, n_points)
-    g = signal_pdf(grid)
-    f = interference_pdf(grid)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "g", "f"])
-        for row in zip(grid, g, f):
-            writer.writerow([repr(float(v)) for v in row])

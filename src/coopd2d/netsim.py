@@ -35,28 +35,27 @@ each matrix sees the arithmetic it would see alone, and an ill-conditioned
 or singular channel takes the drop-worst-link fallback on its own.
 Stages 1-5 and pass 2 are the rating step (:func:`_rate_block`); a campaign
 turns its output into trial records (:func:`_run_block`).  The same engine
-serves the two snapshot measurements: :func:`snapshot_counts` runs stages 1
-and 2 only, and :func:`link_rate_gap` runs the rating step with a second
-generator per snapshot for stages 3 and 5.
+serves the two snapshot measurements, which read the first ``trials``
+snapshots of a config: :func:`snapshot_counts` runs stages 1 and 2 only,
+and :func:`link_rate_gap` runs the rating step.
 
 Reproducibility contract: trial ``t`` derives all of its randomness from
 one generator with a fixed draw order (positions, requests, scheduling
 choices, fading), per-trial results live at index ``t`` of the campaign
 arrays, and aggregation runs over those ordered arrays; neither the block
-size nor the thread or process count can change any output bit.
-:func:`link_rate_gap` draws snapshot ``t``'s positions and requests from
-the same generator and its scheduling choices and fading from a second
-one.  The block seeder :func:`_generators` builds every generator of the
-module: it runs numpy's SeedSequence hash over a whole block in one
-vectorised pass, and trial ``t``'s generator is state for state
-``numpy.random.default_rng([seed, t])``, the second one
-``default_rng([seed, t, 1])``.  Stage 3 draws raw PCG64 words and reduces
-them by numpy's bounded-integer rule, as ``Generator.integers`` would; this
-assumes that no 32-bit draw precedes stage 3 on either generator.  Oracle
-tests in ``tests/test_netsim.py`` pin the seeder and these draws against
-numpy, so a change to numpy's seeding or bounded integers fails them
-instead of moving the streams.  Zero-forcing takes a channel's exact
-condition number only when a Frobenius-norm screen cannot decide
+size nor the thread or process count can change any output bit.  Snapshot
+``t`` of :func:`snapshot_counts` and :func:`link_rate_gap` is campaign
+trial ``t``, drawn from the same generator; there is no other stream.  The
+block seeder :func:`_generators` builds every generator of the module: it
+runs numpy's SeedSequence hash over a whole block in one vectorised pass,
+and trial ``t``'s generator is state for state
+``numpy.random.default_rng([seed, t])``.  Stage 3 draws raw PCG64 words
+and reduces them by numpy's bounded-integer rule, as
+``Generator.integers`` would; this assumes that no 32-bit draw precedes
+stage 3.  Oracle tests in ``tests/test_netsim.py`` pin the seeder and these
+draws against numpy, so a change to numpy's seeding or bounded integers
+fails them instead of moving the streams.  Zero-forcing takes a channel's
+exact condition number only when a Frobenius-norm screen cannot decide
 (:func:`_zf_stack`).
 """
 
@@ -251,14 +250,14 @@ class _Seeded(np.random.bit_generator.ISeedSequence):
         return self.state
 
 
-def _generators(config: SimConfig, start: int, stop: int, *suffix: int) -> list:
-    """The generators of trials ``start .. stop - 1``, entropy ``[seed, t, *suffix]``.
+def _generators(config: SimConfig, start: int, stop: int) -> list:
+    """The generators of trials ``start .. stop - 1``, entropy ``[seed, t]``.
 
     This is the block seeder of the module's reproducibility contract.  A
     block is split where the word count of ``t`` changes, at multiples of
-    ``2**32``; the seed's and the suffix's words are fixed columns.
+    ``2**32``; the seed's words are fixed columns.
     """
-    head, tail = _words(config.seed), [w for s in suffix for w in _words(s)]
+    head = _words(config.seed)
     rngs = []
     while start < stop:
         n_t = len(_words(start))  # the same up to the next multiple of 2**(32 * n_t)
@@ -270,7 +269,6 @@ def _generators(config: SimConfig, start: int, stop: int, *suffix: int) -> list:
             limb = carry + (start >> 32 * j & _MASK32)
             entropy.append((limb & _MASK32).astype(np.uint32))
             carry = limb >> 32
-        entropy += [np.full(size, w, dtype=np.uint32) for w in tail]
         rngs += [np.random.Generator(np.random.PCG64(_Seeded(s))) for s in _seed_states(entropy)]
         start = end
     return rngs
@@ -576,23 +574,22 @@ class _Rated(NamedTuple):
     nc_links: np.ndarray  # (T, S) links of each set
 
 
-def _rate_block(config: SimConfig, rngs, link_rngs) -> _Rated:
+def _rate_block(config: SimConfig, rngs) -> _Rated:
     """Draw, schedule and rate one trial per generator.
 
-    ``rngs`` draw stage 1 and ``link_rngs`` stages 3 and 5; a campaign
-    passes the same list twice.  Pass 1 runs stages 1-4
-    (:func:`_drop_block`, :func:`_pick_links`), then stage 5: each trial
-    draws the fading of all its link sets in one ``standard_normal`` call,
-    cooperative set first, then the non-cooperative set or the four tdma
-    colour slots in colour order.  Pass 2 stacks the link sets of equal
-    size, so each matrix sees the arithmetic it would see alone.
+    Pass 1 runs stages 1-4 (:func:`_drop_block`, :func:`_pick_links`), then
+    stage 5: each trial draws the fading of all its link sets in one
+    ``standard_normal`` call, cooperative set first, then the
+    non-cooperative set or the four tdma colour slots in colour order.
+    Pass 2 stacks the link sets of equal size, so each matrix sees the
+    arithmetic it would see alone.
     """
     plan, radio = config.plan, config.radio
     b, k = plan.n_clusters, plan.users_per_cluster
     n = len(rngs)
     drops = _drop_block(config, rngs)
     split = drops.hit.any(axis=1) & (config.strategy == "coop" and config.eta > 0.0)
-    links = _pick_links(drops.request_of, drops.counts, drops.roles, split, link_rngs)
+    links = _pick_links(drops.request_of, drops.counts, drops.roles, split, rngs)
 
     n_slots = 4 if config.strategy == "tdma" else 1
     if n_slots == 4:
@@ -611,7 +608,7 @@ def _rate_block(config: SimConfig, rngs, link_rngs) -> _Rated:
     trial_end = np.cumsum(trial_draws)
     trial_start = trial_end - trial_draws
     normals = np.empty(trial_end[-1])
-    for rng, lo, hi in zip(link_rngs, trial_start.tolist(), trial_end.tolist()):
+    for rng, lo, hi in zip(rngs, trial_start.tolist(), trial_end.tolist()):
         if hi > lo:
             rng.standard_normal(out=normals[lo:hi])
     set_start = (trial_start + zf_draws)[:, None] + np.cumsum(set_draws, axis=1) - set_draws
@@ -652,8 +649,7 @@ def _run_block(config: SimConfig, start: int, out: np.ndarray) -> None:
 
     The rate sums are combined in the order of a single trial.
     """
-    rngs = _generators(config, start, start + len(out))
-    rated = _rate_block(config, rngs, rngs)
+    rated = _rate_block(config, _generators(config, start, start + len(out)))
     usable, split = rated.usable, rated.split
     w, eta = config.radio.bandwidth_hz, config.eta
     if config.strategy == "tdma":
@@ -781,45 +777,39 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
     )
 
 
-def snapshot_counts(config: SimConfig, n_snapshots: int) -> tuple[np.ndarray, np.ndarray]:
-    """Modes and cooperative-user counts of the first ``n_snapshots`` snapshots.
+def snapshot_counts(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Modes and cooperative-user counts of the first ``config.trials`` snapshots.
 
-    Snapshot ``t`` is the drop of campaign trial ``t`` (stages 1 and 2 only),
-    from trial ``t``'s generator (the module's reproducibility contract).
+    Snapshot ``t`` is the drop of campaign trial ``t`` (stages 1 and 2 only).
     Returns the int8 modes (1 in Mode 1) and the int16 counts.
     """
-    _check_int("n_snapshots", n_snapshots, 1)
-    modes = np.empty(n_snapshots, dtype=np.int8)
-    coops = np.empty(n_snapshots, dtype=np.int16)
-    for lo in range(0, n_snapshots, _CHUNK):
-        hi = min(lo + _CHUNK, n_snapshots)
+    n = config.trials
+    modes = np.empty(n, dtype=np.int8)
+    coops = np.empty(n, dtype=np.int16)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
         drops = _drop_block(config, _generators(config, lo, hi))
         modes[lo:hi] = drops.hit.any(axis=1)
         coops[lo:hi] = np.count_nonzero(drops.roles == ROLE_COOP, axis=1)
     return modes, coops
 
 
-def link_rate_gap(config: SimConfig, n_snapshots: int) -> tuple[float, int, float, int]:
-    """Fading-averaged link rates of the first ``n_snapshots`` snapshots.
+def link_rate_gap(config: SimConfig) -> tuple[float, int, float, int]:
+    """Fading-averaged link rates of the first ``config.trials`` snapshots.
 
-    Snapshot ``t`` is dropped as campaign trial ``t``; its scheduling
-    choices and fading draw from the second generator of the module's
-    reproducibility contract, in the campaign's order.  The links are
-    those ``config``'s strategy schedules.  Returns
+    Snapshot ``t`` is campaign trial ``t``: the same draws, links and
+    fading.  The links are those ``config``'s strategy schedules.  Returns
     ``(zf_mean, zf_links, noncoop_mean, noncoop_links)``: the mean
     zero-forcing rate over the links that kept a non-zero rate (an unusable
     channel keeps none), the mean rate over all non-cooperative links
     (bits/s/Hz), and the two link counts.  The rate sums are exactly
     rounded, and a mean over no links is 0.
     """
-    _check_int("n_snapshots", n_snapshots, 1)
-    b = config.plan.n_clusters
+    b, n = config.plan.n_clusters, config.trials
     zf_sums, nc_sums = [], []
     zf_n = nc_n = 0
-    for lo in range(0, n_snapshots, _CHUNK):
-        hi = min(lo + _CHUNK, n_snapshots)
-        rngs, link_rngs = _generators(config, lo, hi), _generators(config, lo, hi, 1)
-        rated = _rate_block(config, rngs, link_rngs)
+    for lo in range(0, n, _CHUNK):
+        rated = _rate_block(config, _generators(config, lo, min(lo + _CHUNK, n)))
         zf_sums += rated.zf_sum.tolist()
         zf_n += int((b - rated.zf_dropped)[rated.has_zf].sum())
         nc_sums += rated.nc_sum.ravel().tolist()

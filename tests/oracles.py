@@ -295,44 +295,43 @@ def reference_campaign_records(config) -> np.ndarray:
     return np.array(rows, dtype=TRIAL_DTYPE)
 
 
-def reference_link_rate_gap(config, n_snapshots: int, edit_channel=None) -> tuple:
+def reference_link_rate_gap(config, edit_channel=None) -> tuple:
     """The link-rate means of ``netsim.link_rate_gap``, one snapshot at a time.
 
-    Snapshot ``t`` draws its positions and requests from
-    ``default_rng([seed, t])``, and its scheduling choices and the fading of
-    its cooperative set, then of its non-cooperative set, from
-    ``default_rng([seed, t, 1])`` (``coop`` and ``nocoop`` strategies).  A
-    mean is a :func:`math.fsum` of the per-snapshot rate sums over the links
-    that kept a non-zero rate, or 0 over no links.  ``edit_channel(i, h)``
-    may replace the ``i``-th cooperative channel, counted in snapshot order,
-    before it is rated.  Nothing here calls the simulator.
+    Snapshot ``t`` of the first ``config.trials`` draws everything from
+    ``default_rng([seed, t])``, as campaign trial ``t`` does: its positions
+    and requests, its scheduling choices, and the fading of its cooperative
+    set, then of its non-cooperative set (``coop`` and ``nocoop``
+    strategies).  A mean is a :func:`math.fsum` of the per-snapshot rate
+    sums over the links that kept a non-zero rate, or 0 over no links.
+    ``edit_channel(i, h)`` may replace the ``i``-th cooperative channel,
+    counted in snapshot order, before it is rated.  Nothing here calls the
+    simulator.
     """
     radio, floor = config.radio, config.min_pairing_distance_m
     zf_sums, nc_sums, zf_n, nc_n = [], [], 0, 0
-    for t in range(n_snapshots):
-        link_rng = np.random.default_rng([config.seed, t, 1])
-        positions, _, _, coop_links, noncoop_links = _reference_schedule(
-            config, np.random.default_rng([config.seed, t]), link_rng
-        )
+    for t in range(config.trials):
+        rng = np.random.default_rng([config.seed, t])
+        positions, _, _, coop_links, noncoop_links = _reference_schedule(config, rng)
         if coop_links:
-            h = _reference_zf_channel(coop_links, positions, radio, link_rng, floor)
+            h = _reference_zf_channel(coop_links, positions, radio, rng, floor)
             if edit_channel is not None:
                 h = edit_channel(len(zf_sums), h)
             zf = reference_zf_channel_rates(h, radio.tx_power_w, radio.noise_w)
             zf_sums.append(0.0 if zf is None else float(zf.sum()))
             zf_n += 0 if zf is None else int(np.count_nonzero(zf))
-        nc = _reference_sinr_rates(noncoop_links, positions, radio, link_rng, floor)
+        nc = _reference_sinr_rates(noncoop_links, positions, radio, rng, floor)
         nc_sums.append(float(nc.sum()))
         nc_n += len(noncoop_links)
     return math.fsum(zf_sums) / max(zf_n, 1), zf_n, math.fsum(nc_sums) / max(nc_n, 1), nc_n
 
 
-def _reference_schedule(config, rng, link_rng):
+def _reference_schedule(config, rng):
     """Positions, requests, hit groups and links of one snapshot.
 
-    ``rng`` draws the positions and then the requests; ``link_rng`` draws
-    the scheduling choices, one scalar ``integers`` call per choice, in
-    cluster order.  Links are ``(tx, rx)`` pairs of user indices.
+    ``rng`` draws the positions, then the requests, then the scheduling
+    choices, one scalar ``integers`` call per choice, in cluster order.
+    Links are ``(tx, rx)`` pairs of user indices.
     """
     plan = config.plan
     b, k = plan.n_clusters, plan.users_per_cluster
@@ -355,11 +354,11 @@ def _reference_schedule(config, rng, link_rng):
             if all(any(row[j] == g and j != g for j in range(k)) for row in rows)
         ]
         if valid:
-            g = valid[int(link_rng.integers(len(valid)))]
+            g = valid[int(rng.integers(len(valid)))]
             for c, row in enumerate(rows):
                 receivers = [j for j in range(k) if row[j] == g and j != g]
                 coop_links.append(
-                    (c * k + g, c * k + receivers[int(link_rng.integers(len(receivers)))])
+                    (c * k + g, c * k + receivers[int(rng.integers(len(receivers)))])
                 )
     noncoop_links = []
     for c, row in enumerate(rows):
@@ -368,7 +367,7 @@ def _reference_schedule(config, rng, link_rng):
             if row[j] < k and row[j] != j and not (restrict and row[j] in hit)
         ]
         if pool:
-            j = pool[int(link_rng.integers(len(pool)))]
+            j = pool[int(rng.integers(len(pool)))]
             noncoop_links.append((c * k + row[j], c * k + j))
     return positions, req, hit, coop_links, noncoop_links
 
@@ -378,7 +377,7 @@ def _reference_trial(config, t: int) -> tuple:
     b, k = plan.n_clusters, plan.users_per_cluster
     m, grid = b * k, math.isqrt(b)
     rng = np.random.default_rng([config.seed, t])
-    positions, req, hit, coop_links, noncoop_links = _reference_schedule(config, rng, rng)
+    positions, req, hit, coop_links, noncoop_links = _reference_schedule(config, rng)
     n_cellular = sum(r >= k for r in req)
     n_coop = sum(r in hit for r in req)
     mode = 1 if hit else 0

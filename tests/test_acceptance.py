@@ -137,9 +137,9 @@ def test_acceptance_2_population_enumeration_exactness(ref_radio):
         exact = expected_coop_users_exact(model, k, b)
         cfg = SimConfig(
             plan=make_plan(75.0, b, k), radio=ref_radio, popularity=model,
-            strategy="coop", trials=1, seed=seed, eta=0.5,
+            strategy="coop", trials=n, seed=seed, eta=0.5,
         )
-        _, coops = snapshot_counts(cfg, n)
+        _, coops = snapshot_counts(cfg)
         se = float(coops.std(ddof=1)) / math.sqrt(n)
         dev = abs(float(coops.mean()) - exact.coop_mean)
         mc_ok = mc_ok and dev <= 3.0 * se
@@ -221,14 +221,14 @@ def test_acceptance_4_simulation_vs_closed_forms(
         radio=ref_radio,
         popularity=ref_model,
         strategy="coop",
-        trials=1,
+        trials=100_000,
         seed=20230817,
         eta=0.5,
         min_pairing_distance_m=1.0,
     )
 
-    n = 100_000
-    modes, coops = snapshot_counts(cfg, n)
+    n = cfg.trials
+    modes, coops = snapshot_counts(cfg)
 
     pc = coop_probability(ref_model, 15, 9)
     freq = float(modes.mean())
@@ -253,7 +253,7 @@ def test_acceptance_4_simulation_vs_closed_forms(
         )
     )
 
-    zf_mean, _, nn_mean, _ = link_rate_gap(cfg, 2000)
+    zf_mean, _, nn_mean, _ = link_rate_gap(replace(cfg, trials=2000))
     rc = coop_link_rate(ref_geom, ref_radio, ref_plan.cluster_side_m, 9)
     rn = noncoop_link_rate(ref_geom)
     checks.append(

@@ -264,6 +264,24 @@ def test_readme_config_example_is_valid():
     assert all(isinstance(v, float) for v in spec.sweep_values)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        # a flat key beside the nested sweep must not override it
+        {"sweep": {"name": "mu_bps", "values": [0.0]}, "sweep_values": [1e6]},
+        {"sweep_name": "mu_bps", "sweep_values": [1e6]},
+        {"sweep_name": "beta"},
+    ],
+)
+def test_flat_sweep_keys_exit_2(tmp_path, capsys, config):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(config))
+    out = tmp_path / "out.csv"
+    assert main(["optimize-bandwidth", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "spell a sweep as 'sweep:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = tmp_path / "run.yaml"
     cfg.write_text("warp_factor: 9\n")

@@ -8,6 +8,8 @@ import re
 
 import pytest
 
+from coopd2d.geometry import SQRT5, interference_pdf, signal_pdf
+
 DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 README = DEMOS.parent / "README.md"
 
@@ -45,15 +47,28 @@ def test_demo_runs(name, capsys):
     assert EXPECT[name] in capsys.readouterr().out
 
 
-def test_demo_file_outputs(tmp_path, capsys):
+def test_demo_file_outputs(tmp_path):
     profile = tmp_path / "profile.csv"
     assert _load("cluster_size_sweep").main(["--out", str(profile)]) == 0
     assert profile.read_text().startswith("n_users,k_star,expected_active_links\n")
-    densities = tmp_path / "pdf.csv"
-    argv = ["--snapshots", "5", "--densities-out", str(densities)]
-    assert _load("link_rate_gap").main(argv) == 0
-    assert densities.stat().st_size > 0
-    assert "wrote %s" % densities in capsys.readouterr().out
+
+
+def test_densities_csv(tmp_path, capsys):
+    path = tmp_path / "pdf.csv"
+    argv = ["--snapshots", "5", "--densities-out", str(path)]
+    demo = _load("link_rate_gap")
+    assert demo.main(argv) == 0
+    assert "wrote %s" % path in capsys.readouterr().out
+    first = path.read_bytes()
+    assert demo.main(argv) == 0
+    assert path.read_bytes() == first  # byte-deterministic rewrite
+
+    lines = path.read_text().splitlines()
+    assert lines[:2] == ["# schema=coopd2d.distance_pdf.v1", "r,g,f"]
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+    assert len(rows) == 512 and rows[0][0] == 0.0 and rows[-1][0] == SQRT5
+    for r, g, f in rows:
+        assert g == signal_pdf(r) and f == interference_pdf(r)
 
 
 def test_readme_quick_start_runs():

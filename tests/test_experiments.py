@@ -519,10 +519,10 @@ def test_validate_snapshot_gates_ignore_the_seed():
 
 
 def test_link_rate_gap_is_reproducible():
-    spec = ExperimentSpec(scenario="simulate", trials=1, seed=3)
+    spec = ExperimentSpec(scenario="simulate", trials=20, seed=3)
     config = campaign_config(spec, analytic_point(spec), "coop", 0.5)
-    gap = link_rate_gap(config, 20)
-    assert link_rate_gap(config, 20) == gap
+    gap = link_rate_gap(config)
+    assert link_rate_gap(config) == gap
     zf_mean, zf_links, nc_mean, nc_links = gap
     assert 0 < zf_links <= 9 * 20 and 0 < nc_links <= 9 * 20
     assert zf_mean > nc_mean > 0.0

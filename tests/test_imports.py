@@ -35,3 +35,21 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_private_names_imported_across_modules(path):
     assert private_imports(path) == []
+
+
+def imported_modules(path):
+    """Top-level names of the modules ``path`` imports, relative imports left out."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_experiments_writes_csv():
+    # every CSV goes through experiments.write_csv, with its schema line
+    package = sorted((ROOT / "src" / "coopd2d").glob("*.py"))
+    assert [p.name for p in package if "csv" in imported_modules(p)] == ["experiments.py"]

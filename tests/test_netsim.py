@@ -151,18 +151,18 @@ def test_campaign_records_match_the_per_trial_reference(request, base, strategy)
     ["ref_config", "sparse_config", "small_config", "eta0_config", "single_cluster_config"],
 )
 def test_link_rate_gap_matches_the_per_snapshot_reference(request, base):
-    config = request.getfixturevalue(base)
-    n = netsim._CHUNK + 22  # a last, partial block
-    gap = link_rate_gap(config, n)
-    assert gap == oracles.reference_link_rate_gap(config, n)
+    # a last, partial block
+    config = replace(request.getfixturevalue(base), trials=netsim._CHUNK + 22)
+    gap = link_rate_gap(config)
+    assert gap == oracles.reference_link_rate_gap(config)
     if base in ("ref_config", "small_config", "single_cluster_config"):
         assert gap[1] > 0  # the zero-forcing branch runs
 
 
 def test_link_rate_gap_reference_with_dropped_and_unusable_channels(ref_config, monkeypatch):
-    n = 20
-    clean = link_rate_gap(ref_config, n)
-    assert clean[1] == 9 * n
+    config = replace(ref_config, trials=20)
+    clean = link_rate_gap(config)
+    assert clean[1] == 9 * config.trials
 
     def edit(i, h):  # channel 1: no usable channel; channel 2: ill-conditioned
         h = h.copy()
@@ -179,10 +179,30 @@ def test_link_rate_gap_reference_with_dropped_and_unusable_channels(ref_config, 
         return np.stack([edit(i, channel) for i, channel in enumerate(h)])
 
     monkeypatch.setattr(netsim, "_zf_channel", broken)
-    gap = link_rate_gap(ref_config, n)
-    assert gap == oracles.reference_link_rate_gap(ref_config, n, edit_channel=edit)
+    gap = link_rate_gap(config)
+    assert gap == oracles.reference_link_rate_gap(config, edit_channel=edit)
     assert gap[1] == clean[1] - 9 - 1  # one channel lost, one link dropped
     assert gap[2:] == clean[2:]
+
+
+@pytest.mark.parametrize("strategy", ["coop", "nocoop"])
+def test_link_rate_gap_reads_the_campaign_trials(ref_config, strategy):
+    # snapshot t is campaign trial t: the gap's rate sums are the records' bands
+    eta = 0.5 if strategy == "coop" else 0.0
+    config = replace(ref_config, strategy=strategy, eta=eta)
+    records = run_campaign(config, keep_trials=True).trials
+    kept = records[records["discarded"] == 0]
+    w = config.radio.bandwidth_hz
+    zf_mean, zf_links, nc_mean, nc_links = link_rate_gap(config)
+    share = 1.0 - eta * kept["mode"]  # the non-cooperative band of each trial
+    nc_total = math.fsum(((kept["throughput"] - kept["coop_band"]) / (w * share)).tolist())
+    assert nc_total == approx(nc_mean * nc_links, rel=1e-12)
+    zf_total = math.fsum(kept["coop_band"].tolist())
+    if strategy == "coop":
+        assert zf_links > 0
+        assert zf_total / (eta * w) == approx(zf_mean * zf_links, rel=1e-12)
+    else:
+        assert zf_total == zf_links == 0
 
 
 @pytest.mark.parametrize("strategy", ["coop", "nocoop", "tdma"])
@@ -193,17 +213,18 @@ def test_records_do_not_depend_on_the_block_size(ref_config, monkeypatch, strate
     assert run_campaign(config, keep_trials=True).trials.tobytes() == expected
 
 
-@pytest.mark.parametrize("suffix", [(), (1,)], ids=["trial", "link"])
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63, 2**64 + 5])
-def test_block_seeder_matches_default_rng(ref_config, seed, suffix):
+@pytest.mark.parametrize(
+    "seed", [0, 2**32 - 1, 2**32, 2**63, 2**64 + 5], ids=lambda seed: "%d-trial" % seed
+)
+def test_block_seeder_matches_default_rng(ref_config, seed):
     # each entropy integer is one 32-bit word below 2**32 (0 included) and
     # more above it; the second block crosses t = 2**32
     config = replace(ref_config, seed=seed)
     for start, stop in ((0, 2), (2**32 - 1, 2**32 + 2)):
-        rngs = netsim._generators(config, start, stop, *suffix)
+        rngs = netsim._generators(config, start, stop)
         assert len(rngs) == stop - start
         for t, rng in zip(range(start, stop), rngs):
-            reference = np.random.default_rng([seed, t, *suffix])
+            reference = np.random.default_rng([seed, t])
             assert rng.bit_generator.state == reference.bit_generator.state
             assert np.array_equal(rng.random(8), reference.random(8))
 
@@ -559,7 +580,7 @@ def test_campaign_per_trial_invariants(ref_config):
 
 def test_campaign_matches_public_snapshot_counts(ref_config):
     records = run_campaign(ref_config, keep_trials=True).trials
-    modes, coops = snapshot_counts(ref_config, ref_config.trials)
+    modes, coops = snapshot_counts(ref_config)
     assert modes.tobytes() == records["mode"].tobytes()
     assert coops.tobytes() == records["n_coop"].tobytes()
 

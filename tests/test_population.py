@@ -84,16 +84,18 @@ def test_closed_form_matches_enumeration_and_oracle():
         )
 
 
-def snapshot_coop_mean(config, n):
-    """Mean and standard error of the cooperative count over ``n`` snapshots."""
-    _, coops = snapshot_counts(config, n)
-    return float(coops.mean()), float(coops.std(ddof=1)) / math.sqrt(n)
+def snapshot_coop_mean(config):
+    """Mean and standard error of the cooperative count over ``config``'s snapshots."""
+    _, coops = snapshot_counts(config)
+    return float(coops.mean()), float(coops.std(ddof=1)) / math.sqrt(coops.size)
 
 
 def test_closed_form_covers_the_full_size_catalog(ref_model, ref_plan):
     # far past the enumeration budget; the simulator's snapshots bracket it
     closed = expected_coop_users_closed(ref_model, 15, 9)
-    mean, se = snapshot_coop_mean(sim_config(ref_model, plan=ref_plan, seed=5), 20_000)
+    mean, se = snapshot_coop_mean(
+        sim_config(ref_model, plan=ref_plan, trials=20_000, seed=5)
+    )
     assert abs(closed.coop_mean - mean) <= 3.0 * se
     total = closed.coop_mean + closed.cellular_mean + closed.noncoop_mean
     assert total == approx(135.0, abs=1e-9)
@@ -128,8 +130,8 @@ def test_closed_form_covers_the_full_size_catalog(ref_model, ref_plan):
         lambda m: sim_config(m, trials=True),
         lambda m: sim_config(m, seed=-1),
         lambda m: sim_config(m, min_pairing_distance_m=math.nan),
-        lambda m: snapshot_counts(sim_config(m), 0),
-        lambda m: link_rate_gap(sim_config(m), 0),
+        lambda m: snapshot_counts(sim_config(m, trials=0)),
+        lambda m: link_rate_gap(sim_config(m, trials=0)),
     ],
 )
 def test_api_argument_errors_are_package_errors(two_group, call):
@@ -162,7 +164,9 @@ def test_coop_mean_nondecreasing_in_skew(ref_plan):
     errs = []
     for beta in (0.0, 0.3, 0.6, 0.9, 1.2):
         model = build_popularity(300, 20, beta)
-        mean, se = snapshot_coop_mean(sim_config(model, plan=ref_plan, seed=0xBE7A), 20_000)
+        mean, se = snapshot_coop_mean(
+            sim_config(model, plan=ref_plan, trials=20_000, seed=0xBE7A)
+        )
         means.append(mean)
         errs.append(se)
     for i in range(len(means) - 1):
