@@ -14,11 +14,13 @@ Run it as::
 """
 
 import argparse
+import sys
 from dataclasses import replace
 
 import numpy as np
 
 from coopd2d import ExperimentSpec, analytic_point
+from coopd2d.errors import CoopD2DError
 from coopd2d.experiments import grid_search_eta
 
 
@@ -29,7 +31,16 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--points", type=int, default=8, help="sweep points")
     args = parser.parse_args(argv)
+    if args.points < 1:
+        parser.error("--points must be at least 1")
+    try:
+        return report(args)
+    except CoopD2DError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
+
+def report(args) -> int:
     spec = ExperimentSpec(scenario="bandwidth-sweep", beta=args.beta)
     base = analytic_point(replace(spec, mu_bps=0.0))
     print(

@@ -14,8 +14,10 @@ Run it as::
 """
 
 import argparse
+import sys
 
 from coopd2d import ExperimentSpec, build_popularity, optimize_cluster_size
+from coopd2d.errors import CoopD2DError
 
 
 def main(argv=None) -> int:
@@ -28,14 +30,24 @@ def main(argv=None) -> int:
     parser.add_argument("--beta", type=float, default=ref.beta, help="popularity skew")
     parser.add_argument("--out", help="optional CSV path for the density sweep")
     args = parser.parse_args(argv)
+    for flag in ("n_files", "cache_size"):
+        if getattr(args, flag) < 1:
+            parser.error("--%s must be at least 1" % flag.replace("_", "-"))
+    try:
+        return report(args)
+    except (CoopD2DError, OSError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
+
+def report(args) -> int:
     model = build_popularity(args.n_files, args.cache_size, args.beta)
     print(
         "catalog: %d files, cache %d, skew %.2f -> %d cacheable groups"
         % (args.n_files, args.cache_size, args.beta, model.group_count)
     )
 
-    n_users = ref.n_clusters * ref.users_per_cluster
+    n_users = ExperimentSpec.n_clusters * ExperimentSpec.users_per_cluster
     print("\nexpected active links by users per cluster (%d-user hotspot):" % n_users)
     _, _, profile = optimize_cluster_size(model, n_users)
     best = max(objective for _, objective in profile)

@@ -16,10 +16,12 @@ Run it as::
 """
 
 import argparse
+import sys
 
 import numpy as np
 
 from coopd2d import ExperimentSpec, analytic_point
+from coopd2d.errors import CoopD2DError
 from coopd2d.experiments import campaign_config, write_csv
 from coopd2d.geometry import SQRT5, interference_pdf, signal_pdf
 from coopd2d.netsim import link_rate_gap
@@ -35,7 +37,16 @@ def main(argv=None) -> int:
         "--densities-out", help="optional CSV path for the two densities on [0, sqrt(5)]"
     )
     args = parser.parse_args(argv)
+    if args.snapshots < 1:
+        parser.error("--snapshots must be at least 1")
+    try:
+        return report(args)
+    except (CoopD2DError, OSError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
+
+def report(args) -> int:
     spec = ExperimentSpec(scenario="simulate", trials=args.snapshots, seed=args.seed)
     pt = analytic_point(spec)
     zf_mean, zf_n, nn_mean, nn_n = link_rate_gap(campaign_config(spec, pt, "coop", 0.5))

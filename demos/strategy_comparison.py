@@ -14,8 +14,10 @@ Run it as::
 """
 
 import argparse
+import sys
 
 from coopd2d import ExperimentSpec
+from coopd2d.errors import CoopD2DError
 from coopd2d.experiments import compare_strategies
 
 
@@ -29,7 +31,16 @@ def main(argv=None) -> int:
         "--betas", type=float, nargs="+", default=[0.0, 0.6, 1.0], help="skews to run"
     )
     args = parser.parse_args(argv)
+    if args.trials < 1:
+        parser.error("--trials must be at least 1")
+    try:
+        return report(args)
+    except CoopD2DError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
+
+def report(args) -> int:
     spec = ExperimentSpec(
         scenario="throughput-compare", trials=args.trials, seed=args.seed
     )

@@ -558,7 +558,7 @@ def cmd_compare(spec: ExperimentSpec) -> str:
     rows = []
     for beta in betas:
         rows.extend(compare_strategies(spec, float(beta)))
-    return write_csv(spec.out, "strategy_compare.v2", rows)
+    return write_csv(spec.out, "strategy_compare.v3", rows)
 
 
 def cmd_simulate(spec: ExperimentSpec) -> str:
@@ -590,4 +590,4 @@ def cmd_simulate(spec: ExperimentSpec) -> str:
         result.throughput_ci95,
         result.n_trials,
     )
-    return write_csv(spec.out, "campaign_trials.v2", rows)
+    return write_csv(spec.out, "campaign_trials.v3", rows)

@@ -18,22 +18,21 @@ construction, seeds included), and ``tdma`` (reuse-4 grid coloring, each
 color active every 4th slot on the full band).
 
 Engine: a campaign runs in blocks of ``_CHUNK`` trials, in two passes.
-Pass 1 keeps the block's generators alive and runs five stages; the stages
+Pass 1 keeps the block's generators alive and runs four stages; the stages
 that draw run per trial, the others per block:
 
-1. per trial, the positions and request uniforms (:func:`_drop_block`);
+1. per trial, the positions, the request uniforms and the scheduling
+   uniforms, in one ``random`` call (:func:`_drop_block`);
 2. per block, the request counts, hit groups, modes and roles;
-3. per trial, the raw words of the scheduling choices, which are reduced
-   for the block against bounds computed for the block (:func:`_pick_links`);
-4. per block, the links those choices pick;
-5. per trial, the fading of every link set of the trial (:func:`_run_block`).
+3. per block, the links the scheduling uniforms pick (:func:`_pick_links`);
+4. per trial, the fading of every link set of the trial (:func:`_rate_block`).
 
 Pass 2 rates the block together: zero-forcing channels and equal-size
 non-cooperative link sets are gathered from the block arrays, stacked, and
 each stack is inverted or summed in one call.  Stacks are never padded, so
 each matrix sees the arithmetic it would see alone, and an ill-conditioned
 or singular channel takes the drop-worst-link fallback on its own.
-Stages 1-5 and pass 2 are the rating step (:func:`_rate_block`); a campaign
+Stages 1-4 and pass 2 are the rating step (:func:`_rate_block`); a campaign
 turns its output into trial records (:func:`_run_block`).  The same engine
 serves the two snapshot measurements, which read the first ``trials``
 snapshots of a config: :func:`snapshot_counts` runs stages 1 and 2 only,
@@ -41,28 +40,28 @@ and :func:`link_rate_gap` runs the rating step.
 
 Reproducibility contract: trial ``t`` derives all of its randomness from
 one generator with a fixed draw order (positions, requests, scheduling
-choices, fading), per-trial results live at index ``t`` of the campaign
+uniforms, fading), per-trial results live at index ``t`` of the campaign
 arrays, and aggregation runs over those ordered arrays; neither the block
-size nor the thread or process count can change any output bit.  Snapshot
-``t`` of :func:`snapshot_counts` and :func:`link_rate_gap` is campaign
-trial ``t``, drawn from the same generator; there is no other stream.  The
-block seeder :func:`_generators` builds every generator of the module: it
-runs numpy's SeedSequence hash over a whole block in one vectorised pass,
-and trial ``t``'s generator is state for state
-``numpy.random.default_rng([seed, t])``.  Stage 3 draws raw PCG64 words
-and reduces them by numpy's bounded-integer rule, as
-``Generator.integers`` would; this assumes that no 32-bit draw precedes
-stage 3.  Oracle tests in ``tests/test_netsim.py`` pin the seeder and these
-draws against numpy, so a change to numpy's seeding or bounded integers
-fails them instead of moving the streams.  Zero-forcing takes a channel's
-exact condition number only when a Frobenius-norm screen cannot decide
-(:func:`_zf_stack`).
+size nor the thread or process count can change any output bit.  Every
+trial draws the same ``1 + 2B`` scheduling uniforms whatever its strategy
+and mode, so ``nocoop`` and ``coop`` at ``eta = 0`` draw the same streams.
+Snapshot ``t`` of :func:`snapshot_counts` and :func:`link_rate_gap` is
+campaign trial ``t``, drawn from the same generator; there is no other
+stream.  The block seeder :func:`_generators` builds every generator of
+the module: it runs numpy's SeedSequence hash over a whole block in one
+vectorised pass, and trial ``t``'s generator is state for state
+``numpy.random.default_rng([seed, t])``.  An oracle test in
+``tests/test_netsim.py`` pins the seeder against numpy, so a change to
+numpy's seeding fails it instead of moving the streams.  Zero-forcing
+takes a channel's exact condition number only when a Frobenius-norm
+screen cannot decide (:func:`_zf_stack`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -115,14 +114,19 @@ def _check_int(name: str, value, low: int) -> None:
         raise ConfigurationError("%s must be an integer >= %d, got %r" % (name, low, value))
 
 
+def _is_real(value) -> bool:
+    """True for a real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Immutable campaign description.
 
     ``strategy`` is one of ``"coop"``, ``"nocoop"``, ``"tdma"``; ``eta`` is
-    the cooperative band fraction (used by ``coop``).
-    ``min_pairing_distance_m`` floors every link distance, mirroring the
-    near-field truncation of the analytic moments.
+    the cooperative band fraction in ``[0, 1]`` (used by ``coop``, checked
+    for every strategy).  ``min_pairing_distance_m`` floors every link
+    distance, mirroring the near-field truncation of the analytic moments.
     """
 
     plan: ClusterPlan
@@ -147,17 +151,17 @@ class SimConfig:
             )
         _check_int("trials", self.trials, 1)
         _check_int("seed", self.seed, 0)
-        if self.strategy == "coop" and not 0.0 <= self.eta <= 1.0:
-            raise ConfigurationError("eta must be in [0, 1], got %r" % (self.eta,))
+        if not (_is_real(self.eta) and 0.0 <= self.eta <= 1.0):
+            raise ConfigurationError("eta must be a real number in [0, 1], got %r" % (self.eta,))
         if self.plan.users_per_cluster > self.popularity.group_count:
             raise ConfigurationError(
                 "users_per_cluster (%d) exceeds the catalog's group count (%d)"
                 % (self.plan.users_per_cluster, self.popularity.group_count)
             )
-        if not 0.0 <= self.min_pairing_distance_m < math.inf:
+        floor = self.min_pairing_distance_m
+        if not (_is_real(floor) and 0.0 <= floor < math.inf):
             raise ConfigurationError(
-                "min_pairing_distance_m must be finite and >= 0, got %r"
-                % (self.min_pairing_distance_m,)
+                "min_pairing_distance_m must be a finite real number >= 0, got %r" % (floor,)
             )
 
 
@@ -182,6 +186,7 @@ class _Drops(NamedTuple):
     counts: np.ndarray  # (T, B, K) requests per cluster and cached group
     hit: np.ndarray  # (T, K) cached groups requested in every cluster
     roles: np.ndarray  # (T, M) int8 role codes
+    choices: np.ndarray  # (T, 1 + 2B) scheduling uniforms, see :func:`_pick_links`
 
 
 # numpy.random.SeedSequence's hash constants and pool size.
@@ -277,23 +282,24 @@ def _generators(config: SimConfig, start: int, stop: int) -> list:
 def _drop_block(config: SimConfig, rngs) -> _Drops:
     """Drop one snapshot per generator.
 
-    Stage 1 (per trial): one ``random`` call fills the ``M x 2`` positions
-    and then the ``M`` request uniforms, the stream of the two calls in
-    turn.  Stage 2 (per block): one ``searchsorted`` and one ``bincount``
-    over (trial, cluster, group) classify every trial at once.
+    Stage 1 (per trial): one ``random`` call fills the ``M x 2`` positions,
+    the ``M`` request uniforms and the ``1 + 2B`` scheduling uniforms, the
+    stream of the three calls in turn.  Stage 2 (per block): one
+    ``searchsorted`` and one ``bincount`` over (trial, cluster, group)
+    classify every trial at once.
     """
     plan, popularity = config.plan, config.popularity
     b, k, m, d = plan.n_clusters, plan.users_per_cluster, plan.n_users, plan.cluster_side_m
     cluster_of, corner = _layout(b, k, d)
     n = len(rngs)
-    draws = np.empty((n, 3 * m))
+    draws = np.empty((n, 3 * m + 1 + 2 * b))
     for rng, row in zip(rngs, draws):
         rng.random(out=row)
     positions = draws[:, : 2 * m].reshape(n, m, 2) * d + corner
 
     k0 = popularity.group_count
     cdf = np.cumsum(popularity.group_probs)
-    request_of = np.minimum(np.searchsorted(cdf, draws[:, 2 * m :], side="right"), k0 - 1)
+    request_of = np.minimum(np.searchsorted(cdf, draws[:, 2 * m : 3 * m], side="right"), k0 - 1)
     trial = np.arange(n)[:, None]
     cell = trial * b + cluster_of  # (trial, cluster) of every user
     counts = np.bincount((cell * k0 + request_of).ravel(), minlength=n * b * k0)
@@ -301,7 +307,9 @@ def _drop_block(config: SimConfig, rngs) -> _Drops:
     hit = (counts > 0).all(axis=1)
     role_of_request = np.full((n, k0), ROLE_CELLULAR, dtype=np.int8)
     role_of_request[:, :k] = np.where(hit, ROLE_COOP, ROLE_NONCOOP)
-    return _Drops(positions, request_of, counts, hit, role_of_request[trial, request_of])
+    roles = role_of_request[trial, request_of]
+    # a copy, so the block's draws are freed before the links are rated
+    return _Drops(positions, request_of, counts, hit, roles, draws[:, 3 * m :].copy())
 
 
 def _nth_true(mask: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -310,7 +318,7 @@ def _nth_true(mask: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 class _Links(NamedTuple):
-    """Stages 3 and 4 of a block: its scheduled links.
+    """Stage 3 of a block: its scheduled links.
 
     Users are numbered within their cluster.  Trial ``coop[i]`` sends group
     ``group[i]`` from user ``group[i]`` of each cluster ``c`` to user
@@ -328,79 +336,27 @@ class _Links(NamedTuple):
     nc_rx: np.ndarray
 
 
-def _lemire(words, bounds):
-    """numpy's bounded-integer rule on 32-bit ``words``: ``(draws, rejected)``."""
-    m = words * bounds
-    return m >> 32, (m & _MASK32) < (2**32 - bounds) % bounds
+def _below(u: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``floor(u * h)``: a choice in ``[0, h)`` from each uniform ``u`` in ``[0, 1)``.
 
-
-def _redraw(rng, words: list, bounds: list):
-    """One row of :func:`_integers` in sequence, from ``words`` and then fresh ones."""
-    out, i = [], 0
-    for h in bounds:
-        rejected = True
-        while rejected:
-            if i == len(words):
-                word = rng.bit_generator.random_raw()
-                words += [word & _MASK32, word >> 32]
-            draw, rejected = _lemire(words[i], h)
-            i += 1
-        out.append(draw)
-    return out, words[i] if i < len(words) else -1
-
-
-def _integers(rngs, bounds: np.ndarray, carry: np.ndarray):
-    """``[rngs[t].integers(h) for h in bounds[t]]`` of every row ``t``, from raw words.
-
-    numpy draws below ``h > 1`` by Lemire's rule from the generator's next
-    32-bit word, the low half of a fresh 64-bit word and then its buffered
-    high half, and draws nothing for ``h = 1``.  ``carry[t]`` is generator
-    ``t``'s buffered half, -1 if none; returns ``(draws, carry)``.  Each
-    generator draws, in one ``random_raw`` call, the words its row takes
-    without rejection; a row with a rejected word is redrawn in sequence
-    (:func:`_redraw`), so no generator draws more words than numpy would.
+    ``u * h`` rounds below ``h`` even for the largest double below 1.  Each
+    of the ``h`` outcomes has a probability within ``2**-52`` of ``1 / h``
+    over the ``2**53`` doubles ``random`` returns, so the rule is within
+    ``h * 2**-53`` of uniform in total variation.
     """
-    h = bounds.astype(np.uint64)
-    drawn = h > 1
-    n_draws = drawn.sum(axis=1)
-    has = carry >= 0
-    need = (n_draws - has + 1) // 2  # fresh 64-bit words
-    size = has + 2 * need
-    end = np.cumsum(size)
-    start = end - size
-    stream = np.empty(end[-1], dtype=np.uint64)  # the 32-bit words of each row
-    fresh = np.ones(end[-1], dtype=bool)
-    fresh[start[has]] = False
-    stream[~fresh] = carry[has]
-    rows = np.flatnonzero(need).tolist()
-    if rows:
-        raw = np.concatenate([rngs[t].bit_generator.random_raw(need[t]) for t in rows])
-        stream[fresh] = np.stack((raw & _MASK32, raw >> 32), axis=1).ravel()
-    out = np.zeros(h.shape, dtype=np.int64)
-    at = (start[:, None] + drawn.cumsum(axis=1) - 1)[drawn]
-    out[drawn], rejected = _lemire(stream[at], h[drawn])
-    carry = np.full(len(h), -1)
-    left = size > n_draws
-    carry[left] = stream[end[left] - 1]
-    for t in np.unique(np.nonzero(drawn)[0][rejected]).tolist():
-        out[t, drawn[t]], carry[t] = _redraw(
-            rngs[t], stream[start[t] : end[t]].tolist(), h[t, drawn[t]].tolist()
-        )
-    return out, carry
+    return (u * h).astype(np.int64)
 
 
-def _pick_links(request_of, counts, roles, restrict, rngs) -> _Links:
-    """Schedule a block: each trial's choices (stage 3), then its links (stage 4).
+def _pick_links(request_of, counts, roles, restrict, choices) -> _Links:
+    """Schedule a block (stage 3) from each trial's scheduling uniforms.
 
     ``restrict[t]`` is cooperation in Mode 1: trial ``t`` forms a cooperative
-    set, and its non-cooperative pools leave the hit groups out.  Bounds are
-    computed for the whole block.  Each generator draws, as numpy's
-    ``integers`` would, the group below its count of valid groups, then
-    the receiver in each cluster and the user of each non-empty pool.
-    These draws are raw PCG64 words reduced by numpy's bounded-integer rule
-    (:func:`_integers`), in two block passes, the group before the bounds
-    that depend on it; this assumes that no 32-bit draw precedes stage 3 on
-    the generator.  The links of every trial are picked together with
+    set, and its non-cooperative pools leave the hit groups out.  Row ``t``
+    of ``choices`` holds trial ``t``'s ``1 + 2B`` uniforms, each taken
+    below its bound by :func:`_below`: the group among the valid ones, then
+    the receiver in each cluster, then the user of each cluster's pool.  A
+    uniform whose choice is not needed goes unused, so every trial draws
+    the same count.  The links of every trial are picked together with
     :func:`_nth_true`.  A user never serves itself: the receivers of group
     ``g`` are its requesters other than user ``g``, and a Mode-1 trial in
     which no hit group has a receiver in every cluster forms no cooperative
@@ -419,13 +375,13 @@ def _pick_links(request_of, counts, roles, restrict, rngs) -> _Links:
     active = sizes > 0
 
     n_valid = np.bincount(valid_trial, minlength=n)
-    pick, carry = _integers(rngs, np.maximum(n_valid, 1)[:, None], np.full(n, -1))
     coop = np.flatnonzero(n_valid)
-    group = valid_group[np.cumsum(n_valid)[coop] - n_valid[coop] + pick[coop, 0]]
-    bounds = np.ones((n, 2 * b), dtype=np.int64)  # the receivers', then the pools' bounds
+    first = np.cumsum(n_valid)[coop] - n_valid[coop]
+    group = valid_group[first + _below(choices[coop, 0], n_valid[coop])]
+    bounds = np.zeros((n, 2 * b), dtype=np.int64)  # the receivers', then the pools' bounds
     bounds[coop, :b] = receivers[coop, :, group]
-    bounds[:, b:] = np.maximum(sizes, 1)
-    picks, _ = _integers(rngs, bounds, carry)
+    bounds[:, b:] = sizes
+    picks = _below(choices[:, 1:], bounds)
 
     g = group[:, None, None]
     eligible = (per_cluster[coop] == g) & (users != g)
@@ -556,7 +512,7 @@ def _normals_at(normals: np.ndarray, offsets: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Rated(NamedTuple):
-    """Stages 1-5 and pass 2 of a block of ``T`` trials, ``S`` link sets each.
+    """Stages 1-4 and pass 2 of a block of ``T`` trials, ``S`` link sets each.
 
     ``S`` is 4 for ``tdma`` (the colour slots) and 1 otherwise.  A trial
     without a cooperative set, or whose channel stayed unusable, has a
@@ -577,8 +533,8 @@ class _Rated(NamedTuple):
 def _rate_block(config: SimConfig, rngs) -> _Rated:
     """Draw, schedule and rate one trial per generator.
 
-    Pass 1 runs stages 1-4 (:func:`_drop_block`, :func:`_pick_links`), then
-    stage 5: each trial draws the fading of all its link sets in one
+    Pass 1 runs stages 1-3 (:func:`_drop_block`, :func:`_pick_links`), then
+    stage 4: each trial draws the fading of all its link sets in one
     ``standard_normal`` call, cooperative set first, then the
     non-cooperative set or the four tdma colour slots in colour order.
     Pass 2 stacks the link sets of equal size, so each matrix sees the
@@ -589,7 +545,7 @@ def _rate_block(config: SimConfig, rngs) -> _Rated:
     n = len(rngs)
     drops = _drop_block(config, rngs)
     split = drops.hit.any(axis=1) & (config.strategy == "coop" and config.eta > 0.0)
-    links = _pick_links(drops.request_of, drops.counts, drops.roles, split, rngs)
+    links = _pick_links(drops.request_of, drops.counts, drops.roles, split, drops.choices)
 
     n_slots = 4 if config.strategy == "tdma" else 1
     if n_slots == 4:
@@ -800,9 +756,10 @@ def link_rate_gap(config: SimConfig) -> tuple[float, int, float, int]:
     Snapshot ``t`` is campaign trial ``t``: the same draws, links and
     fading.  The links are those ``config``'s strategy schedules.  Returns
     ``(zf_mean, zf_links, noncoop_mean, noncoop_links)``: the mean
-    zero-forcing rate over the links that kept a non-zero rate (an unusable
-    channel keeps none), the mean rate over all non-cooperative links
-    (bits/s/Hz), and the two link counts.  The rate sums are exactly
+    zero-forcing rate over the links that kept a non-zero rate, the mean
+    rate over all non-cooperative links (bits/s/Hz), and the two link
+    counts.  Like :func:`run_campaign`, they leave out every trial whose
+    zero-forcing channel stayed unusable.  The rate sums are exactly
     rounded, and a mean over no links is 0.
     """
     b, n = config.plan.n_clusters, config.trials
@@ -810,8 +767,9 @@ def link_rate_gap(config: SimConfig) -> tuple[float, int, float, int]:
     zf_n = nc_n = 0
     for lo in range(0, n, _CHUNK):
         rated = _rate_block(config, _generators(config, lo, min(lo + _CHUNK, n)))
-        zf_sums += rated.zf_sum.tolist()
-        zf_n += int((b - rated.zf_dropped)[rated.has_zf].sum())
-        nc_sums += rated.nc_sum.ravel().tolist()
-        nc_n += int(rated.nc_links.sum())
+        kept = rated.usable
+        zf_sums += rated.zf_sum[kept].tolist()
+        zf_n += int((b - rated.zf_dropped)[rated.has_zf & kept].sum())
+        nc_sums += rated.nc_sum[kept].ravel().tolist()
+        nc_n += int(rated.nc_links[kept].sum())
     return math.fsum(zf_sums) / max(zf_n, 1), zf_n, math.fsum(nc_sums) / max(nc_n, 1), nc_n

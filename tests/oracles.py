@@ -283,9 +283,9 @@ def reference_campaign_records(config) -> np.ndarray:
 
     A plain transcription of the documented per-trial stream: trial ``t``
     draws from ``default_rng([seed, t])`` the positions, then the requests,
-    then the scheduling choices (one scalar ``integers`` call per choice, in
-    cluster order), then the fading of each link set in the order it is
-    rated.  Every channel is inverted on its own (``cond`` + ``inv``, with
+    then ``1 + 2B`` scheduling uniforms (one ``random`` call, whether or not
+    a choice uses them), then the fading of each link set in the order it
+    is rated.  Every channel is inverted on its own (``cond`` + ``inv``, with
     the drop-worst-link fallback), and a ``tdma`` trial rates its four
     colour slots one after another.  Nothing here calls the simulator.
     """
@@ -302,24 +302,28 @@ def reference_link_rate_gap(config, edit_channel=None) -> tuple:
     ``default_rng([seed, t])``, as campaign trial ``t`` does: its positions
     and requests, its scheduling choices, and the fading of its cooperative
     set, then of its non-cooperative set (``coop`` and ``nocoop``
-    strategies).  A mean is a :func:`math.fsum` of the per-snapshot rate
-    sums over the links that kept a non-zero rate, or 0 over no links.
-    ``edit_channel(i, h)`` may replace the ``i``-th cooperative channel,
-    counted in snapshot order, before it is rated.  Nothing here calls the
-    simulator.
+    strategies).  A snapshot whose cooperative channel is unusable is left
+    out, as the campaign discards that trial.  A mean is a
+    :func:`math.fsum` of the per-snapshot rate sums over the links that
+    kept a non-zero rate, or 0 over no links.  ``edit_channel(i, h)`` may
+    replace the ``i``-th cooperative channel, counted in snapshot order,
+    before it is rated.  Nothing here calls the simulator.
     """
     radio, floor = config.radio, config.min_pairing_distance_m
-    zf_sums, nc_sums, zf_n, nc_n = [], [], 0, 0
+    zf_sums, nc_sums, zf_n, nc_n, n_channels = [], [], 0, 0, 0
     for t in range(config.trials):
         rng = np.random.default_rng([config.seed, t])
         positions, _, _, coop_links, noncoop_links = _reference_schedule(config, rng)
         if coop_links:
             h = _reference_zf_channel(coop_links, positions, radio, rng, floor)
             if edit_channel is not None:
-                h = edit_channel(len(zf_sums), h)
+                h = edit_channel(n_channels, h)
+            n_channels += 1
             zf = reference_zf_channel_rates(h, radio.tx_power_w, radio.noise_w)
-            zf_sums.append(0.0 if zf is None else float(zf.sum()))
-            zf_n += 0 if zf is None else int(np.count_nonzero(zf))
+            if zf is None:
+                continue
+            zf_sums.append(float(zf.sum()))
+            zf_n += int(np.count_nonzero(zf))
         nc = _reference_sinr_rates(noncoop_links, positions, radio, rng, floor)
         nc_sums.append(float(nc.sum()))
         nc_n += len(noncoop_links)
@@ -329,9 +333,10 @@ def reference_link_rate_gap(config, edit_channel=None) -> tuple:
 def _reference_schedule(config, rng):
     """Positions, requests, hit groups and links of one snapshot.
 
-    ``rng`` draws the positions, then the requests, then the scheduling
-    choices, one scalar ``integers`` call per choice, in cluster order.
-    Links are ``(tx, rx)`` pairs of user indices.
+    ``rng`` draws the positions, then the requests, then ``1 + 2B``
+    scheduling uniforms: the group's, each cluster's receiver's, and each
+    cluster's pool user's.  A uniform ``u`` picks item ``int(u * n)`` of
+    ``n`` candidates.  Links are ``(tx, rx)`` pairs of user indices.
     """
     plan = config.plan
     b, k = plan.n_clusters, plan.users_per_cluster
@@ -344,6 +349,8 @@ def _reference_schedule(config, rng):
     last = config.popularity.group_count - 1
     req = [min(bisect_right(cdf, u), last) for u in rng.random(m).tolist()]
     rows = [req[c * k : (c + 1) * k] for c in range(b)]
+    u = rng.random(1 + 2 * b).tolist()
+    u_group, u_rx, u_pool = u[0], u[1 : b + 1], u[b + 1 :]
 
     hit = {g for g in range(k) if all(g in row for row in rows)}
     restrict = config.strategy == "coop" and config.eta > 0.0 and bool(hit)
@@ -354,12 +361,10 @@ def _reference_schedule(config, rng):
             if all(any(row[j] == g and j != g for j in range(k)) for row in rows)
         ]
         if valid:
-            g = valid[int(rng.integers(len(valid)))]
+            g = valid[int(u_group * len(valid))]
             for c, row in enumerate(rows):
                 receivers = [j for j in range(k) if row[j] == g and j != g]
-                coop_links.append(
-                    (c * k + g, c * k + receivers[int(rng.integers(len(receivers)))])
-                )
+                coop_links.append((c * k + g, c * k + receivers[int(u_rx[c] * len(receivers))]))
     noncoop_links = []
     for c, row in enumerate(rows):
         pool = [
@@ -367,7 +372,7 @@ def _reference_schedule(config, rng):
             if row[j] < k and row[j] != j and not (restrict and row[j] in hit)
         ]
         if pool:
-            j = pool[int(rng.integers(len(pool)))]
+            j = pool[int(u_pool[c] * len(pool))]
             noncoop_links.append((c * k + row[j], c * k + j))
     return positions, req, hit, coop_links, noncoop_links
 

@@ -28,6 +28,19 @@ EXPECT = {
     "strategy_comparison": "beta = 1.00, 20 trials per strategy",
 }
 
+# bad arguments: a count below 1 (an argparse error) and a value the
+# package refuses (a CoopD2DError); each must exit 2 with an error line
+BAD_ARGS = [
+    ("bandwidth_split_sweep", ["--points", "0"]),
+    ("bandwidth_split_sweep", ["--beta", "-1"]),
+    ("cluster_size_sweep", ["--cache-size", "0"]),
+    ("cluster_size_sweep", ["--n-files", "7"]),
+    ("link_rate_gap", ["--snapshots", "0"]),
+    ("link_rate_gap", ["--seed", "-1"]),
+    ("strategy_comparison", ["--trials", "0"]),
+    ("strategy_comparison", ["--trials", "2", "--betas", "-1"]),
+]
+
 
 def _load(name):
     path = DEMOS / (name + ".py")
@@ -45,6 +58,31 @@ def test_every_demo_has_arguments():
 def test_demo_runs(name, capsys):
     assert _load(name).main(ARGS[name]) == 0
     assert EXPECT[name] in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, argv", BAD_ARGS, ids=[" ".join(a) for _, a in BAD_ARGS])
+def test_demo_refuses_a_bad_argument(name, argv, capsys):
+    try:
+        code = _load(name).main(argv)
+    except SystemExit as exc:  # argparse's own error exit
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, flags",
+    [("cluster_size_sweep", ["--out"]), ("link_rate_gap", ["--snapshots", "2", "--densities-out"])],
+)
+def test_demo_refuses_an_unwritable_output(tmp_path, capsys, name, flags):
+    assert _load(name).main(flags + [str(tmp_path / "missing" / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_every_demo_has_a_bad_argument_case():
+    assert sorted({name for name, _ in BAD_ARGS}) == sorted(ARGS)
 
 
 def test_demo_file_outputs(tmp_path):

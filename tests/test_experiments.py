@@ -338,7 +338,7 @@ def test_write_csv_deterministic_bytes(tmp_path):
         (
             cmd_compare,
             "throughput-compare",
-            "strategy_compare.v2",
+            "strategy_compare.v3",
             "strategy,beta,users_per_cluster,n_clusters,eta,trials,"
             "throughput_mean_bps,throughput_ci95_bps,mode1_frequency,mean_coop,"
             "mean_noncoop,mean_cellular,user_coop_bps,user_noncoop_bps",
@@ -346,7 +346,7 @@ def test_write_csv_deterministic_bytes(tmp_path):
         (
             cmd_simulate,
             "simulate",
-            "campaign_trials.v2",
+            "campaign_trials.v3",
             "strategy,beta,K,B,eta,trial,mode,throughput_bps,n_coop,n_noncoop,"
             "n_cellular",
         ),
@@ -450,7 +450,7 @@ def test_cmd_simulate_emits_per_trial_rows(tmp_path):
     spec = ExperimentSpec(scenario="simulate", trials=40, out=str(out))
     cmd_simulate(spec)
     schema, header, rows = read_csv(out)
-    assert schema == "# schema=coopd2d.campaign_trials.v2"
+    assert schema == "# schema=coopd2d.campaign_trials.v3"
     assert len(rows) == 40
     assert [r["trial"] for r in rows] == [str(t) for t in range(40)]
     assert {r["strategy"] for r in rows} == {"coop"}
@@ -485,7 +485,7 @@ def test_cmd_compare_smoke(tmp_path):
     )
     cmd_compare(spec)
     schema, header, rows = read_csv(out)
-    assert schema == "# schema=coopd2d.strategy_compare.v2"
+    assert schema == "# schema=coopd2d.strategy_compare.v3"
     assert [r["strategy"] for r in rows] == [
         "optimized", "eta0.5", "etaK", "nocoop", "tdma",
     ]

@@ -26,11 +26,12 @@ from coopd2d.netsim import (
 import oracles
 
 
-def schedule_trial(request_of, k, b, rng, cooperation=True):
+def schedule_trial(request_of, k, b, choices, cooperation=True):
     """Links of one trial with explicit requests, as (tx, rx) user indices.
 
     Request counts, hit groups and roles are recomputed from ``request_of``;
     the cooperative set is formed iff ``cooperation`` and a group is hit.
+    ``choices`` are the trial's ``1 + 2 * b`` scheduling uniforms.
     """
     req = np.asarray(request_of)
     counts = (req.reshape(b, k, 1) == np.arange(k)).sum(axis=1)
@@ -39,7 +40,8 @@ def schedule_trial(request_of, k, b, rng, cooperation=True):
     roles[req < k] = ROLE_NONCOOP
     roles[np.isin(req, hit)] = ROLE_COOP
     restrict = np.array([cooperation and hit.size > 0])
-    links = netsim._pick_links(req[None], counts[None], roles[None], restrict, [rng])
+    choices = np.array([choices], dtype=float)
+    links = netsim._pick_links(req[None], counts[None], roles[None], restrict, choices)
     coop = []
     if links.coop.size:
         g = int(links.group[0])
@@ -182,15 +184,30 @@ def test_link_rate_gap_reference_with_dropped_and_unusable_channels(ref_config, 
     gap = link_rate_gap(config)
     assert gap == oracles.reference_link_rate_gap(config, edit_channel=edit)
     assert gap[1] == clean[1] - 9 - 1  # one channel lost, one link dropped
-    assert gap[2:] == clean[2:]
+    # the campaign discards trial 1, and the gap leaves out its single-cell links
+    records = run_campaign(config, keep_trials=True).trials
+    assert np.flatnonzero(records["discarded"]).tolist() == [1]
+    lost = config.plan.n_clusters - int(records["silent_clusters"][1])
+    assert lost > 0
+    assert gap[3] == clean[3] - lost
 
 
 @pytest.mark.parametrize("strategy", ["coop", "nocoop"])
-def test_link_rate_gap_reads_the_campaign_trials(ref_config, strategy):
-    # snapshot t is campaign trial t: the gap's rate sums are the records' bands
+def test_link_rate_gap_reads_the_campaign_trials(ref_config, monkeypatch, strategy):
+    # snapshot t is campaign trial t: the gap's rate sums are the records'
+    # bands, over the trials the campaign keeps
     eta = 0.5 if strategy == "coop" else 0.0
     config = replace(ref_config, strategy=strategy, eta=eta)
+    original = netsim._zf_channel
+
+    def broken(ends, normals, radio, min_distance_m):  # no usable channel at 3 of each block
+        h = original(ends, normals, radio, min_distance_m)
+        h[3:4] = 0.0
+        return h
+
+    monkeypatch.setattr(netsim, "_zf_channel", broken)
     records = run_campaign(config, keep_trials=True).trials
+    assert records["discarded"].any() == (strategy == "coop")
     kept = records[records["discarded"] == 0]
     w = config.radio.bandwidth_hz
     zf_mean, zf_links, nc_mean, nc_links = link_rate_gap(config)
@@ -247,32 +264,15 @@ def test_netsim_builds_no_generator_outside_the_block_seeder():
     assert callers == {"checks.py"}
 
 
-def test_raw_word_draws_match_generator_integers(ref_config, monkeypatch):
-    """Stage 3's two passes draw what ``Generator.integers`` draws, and no more words."""
-    n, m = 64, ref_config.plan.n_users
-    ours, theirs = (netsim._generators(ref_config, 0, n) for _ in range(2))
-    for a, b in zip(ours, theirs):  # stage 1 draws doubles only
-        a.random(3 * m)
-        b.random(3 * m)
-    pick = np.random.default_rng(5)
-    first = pick.integers(1, 4, size=(n, 1))  # one bound per row; a bound of 1 draws nothing
-    second = pick.choice([1, 1, 2, 3, 7, 15, 2**16 + 1, 2**31 + 5], size=(n, 5))
-    second[:6] = 1  # rows that draw nothing in the second pass
-    second[6:12] = 15  # rows that draw in the second pass only
-    first[6:12] = 1
-    words = (first > 1).sum(axis=1) + (second > 1).sum(axis=1)
-    assert {0, 1} <= set((words % 2).tolist())  # odd and even 32-bit word counts
-    redraws = []
-    redraw = netsim._redraw
-    monkeypatch.setattr(netsim, "_redraw", lambda *a: redraws.append(1) or redraw(*a))
-
-    drawn, carry = netsim._integers(ours, first, np.full(n, -1))
-    again, _ = netsim._integers(ours, second, carry)
-    assert len(redraws) > 3  # 2**31 + 5 rejects about half of its words
-    for t, rng in enumerate(theirs):
-        assert drawn[t, 0] == rng.integers(int(first[t, 0]))
-        assert again[t].tolist() == rng.integers(second[t]).tolist()
-        assert ours[t].standard_normal(7).tobytes() == rng.standard_normal(7).tobytes()
+def test_uniform_choice_stays_below_every_bound():
+    # the largest double below 1 must not round up to h, for powers of two
+    # and every bound between them
+    h = np.arange(1, 2**20 + 1)
+    top = np.nextafter(1.0, 0.0)
+    assert np.array_equal(netsim._below(np.full(h.size, top), h), h - 1)
+    assert not netsim._below(np.zeros(h.size), h).any()
+    big = np.array([2**31 + 5, 2**40 - 3, 2**52 - 1, 2**52])
+    assert np.array_equal(netsim._below(np.full(big.size, top), big), big - 1)
 
 
 def test_netsim_draws_no_bounded_integers():
@@ -326,25 +326,24 @@ def test_snapshot_determinism(ref_config):
 def test_schedule_deterministic_single_cluster():
     # requests (1, 1, 2): group 1 is hit with a non-caching requester, group 2
     # only by its own cacher
-    coop, noncoop = schedule_trial([1, 1, 2], 3, 1, np.random.default_rng(0))
+    choices = [0.3, 0.6, 0.9]
+    coop, noncoop = schedule_trial([1, 1, 2], 3, 1, choices)
     assert coop == [(1, 0)]  # cacher of group 1 serves user 0
     assert noncoop == []  # the only other cached request is the hit group
-    coop_off, noncoop_off = schedule_trial(
-        [1, 1, 2], 3, 1, np.random.default_rng(0), cooperation=False
-    )
+    coop_off, noncoop_off = schedule_trial([1, 1, 2], 3, 1, choices, cooperation=False)
     assert coop_off == []
     assert noncoop_off == [(1, 0)]  # same pair, now on the shared band
 
 
 def test_schedule_degenerate_hit_without_receiver():
     # group 0 is hit everywhere but cluster 1's only requester caches it
-    coop, noncoop = schedule_trial([0, 0, 0, 1], 2, 2, np.random.default_rng(0))
+    coop, noncoop = schedule_trial([0, 0, 0, 1], 2, 2, [0.5] * 5)
     assert coop == []
     assert noncoop == []
 
 
 def test_schedule_mode0_forms_no_coop_links():
-    coop, noncoop = schedule_trial([2, 2, 2, 2], 2, 2, np.random.default_rng(0))
+    coop, noncoop = schedule_trial([2, 2, 2, 2], 2, 2, [0.5] * 5)
     assert coop == []
     assert noncoop == []  # nobody requested a cached group
 
@@ -352,13 +351,30 @@ def test_schedule_mode0_forms_no_coop_links():
 def test_schedule_reserves_hit_requesters_for_the_coop_band():
     # both cached groups are hit and every cached request belongs to a hit
     # group: the non-coop pool is empty under cooperation and non-empty
-    # without it
-    coop, noncoop = schedule_trial([1, 0], 2, 1, np.random.default_rng(1))
-    assert len(coop) == 1
-    assert coop[0] in ((0, 1), (1, 0))
-    assert noncoop == []
-    _, noncoop_off = schedule_trial([1, 0], 2, 1, np.random.default_rng(1), cooperation=False)
-    assert noncoop_off in ([(0, 1)], [(1, 0)])
+    # without it; a uniform below 1/2 picks the first of the two candidates
+    for u, sender in ((0.0, 0), (0.49, 0), (0.5, 1), (0.99, 1)):
+        coop, noncoop = schedule_trial([1, 0], 2, 1, [u, 0.0, 0.0])
+        assert coop == [(sender, 1 - sender)]
+        assert noncoop == []
+        _, noncoop_off = schedule_trial([1, 0], 2, 1, [0.0, 0.0, u], cooperation=False)
+        assert noncoop_off == [(1 - sender, sender)]
+
+
+def test_schedule_reads_the_uniforms_in_order():
+    # the group's uniform, then each cluster's receiver's, then each
+    # cluster's pool user's; clusters of three users with requests (1, 0, 0)
+    # and (2, 0, 1): groups 0 and 1 are hit, both with a receiver in every
+    # cluster, and group 2 is not hit
+    request_of = [1, 0, 0, 2, 0, 1]
+    coop, noncoop = schedule_trial(request_of, 3, 2, [0.2, 0.7, 0.0, 0.0, 0.0])
+    assert coop == [(0, 2), (3, 4)]  # group 0, the second of its receivers in cluster 0
+    assert noncoop == [(5, 3)]  # the only pool: group 2's requester in cluster 1
+    coop, _ = schedule_trial(request_of, 3, 2, [0.2, 0.3, 0.0, 0.0, 0.0])
+    assert coop == [(0, 1), (3, 4)]
+    coop, _ = schedule_trial(request_of, 3, 2, [0.8, 0.7, 0.0, 0.0, 0.0])
+    assert coop == [(1, 0), (4, 5)]  # group 1
+    _, noncoop = schedule_trial(request_of, 3, 2, [0.9, 0.9, 0.9, 0.5, 0.9], cooperation=False)
+    assert noncoop == [(0, 1), (4, 5)]  # every cached request is in a pool
 
 
 def test_schedule_link_invariants(ref_config):
@@ -367,10 +383,8 @@ def test_schedule_link_invariants(ref_config):
     n = 100
     drops = drops_of(ref_config, 0, n)
     restrict = drops.hit.any(axis=1)
-    links = netsim._pick_links(
-        drops.request_of, drops.counts, drops.roles, restrict,
-        [np.random.default_rng([5, t]) for t in range(n)],
-    )
+    choices = np.random.default_rng(5).random((n, 1 + 2 * b))
+    links = netsim._pick_links(drops.request_of, drops.counts, drops.roles, restrict, choices)
     req = drops.request_of.reshape(n, b, k)
     assert links.coop.size > n // 2
     assert np.all(restrict[links.coop])
@@ -677,6 +691,22 @@ def test_sim_config_validation(ref_plan, ref_radio, ref_model):
     for floor in (-1.0, math.nan, math.inf):
         with pytest.raises(ConfigurationError):
             SimConfig(**{**good, "min_pairing_distance_m": floor})
+
+
+@pytest.mark.parametrize("strategy", ["coop", "nocoop", "tdma"])
+@pytest.mark.parametrize(
+    "field, value",
+    [("eta", v) for v in (math.nan, math.inf, -0.1, 1.5, True, "0.5", None)]
+    + [("min_pairing_distance_m", v) for v in ("1.0", None, False, np.bool_(True))],
+)
+def test_sim_config_refuses_a_bad_band_or_floor(ref_config, strategy, field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        replace(ref_config, **{"strategy": strategy, "eta": 0.0, field: value})
+
+
+def test_sim_config_accepts_numpy_reals(ref_config):
+    config = replace(ref_config, eta=np.float32(0.5), min_pairing_distance_m=np.int64(2))
+    assert config.eta == 0.5 and config.min_pairing_distance_m == 2
 
 
 def test_mode1_coop_links_all_or_nothing(ref_config):
