@@ -63,7 +63,8 @@ def _empirical_moment(
         dt = rng.random((n, 2))
         if interference:
             dt[:, 0] += 1.0
-        r = np.linalg.norm(dt - dr, axis=1)
+        dx, dy = dt[:, 0] - dr[:, 0], dt[:, 1] - dr[:, 1]
+        r = np.sqrt(dx * dx + dy * dy)  # the floats of np.linalg.norm, without its copies
         vals = np.zeros(n)
         mask = r >= r_min if r_min > 0 else r > 0
         vals[mask] = r[mask] ** (-alpha)

@@ -61,7 +61,8 @@ _SWEEP_AXES = {
     "simulate": (),
 }
 # Numeric fields as (type, bound, bound test, fields).  Floats must also be
-# finite; bools are refused although Python counts them as ints.
+# finite; bools are refused although Python counts them as ints.  The dB
+# fields have no bound here: RadioParams checks their linear values.
 _NUMERIC_RULES = (
     (int, "> 0", lambda v: v > 0, ("n_clusters", "users_per_cluster", "n_users",
                                    "n_files", "cache_size", "trials", "n_jobs")),
@@ -70,8 +71,7 @@ _NUMERIC_RULES = (
     (float, ">= 0", lambda v: v >= 0, ("beta", "alpha", "mu_bps",
                                        "min_pairing_distance_m")),
     (float, "in [0, 1]", lambda v: 0 <= v <= 1, ("eta",)),
-    (float, "finite", lambda v: True, ("tx_power_dbm", "noise_dbm",
-                                       "path_loss_intercept_db")),
+    (float, "", lambda v: True, ("tx_power_dbm", "noise_dbm", "path_loss_intercept_db")),
 )
 _NUMERIC_FIELDS = {name: rule[:3] for rule in _NUMERIC_RULES for name in rule[3]}
 
@@ -88,10 +88,8 @@ def _check_number(name: str, value) -> None:
     except OverflowError:  # an int too large for a float
         ok = False
     if not ok:
-        raise ConfigurationError(
-            "%s must be %s %s, got %r"
-            % (name, "an integer" if kind is int else "a finite number", bound, value)
-        )
+        noun = "an integer" if kind is int else "a finite number"
+        raise ConfigurationError("%s must be %s, got %r" % (name, (noun + " " + bound).strip(), value))
 
 
 @dataclass(frozen=True)

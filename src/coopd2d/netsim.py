@@ -31,12 +31,14 @@ Pass 2 rates the block together: zero-forcing channels and equal-size
 non-cooperative link sets are gathered from the block arrays, stacked, and
 each stack is inverted or summed in one call.  Stacks are never padded, so
 each matrix sees the arithmetic it would see alone, and an ill-conditioned
-or singular channel takes the drop-worst-link fallback on its own.
-Stages 1-4 and pass 2 are the rating step (:func:`_rate_block`); a campaign
-turns its output into trial records (:func:`_run_block`).  The same engine
-serves the two snapshot measurements, which read the first ``trials``
-snapshots of a config: :func:`snapshot_counts` runs stages 1 and 2 only,
-and :func:`link_rate_gap` runs the rating step.
+or singular channel takes the drop-worst-link fallback on its own.  Link
+distances are ``sqrt(dx * dx + dy * dy)``, the floats of ``np.linalg.norm``
+without its copies (:func:`_path_gains`).  Stages 1-4 and pass 2 are the
+rating step (:func:`_rate_block`); a campaign turns its output into trial
+records (:func:`_run_block`).  The same engine serves the two snapshot
+measurements, which read the first ``trials`` snapshots of a config:
+:func:`snapshot_counts` runs stages 1 and 2 only, and :func:`link_rate_gap`
+runs the rating step.
 
 Reproducibility contract: trial ``t`` derives all of its randomness from
 one generator with a fixed draw order (positions, requests, scheduling
@@ -48,13 +50,12 @@ and mode, so ``nocoop`` and ``coop`` at ``eta = 0`` draw the same streams.
 Snapshot ``t`` of :func:`snapshot_counts` and :func:`link_rate_gap` is
 campaign trial ``t``, drawn from the same generator; there is no other
 stream.  The block seeder :func:`_generators` builds every generator of
-the module: it runs numpy's SeedSequence hash over a whole block in one
-vectorised pass, and trial ``t``'s generator is state for state
-``numpy.random.default_rng([seed, t])``.  An oracle test in
-``tests/test_netsim.py`` pins the seeder against numpy, so a change to
-numpy's seeding fails it instead of moving the streams.  Zero-forcing
-takes a channel's exact condition number only when a Frobenius-norm
-screen cannot decide (:func:`_zf_stack`).
+the module: it runs numpy's SeedSequence hash over a whole block, one call
+per source word, and trial ``t``'s generator is state for state
+``numpy.random.default_rng([seed, t])``; an oracle test pins it against
+numpy, so a change to numpy's seeding fails it, not the streams.
+Zero-forcing takes a channel's exact condition number only when a
+Frobenius-norm screen cannot decide (:func:`_zf_stack`).
 """
 
 from __future__ import annotations
@@ -204,45 +205,43 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _hash_constants(init: int, mult: int, n: int):
-    """The ``(xor, multiplier)`` pairs of ``n`` hash calls, as masked ints."""
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """The ``(n + 1, 1)`` uint32 constants of ``n`` hash calls, call ``i`` taking ``i, i + 1``."""
     consts = [init]
     for _ in range(n):
         consts.append(consts[-1] * mult & _MASK32)
-    return zip(consts[:-1], consts[1:])
+    return np.array(consts, dtype=np.uint32)[:, None]
 
 
-def _seed_states(entropy: list) -> np.ndarray:
-    """``SeedSequence(e).generate_state(4, np.uint64)`` of every row ``e``.
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` of every column ``e``.
 
-    ``entropy`` holds one ``(T,)`` uint32 column per entropy word.  The
-    pool mixing and the state generation run column-wise in wrapping
-    uint32 arithmetic, call for call as in numpy's SeedSequence.
+    ``entropy`` is ``(n, T)`` uint32, a row per word.  The ``(4, T)`` pool
+    mixes in wrapping uint32 arithmetic, one call per source word, with
+    the constants in the order numpy's SeedSequence takes them.
     """
     n = len(entropy)
     a = _hash_constants(_INIT_A, _MULT_A, _POOL * max(n, _POOL))
     b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
 
-    def hashmix(value, consts):
-        xor, mult = next(consts)
-        value = (value ^ xor) * mult
+    def hashmix(value, consts, i, j):  # hash calls i .. j - 1
+        value = (value ^ consts[i:j]) * consts[i + 1 : j + 1]
         return value ^ (value >> 16)
 
     def mix(x, y):
         r = _MIX_L * x - _MIX_R * y
         return r ^ (r >> 16)
 
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < n else zero, a) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src], a))
-    for src in range(_POOL, n):
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src], a))
-    state = [hashmix(pool[i % _POOL], b).astype(np.uint64) for i in range(2 * _POOL)]
-    return np.stack([lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])], axis=1)
+    pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
+    pool[:n] = entropy[:_POOL]
+    pool = hashmix(pool, a, 0, _POOL)
+    for src in range(_POOL):  # calls 4 + 3 src .. 6 + 3 src, one per destination
+        dst, at = [i for i in range(_POOL) if i != src], _POOL + (_POOL - 1) * src
+        pool[dst] = mix(pool[dst], hashmix(pool[src], a, at, at + _POOL - 1))
+    for src in range(_POOL, n):  # calls 4 src .. 4 src + 3
+        pool = mix(pool, hashmix(entropy[src], a, _POOL * src, _POOL * (src + 1)))
+    state = hashmix(np.tile(pool, (2, 1)), b, 0, 2 * _POOL).astype(np.uint64)
+    return (state[0::2] | state[1::2] << 32).T.copy()  # PCG64 reads each row's memory
 
 
 class _Seeded(np.random.bit_generator.ISeedSequence):
@@ -260,7 +259,7 @@ def _generators(config: SimConfig, start: int, stop: int) -> list:
 
     This is the block seeder of the module's reproducibility contract.  A
     block is split where the word count of ``t`` changes, at multiples of
-    ``2**32``; the seed's words are fixed columns.
+    ``2**32``; the seed's words are fixed rows.
     """
     head = _words(config.seed)
     rngs = []
@@ -268,11 +267,12 @@ def _generators(config: SimConfig, start: int, stop: int) -> list:
         n_t = len(_words(start))  # the same up to the next multiple of 2**(32 * n_t)
         end = min(stop, 1 << 32 * n_t)
         size = end - start
-        entropy = [np.full(size, w, dtype=np.uint32) for w in head]
+        entropy = np.empty((len(head) + n_t, size), dtype=np.uint32)
+        entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
         carry = np.arange(size, dtype=np.uint64)
         for j in range(n_t):  # the words of t = start + i, carrying between them
             limb = carry + (start >> 32 * j & _MASK32)
-            entropy.append((limb & _MASK32).astype(np.uint32))
+            entropy[len(head) + j] = limb & _MASK32
             carry = limb >> 32
         rngs += [np.random.Generator(np.random.PCG64(_Seeded(s))) for s in _seed_states(entropy)]
         start = end
@@ -312,9 +312,13 @@ def _drop_block(config: SimConfig, rngs) -> _Drops:
     return _Drops(positions, request_of, counts, hit, roles, draws[:, 3 * m :].copy())
 
 
-def _nth_true(mask: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Column of the ``n[r]``-th (0-based) True entry of each row ``r``."""
-    return np.argmax(mask.cumsum(axis=1) > n[:, None], axis=1)
+def _nth_true(mask: np.ndarray, counts: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Column of the ``n[r]``-th (0-based) True entry of each row ``r``.
+
+    Row ``r`` holds ``counts[r]`` Trues, at least one, and ``n[r] < counts[r]``.
+    """
+    first = np.cumsum(counts) - counts  # rank of each row's first True
+    return np.flatnonzero(mask)[first + n] % mask.shape[1]
 
 
 class _Links(NamedTuple):
@@ -367,27 +371,26 @@ def _pick_links(request_of, counts, roles, restrict, choices) -> _Links:
     users = np.arange(k)
     own = per_cluster == users  # user j requests the group it caches
     receivers = counts - own  # requesters of group g other than user g
-    valid_trial, valid_group = np.nonzero(restrict[:, None] & (receivers > 0).all(axis=1))
+    valid = restrict[:, None] & (receivers > 0).all(axis=1)  # (n, k) groups a set can send
     roles = roles.reshape(n, b, k)
     in_pool = np.where(restrict[:, None, None], roles == ROLE_NONCOOP, roles != ROLE_CELLULAR)
     pool = in_pool & ~own
     sizes = pool.sum(axis=2)
     active = sizes > 0
 
-    n_valid = np.bincount(valid_trial, minlength=n)
+    n_valid = valid.sum(axis=1)
     coop = np.flatnonzero(n_valid)
-    first = np.cumsum(n_valid)[coop] - n_valid[coop]
-    group = valid_group[first + _below(choices[coop, 0], n_valid[coop])]
+    group = _nth_true(valid[coop], n_valid[coop], _below(choices[coop, 0], n_valid[coop]))
     bounds = np.zeros((n, 2 * b), dtype=np.int64)  # the receivers', then the pools' bounds
     bounds[coop, :b] = receivers[coop, :, group]
     bounds[:, b:] = sizes
     picks = _below(choices[:, 1:], bounds)
 
     g = group[:, None, None]
-    eligible = (per_cluster[coop] == g) & (users != g)
-    coop_rx = _nth_true(eligible.reshape(-1, k), picks[coop, :b].ravel()).reshape(-1, b)
+    eligible = ((per_cluster[coop] == g) & (users != g)).reshape(-1, k)
+    coop_rx = _nth_true(eligible, bounds[coop, :b].ravel(), picks[coop, :b].ravel()).reshape(-1, b)
     nc_trial, nc_cluster = np.nonzero(active)
-    nc_rx = _nth_true(pool[active], picks[:, b:][active])
+    nc_rx = _nth_true(pool[active], sizes[active], picks[:, b:][active])
     nc_tx = per_cluster[nc_trial, nc_cluster, nc_rx]
     return _Links(coop, group, coop_rx, nc_trial, nc_cluster, nc_tx, nc_rx)
 
@@ -401,11 +404,12 @@ def _pick_links(request_of, counts, roles, restrict, choices) -> _Links:
 def _path_gains(ends: np.ndarray, radio: RadioParams, min_distance_m: float) -> np.ndarray:
     """Gains ``g[..., i, j]`` from transmitter ``j`` to receiver ``i``.
 
-    Every distance is floored at ``min_distance_m``.
+    Every distance, ``sqrt(dx * dx + dy * dy)``, is floored at ``min_distance_m``.
     """
-    tx, rx = ends[..., 0, :], ends[..., 1, :]
-    d = np.linalg.norm(rx[..., :, None, :] - tx[..., None, :, :], axis=-1)
-    return radio.path_gain(np.maximum(d, min_distance_m))
+    x, y = ends[..., 0], ends[..., 1]  # (..., n, 2): transmitter, then receiver
+    dx = x[..., :, None, 1] - x[..., None, :, 0]
+    dy = y[..., :, None, 1] - y[..., None, :, 0]
+    return radio.path_gain(np.maximum(np.sqrt(dx * dx + dy * dy), min_distance_m))
 
 
 def _zf_channel(ends, normals, radio: RadioParams, min_distance_m: float) -> np.ndarray:
@@ -689,11 +693,7 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
         records[:] = _run_range((config, 0, trials))
     else:
         bounds = np.linspace(0, trials, num=min(n_jobs * 4, trials) + 1, dtype=int)
-        jobs = [
-            (config, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
+        jobs = [(config, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
         workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for (_, lo, hi), chunk in zip(jobs, pool.map(_run_range, jobs)):
@@ -704,9 +704,7 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
     n_valid = int(valid.sum())
     thr = kept["throughput"]
     mean = float(thr.mean()) if n_valid else math.nan
-    ci95 = (
-        float(1.96 * thr.std(ddof=1) / math.sqrt(n_valid)) if n_valid > 1 else 0.0
-    )
+    ci95 = float(1.96 * thr.std(ddof=1) / math.sqrt(n_valid)) if n_valid > 1 else 0.0
     mean_coop = float(kept["n_coop"].mean()) if n_valid else math.nan
     mean_noncoop = float(kept["n_noncoop"].mean()) if n_valid else math.nan
     mean_cell = float(kept["n_cellular"].mean()) if n_valid else math.nan
@@ -719,9 +717,7 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
         throughput_mean=mean,
         throughput_ci95=ci95,
         user_throughput_coop=(coop_band_mean / mean_coop) if mean_coop else 0.0,
-        user_throughput_noncoop=(
-            (noncoop_band_mean / mean_noncoop) if mean_noncoop else 0.0
-        ),
+        user_throughput_noncoop=(noncoop_band_mean / mean_noncoop) if mean_noncoop else 0.0,
         mode1_frequency=float(kept["mode"].mean()) if n_valid else math.nan,
         mean_counts=(mean_coop, mean_noncoop, mean_cell),
         n_trials=n_valid,

@@ -63,6 +63,23 @@ class RadioParams:
     alpha: float
     bandwidth_hz: float
 
+    def __post_init__(self) -> None:
+        # a power of 0 W or of an overflowing float has no meaning downstream
+        for name, linear in (
+            ("tx_power_dbm", "tx_power_w"),
+            ("noise_dbm", "noise_w"),
+            ("path_loss_intercept_db", "intercept_linear"),
+        ):
+            try:
+                value = getattr(self, linear)
+            except (OverflowError, TypeError):
+                value = math.nan
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(
+                    "%s must convert to a positive finite linear value, got %r"
+                    % (name, getattr(self, name))
+                )
+
     @property
     def tx_power_w(self) -> float:
         return dbm_to_watts(self.tx_power_dbm)

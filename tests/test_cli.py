@@ -224,6 +224,17 @@ def test_bad_catalog_size_exits_2(tmp_path, capsys):
         (["simulate", "--trials", "3"], "strategy: bogus\n"),
         # derived from n_clusters and users_per_cluster, not a spec field
         (["optimize-cluster"], "n_users: 135\n"),
+        # finite dB values whose linear power or gain overflows or is 0
+        (["optimize-bandwidth"], "noise_dbm: 1.0e+300\n"),
+        (["simulate", "--trials", "3"], "noise_dbm: 1.0e+300\n"),
+        (["optimize-bandwidth"], "tx_power_dbm: 1.0e+300\n"),
+        (["simulate", "--trials", "3"], "tx_power_dbm: 1.0e+300\n"),
+        (["optimize-bandwidth"], "path_loss_intercept_db: -1.0e+300\n"),
+        (["simulate", "--trials", "3"], "path_loss_intercept_db: -1.0e+300\n"),
+        (["optimize-bandwidth"], "noise_dbm: -1.0e+300\n"),
+        (["simulate", "--trials", "3"], "noise_dbm: -1.0e+300\n"),
+        (["optimize-bandwidth"], "path_loss_intercept_db: 1.0e+300\n"),
+        (["simulate", "--trials", "3"], "path_loss_intercept_db: 1.0e+300\n"),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, argv, config):

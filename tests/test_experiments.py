@@ -79,6 +79,20 @@ def test_spec_rejects_bad_values(overrides):
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("noise_dbm", math.nan, "noise_dbm must be a finite number, got nan"),
+        ("beta", -0.1, "beta must be a finite number >= 0, got -0.1"),
+        ("trials", 2.5, "trials must be an integer > 0, got 2.5"),
+    ],
+)
+def test_spec_value_errors_state_the_rule_once(field, value, message):
+    with pytest.raises(ConfigurationError) as caught:
+        ExperimentSpec(scenario="simulate", **{field: value})
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
     "scenario, axis",
     [
         ("cluster-sweep", "mu_bps"),

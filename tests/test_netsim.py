@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from coopd2d import netsim
+from coopd2d import checks, netsim
 from coopd2d.catalog import build_popularity
 from coopd2d.clusters import make_plan
 from coopd2d.errors import ConfigurationError
@@ -231,11 +231,15 @@ def test_records_do_not_depend_on_the_block_size(ref_config, monkeypatch, strate
 
 
 @pytest.mark.parametrize(
-    "seed", [0, 2**32 - 1, 2**32, 2**63, 2**64 + 5], ids=lambda seed: "%d-trial" % seed
+    "seed",
+    [0, 2**32 - 1, 2**32, 2**63, 2**64 + 5, 2**100 + 3],
+    ids=lambda seed: "%d-trial" % seed,
 )
 def test_block_seeder_matches_default_rng(ref_config, seed):
     # each entropy integer is one 32-bit word below 2**32 (0 included) and
-    # more above it; the second block crosses t = 2**32
+    # more above it; the second block crosses t = 2**32.  With the 4 words
+    # of 2**100 + 3 the entropy outgrows the 4-word pool, so the extra words
+    # are mixed in one and then two at a time
     config = replace(ref_config, seed=seed)
     for start, stop in ((0, 2), (2**32 - 1, 2**32 + 2)):
         rngs = netsim._generators(config, start, stop)
@@ -277,6 +281,42 @@ def test_uniform_choice_stays_below_every_bound():
 
 def test_netsim_draws_no_bounded_integers():
     assert calls_in(netsim.__file__, "integers") == []
+
+
+@pytest.mark.parametrize("module", [netsim, checks], ids=lambda m: m.__name__)
+def test_distances_are_taken_coordinate_wise(module):
+    # np.linalg.norm over a length-2 axis copies its input; the tests keep
+    # it as the independent route
+    assert calls_in(module.__file__, "norm") == []
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 16])
+@pytest.mark.parametrize("floor", [0.0, 30.0])
+def test_path_gains_match_the_norm_route_bit_for_bit(ref_radio, n, floor):
+    # a 30 m floor binds on a good share of the links of a 75 m square
+    ends = np.random.default_rng(n).random((50, n, 2, 2)) * 75.0
+    tx, rx = ends[..., 0, :], ends[..., 1, :]
+    d = np.linalg.norm(rx[..., :, None, :] - tx[..., None, :, :], axis=-1)
+    assert (floor == 0.0) == (d >= floor).all()
+    expected = ref_radio.path_gain(np.maximum(d, floor))
+    assert netsim._path_gains(ends, ref_radio, floor).tobytes() == expected.tobytes()
+
+
+def test_nth_true_matches_the_cumulative_count_rule():
+    rng = np.random.default_rng(11)
+    mask = rng.random((900, 15)) < rng.random((900, 1))
+    mask[:300] = False
+    mask[np.arange(300), rng.integers(0, 15, 300)] = True  # single-True rows
+    mask[300:400, -1] = True  # a hit in the last column
+    mask[400:450] = False
+    mask[400:450, -1] = True  # the last column alone
+    mask[~mask.any(axis=1), 0] = True
+    counts = mask.sum(axis=1)
+    n = (rng.random(900) * counts).astype(np.int64)
+    n[300:400] = counts[300:400] - 1  # the last True, in the last column
+    expected = np.argmax(mask.cumsum(axis=1) > n[:, None], axis=1)
+    assert np.array_equal(netsim._nth_true(mask, counts, n), expected)
+    assert (expected[300:450] == 14).all()
 
 
 def test_snapshot_shapes_and_cell_confinement(ref_config):

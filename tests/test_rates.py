@@ -1,11 +1,13 @@
 """Closed-form link rates and throughput accounting."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from pytest import approx
 
+from coopd2d.errors import ConfigurationError
 from coopd2d.geometry import GeometryTable, path_gain_moments
 from coopd2d.rates import (
     RadioParams,
@@ -35,6 +37,23 @@ def test_radio_params_derived_quantities(ref_radio):
     assert ref_radio.path_gain(25.0) == approx(
         10.0**-3.76 * 25.0**-3.68, rel=1e-14
     )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tx_power_dbm", 1.0e300),  # overflows to an infinite power
+        ("noise_dbm", 1.0e300),
+        ("noise_dbm", -1.0e300),  # underflows to 0 W
+        ("path_loss_intercept_db", -1.0e300),
+        ("path_loss_intercept_db", 1.0e300),  # a gain of 0
+        ("noise_dbm", math.nan),
+        ("tx_power_dbm", "20"),
+    ],
+)
+def test_radio_params_refuse_db_values_without_a_linear_value(ref_radio, field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        replace(ref_radio, **{field: value})
 
 
 def test_noncoop_rate_free_space_anchor():
