@@ -240,7 +240,8 @@ def analytic_point(spec: ExperimentSpec) -> AnalyticPoint:
     Popularity, cooperation probability, truncated moments, link rates, user
     populations (closed form, exact for i.i.d. requests), then the bandwidth
     split.  Nothing here draws random numbers, so the point does not depend
-    on ``spec.seed``.
+    on ``spec.seed``.  A link budget whose rate overflows to infinity raises
+    :class:`ConfigurationError`.
     """
     model = build_popularity(spec.n_files, spec.cache_size, spec.beta)
     plan = make_plan(spec.hotspot_side_m, spec.n_clusters, spec.users_per_cluster)
@@ -258,6 +259,12 @@ def analytic_point(spec: ExperimentSpec) -> AnalyticPoint:
     pc = coop_probability(model, k, b)
     rn = noncoop_link_rate(geom)
     rc = coop_link_rate(geom, radio, plan.cluster_side_m, b)
+    if not (math.isfinite(rc) and math.isfinite(rn)):
+        raise ConfigurationError(
+            "tx_power_dbm, noise_dbm and path_loss_intercept_db (%r, %r, %r) give a link "
+            "budget with an infinite rate"
+            % (spec.tx_power_dbm, spec.noise_dbm, spec.path_loss_intercept_db)
+        )
 
     pop = expected_coop_users_closed(model, k, b)
     solution = optimize_eta(

@@ -23,7 +23,8 @@ that draw run per trial, the others per block:
 
 1. per trial, the positions, the request uniforms and the scheduling
    uniforms, in one ``random`` call (:func:`_drop_block`);
-2. per block, the request counts, hit groups, modes and roles;
+2. per block, the requested groups by a bucket table (:func:`_categorical`),
+   then the request counts, hit groups, modes and roles;
 3. per block, the links the scheduling uniforms pick (:func:`_pick_links`);
 4. per trial, the fading of every link set of the trial (:func:`_rate_block`).
 
@@ -33,12 +34,13 @@ each stack is inverted or summed in one call.  Stacks are never padded, so
 each matrix sees the arithmetic it would see alone, and an ill-conditioned
 or singular channel takes the drop-worst-link fallback on its own.  Link
 distances are ``sqrt(dx * dx + dy * dy)``, the floats of ``np.linalg.norm``
-without its copies (:func:`_path_gains`).  Stages 1-4 and pass 2 are the
-rating step (:func:`_rate_block`); a campaign turns its output into trial
-records (:func:`_run_block`).  The same engine serves the two snapshot
-measurements, which read the first ``trials`` snapshots of a config:
-:func:`snapshot_counts` runs stages 1 and 2 only, and :func:`link_rate_gap`
-runs the rating step.
+without its copies (:func:`_path_gains`), and the rating kernels work in
+place, in the order of their formulas, so they hold few stack-sized arrays.
+Stages 1-4 and pass 2 are the rating step (:func:`_rate_block`); a campaign
+turns its output into trial records (:func:`_run_block`).  The same engine
+serves the two snapshot measurements, which read the first ``trials``
+snapshots of a config: :func:`snapshot_counts` runs stages 1 and 2 only,
+and :func:`link_rate_gap` runs the rating step.
 
 Reproducibility contract: trial ``t`` derives all of its randomness from
 one generator with a fixed draw order (positions, requests, scheduling
@@ -90,6 +92,7 @@ __all__ = [
 _COND_LIMIT = 1e8
 _STRATEGIES = ("coop", "nocoop", "tdma")
 _CHUNK = 128  # trials drawn (pass 1) before their link sets are rated (pass 2)
+_BUCKETS = 1024  # of the request draw's table, a power of two so u * _BUCKETS is exact
 
 ROLE_COOP, ROLE_NONCOOP, ROLE_CELLULAR = 0, 1, 2  # int8 role code of each user
 
@@ -279,14 +282,31 @@ def _generators(config: SimConfig, start: int, stop: int) -> list:
     return rngs
 
 
+def _categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``min(searchsorted(cdf, u, side="right"), len(cdf) - 1)`` by table lookup.
+
+    That is the count of the edges ``cdf[:-1]`` at most ``u``.  A key in
+    bucket ``j <= u * _BUCKETS < j + 1`` counts the edges at most
+    ``j / _BUCKETS``, unless an edge lies inside the bucket; the table marks
+    those buckets -1, and only their keys are searched.
+    """
+    edges = cdf[:-1]
+    below = np.searchsorted(edges, np.arange(_BUCKETS + 1) / _BUCKETS, side="right")
+    table = np.where(below[1:] == below[:-1], below[:-1], -1)
+    out = table[(u * _BUCKETS).astype(np.intp)]
+    redo = np.flatnonzero(out < 0)
+    out.flat[redo] = np.searchsorted(edges, u.flat[redo], side="right")
+    return out
+
+
 def _drop_block(config: SimConfig, rngs) -> _Drops:
     """Drop one snapshot per generator.
 
     Stage 1 (per trial): one ``random`` call fills the ``M x 2`` positions,
     the ``M`` request uniforms and the ``1 + 2B`` scheduling uniforms, the
     stream of the three calls in turn.  Stage 2 (per block): one
-    ``searchsorted`` and one ``bincount`` over (trial, cluster, group)
-    classify every trial at once.
+    :func:`_categorical` lookup and one ``bincount`` over (trial, cluster,
+    group) classify every trial at once.
     """
     plan, popularity = config.plan, config.popularity
     b, k, m, d = plan.n_clusters, plan.users_per_cluster, plan.n_users, plan.cluster_side_m
@@ -298,8 +318,7 @@ def _drop_block(config: SimConfig, rngs) -> _Drops:
     positions = draws[:, : 2 * m].reshape(n, m, 2) * d + corner
 
     k0 = popularity.group_count
-    cdf = np.cumsum(popularity.group_probs)
-    request_of = np.minimum(np.searchsorted(cdf, draws[:, 2 * m : 3 * m], side="right"), k0 - 1)
+    request_of = _categorical(np.cumsum(popularity.group_probs), draws[:, 2 * m : 3 * m])
     trial = np.arange(n)[:, None]
     cell = trial * b + cluster_of  # (trial, cluster) of every user
     counts = np.bincount((cell * k0 + request_of).ravel(), minlength=n * b * k0)
@@ -407,9 +426,9 @@ def _path_gains(ends: np.ndarray, radio: RadioParams, min_distance_m: float) -> 
     Every distance, ``sqrt(dx * dx + dy * dy)``, is floored at ``min_distance_m``.
     """
     x, y = ends[..., 0], ends[..., 1]  # (..., n, 2): transmitter, then receiver
-    dx = x[..., :, None, 1] - x[..., None, :, 0]
-    dy = y[..., :, None, 1] - y[..., None, :, 0]
-    return radio.path_gain(np.maximum(np.sqrt(dx * dx + dy * dy), min_distance_m))
+    d = np.square(x[..., :, None, 1] - x[..., None, :, 0])
+    d += np.square(y[..., :, None, 1] - y[..., None, :, 0])
+    return radio.path_gain(np.maximum(np.sqrt(d, out=d), min_distance_m, out=d))
 
 
 def _zf_channel(ends, normals, radio: RadioParams, min_distance_m: float) -> np.ndarray:
@@ -419,8 +438,9 @@ def _zf_channel(ends, normals, radio: RadioParams, min_distance_m: float) -> np.
 
 
 def _fading_power(normals: np.ndarray) -> np.ndarray:
-    x, y = normals[:, 0], normals[:, 1]
-    return (x * x + y * y) / 2.0
+    power = np.square(normals[:, 0])
+    power += np.square(normals[:, 1])
+    return np.divide(power, 2.0, out=power)
 
 
 def _col_norm2(inv: np.ndarray) -> np.ndarray:
@@ -487,7 +507,9 @@ def _zf_stack(h: np.ndarray, p_w: float, noise_w: float):
 
 def _sinr_rates(ends, fading_power, radio: RadioParams, min_distance_m: float) -> np.ndarray:
     """Treated-as-noise spectral efficiencies of a stack of link sets, (T, n)."""
-    received = radio.tx_power_w * (_path_gains(ends, radio, min_distance_m) * fading_power)
+    received = _path_gains(ends, radio, min_distance_m)
+    received *= fading_power
+    received *= radio.tx_power_w
     signal = np.diagonal(received, axis1=-2, axis2=-1).copy()
     interference = received.sum(axis=-1) - signal
     return np.log2(1.0 + signal / (interference + radio.noise_w))
@@ -512,7 +534,8 @@ def _block_ends(positions: np.ndarray, trial: np.ndarray, tx, rx) -> np.ndarray:
 
 def _normals_at(normals: np.ndarray, offsets: np.ndarray, n: int) -> np.ndarray:
     """The ``(len(offsets), 2, n, n)`` fading normals stored from ``offsets``."""
-    return normals[offsets[:, None] + np.arange(2 * n * n)].reshape(-1, 2, n, n)
+    rows = np.lib.stride_tricks.sliding_window_view(normals, 2 * n * n)
+    return rows[offsets].reshape(-1, 2, n, n)
 
 
 class _Rated(NamedTuple):

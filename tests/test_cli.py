@@ -235,6 +235,9 @@ def test_bad_catalog_size_exits_2(tmp_path, capsys):
         (["simulate", "--trials", "3"], "noise_dbm: -1.0e+300\n"),
         (["optimize-bandwidth"], "path_loss_intercept_db: 1.0e+300\n"),
         (["simulate", "--trials", "3"], "path_loss_intercept_db: 1.0e+300\n"),
+        # a finite linear power whose link budget overflows to an infinite rate
+        (["optimize-bandwidth"], "tx_power_dbm: 3080.0\n"),
+        (["simulate", "--trials", "3"], "tx_power_dbm: 3080.0\n"),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, argv, config):

@@ -319,6 +319,76 @@ def test_nth_true_matches_the_cumulative_count_rule():
     assert (expected[300:450] == 14).all()
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.4, 1.0, 3.0, 30.0])
+@pytest.mark.parametrize("groups", [1, 2, 15, 40])
+def test_categorical_matches_the_clamped_search(beta, groups):
+    cdf = np.cumsum(build_popularity(5 * groups, 5, beta).group_probs)
+    edges = cdf[:-1]
+    grid = np.arange(1, netsim._BUCKETS + 1) / netsim._BUCKETS
+    keys = np.concatenate([
+        np.random.default_rng(groups).random(20_000),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),  # on and beside every edge
+        grid - grid, grid[:-1], np.nextafter(grid, 0.0),  # every bucket boundary and below it
+    ])
+    keys = keys[keys < 1.0]  # the range of ``random``
+    # a strided column block, as the request uniforms sit in the block's draws
+    draws = np.zeros((len(keys), 3))
+    draws[:, 1] = keys
+    u = draws[:, 1:2]
+    expected = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+    got = netsim._categorical(cdf, u)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("n", [1, 3, 9, 16])
+def test_normals_at_matches_the_index_gather(n):
+    normals = np.random.default_rng(n).standard_normal(4000)
+    for offsets in (np.array([0, 7, 7, 4000 - 2 * n * n]), np.array([], dtype=np.int64)):
+        expected = normals[offsets[:, None] + np.arange(2 * n * n)].reshape(-1, 2, n, n)
+        got = netsim._normals_at(normals, offsets, n)
+        assert got.shape == expected.shape == (len(offsets), 2, n, n)
+        assert got.tobytes() == expected.tobytes()
+
+
+def rating_inputs(t, n):
+    """Ends (t, n, 2, 2) in a 75 m square and fading normals (t, 2, n, n)."""
+    rng = np.random.default_rng(t * n)
+    return rng.random((t, n, 2, 2)) * 75.0, rng.standard_normal((t, 2, n, n))
+
+
+def test_rating_kernels_leave_their_inputs_unchanged(ref_radio):
+    ends, normals = rating_inputs(20, 9)
+    power = netsim._fading_power(normals)
+    kept = [a.copy() for a in (ends, normals, power)]
+    netsim._fading_power(normals)
+    netsim._path_gains(ends, ref_radio, 1.0)
+    netsim._sinr_rates(ends, power, ref_radio, 1.0)
+    netsim._zf_channel(ends, normals, ref_radio, 1.0)
+    for before, after in zip(kept, (ends, normals, power)):
+        assert before.tobytes() == after.tobytes()
+
+
+@pytest.mark.parametrize("kernel, arrays", [("_path_gains", 3), ("_sinr_rates", 4)])
+def test_rating_kernels_hold_few_stack_sized_temporaries(ref_radio, kernel, arrays):
+    # the distances, the power and the product of ``RadioParams.path_gain``
+    # are the three arrays of ``_path_gains``
+    tracemalloc = pytest.importorskip("tracemalloc")
+    ends, normals = rating_inputs(100, 16)
+    power = netsim._fading_power(normals)
+    args = {"_path_gains": (ends,), "_sinr_rates": (ends, power)}[kernel]
+    call = getattr(netsim, kernel)
+    call(*args, ref_radio, 1.0)  # warm up numpy's caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call(*args, ref_radio, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * power.nbytes + 4096  # the arrays and their headers
+
+
 def test_snapshot_shapes_and_cell_confinement(ref_config):
     drops = drops_of(ref_config, 0, 1)
     plan = ref_config.plan
