@@ -240,8 +240,9 @@ def analytic_point(spec: ExperimentSpec) -> AnalyticPoint:
     Popularity, cooperation probability, truncated moments, link rates, user
     populations (closed form, exact for i.i.d. requests), then the bandwidth
     split.  Nothing here draws random numbers, so the point does not depend
-    on ``spec.seed``.  A link budget whose rate overflows to infinity raises
-    :class:`ConfigurationError`.
+    on ``spec.seed``.  A link budget whose rate overflows to infinity, or a
+    band whose throughput (``bandwidth_hz * B`` times the faster link rate)
+    does, raises :class:`ConfigurationError`.
     """
     model = build_popularity(spec.n_files, spec.cache_size, spec.beta)
     plan = make_plan(spec.hotspot_side_m, spec.n_clusters, spec.users_per_cluster)
@@ -264,6 +265,11 @@ def analytic_point(spec: ExperimentSpec) -> AnalyticPoint:
             "tx_power_dbm, noise_dbm and path_loss_intercept_db (%r, %r, %r) give a link "
             "budget with an infinite rate"
             % (spec.tx_power_dbm, spec.noise_dbm, spec.path_loss_intercept_db)
+        )
+    if not math.isfinite(spec.bandwidth_hz * b * max(rc, rn)):
+        raise ConfigurationError(
+            "bandwidth_hz (%r) gives a throughput that overflows to infinity"
+            % (spec.bandwidth_hz,)
         )
 
     pop = expected_coop_users_closed(model, k, b)

@@ -443,9 +443,13 @@ def _reference_sinr_rates(links, positions, radio, rng, floor):
 def _reference_zf_channel(links, positions, radio, rng, floor):
     n = len(links)
     gain = _reference_gains(links, positions, radio, floor)
-    return np.sqrt(gain / 2.0) * (
-        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    )
+    x = rng.standard_normal((n, n))
+    return composite_channel(gain, x, rng.standard_normal((n, n)))
+
+
+def composite_channel(gain, x, y):
+    """Rayleigh channel ``sqrt(gain / 2) * (x + i y)`` as one complex product."""
+    return np.sqrt(gain / 2.0) * (x + 1j * y)
 
 
 def reference_zf_channel_rates(h, p_w: float, noise_w: float):

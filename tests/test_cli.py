@@ -238,6 +238,10 @@ def test_bad_catalog_size_exits_2(tmp_path, capsys):
         # a finite linear power whose link budget overflows to an infinite rate
         (["optimize-bandwidth"], "tx_power_dbm: 3080.0\n"),
         (["simulate", "--trials", "3"], "tx_power_dbm: 3080.0\n"),
+        # a finite band whose throughput overflows
+        (["optimize-bandwidth"], "bandwidth_hz: 1.0e+308\n"),
+        (["simulate", "--trials", "3"], "bandwidth_hz: 1.0e+308\n"),
+        (["compare", "--trials", "3"], "bandwidth_hz: 1.0e+308\n"),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, argv, config):
@@ -358,6 +362,16 @@ def test_pairing_floor_past_every_link_exits_2(tmp_path, capsys, config):
     assert main(["optimize-bandwidth", "--config", str(cfg), "--out", str(out)]) == 2
     assert "pairing floor" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_validate_refuses_an_overflowing_band(tmp_path, capsys):
+    # exit 1 is a failed gate; a band whose throughput overflows is bad input
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("bandwidth_hz: 1.0e+308\n")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "bandwidth_hz" in captured.err
+    assert captured.out == ""
 
 
 def test_validate_survives_a_zero_signal_moment(tmp_path, capsys, monkeypatch):

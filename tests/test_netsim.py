@@ -42,12 +42,19 @@ def schedule_trial(request_of, k, b, choices, cooperation=True):
     restrict = np.array([cooperation and hit.size > 0])
     choices = np.array([choices], dtype=float)
     links = netsim._pick_links(req[None], counts[None], roles[None], restrict, choices)
+    return links_of_trial(links, 0, k)
+
+
+def links_of_trial(links, t, k):
+    """The cooperative and non-cooperative (tx, rx) links of trial ``t`` of a block."""
     coop = []
-    if links.coop.size:
-        g = int(links.group[0])
-        coop = [(c * k + g, c * k + j) for c, j in enumerate(links.coop_rx[0].tolist())]
-    base = links.nc_cluster * k
-    return coop, list(zip((base + links.nc_tx).tolist(), (base + links.nc_rx).tolist()))
+    for i in np.flatnonzero(links.coop == t).tolist():
+        g = int(links.group[i])
+        coop = [(c * k + g, c * k + j) for c, j in enumerate(links.coop_rx[i].tolist())]
+    mine = links.nc_trial == t
+    base = links.nc_cluster[mine] * k
+    tx, rx = (base + links.nc_tx[mine]).tolist(), (base + links.nc_rx[mine]).tolist()
+    return coop, list(zip(tx, rx))
 
 
 def drops_of(config, start, stop):
@@ -290,16 +297,31 @@ def test_distances_are_taken_coordinate_wise(module):
     assert calls_in(module.__file__, "norm") == []
 
 
+def norm_route_gains(ends, radio, floor):
+    """Path gains of a stack of link ends, distances by ``np.linalg.norm``."""
+    tx, rx = ends[..., 0, :], ends[..., 1, :]
+    d = np.linalg.norm(rx[..., :, None, :] - tx[..., None, :, :], axis=-1)
+    assert (floor == 0.0) == (d >= floor).all()  # a 30 m floor binds in a 75 m square
+    return radio.path_gain(np.maximum(d, floor))
+
+
 @pytest.mark.parametrize("n", [1, 4, 9, 16])
 @pytest.mark.parametrize("floor", [0.0, 30.0])
 def test_path_gains_match_the_norm_route_bit_for_bit(ref_radio, n, floor):
-    # a 30 m floor binds on a good share of the links of a 75 m square
     ends = np.random.default_rng(n).random((50, n, 2, 2)) * 75.0
-    tx, rx = ends[..., 0, :], ends[..., 1, :]
-    d = np.linalg.norm(rx[..., :, None, :] - tx[..., None, :, :], axis=-1)
-    assert (floor == 0.0) == (d >= floor).all()
-    expected = ref_radio.path_gain(np.maximum(d, floor))
+    expected = norm_route_gains(ends, ref_radio, floor)
     assert netsim._path_gains(ends, ref_radio, floor).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 16])
+@pytest.mark.parametrize("floor", [0.0, 30.0])
+def test_zf_channel_matches_the_complex_product_bit_for_bit(ref_radio, n, floor):
+    ends, normals = rating_inputs(50, n)
+    gain = norm_route_gains(ends, ref_radio, floor)
+    expected = oracles.composite_channel(gain, normals[:, 0], normals[:, 1])
+    got = netsim._zf_channel(ends, normals, ref_radio, floor)
+    assert got.dtype == expected.dtype and got.shape == expected.shape == (50, n, n)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_nth_true_matches_the_cumulative_count_rule():
@@ -369,14 +391,19 @@ def test_rating_kernels_leave_their_inputs_unchanged(ref_radio):
         assert before.tobytes() == after.tobytes()
 
 
-@pytest.mark.parametrize("kernel, arrays", [("_path_gains", 3), ("_sinr_rates", 4)])
+@pytest.mark.parametrize(
+    "kernel, arrays", [("_path_gains", 3), ("_sinr_rates", 4), ("_zf_channel", 3)]
+)
 def test_rating_kernels_hold_few_stack_sized_temporaries(ref_radio, kernel, arrays):
     # the distances, the power and the product of ``RadioParams.path_gain``
-    # are the three arrays of ``_path_gains``
+    # are the three arrays of ``_path_gains``; ``_zf_channel`` holds the
+    # gains and its complex stack, two real stacks' worth, and numpy's
+    # fixed-size ufunc buffer, which reads the strided fading parts
     tracemalloc = pytest.importorskip("tracemalloc")
     ends, normals = rating_inputs(100, 16)
     power = netsim._fading_power(normals)
-    args = {"_path_gains": (ends,), "_sinr_rates": (ends, power)}[kernel]
+    args = {"_path_gains": (ends,), "_sinr_rates": (ends, power), "_zf_channel": (ends, normals)}
+    args = args[kernel]
     call = getattr(netsim, kernel)
     call(*args, ref_radio, 1.0)  # warm up numpy's caches
     tracemalloc.start()
@@ -386,7 +413,8 @@ def test_rating_kernels_hold_few_stack_sized_temporaries(ref_radio, kernel, arra
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= arrays * power.nbytes + 4096  # the arrays and their headers
+    buffer = 8 * np.getbufsize() if kernel == "_zf_channel" else 0
+    assert peak <= arrays * power.nbytes + buffer + 4096  # the arrays and their headers
 
 
 def test_snapshot_shapes_and_cell_confinement(ref_config):
@@ -508,6 +536,82 @@ def test_schedule_link_invariants(ref_config):
     assert np.all(links.nc_tx != links.nc_rx)
     assert np.all(req[links.nc_trial, links.nc_cluster, links.nc_rx] == links.nc_tx)
     assert not np.any(drops.hit[links.nc_trial, links.nc_tx])  # hit requesters wait
+
+
+@pytest.mark.parametrize("base", ["ref_config", "small_config"])
+@pytest.mark.parametrize("which", ["all", "none", "every other"])
+def test_pick_links_restricts_only_the_flagged_trials(request, base, which):
+    # the block schedules each trial as it would be scheduled alone; the
+    # small config has Mode-1 trials whose hit groups have no receiver
+    config = request.getfixturevalue(base)
+    b, k = config.plan.n_clusters, config.plan.users_per_cluster
+    n = 60
+    drops = drops_of(config, 0, n)
+    trial = np.arange(n)
+    flagged = {"all": trial >= 0, "none": trial < 0, "every other": trial % 2 == 0}[which]
+    restrict = flagged & drops.hit.any(axis=1)
+    assert restrict.any() == (which != "none")
+    links = netsim._pick_links(
+        drops.request_of, drops.counts, drops.roles, restrict, drops.choices
+    )
+    for t in range(n):
+        expected = schedule_trial(drops.request_of[t], k, b, drops.choices[t], bool(flagged[t]))
+        assert links_of_trial(links, t, k) == expected
+
+
+def aggregate_reference(records, n_clusters):
+    """The :class:`SimResult` fields of ``records``, each from its kept trials' values."""
+    kept = [dict(zip(records.dtype.names, r)) for r in records.tolist()]
+    kept = [r for r in kept if not r["discarded"]]
+    n = len(kept)
+
+    def mean(name):
+        return math.fsum(r[name] for r in kept) / n
+
+    thr = mean("throughput")
+    std = math.sqrt(math.fsum((r["throughput"] - thr) ** 2 for r in kept) / (n - 1))
+    counts = (mean("n_coop"), mean("n_noncoop"), mean("n_cellular"))
+    return {
+        "throughput_mean": thr,
+        "throughput_ci95": 1.96 * std / math.sqrt(n),
+        "user_throughput_coop": mean("coop_band") / counts[0],
+        "user_throughput_noncoop": (thr - mean("coop_band")) / counts[1],
+        "mode1_frequency": mean("mode"),
+        "mean_counts": counts,
+        "n_trials": n,
+        "discarded_trials": len(records) - n,
+        "degenerate_mode1_trials": sum(r["degenerate"] for r in kept),
+        "dropped_link_fraction": sum(r["dropped_links"] for r in kept) / (n * n_clusters),
+        "silent_cluster_fraction": sum(r["silent_clusters"] for r in kept) / (n * n_clusters),
+    }
+
+
+@pytest.mark.parametrize("discard", [False, True])
+def test_role_counts_and_aggregates_match_the_per_field_reference(
+    ref_config, monkeypatch, discard
+):
+    # with a discarded trial the kept records are a copy; without one, the
+    # record array itself
+    config = replace(ref_config, trials=6)
+    if discard:
+        original = netsim._zf_channel
+
+        def broken(ends, normals, radio, min_distance_m):
+            h = original(ends, normals, radio, min_distance_m)
+            h[1] = 0.0  # trial 1: no usable channel
+            return h
+
+        monkeypatch.setattr(netsim, "_zf_channel", broken)
+    result = run_campaign(config, keep_trials=True)
+    records = result.trials
+    assert records["discarded"].tolist() == [0, int(discard), 0, 0, 0, 0]
+    roles = drops_of(config, 0, 6).roles
+    names = {ROLE_COOP: "n_coop", ROLE_NONCOOP: "n_noncoop", ROLE_CELLULAR: "n_cellular"}
+    for code, name in names.items():
+        assert records[name].tolist() == np.count_nonzero(roles == code, axis=1).tolist()
+    for name, expected in aggregate_reference(records, config.plan.n_clusters).items():
+        got = getattr(result, name)
+        assert type(got) is type(expected) and got == approx(expected, rel=1e-14), name
 
 
 def test_zf_single_link_matches_direct_formula(ref_radio):
