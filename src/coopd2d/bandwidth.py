@@ -107,13 +107,13 @@ def optimize_eta(
     # Vacuous constraints: no users in a class, or no floor to honor.
     if mu == 0.0 or nc_bar == 0.0:
         lo = 0.0
-    elif rc > 0.0:
+    elif wb * rc > 0.0:
         lo = mu * nc_bar / (wb * rc)
     else:
-        lo = math.inf  # positive floor, zero rate: unsatisfiable
+        lo = math.inf  # positive floor, zero throughput (or one that underflows): unsatisfiable
     if mu == 0.0 or nn_bar == 0.0:
         hi = 1.0
-    elif rn > 0.0:
+    elif wb * rn > 0.0:
         hi = 1.0 - mu * nn_bar / (wb * rn)
     else:
         hi = -math.inf

@@ -13,6 +13,7 @@ for k = 0..group_count-1 (0-based group indices throughout the package).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -57,8 +58,15 @@ class PopularityModel:
         self.group_probs.setflags(write=False)
 
 
+# typed: an argument of another type (300.0 files, an np.float64 skew) gets
+# its own entry, so every call returns what an uncached call would
+@functools.lru_cache(maxsize=64, typed=True)
 def build_popularity(n_files: int, cache_size: int, beta: float) -> PopularityModel:
     """Build the per-group request distribution of a Zipf catalog.
+
+    Memoized (a pure function returning a frozen model with read-only
+    probabilities), as :func:`coopd2d.geometry.path_gain_moments` is: a
+    sweep pays for each catalog once.  A refusal raises on every call.
 
     Parameters
     ----------

@@ -19,6 +19,7 @@ combinations).
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from dataclasses import replace
@@ -100,12 +101,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser: parse_args leaves a parser as it was, so one serves every call
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
+# PyYAML's safe loader, on libyaml when PyYAML was built with it: the same
+# resolver and constructor, so the same mapping, but its own error wording
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
     mapping: dict = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                loaded = yaml.safe_load(fh)
+                loaded = yaml.load(fh, Loader=_YAML_LOADER)
         except UnicodeDecodeError as exc:
             raise ConfigurationError(
                 "config file %s is not UTF-8 text: %s" % (args.config, exc)
@@ -126,7 +138,7 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:
         spec = _load_spec(args)

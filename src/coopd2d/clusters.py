@@ -49,8 +49,11 @@ class ClusterPlan:
     def __post_init__(self) -> None:
         if self.n_clusters < 1 or self.users_per_cluster < 1:
             raise ConfigurationError("n_clusters and users_per_cluster must be >= 1")
-        if not self.hotspot_side_m > 0:
-            raise ConfigurationError("hotspot_side_m must be positive")
+        if not self.cluster_side_m > 0:
+            raise ConfigurationError(
+                "hotspot_side_m must be positive, with a cell side over %d clusters "
+                "that does not underflow to 0, got %r" % (self.n_clusters, self.hotspot_side_m)
+            )
 
     @property
     def cluster_side_m(self) -> float:

@@ -262,9 +262,10 @@ def analytic_point(spec: ExperimentSpec) -> AnalyticPoint:
     rc = coop_link_rate(geom, radio, plan.cluster_side_m, b)
     if not (math.isfinite(rc) and math.isfinite(rn)):
         raise ConfigurationError(
-            "tx_power_dbm, noise_dbm and path_loss_intercept_db (%r, %r, %r) give a link "
-            "budget with an infinite rate"
-            % (spec.tx_power_dbm, spec.noise_dbm, spec.path_loss_intercept_db)
+            "tx_power_dbm, noise_dbm, path_loss_intercept_db, alpha and hotspot_side_m "
+            "(%r, %r, %r, %r, %r) give a link budget with an infinite rate"
+            % (spec.tx_power_dbm, spec.noise_dbm, spec.path_loss_intercept_db, spec.alpha,
+               spec.hotspot_side_m)
         )
     if not math.isfinite(spec.bandwidth_hz * b * max(rc, rn)):
         raise ConfigurationError(
@@ -520,6 +521,17 @@ def campaign_config(
     )
 
 
+def _run_kept(config: SimConfig, n_jobs: int, keep_trials: bool = False):
+    """:func:`run_campaign`, refusing a campaign that discarded every trial."""
+    result = run_campaign(config, n_jobs=n_jobs, keep_trials=keep_trials)
+    if result.n_trials == 0:
+        raise ConfigurationError(
+            "all %d trials were discarded: no zero-forcing channel stayed usable "
+            "(path gains that underflow to 0 leave it singular)" % config.trials
+        )
+    return result
+
+
 def compare_strategies(spec: ExperimentSpec, beta: float) -> list[dict]:
     """Run the five compared strategies at one beta; returns CSV records.
 
@@ -536,7 +548,7 @@ def compare_strategies(spec: ExperimentSpec, beta: float) -> list[dict]:
         point = replace(spec, beta=beta, n_clusters=b, users_per_cluster=k)
         pt = analytic_point(point)
         config = campaign_config(spec, pt, strategy, eta)
-        result = run_campaign(config, n_jobs=spec.n_jobs)
+        result = _run_kept(config, spec.n_jobs)
         rows.append(
             {
                 "strategy": label,
@@ -576,7 +588,7 @@ def cmd_simulate(spec: ExperimentSpec) -> str:
     """One campaign, per-trial records to CSV."""
     strategy = "coop" if spec.strategy is None else spec.strategy
     config = campaign_config(spec, analytic_point(spec), strategy, spec.eta)
-    result = run_campaign(config, n_jobs=spec.n_jobs, keep_trials=True)
+    result = _run_kept(config, spec.n_jobs, keep_trials=True)
     k, b = config.plan.users_per_cluster, config.plan.n_clusters
     rows = [
         {

@@ -288,7 +288,8 @@ def path_gain_moments(alpha: float, r_min: float = 0.0) -> GeometryTable:
         bool; for ``r_min >= sqrt(5)``: a pairing floor that long excludes
         every signal and interference distance, so no link rate exists; and
         when a quadrature fails: it does not converge, ``r^-alpha``
-        overflows, or a moment comes out non-finite.
+        overflows, a moment comes out non-finite, or the interference
+        moment underflows to 0.
 
     Examples
     --------
@@ -325,5 +326,11 @@ def path_gain_moments(alpha: float, r_min: float = 0.0) -> GeometryTable:
 
     s = _moment(signal_pdf, alpha, r_min, SQRT2, SIGNAL_BREAKS) if r_min < SQRT2 else 0.0
     q2 = _moment(interference_pdf, alpha, r_min, SQRT5, INTERFERENCE_BREAKS)
+    if q2 == 0.0:
+        raise ConfigurationError(
+            "path-gain moment underflows to 0 for pairing floor r_min=%g cluster "
+            "sides at alpha=%g (r^-alpha falls below the float range); lower "
+            "the pairing floor or alpha" % (r_min, alpha)
+        )
     return GeometryTable(alpha=float(alpha), r_min=float(r_min), q1=s + 8.0 * q2, q2=q2)
 

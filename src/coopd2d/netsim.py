@@ -157,6 +157,11 @@ class SimConfig:
             raise ConfigurationError(
                 "strategy must be one of %s, got %r" % (_STRATEGIES, self.strategy)
             )
+        side = self.plan.hotspot_side_m
+        if not math.isfinite(2.0 * side * side):
+            raise ConfigurationError(
+                "hotspot_side_m (%r) is too large: a squared link distance overflows" % side
+            )
         _check_int("trials", self.trials, 1)
         _check_int("seed", self.seed, 0)
         if not (_is_real(self.eta) and 0.0 <= self.eta <= 1.0):
@@ -460,7 +465,10 @@ def _fading_power(normals: np.ndarray) -> np.ndarray:
 
 
 def _col_norm2(inv: np.ndarray) -> np.ndarray:
-    return (np.abs(inv) ** 2).sum(axis=-2)
+    # a norm beyond the float range, from path gains near underflow, is inf:
+    # the link's rate is then 0, the limit of p / (noise * norm)
+    with np.errstate(over="ignore"):
+        return (np.abs(inv) ** 2).sum(axis=-2)
 
 
 def _zf_link_rates(col_norm2: np.ndarray, p_w: float, noise_w: float) -> np.ndarray:
@@ -752,13 +760,18 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
     valid = records["discarded"] == 0
     n_valid = int(valid.sum())
     kept = records if n_valid == trials else records[valid]
-    thr = kept["throughput"]
-    mean = float(thr.mean()) if n_valid else math.nan
-    ci95 = float(1.96 * thr.std(ddof=1) / math.sqrt(n_valid)) if n_valid > 1 else 0.0
+    # Throughputs and their coop-band parts are averaged at the scale 2**-e,
+    # e the binary exponent of the largest throughput: exact, and a sum near
+    # the top of the float range cannot overflow.
+    e = int(np.frexp(np.abs(kept["throughput"]).max())[1]) if n_valid else 0
+    thr = np.ldexp(kept["throughput"], -e)
+    mean = float(np.ldexp(thr.mean(), e)) if n_valid else math.nan
+    ci95 = float(np.ldexp(1.96 * thr.std(ddof=1) / math.sqrt(n_valid), e)) if n_valid > 1 else 0.0
     mean_coop = float(kept["n_coop"].mean()) if n_valid else math.nan
     mean_noncoop = float(kept["n_noncoop"].mean()) if n_valid else math.nan
     mean_cell = float(kept["n_cellular"].mean()) if n_valid else math.nan
-    coop_band_mean = float(kept["coop_band"].mean()) if n_valid else math.nan
+    band = np.ldexp(kept["coop_band"], -e)
+    coop_band_mean = float(np.ldexp(band.mean(), e)) if n_valid else math.nan
     noncoop_band_mean = mean - coop_band_mean if n_valid else math.nan
     b = config.plan.n_clusters
 

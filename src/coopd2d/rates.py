@@ -151,13 +151,17 @@ def coop_link_rate(
     Returns
     -------
     float
-        ``log2(1 + P * D^-alpha * G0 * q1 / (B * sigma^2))`` bits/s/Hz.
+        ``log2(1 + P * D^-alpha * G0 * q1 / (B * sigma^2))`` bits/s/Hz,
+        ``inf`` when the mean gain overflows.
     """
     if n_clusters < 1:
         raise ConfigurationError("n_clusters must be >= 1, got %r" % (n_clusters,))
     if not cluster_side_m > 0:
         raise ConfigurationError("cluster_side_m must be positive")
-    mean_gain = radio.intercept_linear * cluster_side_m ** (-geom.alpha) * geom.q1
+    try:
+        mean_gain = radio.intercept_linear * cluster_side_m ** (-geom.alpha) * geom.q1
+    except OverflowError:  # D^-alpha beyond the float range: an infinite rate
+        mean_gain = math.inf
     snr = radio.tx_power_w * mean_gain / (n_clusters * radio.noise_w)
     return math.log2(1.0 + snr)
 

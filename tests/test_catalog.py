@@ -108,3 +108,23 @@ def test_build_popularity_rejects_bad_inputs(n_files, cache, beta):
 def test_group_probs_are_read_only(ref_model):
     with pytest.raises(ValueError):
         ref_model.group_probs[0] = 0.5
+
+
+def test_build_popularity_is_memoized():
+    model = build_popularity(300, 20, 0.7)
+    assert build_popularity(300, 20, 0.7) is model
+    assert not model.group_probs.flags.writeable
+    # typed: an np.float64 skew gets its own entry, with the same numbers
+    other = build_popularity(300, 20, np.float64(0.7))
+    assert other is not model
+    assert other.beta == model.beta and np.array_equal(other.group_probs, model.group_probs)
+
+
+@pytest.mark.parametrize(
+    "n_files, cache, beta", [(301, 20, 1.0), (300, 20, -0.5), (300, 20, math.nan)]
+)
+def test_build_popularity_refuses_on_every_call(n_files, cache, beta):
+    # a refusal is an exception, which the cache does not keep
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            build_popularity(n_files, cache, beta)

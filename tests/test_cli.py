@@ -1,11 +1,16 @@
 """Command line surface: flag plumbing, config files, exit codes."""
 
+import ast
 import hashlib
+import io
+import math
 import pathlib
 import re
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import coopd2d.checks as checks
 import coopd2d.cli as cli
@@ -242,6 +247,14 @@ def test_bad_catalog_size_exits_2(tmp_path, capsys):
         (["optimize-bandwidth"], "bandwidth_hz: 1.0e+308\n"),
         (["simulate", "--trials", "3"], "bandwidth_hz: 1.0e+308\n"),
         (["compare", "--trials", "3"], "bandwidth_hz: 1.0e+308\n"),
+        # a cell side that underflows to 0
+        (["optimize-bandwidth"], "hotspot_side_m: 5.0e-324\n"),
+        # 2/3 m cells: r^-alpha underflows the interference moment to 0, or
+        # the cell side's D^-alpha overflows
+        (["optimize-bandwidth"], "alpha: 1819.0\nhotspot_side_m: 2.0\n"),
+        (["optimize-bandwidth"], "alpha: 1751.0\nhotspot_side_m: 2.0\n"),
+        # a squared link distance overflows in the simulator
+        (["simulate", "--trials", "3"], "hotspot_side_m: 1.4e+154\nalpha: 0.0\n"),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, argv, config):
@@ -310,17 +323,24 @@ def test_missing_config_file_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 2
 
 
-def test_malformed_yaml_exits_2(tmp_path):
+def test_malformed_yaml_exits_2(tmp_path, capsys):
     cfg = tmp_path / "broken.yaml"
-    cfg.write_text("trials: [5, 6\n")
-    assert main(["simulate", "--config", str(cfg)]) == 2
+    for text in (
+        "trials: [5, 6\n",  # an unclosed flow sequence
+        "beta: \x07\n",  # a control character
+        "beta: 1.0\n\ttrials: 5\n",  # a tab before a key
+    ):
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_non_utf8_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "utf16.yaml"
     cfg.write_bytes("beta: 0.8\n".encode("utf-16"))  # starts with a BOM, 0xff 0xfe
     assert main(["optimize-cluster", "--config", str(cfg)]) == 2
-    assert "not UTF-8" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not UTF-8" in err
 
 
 def test_non_mapping_yaml_exits_2(tmp_path):
@@ -400,3 +420,168 @@ def test_validate_exit_code_mapping(monkeypatch):
     fake_validate.verdict = False
     assert main(["validate"]) == 1
     assert seen == ["validate", "validate"]
+
+
+def test_main_calls_do_not_share_flags(monkeypatch):
+    # main parses every call with one parser; a flag of one call must not
+    # reach the next
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda spec: seen.append(spec.beta) or True)
+    assert main(["validate", "--beta", "0.4"]) == 0
+    assert main(["validate"]) == 0
+    assert seen == [0.4, experiments.ExperimentSpec.beta]
+    assert build_parser() is not build_parser()
+
+
+def _config_texts():
+    """The README's YAML block and every config text this module writes."""
+    tree = ast.parse(pathlib.Path(__file__).read_text())
+    texts = {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.endswith("\n")
+    }
+    readme = re.search(r"```yaml\n(.*?)```", README.read_text(), re.S).group(1)
+    return [readme] + sorted(texts)
+
+
+def _load(text, loader):
+    try:
+        return yaml.load(io.StringIO(text), Loader=loader)
+    except yaml.YAMLError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("text", _config_texts())
+def test_config_loader_reads_what_the_safe_loader_reads(text):
+    # libyaml words its errors differently, so a malformed text need only
+    # fail in both with the same error class
+    assert cli._YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    assert _load(text, cli._YAML_LOADER) == _load(text, yaml.SafeLoader)
+
+
+def _documented_nan(column, row):
+    # optimize-bandwidth: an infeasible split has no eta or throughput, and
+    # the grid column is nan when no grid point is feasible
+    return column == "eta_star_grid" or (
+        column in ("eta_star", "throughput_bps") and row.get("feasible") == "false"
+    )
+
+
+def assert_finite_cells(path):
+    """Every number in a CSV is finite, or one of the documented NaNs."""
+    _, _, rows = read_csv(path)
+    assert rows
+    for row in rows:
+        for column, cell in row.items():
+            try:
+                value = float(cell)
+            except ValueError:  # a label: strategy, binding, true/false
+                continue
+            assert math.isfinite(value) or (math.isnan(value) and _documented_nan(column, row)), (
+                column, cell,
+            )
+
+
+# A numpy overflow warning fails these tests (pyproject's filterwarnings).
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        # per-trial throughputs near 1e308 are finite, their sum is not
+        (["simulate", "--trials", "50"], "bandwidth_hz: 1.0e+306\n"),
+        (["compare", "--trials", "50"], "bandwidth_hz: 1.0e+306\n"),
+        # path gains near underflow: the squared norm of a zero-forcing
+        # inverse column overflows, a link of rate 0
+        (["simulate", "--trials", "3"],
+         "hotspot_side_m: 1.8205332103701806e+82\n"
+         "min_pairing_distance_m: 4.0708360136834664e+82\nn_clusters: 1\n"),
+        # W * B * rate underflows to 0: no positive floor is feasible
+        (["optimize-bandwidth"], "bandwidth_hz: 5.0e-324\nn_clusters: 1\nnoise_dbm: 0.0\n"),
+    ],
+)
+def test_extreme_configs_run_to_finite_cells(tmp_path, argv, config):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(config)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+    assert_finite_cells(out)
+
+
+def test_a_campaign_that_discards_every_trial_exits_2(tmp_path, capsys):
+    # a pairing floor just under sqrt(5) cells of 2.7e86 m: every path gain
+    # underflows to 0, so no zero-forcing channel is usable
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(
+        "hotspot_side_m: 2.728199705330352e+86\n"
+        "min_pairing_distance_m: 6.100439997313288e+86\nn_clusters: 1\n"
+    )
+    out = tmp_path / "out.csv"
+    assert main(["compare", "--trials", "3", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "all 3 trials were discarded" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The finite-output contract: any config a user writes either runs, every
+# cell of its CSV finite, or exits 2 with an error line.  Values come from
+# experiments._NUMERIC_RULES: half from a field's valid range, half from
+# anywhere in its type (NaN, infinities, signed zeros, subnormals and
+# numbers near the float range included).  Size fields stay small so an
+# example costs milliseconds: at most 16 clusters of 6 users, 120 files in
+# groups of at most 30, 5 trials, and one worker (a worker pool returns
+# the same bits, and acceptance 6 checks that).  An example sets at most
+# four fields, so most examples get past the spec checks.  n_users is
+# derived, not a config key.
+_SIZE_CAPS = {"n_clusters": 16, "users_per_cluster": 6, "n_files": 120,
+              "cache_size": 30, "trials": 5, "n_jobs": 1}
+_EXAMPLES = 150  # per command
+
+
+def _field_values(kind, name, holds):
+    if kind is int:
+        anything = st.integers(-1, _SIZE_CAPS.get(name, 2**70))
+        return st.one_of(anything.filter(holds), anything)
+    return st.one_of(st.floats(allow_nan=False, allow_infinity=False).filter(holds), st.floats())
+
+
+_FIELD_VALUES = {
+    name: _field_values(kind, name, holds)
+    for kind, _, holds, names in experiments._NUMERIC_RULES
+    for name in names
+    if name != "n_users"
+}
+_CONTRACT_COMMANDS = {
+    "optimize-bandwidth": [],
+    "optimize-cluster": [],
+    "simulate": ["--trials", "3"],
+    "compare": ["--trials", "3"],
+}
+
+
+@pytest.mark.filterwarnings("ignore:first-order non-cooperative rate is negative:RuntimeWarning")
+@pytest.mark.parametrize("command", sorted(_CONTRACT_COMMANDS))
+@settings(
+    max_examples=_EXAMPLES,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_every_config_runs_to_finite_cells_or_exits_2(tmp_path, capsys, command, data):
+    fields = sorted(n for n in _FIELD_VALUES if n != "eta" or command == "simulate")
+    names = data.draw(st.sets(st.sampled_from(fields), max_size=4), label="fields")
+    config = {name: data.draw(_FIELD_VALUES[name], label=name) for name in sorted(names)}
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(config))
+    out = tmp_path / "out.csv"
+    out.unlink(missing_ok=True)
+    argv = [command, *_CONTRACT_COMMANDS[command], "--config", str(cfg), "--out", str(out)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error:") and not out.exists()
+        return
+    assert code == 0, err
+    assert_finite_cells(out)
