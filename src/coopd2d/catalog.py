@@ -60,13 +60,17 @@ class PopularityModel:
 
 # typed: an argument of another type (300.0 files, an np.float64 skew) gets
 # its own entry, so every call returns what an uncached call would
-@functools.lru_cache(maxsize=64, typed=True)
+@functools.lru_cache(maxsize=1, typed=True)
 def build_popularity(n_files: int, cache_size: int, beta: float) -> PopularityModel:
     """Build the per-group request distribution of a Zipf catalog.
 
     Memoized (a pure function returning a frozen model with read-only
-    probabilities), as :func:`coopd2d.geometry.path_gain_moments` is: a
-    sweep pays for each catalog once.  A refusal raises on every call.
+    probabilities), as :func:`coopd2d.geometry.path_gain_moments` is, but
+    for the last catalog only: the commands sweep the skew outermost with
+    the catalog size fixed, so consecutive calls repeat one catalog (an
+    ``optimize-bandwidth`` sweep's rate floors, ``compare``'s strategies at
+    one skew), and one entry serves them without holding a large catalog
+    per skew.  A refusal raises on every call.
 
     Parameters
     ----------

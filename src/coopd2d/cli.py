@@ -19,7 +19,6 @@ combinations).
 from __future__ import annotations
 
 import argparse
-import functools
 import logging
 import sys
 from dataclasses import replace
@@ -101,12 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# main's parser: parse_args leaves a parser as it was, so one serves every call
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
-
-
 # PyYAML's safe loader, on libyaml when PyYAML was built with it: the same
 # resolver and constructor, so the same mapping, but its own error wording
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
@@ -138,7 +131,7 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:
         spec = _load_spec(args)

@@ -521,17 +521,6 @@ def campaign_config(
     )
 
 
-def _run_kept(config: SimConfig, n_jobs: int, keep_trials: bool = False):
-    """:func:`run_campaign`, refusing a campaign that discarded every trial."""
-    result = run_campaign(config, n_jobs=n_jobs, keep_trials=keep_trials)
-    if result.n_trials == 0:
-        raise ConfigurationError(
-            "all %d trials were discarded: no zero-forcing channel stayed usable "
-            "(path gains that underflow to 0 leave it singular)" % config.trials
-        )
-    return result
-
-
 def compare_strategies(spec: ExperimentSpec, beta: float) -> list[dict]:
     """Run the five compared strategies at one beta; returns CSV records.
 
@@ -548,7 +537,7 @@ def compare_strategies(spec: ExperimentSpec, beta: float) -> list[dict]:
         point = replace(spec, beta=beta, n_clusters=b, users_per_cluster=k)
         pt = analytic_point(point)
         config = campaign_config(spec, pt, strategy, eta)
-        result = _run_kept(config, spec.n_jobs)
+        result = run_campaign(config, n_jobs=spec.n_jobs)
         rows.append(
             {
                 "strategy": label,
@@ -588,7 +577,7 @@ def cmd_simulate(spec: ExperimentSpec) -> str:
     """One campaign, per-trial records to CSV."""
     strategy = "coop" if spec.strategy is None else spec.strategy
     config = campaign_config(spec, analytic_point(spec), strategy, spec.eta)
-    result = _run_kept(config, spec.n_jobs, keep_trials=True)
+    result = run_campaign(config, n_jobs=spec.n_jobs, keep_trials=True)
     k, b = config.plan.users_per_cluster, config.plan.n_clusters
     rows = [
         {

@@ -94,6 +94,12 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e8
+# Smallest path gain accepted, at the hotspot's longest link.  A squared
+# zero-forcing inverse-column norm grows as 1 / gain (times fading and
+# conditioning factors), so from here up it stays far inside the float
+# range; gains near underflow would overflow it or leave every channel
+# singular.
+_MIN_PATH_GAIN_LOG10 = -150.0
 _STRATEGIES = ("coop", "nocoop", "tdma")
 _CHUNK = 128  # trials drawn (pass 1) before their link sets are rated (pass 2)
 _BUCKETS = 1024  # of the request draw's table, a power of two so u * _BUCKETS is exact
@@ -175,6 +181,17 @@ class SimConfig:
         if not (_is_real(floor) and 0.0 <= floor < math.inf):
             raise ConfigurationError(
                 "min_pairing_distance_m must be a finite real number >= 0, got %r" % (floor,)
+            )
+        radio = self.radio
+        longest = max(math.sqrt(2.0) * side, floor)
+        gain_log10 = -radio.path_loss_intercept_db / 10.0 - radio.alpha * math.log10(longest)
+        if not gain_log10 >= _MIN_PATH_GAIN_LOG10:
+            raise ConfigurationError(
+                "path_loss_intercept_db, alpha, hotspot_side_m and min_pairing_distance_m "
+                "(%r, %r, %r, %r) give a path gain of 1e%.4g at the longest link, below "
+                "1e%g: the simulator's zero-forcing norms would overflow"
+                % (radio.path_loss_intercept_db, radio.alpha, side, floor, gain_log10,
+                   _MIN_PATH_GAIN_LOG10)
             )
 
 
@@ -465,10 +482,7 @@ def _fading_power(normals: np.ndarray) -> np.ndarray:
 
 
 def _col_norm2(inv: np.ndarray) -> np.ndarray:
-    # a norm beyond the float range, from path gains near underflow, is inf:
-    # the link's rate is then 0, the limit of p / (noise * norm)
-    with np.errstate(over="ignore"):
-        return (np.abs(inv) ** 2).sum(axis=-2)
+    return (np.abs(inv) ** 2).sum(axis=-2)
 
 
 def _zf_link_rates(col_norm2: np.ndarray, p_w: float, noise_w: float) -> np.ndarray:

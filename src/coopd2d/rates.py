@@ -112,8 +112,12 @@ def noncoop_link_rate(geom: GeometryTable) -> float:
         ``log2(q1) - log2(q2) - 3`` bits/s/Hz.  The first-order formula can
         go negative for extreme moment ratios; such values are clamped to 0
         (with a warning carrying the raw value) since a negative average rate
-        has no downstream meaning.
+        has no downstream meaning.  With no signal moment (``q1 == 8 q2``,
+        a pairing floor past ``sqrt(2)`` cell sides) the rate is exactly 0,
+        whatever rounding the logarithms carry.
     """
+    if geom.q1 == 8.0 * geom.q2:
+        return 0.0
     value = math.log2(geom.q1) - math.log2(geom.q2) - 3.0
     if value < 0.0:
         warnings.warn(

@@ -422,17 +422,6 @@ def test_validate_exit_code_mapping(monkeypatch):
     assert seen == ["validate", "validate"]
 
 
-def test_main_calls_do_not_share_flags(monkeypatch):
-    # main parses every call with one parser; a flag of one call must not
-    # reach the next
-    seen = []
-    monkeypatch.setattr(cli, "cmd_validate", lambda spec: seen.append(spec.beta) or True)
-    assert main(["validate", "--beta", "0.4"]) == 0
-    assert main(["validate"]) == 0
-    assert seen == [0.4, experiments.ExperimentSpec.beta]
-    assert build_parser() is not build_parser()
-
-
 def _config_texts():
     """The README's YAML block and every config text this module writes."""
     tree = ast.parse(pathlib.Path(__file__).read_text())
@@ -492,11 +481,6 @@ def assert_finite_cells(path):
         # per-trial throughputs near 1e308 are finite, their sum is not
         (["simulate", "--trials", "50"], "bandwidth_hz: 1.0e+306\n"),
         (["compare", "--trials", "50"], "bandwidth_hz: 1.0e+306\n"),
-        # path gains near underflow: the squared norm of a zero-forcing
-        # inverse column overflows, a link of rate 0
-        (["simulate", "--trials", "3"],
-         "hotspot_side_m: 1.8205332103701806e+82\n"
-         "min_pairing_distance_m: 4.0708360136834664e+82\nn_clusters: 1\n"),
         # W * B * rate underflows to 0: no positive floor is feasible
         (["optimize-bandwidth"], "bandwidth_hz: 5.0e-324\nn_clusters: 1\nnoise_dbm: 0.0\n"),
     ],
@@ -509,17 +493,28 @@ def test_extreme_configs_run_to_finite_cells(tmp_path, argv, config):
     assert_finite_cells(out)
 
 
-def test_a_campaign_that_discards_every_trial_exits_2(tmp_path, capsys):
-    # a pairing floor just under sqrt(5) cells of 2.7e86 m: every path gain
-    # underflows to 0, so no zero-forcing channel is usable
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        # path gains near underflow: a zero-forcing inverse norm overflows
+        ("simulate",
+         "hotspot_side_m: 1.8205332103701806e+82\n"
+         "min_pairing_distance_m: 4.0708360136834664e+82\nn_clusters: 1\n"),
+        # every path gain underflows to 0: every channel is singular
+        ("compare",
+         "hotspot_side_m: 2.728199705330352e+86\n"
+         "min_pairing_distance_m: 6.100439997313288e+86\nn_clusters: 1\n"),
+        # the intercept alone puts the gain below the floor
+        ("simulate", "path_loss_intercept_db: 1600.0\n"),
+    ],
+)
+def test_path_gains_near_underflow_exit_2(tmp_path, capsys, command, config):
     cfg = tmp_path / "run.yaml"
-    cfg.write_text(
-        "hotspot_side_m: 2.728199705330352e+86\n"
-        "min_pairing_distance_m: 6.100439997313288e+86\nn_clusters: 1\n"
-    )
+    cfg.write_text(config)
     out = tmp_path / "out.csv"
-    assert main(["compare", "--trials", "3", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "all 3 trials were discarded" in capsys.readouterr().err
+    assert main([command, "--trials", "3", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at the longest link, below 1e-150" in err
     assert not out.exists()
 
 
@@ -559,7 +554,6 @@ _CONTRACT_COMMANDS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:first-order non-cooperative rate is negative:RuntimeWarning")
 @pytest.mark.parametrize("command", sorted(_CONTRACT_COMMANDS))
 @settings(
     max_examples=_EXAMPLES,

@@ -83,6 +83,15 @@ def test_noncoop_rate_clamp_and_warning():
         assert noncoop_link_rate(bad) == 0.0
 
 
+@pytest.mark.parametrize("alpha, r_min", [(3.68, 1.5), (0.0, 2.0), (7.0, 1.42)])
+def test_noncoop_rate_without_signal_moment_is_zero(alpha, r_min):
+    # a floor past sqrt(2) cell sides leaves no signal moment: q1 = 8 q2
+    # exactly, and the rate is 0 with no warning about rounding noise
+    table = path_gain_moments(alpha, r_min)
+    assert table.q1 == 8.0 * table.q2
+    assert noncoop_link_rate(table) == 0.0
+
+
 def test_coop_rate_reference_frozen(ref_geom, ref_radio):
     assert coop_link_rate(ref_geom, ref_radio, 25.0, 9) == approx(REF_RC, rel=1e-12)
 
