@@ -240,9 +240,10 @@ def analytic_point(spec: ExperimentSpec) -> AnalyticPoint:
     Popularity, cooperation probability, truncated moments, link rates, user
     populations (closed form, exact for i.i.d. requests), then the bandwidth
     split.  Nothing here draws random numbers, so the point does not depend
-    on ``spec.seed``.  A link budget whose rate overflows to infinity, or a
-    band whose throughput (``bandwidth_hz * B`` times the faster link rate)
-    does, raises :class:`ConfigurationError`.
+    on ``spec.seed``.  A pairing floor (``min_pairing_distance_m`` over the
+    cluster side), a link budget's rate or a band's throughput
+    (``bandwidth_hz * B`` times the faster link rate) that overflows to
+    infinity raises :class:`ConfigurationError`.
     """
     model = build_popularity(spec.n_files, spec.cache_size, spec.beta)
     plan = make_plan(spec.hotspot_side_m, spec.n_clusters, spec.users_per_cluster)
@@ -254,9 +255,14 @@ def analytic_point(spec: ExperimentSpec) -> AnalyticPoint:
         bandwidth_hz=spec.bandwidth_hz,
     )
     k, b = plan.users_per_cluster, plan.n_clusters
-    geom = path_gain_moments(
-        spec.alpha, spec.min_pairing_distance_m / plan.cluster_side_m
-    )
+    r_min = spec.min_pairing_distance_m / plan.cluster_side_m
+    if not math.isfinite(r_min):
+        raise ConfigurationError(
+            "min_pairing_distance_m, hotspot_side_m and n_clusters (%r, %r, %r) give a "
+            "pairing floor of %r cluster sides; it must be below sqrt(5)"
+            % (spec.min_pairing_distance_m, spec.hotspot_side_m, spec.n_clusters, r_min)
+        )
+    geom = path_gain_moments(spec.alpha, r_min)
     pc = coop_probability(model, k, b)
     rn = noncoop_link_rate(geom)
     rc = coop_link_rate(geom, radio, plan.cluster_side_m, b)

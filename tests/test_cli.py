@@ -1,6 +1,7 @@
 """Command line surface: flag plumbing, config files, exit codes."""
 
 import ast
+import dataclasses
 import hashlib
 import io
 import math
@@ -403,8 +404,51 @@ def test_validate_survives_a_zero_signal_moment(tmp_path, capsys, monkeypatch):
     cfg.write_text("min_pairing_distance_m: 36.0\n")
     assert main(["validate", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
-    assert "PASS moment-mc: geometric MC off by 0.00% signal" in out
+    assert "PASS moment-kernel: cell-offset kernel vs quadrature: relative gap 0.0e+00 signal" in out
     assert "vs 0.000 (ratio nan)" in out
+
+
+def test_validate_fails_a_moment_off_by_1e7(capsys, monkeypatch):
+    # a q2 off by 1e-7 relative is outside the kernel gate's window
+    monkeypatch.setattr(checks, "_VALIDATE_SNAPSHOTS", 2000)
+    real = checks.analytic_point
+
+    def skewed(spec):
+        pt = real(spec)
+        q2 = pt.geom.q2 * (1.0 + 1e-7)
+        geom = dataclasses.replace(pt.geom, q1=pt.geom.signal_moment + 8.0 * q2, q2=q2)
+        return dataclasses.replace(pt, geom=geom)
+
+    monkeypatch.setattr(checks, "analytic_point", skewed)
+    assert main(["validate"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL moment-kernel: cell-offset kernel vs quadrature: relative gap" in out
+    assert out.count("FAIL ") == 1
+    assert "validation FAILED (12 gated checks)" in out
+
+
+def test_validate_passes_a_heavy_tail(tmp_path, capsys, monkeypatch):
+    # at alpha = 150 the moments rest on the rare pairs near the floor, which
+    # sampling misses by percents; the kernel gate draws nothing, and it must
+    # not warn (RuntimeWarnings are test errors here)
+    monkeypatch.setattr(checks, "_VALIDATE_SNAPSHOTS", 2000)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("alpha: 150.0\nhotspot_side_m: 6.6\nmin_pairing_distance_m: 0.088\n")
+    assert main(["validate", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS moment-kernel" in out
+    assert "validation passed (12 gated checks)" in out
+
+
+def test_pairing_floor_that_overflows_names_its_keys(tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("min_pairing_distance_m: 1.0e+300\nhotspot_side_m: 1.0e-10\n")
+    out = tmp_path / "out.csv"
+    assert main(["optimize-bandwidth", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "min_pairing_distance_m, hotspot_side_m and n_clusters" in err
+    assert "r_min" not in err
+    assert not out.exists()
 
 
 def test_validate_exit_code_mapping(monkeypatch):

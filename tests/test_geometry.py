@@ -8,6 +8,7 @@ from pytest import approx
 from scipy.integrate import quad
 
 from coopd2d import geometry
+from coopd2d.checks import _offset_moment
 from coopd2d.geometry import (
     SQRT2,
     SQRT5,
@@ -132,6 +133,92 @@ def test_moments_match_direct_sampling():
     )
     assert s_mc == approx(table.signal_moment, rel=1e-2), (s_mc, s_se)
     assert q2_mc == approx(table.q2, rel=1e-2), (q2_mc, q2_se)
+    # the third route: the cell-offset kernel, deterministic and far tighter
+    s_kernel = _offset_moment(3.68, 0.04, 0, 0)
+    q2_kernel = _offset_moment(3.68, 0.04, 1, 0)
+    assert s_kernel == approx(table.signal_moment, rel=1e-12)
+    assert q2_kernel == approx(table.q2, rel=1e-12)
+    assert s_mc == approx(s_kernel, rel=1e-2), (s_mc, s_se)
+    assert q2_mc == approx(q2_kernel, rel=1e-2), (q2_mc, q2_se)
+
+
+def _kernel_gap_ok(kernel, exact):
+    """The window of validate's moment-kernel gate."""
+    return abs(kernel - exact) <= 1e-8 * exact + 1e-9
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0, 3.0, 3.68, 4.0, 20.0, 60.0, 120.0, 200.0])
+def test_offset_kernel_matches_quadrature(alpha):
+    for r_min in (0.0, 1e-4, 0.04, 0.5, 0.999, 1.0, 1.1, 1.5, 2.0, 2.23):
+        if r_min == 0.0 and alpha >= 2.0:
+            continue  # the moments diverge
+        if r_min == 1e-4 and alpha >= 20.0:
+            # the 1-D quadrature refuses: no convergence at 20 and 60,
+            # r^-alpha overflows at 120 and 200
+            with pytest.raises(ConfigurationError):
+                path_gain_moments(alpha, r_min)
+            continue
+        table = path_gain_moments(alpha, r_min)
+        signal = _offset_moment(alpha, r_min, 0, 0)
+        q2 = _offset_moment(alpha, r_min, 1, 0)
+        assert _kernel_gap_ok(signal, table.signal_moment), (r_min, signal, table)
+        assert _kernel_gap_ok(q2, table.q2), (r_min, q2, table)
+        if r_min > SQRT2:
+            assert signal == 0.0  # no in-cell distance reaches the floor
+
+
+def test_offset_kernel_converges_where_quadrature_refuses():
+    # below one cell side the signal density is 2 r^3 - 8 r^2 + 2 pi r, so
+    # the moment is a sum of power integrals; at alpha = 20 the part past
+    # r = 1 is below 1e-60 of it
+    for r_min in (1e-4, 2e-4):
+        near = sum(c * (r_min ** (p - 19.0) - 1.0) / (19.0 - p)
+                   for c, p in ((2.0 * math.pi, 1.0), (-8.0, 2.0), (2.0, 3.0)))
+        assert _offset_moment(20.0, r_min, 0, 0) == approx(near, rel=1e-12)
+
+
+def test_offset_kernel_refuses_an_overflow():
+    with pytest.raises(ConfigurationError, match="r_min=0.0001 cluster sides at alpha=120"):
+        _offset_moment(120.0, 1e-4, 0, 0)
+
+
+_OFFSETS = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (1, 2), (2, 2), (-1, 2), (3, -1)]
+
+
+@pytest.mark.parametrize("cell", _OFFSETS)
+def test_offset_kernel_free_space_is_a_probability(cell):
+    # at alpha = 0 and no floor the moment is the total mass of the kernel
+    assert abs(_offset_moment(0.0, 0.0, *cell) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha, r_min", [(0.0, 0.0), (2.0, 0.5), (3.68, 0.04), (60.0, 1.1)])
+def test_offset_kernel_is_symmetric(alpha, r_min):
+    for i, j in _OFFSETS:
+        moment = _offset_moment(alpha, r_min, i, j)
+        assert _offset_moment(alpha, r_min, j, i) == approx(moment, rel=1e-13)
+        assert _offset_moment(alpha, r_min, -i, j) == approx(moment, rel=1e-13)
+
+
+def test_dominant_interference_simplification_measured():
+    # the closed forms model all 8 neighbours with the edge-adjacent moment
+    # q2; the simulator's interferers sit at every offset of a 3 x 3 grid
+    def digits4(values):
+        return [float("%.4g" % v) for v in values]
+
+    moment = {(i, j): _offset_moment(3.68, 0.04, i, j) for i in range(3) for j in range(3)}
+    offsets = ((0, 1), (1, 1), (0, 2), (1, 2), (2, 2))
+    assert digits4(moment[c] for c in offsets) == [21.55, 1.245, 0.1064, 0.0672, 0.02552]
+    neighbours = 4.0 * moment[(0, 1)] + 4.0 * moment[(1, 1)]
+    cells = [(x, y) for x in range(3) for y in range(3)]
+    grid_mean = sum(
+        moment[(abs(x - u), abs(y - v))] for x, y in cells for u, v in cells if (x, y) != (u, v)
+    ) / len(cells)
+    q2_total = 8.0 * path_gain_moments(3.68, 0.04).q2
+    # 8 q2 overstates the interference the simulator draws, against the
+    # direction of the Jensen gap
+    assert digits4([neighbours, grid_mean, q2_total, q2_total / grid_mean]) == [
+        91.17, 59.94, 172.4, 2.876
+    ]
 
 
 def test_moments_decrease_with_truncation_radius():
