@@ -43,6 +43,14 @@ serves the two snapshot measurements, which read the first ``trials``
 snapshots of a config: :func:`snapshot_counts` runs stages 1 and 2 only,
 and :func:`link_rate_gap` runs the rating step.
 
+Working arrays: the draws of stage 1, the fading normals of stage 4 and,
+in pass 2, the gathered normal stacks, the fading power and the path gains
+live in a per-thread workspace (:func:`_scratch`), one grow-only buffer per
+name, so each block reuses the memory of the blocks before it, across
+campaigns and snapshot measurements.  What a stage hands on (the fields of
+:class:`_Drops` and :class:`_Rated`, the records) is always a fresh array.
+Threads have their own buffers; worker processes their own module state.
+
 Reproducibility contract: trial ``t`` derives all of its randomness from
 one generator with a fixed draw order (positions, requests, scheduling
 uniforms, fading), per-trial results live at index ``t`` of the campaign
@@ -70,6 +78,7 @@ import functools
 import math
 import numbers
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -120,6 +129,7 @@ TRIAL_DTYPE = np.dtype(
         ("discarded", np.int8),
     ]
 )
+_MAX_USERS = np.iinfo(TRIAL_DTYPE["n_coop"]).max  # the records count users in int16
 
 
 def _check_int(name: str, value, low: int) -> None:
@@ -177,6 +187,13 @@ class SimConfig:
                 "users_per_cluster (%d) exceeds the catalog's group count (%d)"
                 % (self.plan.users_per_cluster, self.popularity.group_count)
             )
+        if self.plan.n_users > _MAX_USERS:
+            raise ConfigurationError(
+                "n_clusters x users_per_cluster (%d x %d = %d users) exceeds %d, the most "
+                "users a trial record can count"
+                % (self.plan.n_clusters, self.plan.users_per_cluster, self.plan.n_users,
+                   _MAX_USERS)
+            )
         floor = self.min_pairing_distance_m
         if not (_is_real(floor) and 0.0 <= floor < math.inf):
             raise ConfigurationError(
@@ -193,6 +210,27 @@ class SimConfig:
                 % (radio.path_loss_intercept_db, radio.alpha, side, floor, gain_log10,
                    _MIN_PATH_GAIN_LOG10)
             )
+
+
+_workspace = threading.local()  # the block stages' working arrays, see :func:`_scratch`
+
+
+def _scratch(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """This thread's working array ``name`` as ``shape``; its contents are undefined.
+
+    Each name has one grow-only buffer per thread, so a block reuses the
+    memory of the blocks before it instead of taking it from the allocator,
+    which hands it back between blocks.  A view stays valid until the next
+    call with the same name on the same thread, so no array that leaves
+    the block's stages (a field of :class:`_Drops` or :class:`_Rated`, a
+    record) may live here.
+    """
+    buffers = _workspace.__dict__
+    size = math.prod(shape)
+    buf = buffers.get(name)
+    if buf is None or buf.size < size or buf.dtype.type is not dtype:
+        buf = buffers[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
 
 
 @functools.lru_cache(maxsize=16)
@@ -338,7 +376,7 @@ def _drop_block(config: SimConfig, rngs) -> _Drops:
     b, k, m, d = plan.n_clusters, plan.users_per_cluster, plan.n_users, plan.cluster_side_m
     cluster_of, corner = _layout(b, k, d)
     n = len(rngs)
-    draws = np.empty((n, 3 * m + 1 + 2 * b))
+    draws = _scratch("draws", (n, 3 * m + 1 + 2 * b))
     for rng, row in zip(rngs, draws):
         rng.random(out=row)
     positions = np.multiply(draws[:, : 2 * m].reshape(n, m, 2), d)
@@ -354,7 +392,7 @@ def _drop_block(config: SimConfig, rngs) -> _Drops:
     role_of_request = np.full((n, k0), ROLE_CELLULAR, dtype=np.int8)
     role_of_request[:, :k] = np.where(hit, ROLE_COOP, ROLE_NONCOOP)
     roles = np.take(role_of_request, trial * k0 + request_of)
-    # a copy, so the block's draws are freed before the links are rated
+    # a copy: the draws are the thread's scratch, which the next block overwrites
     return _Drops(positions, request_of, counts, hit, roles, draws[:, 3 * m :].copy())
 
 
@@ -450,14 +488,20 @@ def _pick_links(request_of, counts, roles, restrict, choices) -> _Links:
 
 
 def _path_gains(ends: np.ndarray, radio: RadioParams, min_distance_m: float) -> np.ndarray:
-    """Gains ``g[..., i, j]`` from transmitter ``j`` to receiver ``i``.
+    """Gains ``g[..., i, j]`` from transmitter ``j`` to receiver ``i``, in scratch.
 
     Every distance, ``sqrt(dx * dx + dy * dy)``, is floored at ``min_distance_m``.
     """
     x, y = ends[..., 0], ends[..., 1]  # (..., n, 2): transmitter, then receiver
-    d = np.square(x[..., :, None, 1] - x[..., None, :, 0])
-    d += np.square(y[..., :, None, 1] - y[..., None, :, 0])
-    return radio.path_gain(np.maximum(np.sqrt(d, out=d), min_distance_m, out=d))
+    shape = x.shape[:-2] + (x.shape[-2],) * 2
+    d = np.subtract(x[..., :, None, 1], x[..., None, :, 0], out=_scratch("distance", shape))
+    dy = np.subtract(y[..., :, None, 1], y[..., None, :, 0], out=_scratch("square", shape))
+    np.square(d, out=d)
+    d += np.square(dy, out=dy)
+    np.maximum(np.sqrt(d, out=d), min_distance_m, out=d)
+    d **= -radio.alpha  # RadioParams.path_gain in place: its power, then its product
+    d *= radio.intercept_linear
+    return d
 
 
 def _zf_channel(ends, normals, radio: RadioParams, min_distance_m: float) -> np.ndarray:
@@ -476,8 +520,10 @@ def _zf_channel(ends, normals, radio: RadioParams, min_distance_m: float) -> np.
 
 
 def _fading_power(normals: np.ndarray) -> np.ndarray:
-    power = np.square(normals[:, 0])
-    power += np.square(normals[:, 1])
+    """Fading power ``(x^2 + y^2) / 2`` of a (T, 2, n, n) stack, in scratch."""
+    shape = normals[:, 0].shape
+    power = np.square(normals[:, 0], out=_scratch("power", shape))
+    power += np.square(normals[:, 1], out=_scratch("square", shape))
     return np.divide(power, 2.0, out=power)
 
 
@@ -579,9 +625,17 @@ def _block_ends(positions: np.ndarray, trial: np.ndarray, tx, rx) -> np.ndarray:
 
 
 def _normals_at(normals: np.ndarray, offsets: np.ndarray, n: int) -> np.ndarray:
-    """The ``(len(offsets), 2, n, n)`` fading normals stored from ``offsets``."""
-    rows = np.lib.stride_tricks.sliding_window_view(normals, 2 * n * n)
-    return rows[offsets].reshape(-1, 2, n, n)
+    """The ``(len(offsets), 2, n, n)`` fading normals stored from ``offsets``, in scratch.
+
+    ``take`` reads the flat normals; on a sliding window of them it would
+    first copy the whole window, and ``mode="raise"`` would buffer ``out``.
+    Every index is in range, so ``"clip"`` never clips.
+    """
+    shape = (len(offsets), 2 * n * n)
+    index = _scratch("gather_index", shape, np.intp)
+    np.add(offsets[:, None], np.arange(shape[1]), out=index)
+    out = np.take(normals, index, out=_scratch("gather", shape), mode="clip")
+    return out.reshape(-1, 2, n, n)
 
 
 class _Rated(NamedTuple):
@@ -636,7 +690,7 @@ def _rate_block(config: SimConfig, rngs) -> _Rated:
     trial_draws = zf_draws + set_draws.sum(axis=1)
     trial_end = np.cumsum(trial_draws)
     trial_start = trial_end - trial_draws
-    normals = np.empty(trial_end[-1])
+    normals = _scratch("normals", (int(trial_end[-1]),))
     for rng, lo, hi in zip(rngs, trial_start.tolist(), trial_end.tolist()):
         if hi > lo:
             rng.standard_normal(out=normals[lo:hi])

@@ -213,6 +213,12 @@ def test_bad_catalog_size_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_OVER_INT16_USERS = (
+    "n_clusters: 400\nusers_per_cluster: 100\nn_files: 20000\n"
+    "hotspot_side_m: 2000.0\nbeta: 0.0\n"
+)
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -256,6 +262,9 @@ def test_bad_catalog_size_exits_2(tmp_path, capsys):
         (["optimize-bandwidth"], "alpha: 1751.0\nhotspot_side_m: 2.0\n"),
         # a squared link distance overflows in the simulator
         (["simulate", "--trials", "3"], "hotspot_side_m: 1.4e+154\nalpha: 0.0\n"),
+        # 40,000 users: the int16 record counts would wrap
+        (["simulate", "--trials", "2", "--strategy", "nocoop"], _OVER_INT16_USERS),
+        (["compare", "--trials", "2"], _OVER_INT16_USERS),
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, argv, config):

@@ -3,6 +3,9 @@
 import ast
 import math
 import pathlib
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -415,6 +418,88 @@ def test_rating_kernels_hold_few_stack_sized_temporaries(ref_radio, kernel, arra
         tracemalloc.stop()
     buffer = 8 * np.getbufsize() if kernel == "_zf_channel" else 0
     assert peak <= arrays * power.nbytes + buffer + 4096  # the arrays and their headers
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0, 3.68, 4])
+def test_path_gains_apply_the_radio_law_bit_for_bit(ref_radio, alpha):
+    # _path_gains applies RadioParams.path_gain in place, including the
+    # exponents numpy's ``**`` computes by a special ufunc (-1: reciprocal)
+    radio = replace(ref_radio, alpha=alpha)
+    ends = np.random.default_rng(7).random((30, 4, 2, 2)) * 75.0
+    expected = norm_route_gains(ends, radio, 30.0)
+    assert netsim._path_gains(ends, radio, 30.0).tobytes() == expected.tobytes()
+
+
+def fields_of(rated):
+    """Every array a rated block hands back, its drops' fields included."""
+    return [*rated.drops, *rated[1:]]
+
+
+@pytest.mark.parametrize("strategy", ["coop", "tdma"])
+def test_held_block_results_survive_the_next_block(ref_config, sparse_config, strategy):
+    # the next block on the thread reuses the workspace, never a held result
+    config = replace(ref_config, strategy=strategy)
+    rated = netsim._rate_block(config, netsim._generators(config, 0, 60))
+    drops = drops_of(config, 60, 90)
+    held = fields_of(rated) + list(drops)
+    copies = [a.copy() for a in held]
+    # first the same shapes, so the workspace is overwritten in place
+    for other in (replace(config, seed=6), replace(sparse_config, strategy=strategy, seed=5)):
+        netsim._rate_block(other, netsim._generators(other, 0, 60))
+        drops_of(other, 0, 30)
+    for before, after in zip(copies, held):
+        assert before.dtype == after.dtype and before.shape == after.shape
+        assert before.tobytes() == after.tobytes()
+
+
+def test_campaigns_in_threads_match_serial_runs(ref_config, sparse_config):
+    # each thread has its own workspace: campaigns of several blocks each,
+    # more than the cores and run at once with frequent thread switches,
+    # give the serial records
+    configs = [
+        replace(base, strategy=strategy, trials=3 * netsim._CHUNK + 17)
+        for base in (ref_config, sparse_config)
+        for strategy in ("coop", "tdma")
+    ]
+    serial = [run_campaign(c, keep_trials=True).trials.tobytes() for c in configs]
+    start = threading.Barrier(len(configs))
+
+    def run(config):
+        start.wait(timeout=60)
+        return run_campaign(config, keep_trials=True).trials.tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(configs)) as pool:
+            threaded = list(pool.map(run, configs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+@pytest.mark.parametrize("strategy", ["coop", "nocoop", "tdma"])
+def test_warm_block_allocates_no_array_as_large_as_its_draws(sparse_config, strategy):
+    # The block's draws, fading normals, gathered stacks, fading power and
+    # path gains come from the thread's workspace.  On a warm block at the
+    # campaign-sparse geometry the traced peak above what the block hands
+    # back stays below one draws array (8 * T * (3M + 1 + 2B) bytes, 525 KB
+    # here); with those arrays allocated per block it held several.
+    tracemalloc = pytest.importorskip("tracemalloc")
+    config = replace(sparse_config, strategy=strategy)
+    plan, n = config.plan, netsim._CHUNK
+    draws_nbytes = 8 * n * (3 * plan.n_users + 1 + 2 * plan.n_clusters)
+    netsim._rate_block(config, netsim._generators(config, 0, n))  # warm the workspace
+    rngs = netsim._generators(config, 0, n)  # the same block: no buffer grows
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rated = netsim._rate_block(config, rngs)
+        kept, peak = (size - start for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert kept >= sum(a.nbytes for a in fields_of(rated)) > 0
+    assert peak - kept < draws_nbytes
 
 
 def test_snapshot_shapes_and_cell_confinement(ref_config):
@@ -921,6 +1006,17 @@ def test_sim_config_refuses_a_bad_band_or_floor(ref_config, strategy, field, val
 def test_sim_config_accepts_numpy_reals(ref_config):
     config = replace(ref_config, eta=np.float32(0.5), min_pairing_distance_m=np.int64(2))
     assert config.eta == 0.5 and config.min_pairing_distance_m == 2
+
+
+def test_sim_config_counts_at_most_int16_max_users(ref_radio):
+    # the records count users in int16: 32,767 users construct, one more is refused
+    popularity = build_popularity(32_768, 1, 1.0)
+    limit = np.iinfo(np.int16).max
+    fields = dict(radio=ref_radio, popularity=popularity, strategy="nocoop", trials=1, seed=0)
+    config = SimConfig(plan=make_plan(25.0, 1, limit), **fields)
+    assert config.plan.n_users == limit == 32_767
+    with pytest.raises(ConfigurationError, match="n_clusters x users_per_cluster"):
+        SimConfig(plan=make_plan(25.0, 1, limit + 1), **fields)
 
 
 def test_mode1_coop_links_all_or_nothing(ref_config):
