@@ -536,21 +536,33 @@ def compare_strategies(spec: ExperimentSpec, beta: float) -> list[dict]:
     ``tdma`` (the last two at the configured size).
     """
     model = build_popularity(spec.n_files, spec.cache_size, beta)
-    k_best, b_best = _best_sim_cluster_size(model, spec.n_users)
-    rows = []
+    best = _best_sim_cluster_size(model, spec.n_users)
+    own = (spec.users_per_cluster, spec.n_clusters)
 
-    def run(label: str, strategy: str, eta: float | None, k: int, b: int):
-        point = replace(spec, beta=beta, n_clusters=b, users_per_cluster=k)
-        pt = analytic_point(point)
-        config = campaign_config(spec, pt, strategy, eta)
-        result = run_campaign(config, n_jobs=spec.n_jobs)
+    def config(strategy: str, eta: float | None, k: int, b: int) -> SimConfig:
+        pt = analytic_point(replace(spec, beta=beta, n_clusters=b, users_per_cluster=k))
+        return campaign_config(spec, pt, strategy, eta)
+
+    # the configured size first, so a refusal names the config's own plan
+    configured = [
+        ("etaK", config("coop", None, *own)),
+        ("nocoop", config("nocoop", 0.0, *own)),
+        ("tdma", config("tdma", 0.0, *own)),
+    ]
+    at_best = [
+        ("optimized", config("coop", None, *best)),
+        ("eta0.5", config("coop", 0.5, *best)),
+    ]
+    rows = []
+    for label, cfg in at_best + configured:
+        result = run_campaign(cfg, n_jobs=spec.n_jobs)
         rows.append(
             {
                 "strategy": label,
                 "beta": float(beta),
-                "users_per_cluster": k,
-                "n_clusters": b,
-                "eta": config.eta,
+                "users_per_cluster": cfg.plan.users_per_cluster,
+                "n_clusters": cfg.plan.n_clusters,
+                "eta": cfg.eta,
                 "trials": result.n_trials,
                 "throughput_mean_bps": result.throughput_mean,
                 "throughput_ci95_bps": result.throughput_ci95,
@@ -562,12 +574,6 @@ def compare_strategies(spec: ExperimentSpec, beta: float) -> list[dict]:
                 "user_noncoop_bps": result.user_throughput_noncoop,
             }
         )
-
-    run("optimized", "coop", None, k_best, b_best)
-    run("eta0.5", "coop", 0.5, k_best, b_best)
-    run("etaK", "coop", None, spec.users_per_cluster, spec.n_clusters)
-    run("nocoop", "nocoop", 0.0, spec.users_per_cluster, spec.n_clusters)
-    run("tdma", "tdma", 0.0, spec.users_per_cluster, spec.n_clusters)
     return rows
 
 
@@ -576,7 +582,7 @@ def cmd_compare(spec: ExperimentSpec) -> str:
     rows = []
     for beta in betas:
         rows.extend(compare_strategies(spec, float(beta)))
-    return write_csv(spec.out, "strategy_compare.v3", rows)
+    return write_csv(spec.out, "strategy_compare.v4", rows)
 
 
 def cmd_simulate(spec: ExperimentSpec) -> str:
@@ -608,4 +614,4 @@ def cmd_simulate(spec: ExperimentSpec) -> str:
         result.throughput_ci95,
         result.n_trials,
     )
-    return write_csv(spec.out, "campaign_trials.v3", rows)
+    return write_csv(spec.out, "campaign_trials.v4", rows)

@@ -27,7 +27,9 @@ that draw run per trial, the others per block:
    then the request counts, hit groups, modes and roles;
 3. per block, the links the scheduling uniforms pick (:func:`_pick_links`),
    the cooperative groups only for the trials that cooperate;
-4. per trial, the fading of every link set of the trial (:func:`_rate_block`).
+4. per trial, the fading of every link set of the trial (:func:`_rate_block`):
+   the cooperative channel's normals, then one standard exponential per
+   entry of each non-cooperative set, its fading power ``|h|^2 ~ Exp(1)``.
 
 Pass 2 rates the block together: zero-forcing channels and equal-size
 non-cooperative link sets are gathered from the block arrays, stacked, and
@@ -43,9 +45,9 @@ serves the two snapshot measurements, which read the first ``trials``
 snapshots of a config: :func:`snapshot_counts` runs stages 1 and 2 only,
 and :func:`link_rate_gap` runs the rating step.
 
-Working arrays: the draws of stage 1, the fading normals of stage 4 and,
-in pass 2, the gathered normal stacks, the fading power and the path gains
-live in a per-thread workspace (:func:`_scratch`), one grow-only buffer per
+Working arrays: the draws of stage 1, the fading normals and powers of
+stage 4 and, in pass 2, the gathered fading stacks and the path gains live
+in a per-thread workspace (:func:`_scratch`), one grow-only buffer per
 name, so each block reuses the memory of the blocks before it, across
 campaigns and snapshot measurements.  What a stage hands on (the fields of
 :class:`_Drops` and :class:`_Rated`, the records) is always a fresh array.
@@ -482,9 +484,11 @@ def _pick_links(request_of, counts, roles, restrict, choices) -> _Links:
 
 
 # A link set is rated from its ends, ``ends[..., l, :, :]`` holding the
-# transmitter and receiver positions of link ``l``, and from two standard
-# normal (n, n) matrices of fading, drawn real part first.  The kernels below
-# take stacks of them, (T, n, 2, 2) and (T, 2, n, n).
+# transmitter and receiver positions of link ``l``, and from its fading: a
+# zero-forcing channel from two standard normal (n, n) matrices, drawn real
+# part first; a non-cooperative set from one (n, n) matrix of Exp(1) fading
+# powers, which is the law of ``|h|^2`` for ``h ~ CN(0, 1)``.  The kernels
+# below take stacks of them, (T, n, 2, 2), (T, 2, n, n) and (T, n, n).
 
 
 def _path_gains(ends: np.ndarray, radio: RadioParams, min_distance_m: float) -> np.ndarray:
@@ -517,14 +521,6 @@ def _zf_channel(ends, normals, radio: RadioParams, min_distance_m: float) -> np.
     np.multiply(g, normals[:, 0], out=h.real)
     np.multiply(g, normals[:, 1], out=h.imag)
     return h
-
-
-def _fading_power(normals: np.ndarray) -> np.ndarray:
-    """Fading power ``(x^2 + y^2) / 2`` of a (T, 2, n, n) stack, in scratch."""
-    shape = normals[:, 0].shape
-    power = np.square(normals[:, 0], out=_scratch("power", shape))
-    power += np.square(normals[:, 1], out=_scratch("square", shape))
-    return np.divide(power, 2.0, out=power)
 
 
 def _col_norm2(inv: np.ndarray) -> np.ndarray:
@@ -598,7 +594,10 @@ def _zf_stack(h: np.ndarray, p_w: float, noise_w: float):
 
 
 def _sinr_rates(ends, fading_power, radio: RadioParams, min_distance_m: float) -> np.ndarray:
-    """Treated-as-noise spectral efficiencies of a stack of link sets, (T, n)."""
+    """Treated-as-noise spectral efficiencies of a stack of link sets, (T, n).
+
+    ``fading_power`` is the (T, n, n) stack of Exp(1) powers ``|h|^2``.
+    """
     received = _path_gains(ends, radio, min_distance_m)
     received *= fading_power
     received *= radio.tx_power_w
@@ -624,18 +623,18 @@ def _block_ends(positions: np.ndarray, trial: np.ndarray, tx, rx) -> np.ndarray:
     return positions[trial[..., None], np.stack((tx, rx), axis=-1)]
 
 
-def _normals_at(normals: np.ndarray, offsets: np.ndarray, n: int) -> np.ndarray:
-    """The ``(len(offsets), 2, n, n)`` fading normals stored from ``offsets``, in scratch.
+def _normals_at(draws: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
+    """The ``(len(offsets), width)`` fading draws stored from ``offsets``, in scratch.
 
-    ``take`` reads the flat normals; on a sliding window of them it would
-    first copy the whole window, and ``mode="raise"`` would buffer ``out``.
-    Every index is in range, so ``"clip"`` never clips.
+    ``take`` reads the flat draws (normals or powers); on a sliding window
+    of them it would first copy the whole window, and ``mode="raise"``
+    would buffer ``out``.  Every index is in range, so ``"clip"`` never
+    clips.
     """
-    shape = (len(offsets), 2 * n * n)
+    shape = (len(offsets), width)
     index = _scratch("gather_index", shape, np.intp)
-    np.add(offsets[:, None], np.arange(shape[1]), out=index)
-    out = np.take(normals, index, out=_scratch("gather", shape), mode="clip")
-    return out.reshape(-1, 2, n, n)
+    np.add(offsets[:, None], np.arange(width), out=index)
+    return np.take(draws, index, out=_scratch("gather", shape), mode="clip")
 
 
 class _Rated(NamedTuple):
@@ -661,11 +660,12 @@ def _rate_block(config: SimConfig, rngs) -> _Rated:
     """Draw, schedule and rate one trial per generator.
 
     Pass 1 runs stages 1-3 (:func:`_drop_block`, :func:`_pick_links`), then
-    stage 4: each trial draws the fading of all its link sets in one
-    ``standard_normal`` call, cooperative set first, then the
-    non-cooperative set or the four tdma colour slots in colour order.
-    Pass 2 stacks the link sets of equal size, so each matrix sees the
-    arithmetic it would see alone.
+    stage 4: each trial draws its cooperative channel's ``2B^2`` normals in
+    one ``standard_normal`` call, then the fading power of every entry of
+    its non-cooperative set, or of the four tdma colour slots in colour
+    order, in one ``standard_exponential`` call.  Pass 2 stacks the link
+    sets of equal size, so each matrix sees the arithmetic it would see
+    alone.
     """
     plan, radio = config.plan, config.radio
     b, k = plan.n_clusters, plan.users_per_cluster
@@ -685,16 +685,22 @@ def _rate_block(config: SimConfig, rngs) -> _Rated:
     set_size = np.bincount(slot, minlength=n * n_slots)
     has_zf = np.zeros(n, dtype=bool)
     has_zf[links.coop] = True
-    set_draws = 2 * set_size.reshape(n, n_slots) ** 2
     zf_draws = np.where(has_zf, 2 * b * b, 0)
-    trial_draws = zf_draws + set_draws.sum(axis=1)
-    trial_end = np.cumsum(trial_draws)
-    trial_start = trial_end - trial_draws
-    normals = _scratch("normals", (int(trial_end[-1]),))
-    for rng, lo, hi in zip(rngs, trial_start.tolist(), trial_end.tolist()):
-        if hi > lo:
-            rng.standard_normal(out=normals[lo:hi])
-    set_start = (trial_start + zf_draws)[:, None] + np.cumsum(set_draws, axis=1) - set_draws
+    zf_end = np.cumsum(zf_draws)
+    zf_start = zf_end - zf_draws
+    set_draws = set_size * set_size
+    set_end = np.cumsum(set_draws)
+    set_start = set_end - set_draws
+    normals = _scratch("normals", (int(zf_end[-1]),))
+    powers = _scratch("powers", (int(set_end[-1]),))
+    power_start = set_start.reshape(n, n_slots)[:, 0]  # a trial's sets lie together
+    power_end = set_end.reshape(n, n_slots)[:, -1]
+    bounds = zip(zf_start.tolist(), zf_end.tolist(), power_start.tolist(), power_end.tolist())
+    for rng, (z0, z1, p0, p1) in zip(rngs, bounds):
+        if z1 > z0:
+            rng.standard_normal(out=normals[z0:z1])
+        if p1 > p0:
+            rng.standard_exponential(out=powers[p0:p1])
 
     floor, cells = config.min_pairing_distance_m, np.arange(b) * k
     zf_sum = np.zeros(n)
@@ -705,7 +711,8 @@ def _rate_block(config: SimConfig, rngs) -> _Rated:
             drops.positions, links.coop[:, None],
             cells + links.group[:, None], cells + links.coop_rx,
         )
-        h = _zf_channel(ends, _normals_at(normals, trial_start[links.coop], b), radio, floor)
+        fading = _normals_at(normals, zf_start[links.coop], 2 * b * b).reshape(-1, 2, b, b)
+        h = _zf_channel(ends, fading, radio, floor)
         rates, ok = _zf_stack(h, radio.tx_power_w, radio.noise_w)
         usable[links.coop] = ok
         zf_sum[links.coop] = rates.sum(axis=1)
@@ -719,7 +726,7 @@ def _rate_block(config: SimConfig, rngs) -> _Rated:
         sets = np.flatnonzero(set_size == size)
         idx = first_link[sets, None] + np.arange(size)
         ends = _block_ends(drops.positions, sets[:, None] // n_slots, tx[idx], rx[idx])
-        power = _fading_power(_normals_at(normals, set_start.ravel()[sets], size))
+        power = _normals_at(powers, set_start[sets], size * size).reshape(-1, size, size)
         nc_sum[sets] = _sinr_rates(ends, power, radio, floor).sum(axis=1)
     return _Rated(
         drops, split, has_zf, zf_sum, zf_dropped, usable,

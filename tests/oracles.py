@@ -285,7 +285,9 @@ def reference_campaign_records(config) -> np.ndarray:
     draws from ``default_rng([seed, t])`` the positions, then the requests,
     then ``1 + 2B`` scheduling uniforms (one ``random`` call, whether or not
     a choice uses them), then the fading of each link set in the order it
-    is rated.  Every channel is inverted on its own (``cond`` + ``inv``, with
+    is rated: a cooperative channel as two standard normal matrices, each
+    non-cooperative set as one matrix of standard exponential powers.
+    Every channel is inverted on its own (``cond`` + ``inv``, with
     the drop-worst-link fallback), and a ``tdma`` trial rates its four
     colour slots one after another.  Nothing here calls the simulator.
     """
@@ -433,9 +435,8 @@ def _reference_sinr_rates(links, positions, radio, rng, floor):
     if n == 0:
         return np.zeros(0)
     gain = _reference_gains(links, positions, radio, floor)
-    x = rng.standard_normal((n, n))
-    y = rng.standard_normal((n, n))
-    received = radio.tx_power_w * (gain * ((x * x + y * y) / 2.0))
+    power = rng.standard_exponential((n, n))  # |h|^2 of h ~ CN(0, 1)
+    received = radio.tx_power_w * (gain * power)
     signal = np.diag(received).copy()
     return np.log2(1.0 + signal / (received.sum(axis=1) - signal + radio.noise_w))
 

@@ -276,6 +276,8 @@ def test_bad_config_values_exit_2(tmp_path, capsys, argv, config):
     assert "error:" in err
     key = config.partition(":")[0]
     assert key in ("", "sweep") or key in err  # the message names the bad key
+    if config == _OVER_INT16_USERS:  # the configured plan, not compare's optimized one
+        assert "400 x 100" in err
     assert not out.exists()
 
 

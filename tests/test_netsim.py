@@ -293,6 +293,43 @@ def test_netsim_draws_no_bounded_integers():
     assert calls_in(netsim.__file__, "integers") == []
 
 
+def test_netsim_draws_fading_powers_not_normals():
+    # normals only for the zero-forcing channel; a non-cooperative set's
+    # fading power |h|^2 is drawn from its Exp(1) law, not squared
+    assert len(calls_in(netsim.__file__, "standard_normal")) == 1
+    assert len(calls_in(netsim.__file__, "standard_exponential")) == 1
+    tree = ast.parse(pathlib.Path(netsim.__file__).read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_fading_power" not in defined
+
+
+def test_engine_fading_powers_follow_the_law_of_squared_normals(sparse_config):
+    # the powers a nocoop block draws against (x^2 + y^2) / 2 of standard
+    # normals: mean, variance and three tail probabilities within 4 SE
+    config = replace(sparse_config, strategy="nocoop")
+    drawn = []
+    for lo in range(0, 6 * netsim._CHUNK, netsim._CHUNK):
+        rated = netsim._rate_block(config, netsim._generators(config, lo, lo + netsim._CHUNK))
+        count = int((rated.nc_links**2).sum())
+        drawn.append(netsim._scratch("powers", (count,)).copy())  # the block's draws
+    engine = np.concatenate(drawn)
+    x, y = np.random.default_rng(2024).standard_normal((2, engine.size))
+    squared = (x * x + y * y) / 2.0
+    assert engine.size >= 100_000
+
+    def stats(a):
+        var = a.var()
+        fourth = np.mean((a - a.mean()) ** 4)
+        yield a.mean(), math.sqrt(var / a.size)
+        yield var, math.sqrt((fourth - var * var) / a.size)
+        for t in (0.1, 1.0, 3.0):
+            p = np.mean(a > t)
+            yield p, math.sqrt(p * (1.0 - p) / a.size)
+
+    for (a, se_a), (b, se_b) in zip(stats(engine), stats(squared)):
+        assert abs(a - b) <= 4.0 * math.hypot(se_a, se_b)
+
+
 @pytest.mark.parametrize("module", [netsim, checks], ids=lambda m: m.__name__)
 def test_distances_are_taken_coordinate_wise(module):
     # np.linalg.norm over a length-2 axis copies its input; the tests keep
@@ -319,7 +356,7 @@ def test_path_gains_match_the_norm_route_bit_for_bit(ref_radio, n, floor):
 @pytest.mark.parametrize("n", [1, 4, 9, 16])
 @pytest.mark.parametrize("floor", [0.0, 30.0])
 def test_zf_channel_matches_the_complex_product_bit_for_bit(ref_radio, n, floor):
-    ends, normals = rating_inputs(50, n)
+    ends, normals, _ = rating_inputs(50, n)
     gain = norm_route_gains(ends, ref_radio, floor)
     expected = oracles.composite_channel(gain, normals[:, 0], normals[:, 1])
     got = netsim._zf_channel(ends, normals, ref_radio, floor)
@@ -368,25 +405,26 @@ def test_categorical_matches_the_clamped_search(beta, groups):
 
 @pytest.mark.parametrize("n", [1, 3, 9, 16])
 def test_normals_at_matches_the_index_gather(n):
-    normals = np.random.default_rng(n).standard_normal(4000)
-    for offsets in (np.array([0, 7, 7, 4000 - 2 * n * n]), np.array([], dtype=np.int64)):
-        expected = normals[offsets[:, None] + np.arange(2 * n * n)].reshape(-1, 2, n, n)
-        got = netsim._normals_at(normals, offsets, n)
-        assert got.shape == expected.shape == (len(offsets), 2, n, n)
-        assert got.tobytes() == expected.tobytes()
+    draws = np.random.default_rng(n).standard_normal(4000)
+    for width in (2 * n * n, n * n):  # a zero-forcing channel's normals, a set's powers
+        for offsets in (np.array([0, 7, 7, 4000 - width]), np.array([], dtype=np.int64)):
+            expected = draws[offsets[:, None] + np.arange(width)]
+            got = netsim._normals_at(draws, offsets, width)
+            assert got.shape == expected.shape == (len(offsets), width)
+            assert got.tobytes() == expected.tobytes()
 
 
 def rating_inputs(t, n):
-    """Ends (t, n, 2, 2) in a 75 m square and fading normals (t, 2, n, n)."""
+    """Ends (t, n, 2, 2) in a 75 m square, fading normals (t, 2, n, n) and powers (t, n, n)."""
     rng = np.random.default_rng(t * n)
-    return rng.random((t, n, 2, 2)) * 75.0, rng.standard_normal((t, 2, n, n))
+    ends, normals = rng.random((t, n, 2, 2)) * 75.0, rng.standard_normal((t, 2, n, n))
+    return ends, normals, rng.standard_exponential((t, n, n))
 
 
 def test_rating_kernels_leave_their_inputs_unchanged(ref_radio):
-    ends, normals = rating_inputs(20, 9)
-    power = netsim._fading_power(normals)
+    ends, normals, power = rating_inputs(20, 9)
     kept = [a.copy() for a in (ends, normals, power)]
-    netsim._fading_power(normals)
+    netsim._normals_at(power.ravel(), np.array([0, 81]), 81)
     netsim._path_gains(ends, ref_radio, 1.0)
     netsim._sinr_rates(ends, power, ref_radio, 1.0)
     netsim._zf_channel(ends, normals, ref_radio, 1.0)
@@ -403,8 +441,7 @@ def test_rating_kernels_hold_few_stack_sized_temporaries(ref_radio, kernel, arra
     # gains and its complex stack, two real stacks' worth, and numpy's
     # fixed-size ufunc buffer, which reads the strided fading parts
     tracemalloc = pytest.importorskip("tracemalloc")
-    ends, normals = rating_inputs(100, 16)
-    power = netsim._fading_power(normals)
+    ends, normals, power = rating_inputs(100, 16)
     args = {"_path_gains": (ends,), "_sinr_rates": (ends, power), "_zf_channel": (ends, normals)}
     args = args[kernel]
     call = getattr(netsim, kernel)
@@ -480,7 +517,7 @@ def test_campaigns_in_threads_match_serial_runs(ref_config, sparse_config):
 
 @pytest.mark.parametrize("strategy", ["coop", "nocoop", "tdma"])
 def test_warm_block_allocates_no_array_as_large_as_its_draws(sparse_config, strategy):
-    # The block's draws, fading normals, gathered stacks, fading power and
+    # The block's draws, fading normals and powers, gathered stacks and
     # path gains come from the thread's workspace.  On a warm block at the
     # campaign-sparse geometry the traced peak above what the block hands
     # back stays below one draws array (8 * T * (3M + 1 + 2B) bytes, 525 KB
@@ -838,11 +875,11 @@ def test_noncoop_single_link_is_pure_snr(ref_radio):
 
 
 def test_noncoop_single_link_fading_replay(ref_radio):
-    normals = np.random.default_rng(5).standard_normal(2).reshape(1, 2, 1, 1)
+    fading = np.random.default_rng(5).standard_exponential((1, 1, 1))
     ends = link_ends(((0.0, 0.0), (10.0, 0.0)))
-    rates = netsim._sinr_rates(ends, netsim._fading_power(normals), ref_radio, 0.0)
-    x, y = np.random.default_rng(5).standard_normal(2)
-    power = ref_radio.path_gain(10.0) * (x * x + y * y) / 2.0
+    rates = netsim._sinr_rates(ends, fading, ref_radio, 0.0)
+    (draw,) = np.random.default_rng(5).standard_exponential(1)
+    power = ref_radio.path_gain(10.0) * draw
     expected = math.log2(1.0 + ref_radio.tx_power_w * power / ref_radio.noise_w)
     assert rates[0, 0] == approx(expected, rel=1e-12)
 
