@@ -463,14 +463,28 @@ def cmd_optimize_cluster(spec: ExperimentSpec) -> str:
 
 
 def cmd_optimize_bandwidth(spec: ExperimentSpec) -> str:
-    """Bandwidth split versus beta and mu, closed form plus grid column."""
+    """Bandwidth split versus beta and mu, closed form plus grid column.
+
+    The rate floor enters only the split's two floor constraints, so the
+    closed-form chain (:func:`analytic_point`) runs once per beta and only
+    the split (:func:`coopd2d.bandwidth.optimize_eta`) once per mu.
+    """
     betas = _sweep_or(spec, "beta", spec.beta)
     mus = _sweep_or(spec, "mu_bps", spec.mu_bps)
     rows = []
     for beta in betas:
+        pt = analytic_point(replace(spec, beta=beta))
         for mu in mus:
-            pt = analytic_point(replace(spec, beta=beta, mu_bps=mu))
-            sol = pt.solution
+            sol = optimize_eta(
+                pt.pc,
+                pt.rate_coop,
+                pt.rate_noncoop,
+                spec.bandwidth_hz,
+                pt.plan.n_clusters,
+                pt.nc_bar,
+                pt.nn_bar,
+                mu,
+            )
             eta_grid = grid_search_eta(
                 pt.pc,
                 pt.rate_coop,
@@ -538,10 +552,14 @@ def compare_strategies(spec: ExperimentSpec, beta: float) -> list[dict]:
     model = build_popularity(spec.n_files, spec.cache_size, beta)
     best = _best_sim_cluster_size(model, spec.n_users)
     own = (spec.users_per_cluster, spec.n_clusters)
+    points = {}  # one analytic point per cluster size
 
     def config(strategy: str, eta: float | None, k: int, b: int) -> SimConfig:
-        pt = analytic_point(replace(spec, beta=beta, n_clusters=b, users_per_cluster=k))
-        return campaign_config(spec, pt, strategy, eta)
+        if (k, b) not in points:
+            points[k, b] = analytic_point(
+                replace(spec, beta=beta, n_clusters=b, users_per_cluster=k)
+            )
+        return campaign_config(spec, points[k, b], strategy, eta)
 
     # the configured size first, so a refusal names the config's own plan
     configured = [

@@ -46,10 +46,11 @@ snapshots of a config: :func:`snapshot_counts` runs stages 1 and 2 only,
 and :func:`link_rate_gap` runs the rating step.
 
 Working arrays: the draws of stage 1, the fading normals and powers of
-stage 4 and, in pass 2, the gathered fading stacks and the path gains live
-in a per-thread workspace (:func:`_scratch`), one grow-only buffer per
-name, so each block reuses the memory of the blocks before it, across
-campaigns and snapshot measurements.  What a stage hands on (the fields of
+stage 4 and, in pass 2, the gathered fading power stacks and the path
+gains live in a per-thread workspace (:func:`_scratch`), one grow-only
+buffer per name, so each block reuses the memory of the blocks before it,
+across campaigns and snapshot measurements.  The zero-forcing stack is the
+normals buffer itself, reshaped.  What a stage hands on (the fields of
 :class:`_Drops` and :class:`_Rated`, the records) is always a fresh array.
 Threads have their own buffers; worker processes their own module state.
 
@@ -568,22 +569,29 @@ def _zf_stack(h: np.ndarray, p_w: float, noise_w: float):
     and imaginary parts, within a few ulps; the computed ``||H^-1||_F^2``
     is within about ``cond * 2**-52``, under 3e-9 relative wherever the
     screen can pass.  Both sit far inside the factor 64 the margin leaves
-    on the squared bound.  The others, and every channel of a stack with a
-    singular matrix, take :func:`_drop_worst_links` and its exact condition
-    number one at a time.
+    on the squared bound.  The others take :func:`_drop_worst_links` and
+    its exact condition number one at a time.  When the stack's inversion
+    fails on a singular matrix, the stack is inverted one matrix at a time
+    (the same bits), and only the matrices that fail skip the screen.
     """
     rates = np.zeros(h.shape[:2])
     usable = np.ones(h.shape[0], dtype=bool)
     try:
-        col_norm2 = _col_norm2(np.linalg.inv(h))
-        parts = h.view(np.float64)  # (T, n, 2n): real, imaginary, real, ...
-        frob2 = np.einsum("tij,tij->t", parts, parts)
-        fast = frob2 * col_norm2.sum(axis=1) <= (_COND_LIMIT / 8) ** 2
-        if fast.all():
-            return _zf_link_rates(col_norm2, p_w, noise_w), usable
-        rates[fast] = _zf_link_rates(col_norm2[fast], p_w, noise_w)
+        inv = np.linalg.inv(h)
     except np.linalg.LinAlgError:
-        fast = np.zeros(len(h), dtype=bool)
+        inv = np.full_like(h, np.nan)  # a NaN norm fails the screen
+        for t, channel in enumerate(h):
+            try:
+                inv[t] = np.linalg.inv(channel)
+            except np.linalg.LinAlgError:
+                pass
+    col_norm2 = _col_norm2(inv)
+    parts = h.view(np.float64)  # (T, n, 2n): real, imaginary, real, ...
+    frob2 = np.einsum("tij,tij->t", parts, parts)
+    fast = frob2 * col_norm2.sum(axis=1) <= (_COND_LIMIT / 8) ** 2
+    if fast.all():
+        return _zf_link_rates(col_norm2, p_w, noise_w), usable
+    rates[fast] = _zf_link_rates(col_norm2[fast], p_w, noise_w)
     for t in np.flatnonzero(~fast):
         kept = _drop_worst_links(h[t], p_w, noise_w)
         if kept is None:
@@ -711,8 +719,8 @@ def _rate_block(config: SimConfig, rngs) -> _Rated:
             drops.positions, links.coop[:, None],
             cells + links.group[:, None], cells + links.coop_rx,
         )
-        fading = _normals_at(normals, zf_start[links.coop], 2 * b * b).reshape(-1, 2, b, b)
-        h = _zf_channel(ends, fading, radio, floor)
+        # ``normals`` holds only the cooperating trials' draws, in ``links.coop`` order
+        h = _zf_channel(ends, normals.reshape(-1, 2, b, b), radio, floor)
         rates, ok = _zf_stack(h, radio.tx_power_w, radio.noise_w)
         usable[links.coop] = ok
         zf_sum[links.coop] = rates.sum(axis=1)

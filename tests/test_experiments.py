@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
+from coopd2d import experiments
 from coopd2d.checks import _snapshot_checks, cmd_validate
 from coopd2d.errors import ConfigurationError
 from coopd2d.experiments import (
@@ -459,6 +460,55 @@ def test_cmd_optimize_bandwidth_rerun_is_byte_identical(tmp_path):
     assert out.read_bytes() == first
 
 
+_SPLIT_BETAS = (0.0, 0.6, 1, 1.7)
+# 0 and 0.0, ints, and floors no split meets (8e6 above beta <= 1's mu_max)
+_SPLIT_MUS = (0, 0.0, 250_000, 1e6, 2_000_000, 3.5e6, 8e6, 2e7)
+
+
+def test_cmd_optimize_bandwidth_runs_the_chain_once_per_beta(tmp_path, monkeypatch):
+    calls = []
+    point = experiments.analytic_point
+    monkeypatch.setattr(
+        experiments, "analytic_point", lambda spec: calls.append(spec.beta) or point(spec)
+    )
+    spec = ExperimentSpec(
+        scenario="bandwidth-sweep",
+        sweep_name="mu_bps",
+        sweep_values=_SPLIT_MUS,
+        out=str(tmp_path / "split.csv"),
+    )
+    for beta in _SPLIT_BETAS:
+        cmd_optimize_bandwidth(replace(spec, beta=beta))
+        assert len(read_csv(tmp_path / "split.csv")[2]) == len(_SPLIT_MUS)
+    assert calls == list(_SPLIT_BETAS)
+
+
+def test_cmd_optimize_bandwidth_rows_match_the_point_at_each_floor(tmp_path):
+    spec = ExperimentSpec(scenario="bandwidth-sweep", sweep_name="mu_bps", sweep_values=_SPLIT_MUS)
+    feasible = set()
+    for beta in _SPLIT_BETAS:
+        out = tmp_path / ("split_%r.csv" % beta)
+        cmd_optimize_bandwidth(replace(spec, beta=beta, out=str(out)))
+        _, _, rows = read_csv(out)
+        assert len(rows) == len(_SPLIT_MUS)
+        for mu, row in zip(_SPLIT_MUS, rows):
+            pt = analytic_point(replace(spec, beta=beta, mu_bps=mu))
+            sol = pt.solution
+            grid = grid_search_eta(
+                pt.pc, pt.rate_coop, pt.rate_noncoop, spec.bandwidth_hz,
+                pt.plan.n_clusters, pt.nc_bar, pt.nn_bar, float(mu),
+            )
+            floats = (
+                beta, mu, pt.pc, pt.rate_coop, pt.rate_noncoop, pt.nc_bar, pt.nn_bar,
+                sol.eta_star, grid, sol.objective, sol.mu_max,
+            )
+            expected = [repr(float(v)) for v in floats]
+            expected[9:9] = ["true" if sol.feasible else "false", sol.binding]
+            assert list(row.values()) == expected
+            feasible.add(sol.feasible)
+    assert feasible == {True, False}
+
+
 def test_cmd_simulate_emits_per_trial_rows(tmp_path):
     out = tmp_path / "trials.csv"
     spec = ExperimentSpec(scenario="simulate", trials=40, out=str(out))
@@ -508,6 +558,26 @@ def test_cmd_compare_smoke(tmp_path):
     assert {r["users_per_cluster"] for r in rows} == {"15"}
     for r in rows:
         assert float(r["throughput_mean_bps"]) > 0.0
+
+
+def test_compare_builds_one_analytic_point_per_beta(tmp_path, monkeypatch):
+    # the reference population has one grid-feasible size, so all five
+    # strategies share one point
+    calls = []
+    point = experiments.analytic_point
+    monkeypatch.setattr(
+        experiments, "analytic_point", lambda spec: calls.append(spec.beta) or point(spec)
+    )
+    spec = ExperimentSpec(
+        scenario="throughput-compare",
+        trials=4,
+        sweep_name="beta",
+        sweep_values=(0.0, 1.0),
+        out=str(tmp_path / "compare.csv"),
+    )
+    cmd_compare(spec)
+    assert calls == [0.0, 1.0]
+    assert len(read_csv(tmp_path / "compare.csv")[2]) == 10
 
 
 def test_cmd_validate_default_passes():
