@@ -25,7 +25,7 @@ from .experiments import (
     AnalyticPoint, ExperimentSpec, analytic_point, campaign_config, grid_search_eta
 )
 from .geometry import (
-    INTERFERENCE_BREAKS, SIGNAL_BREAKS, interference_pdf, path_gain_moments, signal_pdf
+    INTERFERENCE_BREAKS, SIGNAL_BREAKS, SQRT2, SQRT5, interference_pdf, signal_pdf
 )
 from .netsim import SimConfig, link_rate_gap, run_campaign, snapshot_counts
 from .population import expected_coop_users_closed, expected_coop_users_exact
@@ -35,61 +35,31 @@ __all__ = ["cmd_validate"]
 _VALIDATE_SNAPSHOTS = 100_000
 
 
-def _power_integral(a: float, b: float, e: float) -> float:
-    """``int_a^b rho^(e-1) d rho`` for ``0 <= a < b``, accurate as ``e`` nears 0."""
-    if e == 0.0:
-        return math.log(b / a)
-    log_ratio = math.log(b / a) if a else math.inf
-    return -((a if e < 0.0 else b) ** e) * math.expm1(-abs(e) * log_ratio) / abs(e)
+_DENSITIES = ((signal_pdf, SQRT2, SIGNAL_BREAKS), (interference_pdf, SQRT5, INTERFERENCE_BREAKS))
 
 
-def _offset_moment(alpha: float, r_min: float, i: int, j: int) -> float:
-    """``E[r^-alpha 1{r >= r_min}]``, ``r`` between uniform points of unit cells
-    ``(0, 0)`` and ``(i, j)``.  Their difference has density ``k(u - i) k(v - j)``,
-    ``k(t) = max(0, 1 - |t|)``: along a ray, ``rho^(1-alpha)`` times a quadratic
-    between kinks, integrated in closed form.  One angular ``quad`` remains, split
-    at the cell-corner directions, at multiples of pi/4 and where ``rho = r_min``
-    crosses a kink line.  Needs ``r_min > 0`` or ``alpha < 2``; a failed ``quad``
-    or an overflow raises :class:`ConfigurationError`."""
-
-    def ray(theta):  # the radial integral along theta, and its terms' size
-        c, s = math.cos(theta), math.sin(theta)
-        # past the last kink the ray has left the support
-        kinks = sorted((n + t) / d for n, d in ((i, c), (j, s)) if d for t in (-1, 0, 1))
-        rho = [r_min] + [p for p in kinks if p > r_min]
-        total = size = 0.0
-        for a, b in zip(rho, rho[1:]):
-            tu, tv = 0.5 * (a + b) * c - i, 0.5 * (a + b) * s - j
-            if abs(tu) < 1.0 and abs(tv) < 1.0:  # inside the support
-                su, sv = math.copysign(1.0, tu), math.copysign(1.0, tv)
-                u0, u1, v0, v1 = 1.0 + su * i, -su * c, 1.0 + sv * j, -sv * s
-                terms = [w * _power_integral(a, b, e - alpha) for w, e in
-                         ((u0 * v0, 2.0), (u0 * v1 + u1 * v0, 3.0), (u1 * v1, 4.0))]
-                total, size = total + sum(terms), size + sum(map(abs, terms))
-        return total, size
-
-    pts = [(i + u, j + v) for u in (-1, 0, 1) for v in (-1, 0, 1)]
-    for t in (-1, 0, 1):  # where the circle rho = r_min crosses a kink line
-        h = math.sqrt(max((r_min - i - t) * (r_min + i + t), 0.0))
-        g = math.sqrt(max((r_min - j - t) * (r_min + j + t), 0.0))
-        pts += [(i + t, h), (i + t, -h), (g, j + t), (-g, j + t)]
-    cuts = sorted({k * math.pi / 4.0 for k in range(-4, 5)}
-                  | {math.atan2(y, x) for x, y in pts if x or y})
-    try:
-        spans = [(lo, hi, ray(0.5 * (lo + hi))[1]) for lo, hi in zip(cuts, cuts[1:])]
-        # near a kernel zero the terms cancel: ask no more than their rounding allows
-        floor = 1e-15 * sum(size * (hi - lo) for lo, hi, size in spans)
-        parts = [quad(lambda t: ray(t)[0], lo, hi, epsabs=floor, epsrel=1e-13, limit=50,
-                      full_output=1) for lo, hi, size in spans if size]
-    except OverflowError:
-        parts = [(math.inf, 0.0, {}, "r^-alpha overflows the float range")]
-    total = sum(part[0] for part in parts)
-    failure = [part[3].splitlines()[0] for part in parts if len(part) > 3]
-    if failure or not math.isfinite(total):
-        raise ConfigurationError(
-            "cell-offset moment for pairing floor r_min=%g cluster sides at alpha=%g: %s"
-            % (r_min, alpha, (failure or ["the sum overflows the float range"])[0]))
-    return total
+def _density_moments(alpha: float, r_min: float) -> list[float]:
+    """The signal moment and q2 by ``quad`` over the densities, the ``moment-kernel``
+    gate's second route to :func:`coopd2d.geometry.path_gain_moments`; a failed or
+    overflowing quadrature raises :class:`ConfigurationError`."""
+    moments = []
+    for pdf, upper, breaks in _DENSITIES:
+        pts = [p for p in breaks if r_min < p < upper]
+        # full_output: quad appends a message, instead of warning, when it fails
+        try:
+            value, _, _, *failure = quad(
+                lambda r: r ** (-alpha) * pdf(r), min(r_min, upper), upper,  # 0 past the support
+                points=pts or None, limit=200, epsabs=1e-9, epsrel=1e-10, full_output=1)
+        except OverflowError:  # r ** -alpha beyond the float range
+            value, failure = math.inf, ["r^-alpha overflows the float range"]
+        if failure or not math.isfinite(value):
+            raise ConfigurationError(
+                "density quadrature of the path-gain moments fails for pairing floor "
+                "r_min=%g cluster sides at alpha=%g (%s), so validate cannot "
+                "cross-check them; raise the pairing floor" % (
+                    r_min, alpha, (failure or ["overflow"])[0].splitlines()[0].strip()))
+        moments.append(value)
+    return moments
 
 
 def _ratio(measured: float, closed_form: float) -> float:
@@ -130,7 +100,8 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
     Gated checks (they decide the return value) compare independent
     evaluation routes of the same quantity: popularity normalization,
     density continuity, free-space moment anchors (the densities'
-    integrals), the cell-offset kernel versus quadrature moments,
+    integrals by quadrature), the rates' cell-offset kernel moments versus a
+    quadrature of the densities (which may refuse a very short floor: exit 2),
     enumeration versus closed-form versus simulated-snapshot populations,
     closed-form versus grid-search bandwidth splits, simulated snapshot
     statistics versus their formulas, the ``eta = 0`` equivalence, and
@@ -154,34 +125,32 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
     )
 
     worst = 0.0
-    for fn, breaks in ((signal_pdf, SIGNAL_BREAKS), (interference_pdf, INTERFERENCE_BREAKS)):
+    for fn, _, breaks in _DENSITIES:
         for bpt in breaks:
             worst = max(worst, abs(float(fn(bpt - 1e-12)) - float(fn(bpt + 1e-12))))
     checks.append(
         ("pdf-continuity", worst < 1e-9, "max jump at a breakpoint = %.3e" % worst)
     )
 
-    # at alpha = 0 the moments are the densities' integrals: int g = q1 - 8 q2
-    # and int f = q2 must both be 1
-    anchor = path_gain_moments(0.0, 0.0)
+    # at alpha = 0 the moments are the densities' integrals: int g and int f
+    # must be 1, and q1 = int g + 8 int f must be 9
+    g_mass, f_mass = _density_moments(0.0, 0.0)
+    q1 = g_mass + 8.0 * f_mass
     checks.append((
         "moment-anchors",
-        abs(anchor.q1 - 9.0) < 1e-6
-        and abs(anchor.q2 - 1.0) < 1e-6
-        and abs(anchor.signal_moment - 1.0) < 1e-6,
+        abs(q1 - 9.0) < 1e-6 and abs(f_mass - 1.0) < 1e-6 and abs(g_mass - 1.0) < 1e-6,
         "alpha=0: q1 = %.9f (want 9), q2 = int f = %.9f (want 1), "
-        "int g = %.9f (want 1)" % (anchor.q1, anchor.q2, anchor.signal_moment),
+        "int g = %.9f (want 1)" % (q1, f_mass, g_mass),
     ))
 
     geom = pt.geom
-    pairs = [(_offset_moment(spec.alpha, geom.r_min, i, 0), exact)
-             for i, exact in ((0, geom.signal_moment), (1, geom.q2))]
+    pairs = list(zip(_density_moments(spec.alpha, geom.r_min), (geom.signal_moment, geom.q2)))
     checks.append((
         "moment-kernel",
-        all(abs(kernel - exact) <= 1e-8 * exact + 1e-9 for kernel, exact in pairs),
-        "cell-offset kernel vs quadrature: relative gap %.1e signal, %.1e "
+        all(abs(kernel - density) <= 1e-8 * density + 1e-9 for density, kernel in pairs),
+        "density quadrature vs cell-offset kernel: relative gap %.1e signal, %.1e "
         "interference (window 1e-8 relative + 1e-9)"
-        % tuple(abs(kernel - exact) / (exact or 1.0) for kernel, exact in pairs),
+        % tuple(abs(kernel - density) / (density or 1.0) for density, kernel in pairs),
     ))
 
     # two cached groups, K = 2 users in each cell of a 2 x 2 grid

@@ -512,7 +512,7 @@ def cmd_optimize_bandwidth(spec: ExperimentSpec) -> str:
                     "mu_max_bps": sol.mu_max,
                 }
             )
-    return write_csv(spec.out, "bandwidth_split.v2", rows)
+    return write_csv(spec.out, "bandwidth_split.v3", rows)
 
 
 def campaign_config(
@@ -590,6 +590,10 @@ def compare_strategies(spec: ExperimentSpec, beta: float) -> list[dict]:
                 "mean_cellular": result.mean_counts[2],
                 "user_coop_bps": result.user_throughput_coop,
                 "user_noncoop_bps": result.user_throughput_noncoop,
+                "discarded_trials": result.discarded_trials,
+                "degenerate_mode1_trials": result.degenerate_mode1_trials,
+                "dropped_link_fraction": result.dropped_link_fraction,
+                "silent_cluster_fraction": result.silent_cluster_fraction,
             }
         )
     return rows
@@ -600,7 +604,7 @@ def cmd_compare(spec: ExperimentSpec) -> str:
     rows = []
     for beta in betas:
         rows.extend(compare_strategies(spec, float(beta)))
-    return write_csv(spec.out, "strategy_compare.v4", rows)
+    return write_csv(spec.out, "strategy_compare.v5", rows)
 
 
 def cmd_simulate(spec: ExperimentSpec) -> str:
@@ -622,6 +626,10 @@ def cmd_simulate(spec: ExperimentSpec) -> str:
             "n_coop": rec["n_coop"],
             "n_noncoop": rec["n_noncoop"],
             "n_cellular": rec["n_cellular"],
+            "dropped_links": rec["dropped_links"],
+            "degenerate": rec["degenerate"],
+            "silent_clusters": rec["silent_clusters"],
+            "discarded": rec["discarded"],
         }
         for trial, rec in enumerate(result.trials)
     ]
@@ -632,4 +640,4 @@ def cmd_simulate(spec: ExperimentSpec) -> str:
         result.throughput_ci95,
         result.n_trials,
     )
-    return write_csv(spec.out, "campaign_trials.v4", rows)
+    return write_csv(spec.out, "campaign_trials.v5", rows)

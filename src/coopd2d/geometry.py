@@ -21,17 +21,16 @@ normalized by ``D``).  Without truncation the moments diverge for the
 path-loss exponents of interest, which is surfaced as an explicit error
 rather than an inf.
 
-Each density piece is written once and evaluated on one float at a time:
-``quad`` passes one per node (about 840 for the reference moments), and an
-array is evaluated element by element.  A distance picks its piece by
-bisecting the break points.  Within about 1e-5 of the end of its support a
-piece rounds to a few 1e-15 below 0; it is clamped to +0.0 (``-0.0``
-included).  Only ``+ - * /`` use Python operators inside a piece: with
-numpy's SIMD loops, ``math.acos``/``math.asin`` differ from
-``np.arccos``/``np.arcsin`` by an ulp at 9-10 % of points, and ``r ** 3``
-on a float differs from the array loop at 5 % (uniform points on
-[0, 2.3]), so the pieces call ufuncs for the rest, ``np.power(r, 3)``
-included, and the pinned moment bits depend on them.
+Both moments come from :func:`offset_moment`, which integrates the
+difference of two uniform points of cells ``(0, 0)`` and ``(i, j)``: the
+signal moment is offset ``(0, 0)`` and ``q2`` offset ``(1, 0)``.  It never
+reads the densities, so no moment bit depends on how a density is
+evaluated; the densities serve the demos and ``validate``, whose
+``moment-kernel`` gate integrates them by ``quad`` as a cross-check.  Each
+density piece is written once and evaluated on one float at a time, picked
+by bisecting the break points.  Within about 1e-5 of the end of its support
+a piece rounds to a few 1e-15 below 0; it is clamped to +0.0 (``-0.0``
+included).
 """
 
 from __future__ import annotations
@@ -55,14 +54,14 @@ __all__ = [
     "GeometryTable",
     "signal_pdf",
     "interference_pdf",
+    "offset_moment",
     "path_gain_moments",
 ]
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
 
-# Density pieces (see the module docstring): Python operators only for
-# + - * /, numpy ufuncs for the rest.
+# Density pieces (see the module docstring)
 
 
 def _g_near(r):
@@ -223,36 +222,68 @@ class GeometryTable:
         return self.q1 - 8.0 * self.q2
 
 
-def _moment(pdf, alpha: float, r_min: float, upper: float, breaks) -> float:
-    pts = [p for p in breaks if r_min < p < upper]
-    # full_output: quad appends a message, instead of warning, when it fails
+def _power_integral(a: float, b: float, e: float) -> float:
+    """``int_a^b rho^(e-1) d rho`` for ``0 <= a < b``, accurate as ``e`` nears 0."""
+    if e == 0.0:
+        return math.log(b / a)
+    log_ratio = math.log(b / a) if a else math.inf
+    return -((a if e < 0.0 else b) ** e) * math.expm1(-abs(e) * log_ratio) / abs(e)
+
+
+def offset_moment(alpha: float, r_min: float, i: int, j: int) -> float:
+    """``E[r^-alpha 1{r >= r_min}]``, ``r`` between uniform points of unit cells
+    ``(0, 0)`` and ``(i, j)``.
+
+    Their difference has density ``k(u - i) k(v - j)``, ``k(t) = max(0, 1 - |t|)``:
+    along a ray, ``rho^(1-alpha)`` times a quadratic between kinks, integrated in
+    closed form.  One angular ``quad`` remains, split at the cell-corner
+    directions, at multiples of pi/4 and where ``rho = r_min`` crosses a kink
+    line.  The density's symmetry folds the circle: offset ``(0, 0)`` integrates
+    ``[0, pi/4]`` eight times over, an offset ``(i, 0)`` ``[0, pi]`` twice.
+    Needs ``r_min > 0`` or ``alpha < 2``; a failed ``quad`` or an overflow
+    raises :class:`ConfigurationError`."""
+
+    def ray(theta):  # the radial integral along theta, and its terms' size
+        c, s = math.cos(theta), math.sin(theta)
+        # past the last kink the ray has left the support
+        kinks = sorted((n + t) / d for n, d in ((i, c), (j, s)) if d for t in (-1, 0, 1))
+        rho = [r_min] + [p for p in kinks if p > r_min]
+        total = size = 0.0
+        for a, b in zip(rho, rho[1:]):
+            tu, tv = 0.5 * (a + b) * c - i, 0.5 * (a + b) * s - j
+            if abs(tu) < 1.0 and abs(tv) < 1.0:  # inside the support
+                su, sv = math.copysign(1.0, tu), math.copysign(1.0, tv)
+                u0, u1, v0, v1 = 1.0 + su * i, -su * c, 1.0 + sv * j, -sv * s
+                terms = [w * _power_integral(a, b, e - alpha) for w, e in
+                         ((u0 * v0, 2.0), (u0 * v1 + u1 * v0, 3.0), (u1 * v1, 4.0))]
+                total, size = total + sum(terms), size + sum(map(abs, terms))
+        return total, size
+
+    lo, hi, fold = ((0.0, math.pi / 4.0, 8.0) if i == j == 0
+                    else (0.0, math.pi, 2.0) if j == 0 else (-math.pi, math.pi, 1.0))
+    pts = [(i + u, j + v) for u in (-1, 0, 1) for v in (-1, 0, 1)]
+    for t in (-1, 0, 1):  # where the circle rho = r_min crosses a kink line
+        h = math.sqrt(max((r_min - i - t) * (r_min + i + t), 0.0))
+        g = math.sqrt(max((r_min - j - t) * (r_min + j + t), 0.0))
+        pts += [(i + t, h), (i + t, -h), (g, j + t), (-g, j + t)]
+    cuts = sorted({lo, hi} | {x for x in [k * math.pi / 4.0 for k in range(-4, 5)]
+                              + [math.atan2(y, x) for x, y in pts if x or y] if lo < x < hi})
     try:
-        value, _, _, *failure = quad(
-            lambda r: r ** (-alpha) * pdf(r),
-            r_min,
-            upper,
-            points=pts or None,
-            limit=200,
-            epsabs=1e-9,
-            epsrel=1e-10,
-            full_output=1,
-        )
-    except OverflowError:  # r ** -alpha beyond the float range
-        value, failure = math.inf, []
-    if failure:
+        spans = [(a, b, ray(0.5 * (a + b))[1]) for a, b in zip(cuts, cuts[1:])]
+        # near a kernel zero the terms cancel: ask no more than their rounding allows
+        floor = 1e-15 * sum(size * (b - a) for a, b, size in spans)
+        parts = [quad(lambda t: ray(t)[0], a, b, epsabs=floor, epsrel=1e-13, limit=50,
+                      full_output=1) for a, b, size in spans if size]
+    except OverflowError:
+        parts = [(math.inf, 0.0, {}, "r^-alpha overflows the float range")]
+    total = fold * sum(part[0] for part in parts)
+    failure = [part[3].splitlines()[0] for part in parts if len(part) > 3]
+    if failure or not math.isfinite(total):
         raise ConfigurationError(
-            "path-gain quadrature did not converge for pairing floor r_min=%g "
-            "cluster sides at alpha=%g (%s); raise the pairing floor"
-            % (r_min, alpha, failure[0].splitlines()[0].strip())
-        )
-    if not math.isfinite(value):
-        raise ConfigurationError(
-            "path-gain moment overflows the float range for pairing floor "
-            "r_min=%g cluster sides at alpha=%g (r^-alpha reaches "
-            "r_min^-alpha); raise the pairing floor or lower alpha"
-            % (r_min, alpha)
-        )
-    return value
+            "path-gain moment for pairing floor r_min=%g cluster sides at alpha=%g: %s; "
+            "raise the pairing floor or lower alpha"
+            % (r_min, alpha, (failure or ["the sum overflows the float range"])[0]))
+    return total
 
 
 # typed: a bool must not hit the entry of the equal float and skip its refusal
@@ -260,8 +291,8 @@ def _moment(pdf, alpha: float, r_min: float, upper: float, breaks) -> float:
 def path_gain_moments(alpha: float, r_min: float = 0.0) -> GeometryTable:
     """Compute the truncated moments ``q1`` and ``q2``.
 
-    Memoized (a pure function returning a frozen table): a sweep pays for
-    each ``(alpha, r_min)`` quadrature once.
+    Both come from :func:`offset_moment`.  Memoized (a pure function
+    returning a frozen table): a sweep pays for each ``(alpha, r_min)`` once.
 
     Parameters
     ----------
@@ -287,7 +318,7 @@ def path_gain_moments(alpha: float, r_min: float = 0.0) -> GeometryTable:
         For an ``alpha`` or ``r_min`` that is negative, non-finite or a
         bool; for ``r_min >= sqrt(5)``: a pairing floor that long excludes
         every signal and interference distance, so no link rate exists; and
-        when a quadrature fails: it does not converge, ``r^-alpha``
+        when the kernel's ``quad`` does not converge, ``r^-alpha``
         overflows, a moment comes out non-finite, or the interference
         moment underflows to 0.
 
@@ -324,8 +355,8 @@ def path_gain_moments(alpha: float, r_min: float = 0.0) -> GeometryTable:
             "by the cluster side" % alpha
         )
 
-    s = _moment(signal_pdf, alpha, r_min, SQRT2, SIGNAL_BREAKS) if r_min < SQRT2 else 0.0
-    q2 = _moment(interference_pdf, alpha, r_min, SQRT5, INTERFERENCE_BREAKS)
+    s = offset_moment(alpha, r_min, 0, 0)
+    q2 = offset_moment(alpha, r_min, 1, 0)
     if q2 == 0.0:
         raise ConfigurationError(
             "path-gain moment underflows to 0 for pairing floor r_min=%g cluster "

@@ -10,6 +10,7 @@ against itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from fractions import Fraction
@@ -19,6 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from coopd2d.catalog import PopularityModel
+from coopd2d.geometry import interference_pdf, signal_pdf
 
 _BLOCK = 2_000_000  # sampling block size; bounds peak memory
 
@@ -230,6 +232,38 @@ def empirical_truncated_moment(
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
     return mean, math.sqrt(var / n)
+
+
+def near_field_moment(alpha: float, r_min: float, adjacent: bool = False) -> float:
+    """``E[r^-alpha 1{r >= r_min}]`` for ``0 < r_min < 1``, split at ``r = 1``.
+
+    Below one cell side the densities are polynomials, ``2 pi r - 8 r^2 + 2 r^3``
+    (same cell) and ``2 r^2 - r^3`` (edge-adjacent), so ``[r_min, 1)`` is a sum
+    of power integrals; ``[1, upper]`` does not depend on ``r_min`` and is an
+    ordinary ``quad`` of the density.  Sampling cannot resolve these floors:
+    the variance ``E[r^-2 alpha]`` blows up as ``r_min -> 0``.
+    """
+    assert 0.0 < r_min < 1.0
+    if adjacent:
+        terms = ((2.0, 2.0), (-1.0, 3.0))
+    else:
+        terms = ((2.0 * math.pi, 1.0), (-8.0, 2.0), (2.0, 3.0))
+    near = 0.0
+    for c, p in terms:
+        k = p + 1.0 - alpha  # int_{r_min}^1 r^(k-1) dr
+        near += c * (-math.log(r_min) if k == 0.0 else (1.0 - r_min ** k) / k)
+    return near + _far_field_moment(alpha, adjacent)
+
+
+@functools.lru_cache(maxsize=None)
+def _far_field_moment(alpha: float, adjacent: bool) -> float:
+    pdf, upper, breaks = (
+        (interference_pdf, math.sqrt(5.0), [math.sqrt(2.0), 2.0])
+        if adjacent else (signal_pdf, math.sqrt(2.0), None)
+    )
+    value, _ = quad(lambda r: r ** -alpha * pdf(r), 1.0, upper, points=breaks,
+                    epsabs=0.0, epsrel=1e-13, limit=200)
+    return value
 
 
 def mean_sir_rate(rng: np.random.Generator, n: int, alpha: float, r_min: float) -> float:

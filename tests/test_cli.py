@@ -151,7 +151,7 @@ def test_optimize_bandwidth_ignores_seed(tmp_path):
         assert main(argv + ["--out", str(outs[-1])]) == 0
     first = outs[0].read_bytes()
     assert outs[1].read_bytes() == first and outs[2].read_bytes() == first
-    assert read_csv(outs[0])[0] == "# schema=coopd2d.bandwidth_split.v2"
+    assert read_csv(outs[0])[0] == "# schema=coopd2d.bandwidth_split.v3"
 
 
 @pytest.mark.parametrize("beta", [0.4, 0.7, 1.0, 1.2])
@@ -179,15 +179,15 @@ _PINNED_CSV_SHA256 = {
     ("optimize-cluster", None):
         "08e70ca3d5a824c0b85dc3f5428cf4cc2cb8e013c28962092920425e9f34e654",
     ("optimize-bandwidth", None):
-        "4082c0b3083fa6b2f99d6f62c57f17c59590edbdb9daa14d4a45fea8f6104b02",
+        "5894206b40f0f765bb819b596b4623f2e1c5b73295be91e666232fc01f6e10d2",
     ("optimize-bandwidth", 0.4):
-        "cb1d20896d5da3ff7205ef51a01deb96dad7ee1afb486d400f0132dd97a38ce8",
+        "3fd109bd5a25a056915d52606705f686ec3881e518724fb9b15f78eb6faf2285",
     ("optimize-bandwidth", 0.7):
-        "8971076e3a370fea8687781776f092266d3a2f881a7738f6422f11044fa61995",
+        "c641f9132ebe8f846c8342f0f483b40b909cc927b6b2ebebb9ea1899ad716d9c",
     ("optimize-bandwidth", 1.0):
-        "a982b4c3d026532294fe9d2efb8ca867b60db4a9bf97d0c5f57c121d677e29b0",
+        "c91390ca18eb75cf8e5389b3172ac2ed89e1d52b56eb4bdd8446578da9f17b4e",
     ("optimize-bandwidth", 1.2):
-        "aed404a85daf62720c7de7b70987d9147ff98247e5bb7f7b1e9a4dc6964457b1",
+        "072d1aab1dfa1d1e2db881efd18b8be45601b184ffd10fdd829dafcfd0669531",
 }
 
 
@@ -376,12 +376,7 @@ def test_divergent_geometry_exits_2(tmp_path, capsys):
         # a floor of at least sqrt(5) cluster sides leaves no link distance
         "min_pairing_distance_m: 60.0\n",
         "hotspot_side_m: 1.0e-300\n",
-        # a floor this far below the cluster side defeats the moment
-        # quadrature, whose unconverged result must not reach a CSV
-        "min_pairing_distance_m: 0.000025\n",
-        "min_pairing_distance_m: 0.000001\n",
-        "min_pairing_distance_m: 0.00004\n",
-        "min_pairing_distance_m: 0.00002\n",
+        # r^-alpha overflows a float at a floor of 3e-300 cluster sides
         "hotspot_side_m: 1.0e+300\n",
         # r^-alpha overflows a float near the floor
         "alpha: 300.0\n",
@@ -394,6 +389,40 @@ def test_pairing_floor_past_every_link_exits_2(tmp_path, capsys, config):
     assert main(["optimize-bandwidth", "--config", str(cfg), "--out", str(out)]) == 2
     assert "pairing floor" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # floors this far below the cluster side used to defeat the moment
+        # quadrature; the cell-offset kernel resolves them
+        "min_pairing_distance_m: 0.000025\n",
+        "min_pairing_distance_m: 0.000001\n",
+        "min_pairing_distance_m: 0.00004\n",
+        "min_pairing_distance_m: 0.00002\n",
+    ],
+)
+def test_short_pairing_floor_runs(tmp_path, config):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(config)
+    out = tmp_path / "out.csv"
+    assert main(["optimize-bandwidth", "--config", str(cfg), "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert len(rows) == 1 and rows[0]["feasible"] == "true"
+    cells = [rows[0][name] for name in header if name not in ("feasible", "binding")]
+    assert all(math.isfinite(float(cell)) for cell in cells), rows
+
+
+def test_validate_refuses_a_floor_its_quadrature_cannot_resolve(tmp_path, capsys):
+    # the rates' moments converge at this floor, but validate's second route,
+    # the density quadrature, does not: bad input (exit 2), not a failed gate
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("min_pairing_distance_m: 0.000025\n")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "density quadrature" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_validate_refuses_an_overflowing_band(tmp_path, capsys):
@@ -415,7 +444,10 @@ def test_validate_survives_a_zero_signal_moment(tmp_path, capsys, monkeypatch):
     cfg.write_text("min_pairing_distance_m: 36.0\n")
     assert main(["validate", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
-    assert "PASS moment-kernel: cell-offset kernel vs quadrature: relative gap 0.0e+00 signal" in out
+    assert (
+        "PASS moment-kernel: density quadrature vs cell-offset kernel: relative gap 0.0e+00 signal"
+        in out
+    )
     assert "vs 0.000 (ratio nan)" in out
 
 
@@ -433,7 +465,7 @@ def test_validate_fails_a_moment_off_by_1e7(capsys, monkeypatch):
     monkeypatch.setattr(checks, "analytic_point", skewed)
     assert main(["validate"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL moment-kernel: cell-offset kernel vs quadrature: relative gap" in out
+    assert "FAIL moment-kernel: density quadrature vs cell-offset kernel: relative gap" in out
     assert out.count("FAIL ") == 1
     assert "validation FAILED (12 gated checks)" in out
 

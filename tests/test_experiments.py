@@ -346,24 +346,26 @@ def test_write_csv_deterministic_bytes(tmp_path):
         (
             cmd_optimize_bandwidth,
             "bandwidth-sweep",
-            "bandwidth_split.v2",
+            "bandwidth_split.v3",
             "beta,mu_bps,pc,rate_coop,rate_noncoop,nc_bar,nn_bar,eta_star,"
             "eta_star_grid,feasible,binding,throughput_bps,mu_max_bps",
         ),
         (
             cmd_compare,
             "throughput-compare",
-            "strategy_compare.v4",
+            "strategy_compare.v5",
             "strategy,beta,users_per_cluster,n_clusters,eta,trials,"
             "throughput_mean_bps,throughput_ci95_bps,mode1_frequency,mean_coop,"
-            "mean_noncoop,mean_cellular,user_coop_bps,user_noncoop_bps",
+            "mean_noncoop,mean_cellular,user_coop_bps,user_noncoop_bps,"
+            "discarded_trials,degenerate_mode1_trials,dropped_link_fraction,"
+            "silent_cluster_fraction",
         ),
         (
             cmd_simulate,
             "simulate",
-            "campaign_trials.v4",
+            "campaign_trials.v5",
             "strategy,beta,K,B,eta,trial,mode,throughput_bps,n_coop,n_noncoop,"
-            "n_cellular",
+            "n_cellular,dropped_links,degenerate,silent_clusters,discarded",
         ),
     ],
     ids=["cluster_profile", "bandwidth_split", "strategy_compare", "campaign_trials"],
@@ -514,14 +516,14 @@ def test_cmd_simulate_emits_per_trial_rows(tmp_path):
     spec = ExperimentSpec(scenario="simulate", trials=40, out=str(out))
     cmd_simulate(spec)
     schema, header, rows = read_csv(out)
-    assert schema == "# schema=coopd2d.campaign_trials.v4"
+    assert schema == "# schema=coopd2d.campaign_trials.v5"
     assert len(rows) == 40
     assert [r["trial"] for r in rows] == [str(t) for t in range(40)]
     assert {r["strategy"] for r in rows} == {"coop"}
     assert {r["K"] for r in rows} == {"15"}
     assert {r["B"] for r in rows} == {"9"}
     # the optimized split of the reference point was applied
-    assert rows[0]["eta"] == "0.8743356794583512"
+    assert rows[0]["eta"] == "0.8743356794583542"
     for r in rows:
         total = int(r["n_coop"]) + int(r["n_noncoop"]) + int(r["n_cellular"])
         assert total == 135
@@ -549,7 +551,7 @@ def test_cmd_compare_smoke(tmp_path):
     )
     cmd_compare(spec)
     schema, header, rows = read_csv(out)
-    assert schema == "# schema=coopd2d.strategy_compare.v4"
+    assert schema == "# schema=coopd2d.strategy_compare.v5"
     assert [r["strategy"] for r in rows] == [
         "optimized", "eta0.5", "etaK", "nocoop", "tdma",
     ]

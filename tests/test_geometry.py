@@ -8,12 +8,13 @@ from pytest import approx
 from scipy.integrate import quad
 
 from coopd2d import geometry
-from coopd2d.checks import _offset_moment
+from coopd2d.checks import _density_moments
 from coopd2d.geometry import (
     SQRT2,
     SQRT5,
     GeometryTable,
     interference_pdf,
+    offset_moment,
     path_gain_moments,
     signal_pdf,
 )
@@ -45,21 +46,21 @@ def test_negative_distance_rejected():
 # float.hex of (q1, q2) per (alpha, r_min): the reference floor (1 m at
 # 25 m cells, every command's default), validate's alpha = 0 anchor, the
 # 1 m floor at 1, 4, 16 and 25 cells of the 75 m hotspot, and corners of a
-# 7-alpha x 25-floor scan.  Changes to the densities or the quadrature must
-# keep these bits.
+# 7-alpha x 25-floor scan.  The bits are the cell-offset kernel's
+# (geometry.offset_moment); a change to the kernel must keep them.
 _PINNED_MOMENTS = {
-    (3.68, 0.04): ("0x1.c8f436ff3feb1p+9", "0x1.58bfb12762f2cp+4"),
-    (0.0, 0.0): ("0x1.1ffffffffff2bp+3", "0x1.0000000000011p+0"),
-    (3.68, 1 / 37.5): ("0x1.b842da314061fp+10", "0x1.dbe9c0c00f0f3p+4"),
-    (3.68, 1 / 18.75): ("0x1.200a43eba47f0p+9", "0x1.0fd8bb0d9ab77p+4"),
-    (3.68, 1 / 15): ("0x1.9392a544af6c0p+8", "0x1.c1581f9a2317ap+3"),
-    (3.68, 1 / 75): ("0x1.566370f365b6ap+12", "0x1.92fcc92733629p+5"),
-    (3.68, 1.0): ("0x1.0061829a5fe42p+1", "0x1.fbbd40ed2fbdfp-3"),
-    (2.5, 1.5): ("0x1.6a31c35519555p-2", "0x1.6a31c35519555p-5"),
-    (2.0, 0.0002): ("0x1.eab30b022b912p+5", "0x1.d9908206c52b4p+0"),
-    (4.5, 0.0002): ("0x1.08edc5e1999cep+32", "0x1.cc37febf48081p+18"),
-    (2.0, 2.2): ("0x1.905212ea00081p-20", "0x1.905212ea00081p-23"),
-    (4.5, 2.2): ("0x1.ba8561f2f3273p-23", "0x1.ba8561f2f3273p-26"),
+    (3.68, 0.04): ("0x1.c8f436ff3fef9p+9", "0x1.58bfb12762e74p+4"),
+    (0.0, 0.0): ("0x1.2000000000000p+3", "0x1.0000000000000p+0"),
+    (3.68, 1 / 37.5): ("0x1.b842da3140750p+10", "0x1.dbe9c0c00f03dp+4"),
+    (3.68, 1 / 18.75): ("0x1.200a43eba4835p+9", "0x1.0fd8bb0d9aac0p+4"),
+    (3.68, 1 / 15): ("0x1.9392a544af748p+8", "0x1.c1581f9a23009p+3"),
+    (3.68, 1 / 75): ("0x1.566370f365b86p+12", "0x1.92fcc927332dbp+5"),
+    (3.68, 1.0): ("0x1.0061829a5b6e6p+1", "0x1.fbbd40ed265fap-3"),
+    (2.5, 1.5): ("0x1.6a31c355205f4p-2", "0x1.6a31c355205f4p-5"),
+    (2.0, 0.0002): ("0x1.eab30b022baaep+5", "0x1.d9908206c5416p+0"),
+    (4.5, 0.0002): ("0x1.08edc5e1999cdp+32", "0x1.cc37febf4806cp+18"),
+    (2.0, 2.2): ("0x1.905212e9ff9d7p-20", "0x1.905212e9ff9d7p-23"),
+    (4.5, 2.2): ("0x1.ba8561f2efff4p-23", "0x1.ba8561f2efff4p-26"),
 }
 
 
@@ -133,18 +134,17 @@ def test_moments_match_direct_sampling():
     )
     assert s_mc == approx(table.signal_moment, rel=1e-2), (s_mc, s_se)
     assert q2_mc == approx(table.q2, rel=1e-2), (q2_mc, q2_se)
-    # the third route: the cell-offset kernel, deterministic and far tighter
-    s_kernel = _offset_moment(3.68, 0.04, 0, 0)
-    q2_kernel = _offset_moment(3.68, 0.04, 1, 0)
-    assert s_kernel == approx(table.signal_moment, rel=1e-12)
-    assert q2_kernel == approx(table.q2, rel=1e-12)
-    assert s_mc == approx(s_kernel, rel=1e-2), (s_mc, s_se)
-    assert q2_mc == approx(q2_kernel, rel=1e-2), (q2_mc, q2_se)
+    # the third route: the density quadrature, deterministic and far tighter
+    s_quad, q2_quad = _density_moments(3.68, 0.04)
+    assert s_quad == approx(table.signal_moment, rel=1e-12)
+    assert q2_quad == approx(table.q2, rel=1e-12)
+    assert s_mc == approx(s_quad, rel=1e-2), (s_mc, s_se)
+    assert q2_mc == approx(q2_quad, rel=1e-2), (q2_mc, q2_se)
 
 
-def _kernel_gap_ok(kernel, exact):
+def _kernel_gap_ok(kernel, quadrature):
     """The window of validate's moment-kernel gate."""
-    return abs(kernel - exact) <= 1e-8 * exact + 1e-9
+    return abs(kernel - quadrature) <= 1e-8 * quadrature + 1e-9
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0, 3.0, 3.68, 4.0, 20.0, 60.0, 120.0, 200.0])
@@ -153,18 +153,19 @@ def test_offset_kernel_matches_quadrature(alpha):
         if r_min == 0.0 and alpha >= 2.0:
             continue  # the moments diverge
         if r_min == 1e-4 and alpha >= 20.0:
-            # the 1-D quadrature refuses: no convergence at 20 and 60,
-            # r^-alpha overflows at 120 and 200
-            with pytest.raises(ConfigurationError):
-                path_gain_moments(alpha, r_min)
+            # the density quadrature refuses: no convergence at 20 and 60,
+            # r^-alpha overflows at 120 and 200; the kernel converges at 20
+            # and 60 (test_offset_kernel_converges_where_quadrature_refuses)
+            with pytest.raises(ConfigurationError, match="density quadrature"):
+                _density_moments(alpha, r_min)
             continue
+        kernel = offset_moment(alpha, r_min, 0, 0), offset_moment(alpha, r_min, 1, 0)
         table = path_gain_moments(alpha, r_min)
-        signal = _offset_moment(alpha, r_min, 0, 0)
-        q2 = _offset_moment(alpha, r_min, 1, 0)
-        assert _kernel_gap_ok(signal, table.signal_moment), (r_min, signal, table)
-        assert _kernel_gap_ok(q2, table.q2), (r_min, q2, table)
+        assert (table.q1, table.q2) == (kernel[0] + 8.0 * kernel[1], kernel[1])
+        for k, quadrature in zip(kernel, _density_moments(alpha, r_min)):
+            assert _kernel_gap_ok(k, quadrature), (r_min, k, quadrature)
         if r_min > SQRT2:
-            assert signal == 0.0  # no in-cell distance reaches the floor
+            assert kernel[0] == 0.0  # no in-cell distance reaches the floor
 
 
 def test_offset_kernel_converges_where_quadrature_refuses():
@@ -174,12 +175,46 @@ def test_offset_kernel_converges_where_quadrature_refuses():
     for r_min in (1e-4, 2e-4):
         near = sum(c * (r_min ** (p - 19.0) - 1.0) / (19.0 - p)
                    for c, p in ((2.0 * math.pi, 1.0), (-8.0, 2.0), (2.0, 3.0)))
-        assert _offset_moment(20.0, r_min, 0, 0) == approx(near, rel=1e-12)
+        assert offset_moment(20.0, r_min, 0, 0) == approx(near, rel=1e-12)
+        assert path_gain_moments(20.0, r_min).signal_moment == approx(near, rel=1e-12)
+
+
+@pytest.mark.parametrize("r_min", [1e-6, 2e-6, 4e-8, 1e-12])
+def test_moments_match_the_near_field_oracle(r_min):
+    # floors this short used to defeat the moment quadrature (1e-6, 2e-6
+    # and 4e-8 were refused); the kernel resolves them
+    for alpha in (2.0, 3.0, 3.68, 4.5):
+        table = path_gain_moments(alpha, r_min)
+        signal = oracles.near_field_moment(alpha, r_min)
+        q2 = oracles.near_field_moment(alpha, r_min, adjacent=True)
+        assert abs(table.signal_moment - signal) <= 1e-13 * signal, (alpha, table, signal)
+        assert abs(table.q2 - q2) <= 1e-13 * q2, (alpha, table, q2)
+
+
+def test_every_short_floor_converges():
+    # 300 log-spaced pairing floors from 1e-15 to 2e-4 m at the reference
+    # 25 m cells: the density quadrature refuses 287 of them, irregularly
+    converged = 0
+    for floor_m in np.geomspace(1e-15, 2e-4, 300).tolist():
+        r_min = floor_m / 25.0
+        table = path_gain_moments(3.68, r_min)
+        signal = oracles.near_field_moment(3.68, r_min)
+        q2 = oracles.near_field_moment(3.68, r_min, adjacent=True)
+        assert abs(table.signal_moment - signal) <= 1e-13 * signal, (floor_m, table)
+        assert abs(table.q2 - q2) <= 1e-13 * q2, (floor_m, table)
+        try:
+            quad_signal, quad_q2 = _density_moments(3.68, r_min)
+        except ConfigurationError:
+            continue
+        converged += 1
+        assert _kernel_gap_ok(table.signal_moment, quad_signal), (floor_m, table)
+        assert _kernel_gap_ok(table.q2, quad_q2), (floor_m, table)
+    assert converged == 13
 
 
 def test_offset_kernel_refuses_an_overflow():
     with pytest.raises(ConfigurationError, match="r_min=0.0001 cluster sides at alpha=120"):
-        _offset_moment(120.0, 1e-4, 0, 0)
+        offset_moment(120.0, 1e-4, 0, 0)
 
 
 _OFFSETS = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (1, 2), (2, 2), (-1, 2), (3, -1)]
@@ -188,15 +223,15 @@ _OFFSETS = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (1, 2), (2, 2), (-1, 2), (3,
 @pytest.mark.parametrize("cell", _OFFSETS)
 def test_offset_kernel_free_space_is_a_probability(cell):
     # at alpha = 0 and no floor the moment is the total mass of the kernel
-    assert abs(_offset_moment(0.0, 0.0, *cell) - 1.0) <= 1e-12
+    assert abs(offset_moment(0.0, 0.0, *cell) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha, r_min", [(0.0, 0.0), (2.0, 0.5), (3.68, 0.04), (60.0, 1.1)])
 def test_offset_kernel_is_symmetric(alpha, r_min):
     for i, j in _OFFSETS:
-        moment = _offset_moment(alpha, r_min, i, j)
-        assert _offset_moment(alpha, r_min, j, i) == approx(moment, rel=1e-13)
-        assert _offset_moment(alpha, r_min, -i, j) == approx(moment, rel=1e-13)
+        moment = offset_moment(alpha, r_min, i, j)
+        assert offset_moment(alpha, r_min, j, i) == approx(moment, rel=1e-13)
+        assert offset_moment(alpha, r_min, -i, j) == approx(moment, rel=1e-13)
 
 
 def test_dominant_interference_simplification_measured():
@@ -205,7 +240,7 @@ def test_dominant_interference_simplification_measured():
     def digits4(values):
         return [float("%.4g" % v) for v in values]
 
-    moment = {(i, j): _offset_moment(3.68, 0.04, i, j) for i in range(3) for j in range(3)}
+    moment = {(i, j): offset_moment(3.68, 0.04, i, j) for i in range(3) for j in range(3)}
     offsets = ((0, 1), (1, 1), (0, 2), (1, 2), (2, 2))
     assert digits4(moment[c] for c in offsets) == [21.55, 1.245, 0.1064, 0.0672, 0.02552]
     neighbours = 4.0 * moment[(0, 1)] + 4.0 * moment[(1, 1)]
@@ -312,11 +347,12 @@ def test_truncation_beyond_signal_support():
             path_gain_moments(3.68, r_min)
 
 
-@pytest.mark.parametrize("r_min", [1e-6, 2e-6, 4e-8, 3e-300])
+@pytest.mark.parametrize("r_min", [3e-300])
 def test_unconverged_quadrature_is_refused(r_min):
-    # floors this short leave quad an integrand it cannot resolve; at 1e-6
-    # its unconverged result used to be a negative signal moment
-    with pytest.raises(ConfigurationError, match="pairing floor"):
+    # at a floor this short r^-alpha overflows a float; shorter floors that
+    # used to defeat the quadrature now converge
+    # (test_moments_match_the_near_field_oracle)
+    with pytest.raises(ConfigurationError, match="pairing floor.*overflows"):
         path_gain_moments(3.68, r_min)
 
 
