@@ -240,8 +240,10 @@ def near_field_moment(alpha: float, r_min: float, adjacent: bool = False) -> flo
     Below one cell side the densities are polynomials, ``2 pi r - 8 r^2 + 2 r^3``
     (same cell) and ``2 r^2 - r^3`` (edge-adjacent), so ``[r_min, 1)`` is a sum
     of power integrals; ``[1, upper]`` does not depend on ``r_min`` and is an
-    ordinary ``quad`` of the density.  Sampling cannot resolve these floors:
-    the variance ``E[r^-2 alpha]`` blows up as ``r_min -> 0``.
+    ordinary ``quad`` of the package's density, the one library path used here
+    (the densities are checked against sampled histograms).  Sampling cannot
+    resolve these floors: the variance ``E[r^-2 alpha]`` blows up as
+    ``r_min -> 0``.
     """
     assert 0.0 < r_min < 1.0
     if adjacent:

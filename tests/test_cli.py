@@ -394,8 +394,8 @@ def test_pairing_floor_past_every_link_exits_2(tmp_path, capsys, config):
 @pytest.mark.parametrize(
     "config",
     [
-        # floors this far below the cluster side used to defeat the moment
-        # quadrature; the cell-offset kernel resolves them
+        # floors this far below the cluster side defeat validate's density
+        # quadrature; the rates' cell-offset kernel resolves them
         "min_pairing_distance_m: 0.000025\n",
         "min_pairing_distance_m: 0.000001\n",
         "min_pairing_distance_m: 0.00004\n",

@@ -181,8 +181,8 @@ def test_offset_kernel_converges_where_quadrature_refuses():
 
 @pytest.mark.parametrize("r_min", [1e-6, 2e-6, 4e-8, 1e-12])
 def test_moments_match_the_near_field_oracle(r_min):
-    # floors this short used to defeat the moment quadrature (1e-6, 2e-6
-    # and 4e-8 were refused); the kernel resolves them
+    # the density quadrature refuses 1e-6, 2e-6 and 4e-8 cluster sides at
+    # alpha = 3.68; the kernel resolves them
     for alpha in (2.0, 3.0, 3.68, 4.5):
         table = path_gain_moments(alpha, r_min)
         signal = oracles.near_field_moment(alpha, r_min)
@@ -193,7 +193,8 @@ def test_moments_match_the_near_field_oracle(r_min):
 
 def test_every_short_floor_converges():
     # 300 log-spaced pairing floors from 1e-15 to 2e-4 m at the reference
-    # 25 m cells: the density quadrature refuses 287 of them, irregularly
+    # 25 m cells: the density quadrature refuses most of them, irregularly
+    # (287 with scipy 1.17), so it is compared only where it converges
     converged = 0
     for floor_m in np.geomspace(1e-15, 2e-4, 300).tolist():
         r_min = floor_m / 25.0
@@ -209,7 +210,7 @@ def test_every_short_floor_converges():
         converged += 1
         assert _kernel_gap_ok(table.signal_moment, quad_signal), (floor_m, table)
         assert _kernel_gap_ok(table.q2, quad_q2), (floor_m, table)
-    assert converged == 13
+    assert converged > 0
 
 
 def test_offset_kernel_refuses_an_overflow():
@@ -349,9 +350,8 @@ def test_truncation_beyond_signal_support():
 
 @pytest.mark.parametrize("r_min", [3e-300])
 def test_unconverged_quadrature_is_refused(r_min):
-    # at a floor this short r^-alpha overflows a float; shorter floors that
-    # used to defeat the quadrature now converge
-    # (test_moments_match_the_near_field_oracle)
+    # at a floor this short r^-alpha overflows a float; longer short floors
+    # converge (test_moments_match_the_near_field_oracle)
     with pytest.raises(ConfigurationError, match="pairing floor.*overflows"):
         path_gain_moments(3.68, r_min)
 
