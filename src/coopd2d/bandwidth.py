@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_number
 from .rates import network_throughput
 
 __all__ = ["BandwidthSolution", "optimize_eta"]
@@ -82,7 +82,7 @@ def optimize_eta(
         Average cooperative / non-cooperative user counts.  A zero count
         makes the corresponding constraint vacuous.
     mu : float
-        Per-user throughput floor, bits/s.
+        Per-user throughput floor, bits/s (the quantity ``mu_bps``).
 
     Returns
     -------
@@ -98,10 +98,10 @@ def optimize_eta(
     treated as its closure: ``mu = 0`` with ``rc < rn`` legitimately returns
     ``eta = 0``.
     """
-    if min(pc, rc, rn, bandwidth_hz, nc_bar, nn_bar, mu) < 0:
+    for name, value in (("bandwidth_hz", bandwidth_hz), ("n_clusters", n_clusters), ("mu_bps", mu)):
+        check_number(name, value)
+    if min(pc, rc, rn, nc_bar, nn_bar) < 0:
         raise ConfigurationError("all optimizer inputs must be non-negative")
-    if bandwidth_hz <= 0 or n_clusters <= 0:
-        raise ConfigurationError("bandwidth_hz and n_clusters must be positive")
 
     wb = bandwidth_hz * n_clusters
     # Vacuous constraints: no users in a class, or no floor to honor.

@@ -13,13 +13,12 @@ for k = 0..group_count-1 (0-based group indices throughout the package).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_number
 
 __all__ = ["PopularityModel", "build_popularity", "cumulative_cached_prob"]
 
@@ -58,28 +57,17 @@ class PopularityModel:
         self.group_probs.setflags(write=False)
 
 
-# typed: an argument of another type (300.0 files, an np.float64 skew) gets
-# its own entry, so every call returns what an uncached call would
-@functools.lru_cache(maxsize=1, typed=True)
 def build_popularity(n_files: int, cache_size: int, beta: float) -> PopularityModel:
     """Build the per-group request distribution of a Zipf catalog.
-
-    Memoized (a pure function returning a frozen model with read-only
-    probabilities), as :func:`coopd2d.geometry.path_gain_moments` is, but
-    for the last catalog only: the commands sweep the skew outermost with
-    the catalog size fixed, so consecutive calls repeat one catalog (an
-    ``optimize-bandwidth`` sweep's rate floors, ``compare``'s strategies at
-    one skew), and one entry serves them without holding a large catalog
-    per skew.  A refusal raises on every call.
 
     Parameters
     ----------
     n_files : int
-        Catalog size.  Must be a positive multiple of ``cache_size``.
+        Catalog size, a positive integer multiple of ``cache_size``.
     cache_size : int
-        Files per group (per-user cache capacity), at least 1.
+        Files per group (per-user cache capacity), a positive integer.
     beta : float
-        Zipf skew, ``beta >= 0``.
+        Zipf skew, finite and ``>= 0``.
 
     Returns
     -------
@@ -88,8 +76,9 @@ def build_popularity(n_files: int, cache_size: int, beta: float) -> PopularityMo
     Raises
     ------
     ConfigurationError
-        If ``n_files`` is not divisible by ``cache_size``, bounds are
-        violated, or ``beta`` is negative.
+        If an argument breaks its rule (:func:`coopd2d.errors.check_number`:
+        a bool, a float count, a negative or non-finite skew) or ``n_files``
+        is not a multiple of ``cache_size``.
 
     Notes
     -----
@@ -103,8 +92,8 @@ def build_popularity(n_files: int, cache_size: int, beta: float) -> PopularityMo
     >>> float(m.group_probs[0])
     0.06666666666666667
     """
-    if cache_size < 1:
-        raise ConfigurationError("cache_size must be >= 1, got %r" % (cache_size,))
+    for name, value in (("n_files", n_files), ("cache_size", cache_size), ("beta", beta)):
+        check_number(name, value)
     if n_files < cache_size:
         raise ConfigurationError(
             "n_files (%r) must be >= cache_size (%r)" % (n_files, cache_size)
@@ -114,8 +103,6 @@ def build_popularity(n_files: int, cache_size: int, beta: float) -> PopularityMo
             "n_files (%r) must be an exact multiple of cache_size (%r)"
             % (n_files, cache_size)
         )
-    if not (beta >= 0.0):
-        raise ConfigurationError("beta must be >= 0, got %r" % (beta,))
 
     group_count = n_files // cache_size
     ranks = np.arange(1, n_files + 1, dtype=np.float64)

@@ -25,7 +25,8 @@ from .experiments import (
     AnalyticPoint, ExperimentSpec, analytic_point, campaign_config, grid_search_eta
 )
 from .geometry import (
-    INTERFERENCE_BREAKS, SIGNAL_BREAKS, SQRT2, SQRT5, interference_pdf, signal_pdf
+    INTERFERENCE_BREAKS, SIGNAL_BREAKS, SQRT2, SQRT5, interference_pdf, power_integral,
+    signal_pdf,
 )
 from .netsim import SimConfig, link_rate_gap, run_campaign, snapshot_counts
 from .population import expected_coop_users_closed, expected_coop_users_exact
@@ -35,21 +36,30 @@ __all__ = ["cmd_validate"]
 _VALIDATE_SNAPSHOTS = 100_000
 
 
-_DENSITIES = ((signal_pdf, SQRT2, SIGNAL_BREAKS), (interference_pdf, SQRT5, INTERFERENCE_BREAKS))
+# Each density, the end of its support, its interior breaks, and the
+# coefficients of r, r^2 and r^3 of its polynomial piece below r = 1.
+_DENSITIES = ((signal_pdf, SQRT2, SIGNAL_BREAKS, (2.0 * math.pi, -8.0, 2.0)),
+              (interference_pdf, SQRT5, INTERFERENCE_BREAKS, (0.0, 2.0, -1.0)))
 
 
 def _density_moments(alpha: float, r_min: float) -> list[float]:
-    """The signal moment and q2 by ``quad`` over the densities, the ``moment-kernel``
-    gate's second route to :func:`coopd2d.geometry.path_gain_moments`; a failed or
-    overflowing quadrature raises :class:`ConfigurationError`."""
+    """The signal moment and q2 from the densities, the ``moment-kernel`` gate's
+    second route to :func:`coopd2d.geometry.path_gain_moments`.  Below r = 1 the
+    densities are polynomials, so ``[r_min, 1)`` is a sum of power integrals in
+    closed form; ``quad`` integrates the rest of the support.  A failed or
+    overflowing integral raises :class:`ConfigurationError`."""
     moments = []
-    for pdf, upper, breaks in _DENSITIES:
-        pts = [p for p in breaks if r_min < p < upper]
+    for pdf, upper, breaks, poly in _DENSITIES:
+        lo = min(max(r_min, 1.0), upper)  # 0 past the support
+        pts = [p for p in breaks if lo < p < upper]
         # full_output: quad appends a message, instead of warning, when it fails
         try:
+            near = math.fsum(c * power_integral(r_min, 1.0, n + 1.0 - alpha)
+                             for n, c in enumerate(poly, 1) if c) if r_min < 1.0 else 0.0
             value, _, _, *failure = quad(
-                lambda r: r ** (-alpha) * pdf(r), min(r_min, upper), upper,  # 0 past the support
+                lambda r: r ** (-alpha) * pdf(r), lo, upper,
                 points=pts or None, limit=200, epsabs=1e-9, epsrel=1e-10, full_output=1)
+            value += near
         except OverflowError:  # r ** -alpha beyond the float range
             value, failure = math.inf, ["r^-alpha overflows the float range"]
         if failure or not math.isfinite(value):
@@ -100,9 +110,8 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
     Gated checks (they decide the return value) compare independent
     evaluation routes of the same quantity: popularity normalization,
     density continuity, free-space moment anchors (the densities'
-    integrals by quadrature), the rates' cell-offset kernel moments versus a
-    quadrature of the densities (which may refuse a very short floor: exit 2),
-    enumeration versus closed-form versus simulated-snapshot populations,
+    integrals), the rates' cell-offset kernel moments versus the
+    densities' integrals, enumeration versus closed-form versus simulated-snapshot populations,
     closed-form versus grid-search bandwidth splits, simulated snapshot
     statistics versus their formulas, the ``eta = 0`` equivalence, and
     worker-count determinism.
@@ -125,7 +134,7 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
     )
 
     worst = 0.0
-    for fn, _, breaks in _DENSITIES:
+    for fn, _, breaks, _ in _DENSITIES:
         for bpt in breaks:
             worst = max(worst, abs(float(fn(bpt - 1e-12)) - float(fn(bpt + 1e-12))))
     checks.append(

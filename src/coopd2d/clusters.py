@@ -11,12 +11,12 @@ transmission whenever some group is hit by every cluster simultaneously.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .catalog import PopularityModel
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_number
 
 __all__ = [
     "ClusterPlan",
@@ -47,12 +47,12 @@ class ClusterPlan:
     users_per_cluster: int
 
     def __post_init__(self) -> None:
-        if self.n_clusters < 1 or self.users_per_cluster < 1:
-            raise ConfigurationError("n_clusters and users_per_cluster must be >= 1")
+        for f in fields(self):
+            check_number(f.name, getattr(self, f.name))
         if not self.cluster_side_m > 0:
             raise ConfigurationError(
-                "hotspot_side_m must be positive, with a cell side over %d clusters "
-                "that does not underflow to 0, got %r" % (self.n_clusters, self.hotspot_side_m)
+                "hotspot_side_m (%r) gives a cell side over %d clusters that underflows to 0"
+                % (self.hotspot_side_m, self.n_clusters)
             )
 
     @property
@@ -67,7 +67,10 @@ class ClusterPlan:
 
 
 def make_plan(hotspot_side_m: float, n_clusters: int, users_per_cluster: int) -> ClusterPlan:
-    """Construct a :class:`ClusterPlan` from plain numbers."""
+    """Construct a :class:`ClusterPlan` from plain numbers, checked before the
+    casts (``int`` would truncate 9.5 clusters to 9)."""
+    for f, value in zip(fields(ClusterPlan), (hotspot_side_m, n_clusters, users_per_cluster)):
+        check_number(f.name, value)
     return ClusterPlan(
         hotspot_side_m=float(hotspot_side_m),
         n_clusters=int(n_clusters),
@@ -98,7 +101,8 @@ def hit_probability(model: PopularityModel, users_per_cluster: int) -> np.ndarra
         If ``users_per_cluster`` is out of range.
     """
     k = users_per_cluster
-    if not 1 <= k <= model.group_count:
+    check_number("users_per_cluster", k)
+    if k > model.group_count:
         raise ConfigurationError(
             "users_per_cluster must be in [1, %d], got %r" % (model.group_count, k)
         )
@@ -131,7 +135,7 @@ def coop_probability(model: PopularityModel, users_per_cluster: int, n_clusters:
     float
         Probability in [0, 1].
     """
-    if n_clusters < 1:
+    if not n_clusters >= 1:  # real, so not the integer rule of n_clusters
         raise ConfigurationError("n_clusters must be >= 1, got %r" % (n_clusters,))
     ph = hit_probability(model, users_per_cluster)
     # hit_k == 1 would send log through -0.0; the exact value is then 1.
@@ -154,6 +158,8 @@ def expected_active_coop(model: PopularityModel, n_users: int, users_per_cluster
     float
         Value in ``[0, B]``.
     """
+    check_number("n_users", n_users)
+    check_number("users_per_cluster", users_per_cluster)
     if n_users < users_per_cluster:
         raise ConfigurationError("n_users must be >= users_per_cluster")
     b = n_users / users_per_cluster
@@ -183,8 +189,7 @@ def optimize_cluster_size(model: PopularityModel, n_users: int):
         Shape ``(n_candidates, 2)``; column 0 the candidate ``K``, column 1
         its objective.  Useful for plotting the whole curve.
     """
-    if n_users < 1:
-        raise ConfigurationError("n_users must be >= 1, got %r" % (n_users,))
+    check_number("n_users", n_users)
     candidates = range(1, min(model.group_count, n_users) + 1)
     profile = np.array(
         [[k, expected_active_coop(model, n_users, k)] for k in candidates]

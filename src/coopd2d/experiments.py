@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
@@ -31,7 +30,7 @@ from .clusters import (
     make_plan,
     optimize_cluster_size,
 )
-from .errors import ConfigurationError
+from .errors import NUMERIC_RULES, ConfigurationError, check_number
 from .geometry import GeometryTable, path_gain_moments
 from .netsim import SimConfig, run_campaign
 from .population import expected_coop_users_closed
@@ -60,36 +59,6 @@ _SWEEP_AXES = {
     "validate": (),
     "simulate": (),
 }
-# Numeric fields as (type, bound, bound test, fields).  Floats must also be
-# finite; bools are refused although Python counts them as ints.  The dB
-# fields have no bound here: RadioParams checks their linear values.
-_NUMERIC_RULES = (
-    (int, "> 0", lambda v: v > 0, ("n_clusters", "users_per_cluster", "n_users",
-                                   "n_files", "cache_size", "trials", "n_jobs")),
-    (int, ">= 0", lambda v: v >= 0, ("seed",)),
-    (float, "> 0", lambda v: v > 0, ("hotspot_side_m", "bandwidth_hz")),
-    (float, ">= 0", lambda v: v >= 0, ("beta", "alpha", "mu_bps",
-                                       "min_pairing_distance_m")),
-    (float, "in [0, 1]", lambda v: 0 <= v <= 1, ("eta",)),
-    (float, "", lambda v: True, ("tx_power_dbm", "noise_dbm", "path_loss_intercept_db")),
-)
-_NUMERIC_FIELDS = {name: rule[:3] for rule in _NUMERIC_RULES for name in rule[3]}
-
-
-def _check_number(name: str, value) -> None:
-    kind, bound, holds = _NUMERIC_FIELDS[name]
-    try:
-        ok = (
-            not isinstance(value, bool)
-            and isinstance(value, numbers.Integral if kind is int else numbers.Real)
-            and math.isfinite(value)
-            and holds(value)
-        )
-    except OverflowError:  # an int too large for a float
-        ok = False
-    if not ok:
-        noun = "an integer" if kind is int else "a finite number"
-        raise ConfigurationError("%s must be %s, got %r" % (name, (noun + " " + bound).strip(), value))
 
 
 @dataclass(frozen=True)
@@ -148,7 +117,7 @@ class ExperimentSpec:
             )
         for name in _NUMERIC_FIELDS:
             if name != "eta" or self.eta is not None:
-                _check_number(name, getattr(self, name))
+                check_number(name, getattr(self, name))
         for name in ("strategy", "eta"):
             if getattr(self, name) is not None and self.scenario != "simulate":
                 raise ConfigurationError(
@@ -165,7 +134,7 @@ class ExperimentSpec:
                 % (self.scenario, self.sweep_name, axes)
             )
         for value in self.sweep_values:
-            _check_number(self.sweep_name, value)
+            check_number(self.sweep_name, value)
         if self.users_per_cluster > self.n_files // self.cache_size:
             raise ConfigurationError(
                 "users_per_cluster (%d) exceeds the %d cacheable file groups"
@@ -181,6 +150,8 @@ class ExperimentSpec:
 # The spec fields a config file sets directly; a sweep is the nested ``sweep`` key.
 _SWEEP_FIELDS = ("sweep_name", "sweep_values")
 _CONFIG_KEYS = set(ExperimentSpec.__dataclass_fields__) - {"scenario", *_SWEEP_FIELDS}
+# The numeric fields, checked in the order of their rules.
+_NUMERIC_FIELDS = [name for *_, names in NUMERIC_RULES for name in names if name in _CONFIG_KEYS]
 
 
 def _as_tuple(values) -> tuple:
@@ -552,14 +523,10 @@ def compare_strategies(spec: ExperimentSpec, beta: float) -> list[dict]:
     model = build_popularity(spec.n_files, spec.cache_size, beta)
     best = _best_sim_cluster_size(model, spec.n_users)
     own = (spec.users_per_cluster, spec.n_clusters)
-    points = {}  # one analytic point per cluster size
 
     def config(strategy: str, eta: float | None, k: int, b: int) -> SimConfig:
-        if (k, b) not in points:
-            points[k, b] = analytic_point(
-                replace(spec, beta=beta, n_clusters=b, users_per_cluster=k)
-            )
-        return campaign_config(spec, points[k, b], strategy, eta)
+        pt = analytic_point(replace(spec, beta=beta, n_clusters=b, users_per_cluster=k))
+        return campaign_config(spec, pt, strategy, eta)
 
     # the configured size first, so a refusal names the config's own plan
     configured = [

@@ -26,7 +26,8 @@ difference of two uniform points of cells ``(0, 0)`` and ``(i, j)``: the
 signal moment is offset ``(0, 0)`` and ``q2`` offset ``(1, 0)``.  It never
 reads the densities, so no moment bit depends on how a density is
 evaluated; the densities serve the demos and ``validate``, whose
-``moment-kernel`` gate integrates them by ``quad`` as a cross-check.  Each
+``moment-kernel`` gate integrates them as a cross-check (their polynomial
+pieces below ``r = 1`` by :func:`power_integral`, the rest by ``quad``).  Each
 density piece is written once and evaluated on one float at a time, picked
 by bisecting the break points.  Within about 1e-5 of the end of its support
 a piece rounds to a few 1e-15 below 0; it is clamped to +0.0 (``-0.0``
@@ -38,13 +39,12 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, check_number
 
 __all__ = [
     "SQRT2",
@@ -54,6 +54,7 @@ __all__ = [
     "GeometryTable",
     "signal_pdf",
     "interference_pdf",
+    "power_integral",
     "offset_moment",
     "path_gain_moments",
 ]
@@ -222,7 +223,7 @@ class GeometryTable:
         return self.q1 - 8.0 * self.q2
 
 
-def _power_integral(a: float, b: float, e: float) -> float:
+def power_integral(a: float, b: float, e: float) -> float:
     """``int_a^b rho^(e-1) d rho`` for ``0 <= a < b``, accurate as ``e`` nears 0."""
     if e == 0.0:
         return math.log(b / a)
@@ -254,7 +255,7 @@ def offset_moment(alpha: float, r_min: float, i: int, j: int) -> float:
             if abs(tu) < 1.0 and abs(tv) < 1.0:  # inside the support
                 su, sv = math.copysign(1.0, tu), math.copysign(1.0, tv)
                 u0, u1, v0, v1 = 1.0 + su * i, -su * c, 1.0 + sv * j, -sv * s
-                terms = [w * _power_integral(a, b, e - alpha) for w, e in
+                terms = [w * power_integral(a, b, e - alpha) for w, e in
                          ((u0 * v0, 2.0), (u0 * v1 + u1 * v0, 3.0), (u1 * v1, 4.0))]
                 total, size = total + sum(terms), size + sum(map(abs, terms))
         return total, size
@@ -315,12 +316,13 @@ def path_gain_moments(alpha: float, r_min: float = 0.0) -> GeometryTable:
         ``alpha >= 2``) and the interference integrand like ``r^(2-alpha)``
         (divergent for ``alpha >= 3``).
     ConfigurationError
-        For an ``alpha`` or ``r_min`` that is negative, non-finite or a
-        bool; for ``r_min >= sqrt(5)``: a pairing floor that long excludes
-        every signal and interference distance, so no link rate exists; and
-        when the kernel's ``quad`` does not converge, ``r^-alpha``
-        overflows, a moment comes out non-finite, or the interference
-        moment underflows to 0.
+        For an ``alpha`` or ``r_min`` that breaks its rule
+        (:func:`coopd2d.errors.check_number`: a finite number ``>= 0``,
+        not a bool); for ``r_min >= sqrt(5)``: a pairing floor that long
+        excludes every signal and interference distance, so no link rate
+        exists; and when the kernel's ``quad`` does not converge,
+        ``r^-alpha`` overflows, a moment comes out non-finite, or the
+        interference moment underflows to 0.
 
     Examples
     --------
@@ -328,15 +330,8 @@ def path_gain_moments(alpha: float, r_min: float = 0.0) -> GeometryTable:
     >>> round(t.q1, 6), round(t.q2, 6)
     (9.0, 1.0)
     """
-    for name, value in (("alpha", alpha), ("r_min", r_min)):
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, numbers.Real)
-            or not 0.0 <= value < math.inf
-        ):
-            raise ConfigurationError(
-                "%s must be a finite number >= 0, got %r" % (name, value)
-            )
+    check_number("alpha", alpha)
+    check_number("r_min", r_min)
     if r_min >= SQRT5:
         raise ConfigurationError(
             "pairing floor r_min=%g cluster sides is not below sqrt(5), the "

@@ -79,7 +79,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -90,7 +89,7 @@ import numpy as np
 
 from .catalog import PopularityModel
 from .clusters import ClusterPlan
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_number
 from .rates import RadioParams
 
 __all__ = [
@@ -135,17 +134,6 @@ TRIAL_DTYPE = np.dtype(
 _MAX_USERS = np.iinfo(TRIAL_DTYPE["n_coop"]).max  # the records count users in int16
 
 
-def _check_int(name: str, value, low: int) -> None:
-    """Refuse a value that is not an integer of at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ConfigurationError("%s must be an integer >= %d, got %r" % (name, low, value))
-
-
-def _is_real(value) -> bool:
-    """True for a real number other than a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Immutable campaign description.
@@ -181,10 +169,8 @@ class SimConfig:
             raise ConfigurationError(
                 "hotspot_side_m (%r) is too large: a squared link distance overflows" % side
             )
-        _check_int("trials", self.trials, 1)
-        _check_int("seed", self.seed, 0)
-        if not (_is_real(self.eta) and 0.0 <= self.eta <= 1.0):
-            raise ConfigurationError("eta must be a real number in [0, 1], got %r" % (self.eta,))
+        for name in ("trials", "seed", "eta", "min_pairing_distance_m"):
+            check_number(name, getattr(self, name))
         if self.plan.users_per_cluster > self.popularity.group_count:
             raise ConfigurationError(
                 "users_per_cluster (%d) exceeds the catalog's group count (%d)"
@@ -198,10 +184,6 @@ class SimConfig:
                    _MAX_USERS)
             )
         floor = self.min_pairing_distance_m
-        if not (_is_real(floor) and 0.0 <= floor < math.inf):
-            raise ConfigurationError(
-                "min_pairing_distance_m must be a finite real number >= 0, got %r" % (floor,)
-            )
         radio = self.radio
         longest = max(math.sqrt(2.0) * side, floor)
         gain_log10 = -radio.path_loss_intercept_db / 10.0 - radio.alpha * math.log10(longest)
@@ -827,7 +809,7 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
     -------
     SimResult
     """
-    _check_int("n_jobs", n_jobs, 1)
+    check_number("n_jobs", n_jobs)
     trials = config.trials
     records = np.empty(trials, dtype=TRIAL_DTYPE)
     if n_jobs == 1:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .catalog import PopularityModel, cumulative_cached_prob
 from .clusters import hit_probability
-from .errors import ConfigurationError, ConsistencyError, EnumerationBudgetError
+from .errors import ConfigurationError, ConsistencyError, EnumerationBudgetError, check_number
 
 __all__ = [
     "PopulationSummary",
@@ -66,8 +66,7 @@ def expected_coop_users_closed(
     hit_k^(B-1)`` with ``hit_k = 1 - (1 - P_k)^K``.
     """
     k, b = users_per_cluster, n_clusters
-    if b < 1:
-        raise ConfigurationError("n_clusters must be >= 1, got %r" % (b,))
+    check_number("n_clusters", b)
     ph = hit_probability(model, k)
     coop_mean = k * b * float(np.sum(model.group_probs[:k] * ph ** (b - 1)))
     return _summary(model, k, b, coop_mean)
@@ -125,10 +124,10 @@ def expected_coop_users_exact(
     """
     k0 = model.group_count
     k, b = users_per_cluster, n_clusters
-    if not 1 <= k <= k0:
+    check_number("users_per_cluster", k)
+    check_number("n_clusters", b)
+    if k > k0:
         raise ConfigurationError("users_per_cluster must be in [1, %d], got %r" % (k0, k))
-    if b < 1:
-        raise ConfigurationError("n_clusters must be >= 1, got %r" % (b,))
     space = _multichoose(k0, k) ** b
     if space > _ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
@@ -185,6 +184,8 @@ def expected_cellular_and_noncoop(
         If the implied non-cooperative mean is negative beyond roundoff,
         which signals an inconsistent ``coop_mean``.
     """
+    check_number("n_users", n_users)
+    check_number("users_per_cluster", users_per_cluster)
     if not 0.0 <= coop_mean <= n_users:
         raise ConfigurationError(
             "coop_mean must be in [0, n_users], got %r" % (coop_mean,)

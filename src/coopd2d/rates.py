@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_number
 from .geometry import GeometryTable
 
 __all__ = [
@@ -55,6 +55,9 @@ class RadioParams:
         Path-loss exponent (slope in dB/decade divided by 10).
     bandwidth_hz : float
         D2D band ``W``.
+
+    Each field is checked by its rule (:func:`coopd2d.errors.check_number`);
+    each dB field must also convert to a positive finite linear value.
     """
 
     tx_power_dbm: float
@@ -64,6 +67,8 @@ class RadioParams:
     bandwidth_hz: float
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            check_number(f.name, getattr(self, f.name))
         # a power of 0 W or of an overflowing float has no meaning downstream
         for name, linear in (
             ("tx_power_dbm", "tx_power_w"),
@@ -72,7 +77,7 @@ class RadioParams:
         ):
             try:
                 value = getattr(self, linear)
-            except (OverflowError, TypeError):
+            except OverflowError:
                 value = math.nan
             if not 0.0 < value < math.inf:
                 raise ConfigurationError(
@@ -158,8 +163,7 @@ def coop_link_rate(
         ``log2(1 + P * D^-alpha * G0 * q1 / (B * sigma^2))`` bits/s/Hz,
         ``inf`` when the mean gain overflows.
     """
-    if n_clusters < 1:
-        raise ConfigurationError("n_clusters must be >= 1, got %r" % (n_clusters,))
+    check_number("n_clusters", n_clusters)
     if not cluster_side_m > 0:
         raise ConfigurationError("cluster_side_m must be positive")
     try:
@@ -184,8 +188,7 @@ def network_throughput(
 
     Affine in ``eta`` with slope ``W * B * pc * (rc - rn)``.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ConfigurationError("eta must be in [0, 1], got %r" % (eta,))
+    check_number("eta", eta)
     if not 0.0 <= pc <= 1.0:
         raise ConfigurationError("pc must be in [0, 1], got %r" % (pc,))
     return bandwidth_hz * n_clusters * (pc * eta * rc + (1.0 - pc * eta) * rn)

@@ -17,7 +17,8 @@ import coopd2d.checks as checks
 import coopd2d.cli as cli
 import coopd2d.experiments as experiments
 from coopd2d.cli import build_parser, main
-from coopd2d.experiments import spec_from_mapping
+from coopd2d.errors import NUMERIC_RULES
+from coopd2d.experiments import ExperimentSpec, spec_from_mapping
 
 import oracles
 
@@ -394,8 +395,8 @@ def test_pairing_floor_past_every_link_exits_2(tmp_path, capsys, config):
 @pytest.mark.parametrize(
     "config",
     [
-        # floors this far below the cluster side defeat validate's density
-        # quadrature; the rates' cell-offset kernel resolves them
+        # floors this far below the cluster side, which the rates' cell-offset
+        # kernel resolves
         "min_pairing_distance_m: 0.000025\n",
         "min_pairing_distance_m: 0.000001\n",
         "min_pairing_distance_m: 0.00004\n",
@@ -413,16 +414,17 @@ def test_short_pairing_floor_runs(tmp_path, config):
     assert all(math.isfinite(float(cell)) for cell in cells), rows
 
 
-def test_validate_refuses_a_floor_its_quadrature_cannot_resolve(tmp_path, capsys):
-    # the rates' moments converge at this floor, but validate's second route,
-    # the density quadrature, does not: bad input (exit 2), not a failed gate
+def test_validate_cross_checks_a_short_floor(tmp_path, capsys):
+    # below one cluster side the densities are polynomials, so validate's
+    # second moment route integrates the near field in closed form and
+    # resolves the floors the rates' kernel resolves
     cfg = tmp_path / "run.yaml"
     cfg.write_text("min_pairing_distance_m: 0.000025\n")
-    assert main(["validate", "--config", str(cfg)]) == 2
+    assert main(["validate", "--config", str(cfg)]) == 0
     captured = capsys.readouterr()
-    assert "error:" in captured.err and "density quadrature" in captured.err
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
+    assert "PASS moment-kernel:" in captured.out
+    assert "validation passed (12 gated checks)" in captured.out
+    assert captured.err == ""
 
 
 def test_validate_refuses_an_overflowing_band(tmp_path, capsys):
@@ -607,14 +609,15 @@ def test_path_gains_near_underflow_exit_2(tmp_path, capsys, command, config):
 
 # The finite-output contract: any config a user writes either runs, every
 # cell of its CSV finite, or exits 2 with an error line.  Values come from
-# experiments._NUMERIC_RULES: half from a field's valid range, half from
+# errors.NUMERIC_RULES: half from a field's valid range, half from
 # anywhere in its type (NaN, infinities, signed zeros, subnormals and
 # numbers near the float range included).  Size fields stay small so an
 # example costs milliseconds: at most 16 clusters of 6 users, 120 files in
 # groups of at most 30, 5 trials, and one worker (a worker pool returns
 # the same bits, and acceptance 6 checks that).  An example sets at most
-# four fields, so most examples get past the spec checks.  n_users is
-# derived, not a config key.
+# four fields, so most examples get past the spec checks.  Only the names
+# that are spec fields are config keys (n_users is derived, r_min is the
+# floor in cluster sides).
 _SIZE_CAPS = {"n_clusters": 16, "users_per_cluster": 6, "n_files": 120,
               "cache_size": 30, "trials": 5, "n_jobs": 1}
 _EXAMPLES = 150  # per command
@@ -629,9 +632,9 @@ def _field_values(kind, name, holds):
 
 _FIELD_VALUES = {
     name: _field_values(kind, name, holds)
-    for kind, _, holds, names in experiments._NUMERIC_RULES
+    for kind, _, holds, names in NUMERIC_RULES
     for name in names
-    if name != "n_users"
+    if name in ExperimentSpec.__dataclass_fields__
 }
 _CONTRACT_COMMANDS = {
     "optimize-bandwidth": [],

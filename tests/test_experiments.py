@@ -562,14 +562,7 @@ def test_cmd_compare_smoke(tmp_path):
         assert float(r["throughput_mean_bps"]) > 0.0
 
 
-def test_compare_builds_one_analytic_point_per_beta(tmp_path, monkeypatch):
-    # the reference population has one grid-feasible size, so all five
-    # strategies share one point
-    calls = []
-    point = experiments.analytic_point
-    monkeypatch.setattr(
-        experiments, "analytic_point", lambda spec: calls.append(spec.beta) or point(spec)
-    )
+def test_compare_runs_every_strategy_at_each_beta(tmp_path):
     spec = ExperimentSpec(
         scenario="throughput-compare",
         trials=4,
@@ -578,8 +571,11 @@ def test_compare_builds_one_analytic_point_per_beta(tmp_path, monkeypatch):
         out=str(tmp_path / "compare.csv"),
     )
     cmd_compare(spec)
-    assert calls == [0.0, 1.0]
-    assert len(read_csv(tmp_path / "compare.csv")[2]) == 10
+    rows = read_csv(tmp_path / "compare.csv")[2]
+    assert [(r["beta"], r["strategy"]) for r in rows] == [
+        (beta, strategy) for beta in ("0.0", "1.0")
+        for strategy in ("optimized", "eta0.5", "etaK", "nocoop", "tdma")
+    ]
 
 
 def test_cmd_validate_default_passes():

@@ -152,12 +152,12 @@ def test_offset_kernel_matches_quadrature(alpha):
     for r_min in (0.0, 1e-4, 0.04, 0.5, 0.999, 1.0, 1.1, 1.5, 2.0, 2.23):
         if r_min == 0.0 and alpha >= 2.0:
             continue  # the moments diverge
-        if r_min == 1e-4 and alpha >= 20.0:
-            # the density quadrature refuses: no convergence at 20 and 60,
-            # r^-alpha overflows at 120 and 200; the kernel converges at 20
-            # and 60 (test_offset_kernel_converges_where_quadrature_refuses)
+        if r_min == 1e-4 and alpha >= 120.0:
+            # r^-alpha overflows a float at this floor: both routes refuse
             with pytest.raises(ConfigurationError, match="density quadrature"):
                 _density_moments(alpha, r_min)
+            with pytest.raises(ConfigurationError, match="pairing floor"):
+                offset_moment(alpha, r_min, 0, 0)
             continue
         kernel = offset_moment(alpha, r_min, 0, 0), offset_moment(alpha, r_min, 1, 0)
         table = path_gain_moments(alpha, r_min)
@@ -169,9 +169,10 @@ def test_offset_kernel_matches_quadrature(alpha):
 
 
 def test_offset_kernel_converges_where_quadrature_refuses():
-    # below one cell side the signal density is 2 r^3 - 8 r^2 + 2 pi r, so
-    # the moment is a sum of power integrals; at alpha = 20 the part past
-    # r = 1 is below 1e-60 of it
+    # a quad over the whole support does not converge at these floors; below
+    # one cell side the signal density is 2 r^3 - 8 r^2 + 2 pi r, so the
+    # moment is a sum of power integrals; at alpha = 20 the part past r = 1
+    # is below 1e-60 of it
     for r_min in (1e-4, 2e-4):
         near = sum(c * (r_min ** (p - 19.0) - 1.0) / (19.0 - p)
                    for c, p in ((2.0 * math.pi, 1.0), (-8.0, 2.0), (2.0, 3.0)))
@@ -181,8 +182,7 @@ def test_offset_kernel_converges_where_quadrature_refuses():
 
 @pytest.mark.parametrize("r_min", [1e-6, 2e-6, 4e-8, 1e-12])
 def test_moments_match_the_near_field_oracle(r_min):
-    # the density quadrature refuses 1e-6, 2e-6 and 4e-8 cluster sides at
-    # alpha = 3.68; the kernel resolves them
+    # floors far below the cluster side, against the closed-form near field
     for alpha in (2.0, 3.0, 3.68, 4.5):
         table = path_gain_moments(alpha, r_min)
         signal = oracles.near_field_moment(alpha, r_min)
@@ -193,9 +193,8 @@ def test_moments_match_the_near_field_oracle(r_min):
 
 def test_every_short_floor_converges():
     # 300 log-spaced pairing floors from 1e-15 to 2e-4 m at the reference
-    # 25 m cells: the density quadrature refuses most of them, irregularly
-    # (287 with scipy 1.17), so it is compared only where it converges
-    converged = 0
+    # 25 m cells: the kernel matches the near-field oracle, and validate's
+    # density route converges and agrees within its gate's window
     for floor_m in np.geomspace(1e-15, 2e-4, 300).tolist():
         r_min = floor_m / 25.0
         table = path_gain_moments(3.68, r_min)
@@ -203,14 +202,9 @@ def test_every_short_floor_converges():
         q2 = oracles.near_field_moment(3.68, r_min, adjacent=True)
         assert abs(table.signal_moment - signal) <= 1e-13 * signal, (floor_m, table)
         assert abs(table.q2 - q2) <= 1e-13 * q2, (floor_m, table)
-        try:
-            quad_signal, quad_q2 = _density_moments(3.68, r_min)
-        except ConfigurationError:
-            continue
-        converged += 1
-        assert _kernel_gap_ok(table.signal_moment, quad_signal), (floor_m, table)
-        assert _kernel_gap_ok(table.q2, quad_q2), (floor_m, table)
-    assert converged > 0
+        density_signal, density_q2 = _density_moments(3.68, r_min)
+        assert _kernel_gap_ok(table.signal_moment, density_signal), (floor_m, table)
+        assert _kernel_gap_ok(table.q2, density_q2), (floor_m, table)
 
 
 def test_offset_kernel_refuses_an_overflow():

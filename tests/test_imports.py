@@ -53,3 +53,13 @@ def test_only_experiments_writes_csv():
     # every CSV goes through experiments.write_csv, with its schema line
     package = sorted((ROOT / "src" / "coopd2d").glob("*.py"))
     assert [p.name for p in package if "csv" in imported_modules(p)] == ["experiments.py"]
+
+
+def test_errors_imports_no_package_module():
+    # every module checks its inputs against errors.check_number, so errors
+    # must stay the bottom of the import graph
+    path = ROOT / "src" / "coopd2d" / "errors.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    relative = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert relative == [] and "coopd2d" not in imported_modules(path)

@@ -9,6 +9,7 @@ from coopd2d import ExperimentSpec, analytic_point, population
 from coopd2d.bandwidth import optimize_eta
 from coopd2d.catalog import build_popularity, cumulative_cached_prob
 from coopd2d.clusters import (
+    ClusterPlan,
     coop_probability,
     expected_active_coop,
     make_plan,
@@ -22,7 +23,7 @@ from coopd2d.population import (
     expected_coop_users_closed,
     expected_coop_users_exact,
 )
-from coopd2d.rates import coop_link_rate, network_throughput
+from coopd2d.rates import RadioParams, coop_link_rate, network_throughput
 
 import oracles
 
@@ -132,6 +133,19 @@ def test_closed_form_covers_the_full_size_catalog(ref_model, ref_plan):
         lambda m: sim_config(m, min_pairing_distance_m=math.nan),
         lambda m: snapshot_counts(sim_config(m, trials=0)),
         lambda m: link_rate_gap(sim_config(m, trials=0)),
+        lambda m: build_popularity(300, 20, "1"),
+        lambda m: build_popularity(300.0, 20, 1.0),
+        lambda m: ClusterPlan(75.0, "9", 15),
+        lambda m: expected_coop_users_closed(build_popularity(300, 20, 1.0), 2.5, 4),
+        lambda m: build_popularity(300, 20, math.inf),
+        lambda m: build_popularity(True, 1, 1.0),
+        lambda m: make_plan(math.inf, 9, 15),
+        lambda m: make_plan(75, 9.5, 15),
+        lambda m: RadioParams(20.0, -95.0, 37.6, math.nan, 20e6),
+        lambda m: RadioParams(20.0, -95.0, 37.6, 3.68, -1),
+        lambda m: coop_probability(m, 1, math.nan),
+        lambda m: optimize_eta(0.5, 10.0, 2.0, math.nan, 9, 80.0, 50.0, 1e6),
+        lambda m: optimize_eta(0.5, 10.0, 2.0, 20e6, "9", 80.0, 50.0, 1e6),
     ],
 )
 def test_api_argument_errors_are_package_errors(two_group, call):
