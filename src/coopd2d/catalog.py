@@ -145,9 +145,11 @@ def cumulative_cached_prob(model: PopularityModel, n_cached_groups: int) -> floa
     Raises
     ------
     ConfigurationError
-        If ``n_cached_groups`` is out of range.
+        If ``n_cached_groups`` is not an integer (a bool included) or is out
+        of range.
     """
-    if not 1 <= n_cached_groups <= model.group_count:
+    check_number("n_cached_groups", n_cached_groups)
+    if n_cached_groups > model.group_count:
         raise ConfigurationError(
             "n_cached_groups must be in [1, %d], got %r"
             % (model.group_count, n_cached_groups)

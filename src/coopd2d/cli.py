@@ -19,6 +19,7 @@ combinations).
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 from dataclasses import replace
@@ -83,6 +84,7 @@ def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of every subcommand and its flags, the caller's to change."""
     parser = argparse.ArgumentParser(
         prog="coopd2d",
         description="Cached device-to-device hotspot analysis and simulation.",
@@ -98,6 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=blurb)
         _add_flags(p, _FLAGS_OF[name])
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call and shared by
+    every later one: ``parse_args`` returns a new namespace and leaves the
+    parser as it was, so nothing may change the parser once it is built."""
+    return build_parser()
 
 
 # PyYAML's safe loader, on libyaml when PyYAML was built with it: the same
@@ -131,7 +141,7 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:
         spec = _load_spec(args)

@@ -127,22 +127,23 @@ def coop_probability(model: PopularityModel, users_per_cluster: int, n_clusters:
     users_per_cluster : int
         Cluster size ``K``.
     n_clusters : float
-        Cluster count ``B``; real values are allowed (the analytic
-        cluster-size search uses ``B = M / K``).
+        Cluster count ``B``, a finite number >= 1; real values are allowed
+        (the analytic cluster-size search uses ``B = M / K``).
 
     Returns
     -------
     float
         Probability in [0, 1].
     """
-    if not n_clusters >= 1:  # real, so not the integer rule of n_clusters
-        raise ConfigurationError("n_clusters must be >= 1, got %r" % (n_clusters,))
+    check_number("n_clusters (real)", n_clusters)
     ph = hit_probability(model, users_per_cluster)
     # hit_k == 1 would send log through -0.0; the exact value is then 1.
     if np.any(ph >= 1.0):
         return 1.0
     log_pow = float(n_clusters) * np.log(ph)
-    return -math.expm1(math.fsum(np.log1p(-np.exp(log_pow))))
+    # 0.0 - x, not -x: when every hit_k ** B underflows the sum is 0.0, and
+    # -expm1(0.0) would be -0.0
+    return 0.0 - math.expm1(math.fsum(np.log1p(-np.exp(log_pow))))
 
 
 def expected_active_coop(model: PopularityModel, n_users: int, users_per_cluster: int) -> float:

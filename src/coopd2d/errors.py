@@ -51,11 +51,14 @@ class ConsistencyError(CoopD2DError):
 # Named quantities as (type, bound, bound test, names).  Floats must also be
 # finite; bools are refused although Python counts them as ints.  The dB
 # fields have no bound here: RadioParams checks their linear values.
-# ``r_min`` is the pairing floor in cluster sides.
+# ``r_min`` is the pairing floor in cluster sides; ``n_clusters (real)`` is
+# the cluster count B = M / K that the analytic chain takes as a real number.
 NUMERIC_RULES = (
     (int, "> 0", lambda v: v > 0, ("n_clusters", "users_per_cluster", "n_users",
-                                   "n_files", "cache_size", "trials", "n_jobs")),
+                                   "n_files", "cache_size", "trials", "n_jobs",
+                                   "n_cached_groups")),
     (int, ">= 0", lambda v: v >= 0, ("seed",)),
+    (float, ">= 1", lambda v: v >= 1, ("n_clusters (real)",)),
     (float, "> 0", lambda v: v > 0, ("hotspot_side_m", "bandwidth_hz")),
     (float, ">= 0", lambda v: v >= 0, ("beta", "alpha", "mu_bps",
                                        "min_pairing_distance_m", "r_min")),

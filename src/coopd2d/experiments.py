@@ -430,7 +430,7 @@ def cmd_optimize_cluster(spec: ExperimentSpec) -> str:
                         "k_star": k_star,
                     }
                 )
-    return write_csv(spec.out, "cluster_profile.v1", rows)
+    return write_csv(spec.out, "cluster_profile.v2", rows)
 
 
 def cmd_optimize_bandwidth(spec: ExperimentSpec) -> str:
@@ -483,7 +483,7 @@ def cmd_optimize_bandwidth(spec: ExperimentSpec) -> str:
                     "mu_max_bps": sol.mu_max,
                 }
             )
-    return write_csv(spec.out, "bandwidth_split.v3", rows)
+    return write_csv(spec.out, "bandwidth_split.v4", rows)
 
 
 def campaign_config(

@@ -5,8 +5,11 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -80,12 +83,77 @@ def test_missing_subcommand_exits():
         main([])
 
 
+def _default_split(path):
+    assert main(["optimize-bandwidth", "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+def test_a_flag_does_not_carry_into_the_next_call(tmp_path):
+    # main builds its parser once per process; each call parses from scratch
+    cli._parser.cache_clear()
+    fresh = _default_split(tmp_path / "fresh.csv")
+    assert main(["optimize-bandwidth", "--beta", "0.4", "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "b.csv").read_bytes() != fresh
+    assert _default_split(tmp_path / "again.csv") == fresh
+    assert cli._parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["simulate", "--trials", "x"], 2), (["optimize-bandwidth", "--beta", "x"], 2),
+     (["optimize-bandwidth", "--jobs", "2"], 2), (["-h"], 0)],
+)
+def test_a_call_argparse_ends_leaves_the_next_one_working(tmp_path, capsys, argv, code):
+    cli._parser.cache_clear()
+    fresh = _default_split(tmp_path / "fresh.csv")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert _default_split(tmp_path / "again.csv") == fresh
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert build_parser() is not build_parser()
+
+
+def test_importing_cli_builds_no_parser():
+    package_root = pathlib.Path(cli.__file__).resolve().parents[1]
+    probe = "import coopd2d.cli as c; print(c._parser.cache_info().currsize)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(package_root)}, check=True,
+    )
+    assert int(done.stdout) == 0
+
+
+@pytest.mark.parametrize(
+    "command, config, column",
+    [
+        ("optimize-cluster", {"beta": 0.0, "sweep": {"name": "n_users", "values": [300]}},
+         "objective_links"),
+        ("optimize-bandwidth",
+         {"beta": 0.0, "users_per_cluster": 1, "n_clusters": 324, "hotspot_side_m": 450.0},
+         "pc"),
+    ],
+)
+def test_an_underflowed_coop_probability_is_written_as_zero(tmp_path, command, config, column):
+    # at K = 1 and beta 0 every hit_k ** B underflows, so P_coop is 0.0, not -0.0
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(config))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_csv(out)[2]
+    assert rows[0][column] == "0.0"
+    assert "-0.0" not in [cell for row in rows for cell in row.values()]
+
+
 def test_optimize_cluster_end_to_end(tmp_path, capsys):
     out = tmp_path / "profile.csv"
     assert main(["optimize-cluster", "--beta", "0.8", "--out", str(out)]) == 0
     assert "wrote %s" % out in capsys.readouterr().out
     schema, _, rows = read_csv(out)
-    assert schema == "# schema=coopd2d.cluster_profile.v1"
+    assert schema == "# schema=coopd2d.cluster_profile.v2"
     assert len(rows) == 15
     assert {r["k_star"] for r in rows} == {"8"}
 
@@ -152,7 +220,7 @@ def test_optimize_bandwidth_ignores_seed(tmp_path):
         assert main(argv + ["--out", str(outs[-1])]) == 0
     first = outs[0].read_bytes()
     assert outs[1].read_bytes() == first and outs[2].read_bytes() == first
-    assert read_csv(outs[0])[0] == "# schema=coopd2d.bandwidth_split.v3"
+    assert read_csv(outs[0])[0] == "# schema=coopd2d.bandwidth_split.v4"
 
 
 @pytest.mark.parametrize("beta", [0.4, 0.7, 1.0, 1.2])
@@ -172,23 +240,24 @@ def test_optimize_bandwidth_bytes_match_the_dense_grid(tmp_path, monkeypatch, be
 
 
 # sha256 of the analytic commands' CSVs at the reference point and on the
-# benchmark's 4 skews x 8 rate floors.  Their bytes come from closed forms
-# and quadrature, not from a random stream or a BLAS call, so a refactor
-# that moves one of them changes a number on purpose or not at all.
+# benchmark's 4 skews x 8 rate floors, from the header row on (the schema
+# tests check the tag line).  Their bytes come from closed forms and
+# quadrature, not from a random stream or a BLAS call, so a refactor that
+# moves one of them changes a number on purpose or not at all.
 _SWEEP_MUS = [0.0, 0.5e6, 1e6, 2e6, 3e6, 4e6, 6e6, 10e6]
 _PINNED_CSV_SHA256 = {
     ("optimize-cluster", None):
-        "08e70ca3d5a824c0b85dc3f5428cf4cc2cb8e013c28962092920425e9f34e654",
+        "49d1a97390ad18c4aec023b35ad8db06de91e016ccb1def156bccfed66548f63",
     ("optimize-bandwidth", None):
-        "5894206b40f0f765bb819b596b4623f2e1c5b73295be91e666232fc01f6e10d2",
+        "d015c99d51115032e64a28487b4450e028e1e62e162bf576808a8a2af9a20015",
     ("optimize-bandwidth", 0.4):
-        "3fd109bd5a25a056915d52606705f686ec3881e518724fb9b15f78eb6faf2285",
+        "34e35d1082c26eac2f060d20d7ebdaf7fc7769e91b15ef84532c7793413c4ec5",
     ("optimize-bandwidth", 0.7):
-        "c641f9132ebe8f846c8342f0f483b40b909cc927b6b2ebebb9ea1899ad716d9c",
+        "fd3655243fed9cb73bb527c996fccf77bed3be6b6042263a02ed4ebb8023b17d",
     ("optimize-bandwidth", 1.0):
-        "c91390ca18eb75cf8e5389b3172ac2ed89e1d52b56eb4bdd8446578da9f17b4e",
+        "babefff528c812fa87b4ba267bf4389b843bcb1f812e298e0d94074934ac2af9",
     ("optimize-bandwidth", 1.2):
-        "072d1aab1dfa1d1e2db881efd18b8be45601b184ffd10fdd829dafcfd0669531",
+        "6e445fd1589672a57d038fcd76bf7cf15d7c13efc7f0e3956dce70e05562b462",
 }
 
 
@@ -203,8 +272,8 @@ def test_analytic_csv_bytes_are_pinned(tmp_path, command, beta):
         )
         argv += ["--config", str(cfg)]
     assert main(argv) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == _PINNED_CSV_SHA256[command, beta]
+    rows = out.read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(rows).hexdigest() == _PINNED_CSV_SHA256[command, beta]
 
 
 def test_bad_catalog_size_exits_2(tmp_path, capsys):

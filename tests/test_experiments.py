@@ -340,13 +340,13 @@ def test_write_csv_deterministic_bytes(tmp_path):
         (
             cmd_optimize_cluster,
             "cluster-sweep",
-            "cluster_profile.v1",
+            "cluster_profile.v2",
             "beta,n_users,users_per_cluster,objective_links,k_star",
         ),
         (
             cmd_optimize_bandwidth,
             "bandwidth-sweep",
-            "bandwidth_split.v3",
+            "bandwidth_split.v4",
             "beta,mu_bps,pc,rate_coop,rate_noncoop,nc_bar,nn_bar,eta_star,"
             "eta_star_grid,feasible,binding,throughput_bps,mu_max_bps",
         ),
@@ -389,7 +389,7 @@ def test_cmd_optimize_cluster_sweep(tmp_path):
     )
     assert cmd_optimize_cluster(spec) == str(out)
     schema, header, rows = read_csv(out)
-    assert schema == "# schema=coopd2d.cluster_profile.v1"
+    assert schema == "# schema=coopd2d.cluster_profile.v2"
     assert header == ["beta", "n_users", "users_per_cluster", "objective_links", "k_star"]
     assert len(rows) == 2 * 15  # full profile per beta
     for beta, k_star in (("0.6", "12"), ("1.0", "6")):

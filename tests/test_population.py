@@ -146,6 +146,11 @@ def test_closed_form_covers_the_full_size_catalog(ref_model, ref_plan):
         lambda m: coop_probability(m, 1, math.nan),
         lambda m: optimize_eta(0.5, 10.0, 2.0, math.nan, 9, 80.0, 50.0, 1e6),
         lambda m: optimize_eta(0.5, 10.0, 2.0, 20e6, "9", 80.0, 50.0, 1e6),
+        lambda m: coop_probability(m, 1, "2"),
+        lambda m: coop_probability(m, 1, math.inf),
+        lambda m: cumulative_cached_prob(m, 1.5),
+        lambda m: cumulative_cached_prob(m, "1"),
+        lambda m: cumulative_cached_prob(m, True),
     ],
 )
 def test_api_argument_errors_are_package_errors(two_group, call):
