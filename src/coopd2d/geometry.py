@@ -244,21 +244,34 @@ def offset_moment(alpha: float, r_min: float, i: int, j: int) -> float:
     Needs ``r_min > 0`` or ``alpha < 2``; a failed ``quad`` or an overflow
     raises :class:`ConfigurationError`."""
 
-    def ray(theta):  # the radial integral along theta, and its terms' size
+    def pieces(theta):  # the in-support pieces of the ray along theta
+        # a kink is (n, axis): the line u = n (axis 0) or v = n (axis 1), at
+        # rho = n / cos or n / sin; past the last kink the ray has left the support
         c, s = math.cos(theta), math.sin(theta)
-        # past the last kink the ray has left the support
-        kinks = sorted((n + t) / d for n, d in ((i, c), (j, s)) if d for t in (-1, 0, 1))
-        rho = [r_min] + [p for p in kinks if p > r_min]
-        total = size = 0.0
-        for a, b in zip(rho, rho[1:]):
+        kinks = sorted(((n + t) / d, n + t, axis)
+                       for axis, (n, d) in enumerate(((i, c), (j, s))) if d for t in (-1, 0, 1))
+        rho = [(r_min, None, None)] + [k for k in kinks if k[0] > r_min]
+        found = []
+        for (a, *start), (b, *stop) in zip(rho, rho[1:]):
             tu, tv = 0.5 * (a + b) * c - i, 0.5 * (a + b) * s - j
-            if abs(tu) < 1.0 and abs(tv) < 1.0:  # inside the support
-                su, sv = math.copysign(1.0, tu), math.copysign(1.0, tv)
-                u0, u1, v0, v1 = 1.0 + su * i, -su * c, 1.0 + sv * j, -sv * s
-                terms = [w * power_integral(a, b, e - alpha) for w, e in
-                         ((u0 * v0, 2.0), (u0 * v1 + u1 * v0, 3.0), (u1 * v1, 4.0))]
-                total, size = total + sum(terms), size + sum(map(abs, terms))
-        return total, size
+            if abs(tu) < 1.0 and abs(tv) < 1.0:
+                found.append((start, stop, math.copysign(1.0, tu), math.copysign(1.0, tv)))
+        return found
+
+    def ray(theta, found, part=sum):  # the radial integral along theta over ``found``
+        d = math.cos(theta), math.sin(theta)
+        total = 0.0
+        for (na, axis_a), (nb, axis_b), su, sv in found:
+            a = r_min if axis_a is None else na / d[axis_a]
+            b = nb / d[axis_b]
+            u0, u1, v0, v1 = 1.0 + su * i, -su * d[0], 1.0 + sv * j, -sv * d[1]
+            terms = [w * power_integral(a, b, e - alpha) for w, e in
+                     ((u0 * v0, 2.0), (u0 * v1 + u1 * v0, 3.0), (u1 * v1, 4.0))]
+            total += part(terms)
+        return total
+
+    def magnitude(terms):  # with ray, the terms' size, which bounds their rounding
+        return sum(map(abs, terms))
 
     lo, hi, fold = ((0.0, math.pi / 4.0, 8.0) if i == j == 0
                     else (0.0, math.pi, 2.0) if j == 0 else (-math.pi, math.pi, 1.0))
@@ -270,11 +283,13 @@ def offset_moment(alpha: float, r_min: float, i: int, j: int) -> float:
     cuts = sorted({lo, hi} | {x for x in [k * math.pi / 4.0 for k in range(-4, 5)]
                               + [math.atan2(y, x) for x, y in pts if x or y] if lo < x < hi})
     try:
-        spans = [(a, b, ray(0.5 * (a + b))[1]) for a, b in zip(cuts, cuts[1:])]
+        # within a span the kinks keep their order and the pieces their signs
+        spans = [(a, b, pieces(0.5 * (a + b))) for a, b in zip(cuts, cuts[1:])]
+        spans = [(a, b, found, ray(0.5 * (a + b), found, magnitude)) for a, b, found in spans]
         # near a kernel zero the terms cancel: ask no more than their rounding allows
-        floor = 1e-15 * sum(size * (b - a) for a, b, size in spans)
-        parts = [quad(lambda t: ray(t)[0], a, b, epsabs=floor, epsrel=1e-13, limit=50,
-                      full_output=1) for a, b, size in spans if size]
+        floor = 1e-15 * sum(size * (b - a) for a, b, _, size in spans)
+        parts = [quad(ray, a, b, args=(found,), epsabs=floor, epsrel=1e-13, limit=50,
+                      full_output=1) for a, b, found, size in spans if size]
     except OverflowError:
         parts = [(math.inf, 0.0, {}, "r^-alpha overflows the float range")]
     total = fold * sum(part[0] for part in parts)

@@ -70,6 +70,22 @@ def test_moment_bits_pinned(alpha, r_min):
     assert (table.q1.hex(), table.q2.hex()) == _PINNED_MOMENTS[alpha, r_min]
 
 
+# float.hex of the kernel at offsets (1, 1) and (2, 1), whose rays cross
+# kink lines of both axes; pinned from the kernel that re-sorted every
+# ray's kinks, so working the pieces out once per span keeps the bits.
+_PINNED_OFFSETS = {
+    (3.68, 0.04): ("0x1.3ed209da3c1eep+0", "0x1.133f07df6df24p-4"),
+    (2.5, 1.5): ("0x1.da74a0fd791a5p-4", "0x1.19202385e1361p-3"),
+    (4.5, 2.2): ("0x1.6a025490846a1p-11", "0x1.2ff7e8e017d52p-7"),
+}
+
+
+@pytest.mark.parametrize("alpha, r_min", sorted(_PINNED_OFFSETS))
+def test_diagonal_offset_bits_pinned(alpha, r_min):
+    bits = tuple(offset_moment(alpha, r_min, i, j).hex() for i, j in ((1, 1), (2, 1)))
+    assert bits == _PINNED_OFFSETS[alpha, r_min]
+
+
 def test_densities_nonnegative_on_dense_grid():
     # the closed forms round below 0 within about 1e-5 of their support's
     # end (down to -2.5e-15 for g, -7e-15 for f); -0.0 is clamped to +0.0
