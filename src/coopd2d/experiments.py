@@ -571,7 +571,7 @@ def cmd_compare(spec: ExperimentSpec) -> str:
     rows = []
     for beta in betas:
         rows.extend(compare_strategies(spec, float(beta)))
-    return write_csv(spec.out, "strategy_compare.v5", rows)
+    return write_csv(spec.out, "strategy_compare.v6", rows)
 
 
 def cmd_simulate(spec: ExperimentSpec) -> str:
@@ -607,4 +607,4 @@ def cmd_simulate(spec: ExperimentSpec) -> str:
         result.throughput_ci95,
         result.n_trials,
     )
-    return write_csv(spec.out, "campaign_trials.v5", rows)
+    return write_csv(spec.out, "campaign_trials.v6", rows)

@@ -18,56 +18,54 @@ construction, seeds included), and ``tdma`` (reuse-4 grid coloring, each
 color active every 4th slot on the full band).
 
 Engine: a campaign runs in blocks of ``_CHUNK`` trials, in two passes.
-Pass 1 keeps the block's generators alive and runs four stages; the stages
-that draw run per trial, the others per block:
+Pass 1 runs three stages over the whole block:
 
-1. per trial, the positions, the request uniforms and the scheduling
-   uniforms, in one ``random`` call (:func:`_drop_block`);
-2. per block, the requested groups by a bucket table (:func:`_categorical`),
-   then the request counts, hit groups, modes and roles;
-3. per block, the links the scheduling uniforms pick (:func:`_pick_links`),
-   the cooperative groups only for the trials that cooperate;
-4. per trial, the fading of every link set of the trial (:func:`_rate_block`):
-   the cooperative channel's normals, then one standard exponential per
-   entry of each non-cooperative set, its fading power ``|h|^2 ~ Exp(1)``.
+1. the positions, the request uniforms and the scheduling uniforms, the
+   block's rows of stream D in one ``random`` call (:func:`_drop_block`);
+2. the requested groups by a bucket table (:func:`_categorical`), then the
+   request counts, hit groups, modes and roles;
+3. the links the scheduling uniforms pick (:func:`_pick_links`), the
+   cooperative groups only for the trials that cooperate.
 
-Pass 2 rates the block together: zero-forcing channels and equal-size
-non-cooperative link sets are gathered from the block arrays, stacked, and
-each stack is inverted or summed in one call.  Stacks are never padded, so
-each matrix sees the arithmetic it would see alone, and an ill-conditioned
-or singular channel takes the drop-worst-link fallback on its own.  Link
-distances are ``sqrt(dx * dx + dy * dy)``, the floats of ``np.linalg.norm``
-without its copies (:func:`_path_gains`), and the rating kernels work in
-place, in the order of their formulas, so they hold few stack-sized arrays.
-Stages 1-4 and pass 2 are the rating step (:func:`_rate_block`); a campaign
-turns its output into trial records (:func:`_run_block`).  The same engine
-serves the two snapshot measurements, which read the first ``trials``
-snapshots of a config: :func:`snapshot_counts` runs stages 1 and 2 only,
-and :func:`link_rate_gap` runs the rating step.
+Pass 2 rates the block together (:func:`_rate_block`): zero-forcing
+channels and equal-size non-cooperative link sets are gathered from the
+block arrays, stacked, and each stack is inverted or summed in one call.
+Stacks are never padded, so each matrix sees the arithmetic it would see
+alone, and an ill-conditioned or singular channel takes the
+drop-worst-link fallback on its own.  Link distances are
+``sqrt(dx * dx + dy * dy)``, the floats of ``np.linalg.norm`` without its
+copies (:func:`_path_gains`), and the rating kernels work in place, in the
+order of their formulas, so they hold few stack-sized arrays.  A campaign
+turns the rating step's output into trial records (:func:`_run_block`).
+The same engine serves the two snapshot measurements, which read the
+first ``trials`` snapshots of a config: :func:`snapshot_counts` runs
+stages 1 and 2 only, and :func:`link_rate_gap` runs the rating step.
 
-Working arrays: the draws of stage 1, the fading normals and powers of
-stage 4 and, in pass 2, the gathered fading power stacks and the path
-gains live in a per-thread workspace (:func:`_scratch`), one grow-only
-buffer per name, so each block reuses the memory of the blocks before it,
-across campaigns and snapshot measurements.  The zero-forcing stack is the
-normals buffer itself, reshaped.  What a stage hands on (the fields of
+Working arrays: a block's rows of the three streams, the channel normals,
+and the gathered fading power stacks and path gains of pass 2 live in a
+per-thread workspace (:func:`_scratch`), one grow-only buffer per name, so
+each block reuses the memory of the blocks before it, across campaigns and
+snapshot measurements.  What a stage hands on (the fields of
 :class:`_Drops` and :class:`_Rated`, the records) is always a fresh array.
 Threads have their own buffers; worker processes their own module state.
 
-Reproducibility contract: trial ``t`` derives all of its randomness from
-one generator with a fixed draw order (positions, requests, scheduling
-uniforms, fading), per-trial results live at index ``t`` of the campaign
-arrays, and aggregation runs over those ordered arrays; neither the block
-size nor the thread or process count can change any output bit.  Every
-trial draws the same ``1 + 2B`` scheduling uniforms whatever its strategy
-and mode, so ``nocoop`` and ``coop`` at ``eta = 0`` draw the same streams.
-Snapshot ``t`` of :func:`snapshot_counts` and :func:`link_rate_gap` is
-campaign trial ``t``, drawn from the same generator; there is no other
-stream.  The block seeder :func:`_generators` builds every generator of
-the module: it runs numpy's SeedSequence hash over a whole block, one call
-per source word, and trial ``t``'s generator is state for state
-``numpy.random.default_rng([seed, t])``; an oracle test pins it against
-numpy, so a change to numpy's seeding fails it, not the streams.
+Reproducibility contract: a campaign draws from three streams, each a
+``PCG64`` seeded from child ``0``, ``1`` or ``2`` of
+``SeedSequence(seed)``: D, the drop (``3M + 1 + 2B`` uniforms a trial: the
+positions, the requests, the scheduling uniforms); F, the fading powers
+(``B^2`` a trial, the Exp(1) power ``-log1p(-u)`` from each transmitter
+cluster to each receiver cluster); and Z, the zero-forcing channel
+(``2B^2`` a trial, normals by Box-Muller, :func:`_box_muller`).  Trial
+``t`` owns the window ``[t S, (t + 1) S)`` of each stream of width ``S``,
+whatever its strategy and mode, and a block ``lo .. hi - 1`` advances each
+stream by ``lo S`` and draws its rows in one call (:func:`_stream_rows`).
+Per-trial results live at index ``t`` of the campaign arrays, and
+aggregation runs over those ordered arrays, so neither the block size nor
+the thread or process count can change any output bit.  Every strategy
+reads the same windows: ``nocoop`` and ``coop`` at ``eta = 0`` give the
+same records, and a Mode-0 ``coop`` trial the record of its ``nocoop``
+twin.  Snapshot ``t`` of :func:`snapshot_counts` and
+:func:`link_rate_gap` is campaign trial ``t``; there is no other stream.
 Zero-forcing takes a channel's exact condition number only when a
 Frobenius-norm screen cannot decide (:func:`_zf_stack`).  The screen
 sums the squared real and imaginary parts of the channel stack; its
@@ -242,93 +240,22 @@ class _Drops(NamedTuple):
     choices: np.ndarray  # (T, 1 + 2B) scheduling uniforms, see :func:`_pick_links`
 
 
-# numpy.random.SeedSequence's hash constants and pool size.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32, _POOL = 0xFFFFFFFF, 4
+# The campaign's three streams, each a ``PCG64`` seeded from this child of
+# ``SeedSequence(seed)``, and the workspace name of a block's rows of it.
+_DROPS, _FADING, _CHANNEL = 0, 1, 2
+_STREAM_ROWS = ("draws", "fading", "channel")
 
 
-def _words(n: int) -> list[int]:
-    """``n`` as SeedSequence encodes it: little-endian 32-bit words, ``0`` as one."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
+def _stream_rows(seed: int, stream: int, lo: int, hi: int, width: int) -> np.ndarray:
+    """Rows ``lo .. hi - 1`` of a campaign stream, ``width`` uniforms each, in scratch.
 
-
-def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
-    """The ``(n + 1, 1)`` uint32 constants of ``n`` hash calls, call ``i`` taking ``i, i + 1``."""
-    consts = [init]
-    for _ in range(n):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _seed_states(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(e).generate_state(4, np.uint64)`` of every column ``e``.
-
-    ``entropy`` is ``(n, T)`` uint32, a row per word.  The ``(4, T)`` pool
-    mixes in wrapping uint32 arithmetic, one call per source word, with
-    the constants in the order numpy's SeedSequence takes them.
+    Row ``t`` is trial ``t``'s window ``[t * width, (t + 1) * width)`` of the
+    stream's doubles, so a block's rows are those of its trials drawn alone.
     """
-    n = len(entropy)
-    a = _hash_constants(_INIT_A, _MULT_A, _POOL * max(n, _POOL))
-    b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
-
-    def hashmix(value, consts, i, j):  # hash calls i .. j - 1
-        value = (value ^ consts[i:j]) * consts[i + 1 : j + 1]
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        r = _MIX_L * x - _MIX_R * y
-        return r ^ (r >> 16)
-
-    pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
-    pool[:n] = entropy[:_POOL]
-    pool = hashmix(pool, a, 0, _POOL)
-    for src in range(_POOL):  # calls 4 + 3 src .. 6 + 3 src, one per destination
-        dst, at = [i for i in range(_POOL) if i != src], _POOL + (_POOL - 1) * src
-        pool[dst] = mix(pool[dst], hashmix(pool[src], a, at, at + _POOL - 1))
-    for src in range(_POOL, n):  # calls 4 src .. 4 src + 3
-        pool = mix(pool, hashmix(entropy[src], a, _POOL * src, _POOL * (src + 1)))
-    state = hashmix(np.tile(pool, (2, 1)), b, 0, 2 * _POOL).astype(np.uint64)
-    return (state[0::2] | state[1::2] << 32).T.copy()  # PCG64 reads each row's memory
-
-
-class _Seeded(np.random.bit_generator.ISeedSequence):
-    """Hands one row of :func:`_seed_states` to ``PCG64``, which asks for 4 uint64 words."""
-
-    def __init__(self, state: np.ndarray) -> None:
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.state
-
-
-def _generators(config: SimConfig, start: int, stop: int) -> list:
-    """The generators of trials ``start .. stop - 1``, entropy ``[seed, t]``.
-
-    This is the block seeder of the module's reproducibility contract.  A
-    block is split where the word count of ``t`` changes, at multiples of
-    ``2**32``; the seed's words are fixed rows.
-    """
-    head = _words(config.seed)
-    rngs = []
-    while start < stop:
-        n_t = len(_words(start))  # the same up to the next multiple of 2**(32 * n_t)
-        end = min(stop, 1 << 32 * n_t)
-        size = end - start
-        entropy = np.empty((len(head) + n_t, size), dtype=np.uint32)
-        entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
-        carry = np.arange(size, dtype=np.uint64)
-        for j in range(n_t):  # the words of t = start + i, carrying between them
-            limb = carry + (start >> 32 * j & _MASK32)
-            entropy[len(head) + j] = limb & _MASK32
-            carry = limb >> 32
-        rngs += [np.random.Generator(np.random.PCG64(_Seeded(s))) for s in _seed_states(entropy)]
-        start = end
-    return rngs
+    bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,)))
+    bits.advance(lo * width)  # ``random`` takes one 64-bit output per double
+    rows = _scratch(_STREAM_ROWS[stream], (hi - lo, width))
+    return np.random.Generator(bits).random(out=rows)
 
 
 def _categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -348,22 +275,19 @@ def _categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _drop_block(config: SimConfig, rngs) -> _Drops:
-    """Drop one snapshot per generator.
+def _drop_block(config: SimConfig, lo: int, hi: int) -> _Drops:
+    """Drop the snapshots of trials ``lo .. hi - 1``.
 
-    Stage 1 (per trial): one ``random`` call fills the ``M x 2`` positions,
-    the ``M`` request uniforms and the ``1 + 2B`` scheduling uniforms, the
-    stream of the three calls in turn.  Stage 2 (per block): one
-    :func:`_categorical` lookup and one ``bincount`` over (trial, cluster,
-    group) classify every trial at once.
+    Stage 1: one ``random`` call fills the block's rows of stream D, each
+    trial's ``M x 2`` positions, ``M`` request uniforms and ``1 + 2B``
+    scheduling uniforms.  Stage 2: one :func:`_categorical` lookup and one
+    ``bincount`` over (trial, cluster, group) classify every trial at once.
     """
     plan, popularity = config.plan, config.popularity
     b, k, m, d = plan.n_clusters, plan.users_per_cluster, plan.n_users, plan.cluster_side_m
     cluster_of, corner = _layout(b, k, d)
-    n = len(rngs)
-    draws = _scratch("draws", (n, 3 * m + 1 + 2 * b))
-    for rng, row in zip(rngs, draws):
-        rng.random(out=row)
+    n = hi - lo
+    draws = _stream_rows(config.seed, _DROPS, lo, hi, 3 * m + 1 + 2 * b)
     positions = np.multiply(draws[:, : 2 * m].reshape(n, m, 2), d)
     positions += corner
 
@@ -468,7 +392,7 @@ def _pick_links(request_of, counts, roles, restrict, choices) -> _Links:
 
 # A link set is rated from its ends, ``ends[..., l, :, :]`` holding the
 # transmitter and receiver positions of link ``l``, and from its fading: a
-# zero-forcing channel from two standard normal (n, n) matrices, drawn real
+# zero-forcing channel from two standard normal (n, n) matrices, the real
 # part first; a non-cooperative set from one (n, n) matrix of Exp(1) fading
 # powers, which is the law of ``|h|^2`` for ``h ~ CN(0, 1)``.  The kernels
 # below take stacks of them, (T, n, 2, 2), (T, 2, n, n) and (T, n, n).
@@ -613,22 +537,49 @@ def _block_ends(positions: np.ndarray, trial: np.ndarray, tx, rx) -> np.ndarray:
     return positions[trial[..., None], np.stack((tx, rx), axis=-1)]
 
 
-def _normals_at(draws: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
-    """The ``(len(offsets), width)`` fading draws stored from ``offsets``, in scratch.
+def _box_muller(uniforms: np.ndarray) -> np.ndarray:
+    """Standard normals ``x = r cos(a)``, ``y = r sin(a)`` in place of (T, 2, n, n) uniforms.
 
-    ``take`` reads the flat draws (normals or powers); on a sliding window
-    of them it would first copy the whole window, and ``mode="raise"``
-    would buffer ``out``.  Every index is in range, so ``"clip"`` never
-    clips.
+    ``[:, 0]`` holds ``u`` and becomes ``x``, ``[:, 1]`` holds ``v`` and
+    becomes ``y``, with ``r = sqrt(-2 log1p(-u))`` and ``a = 2 pi v``.
     """
-    shape = (len(offsets), width)
-    index = _scratch("gather_index", shape, np.intp)
-    np.add(offsets[:, None], np.arange(width), out=index)
-    return np.take(draws, index, out=_scratch("gather", shape), mode="clip")
+    radius, angle = uniforms[:, 0], uniforms[:, 1]
+    np.multiply(angle, 2.0 * math.pi, out=angle)
+    np.log1p(np.negative(radius, out=radius), out=radius)
+    np.sqrt(np.multiply(radius, -2.0, out=radius), out=radius)
+    cos = np.cos(angle, out=_scratch("cosine", angle.shape))
+    np.sin(angle, out=angle)
+    angle *= radius
+    radius *= cos
+    return uniforms
+
+
+def _set_powers(fading: np.ndarray, trial: np.ndarray, cluster: np.ndarray) -> np.ndarray:
+    """The (S, n, n) fading powers of S link sets of n links each, in scratch.
+
+    ``fading`` holds a block's (T, B, B) uniforms of stream F; set ``s``
+    belongs to trial ``trial[s]``, and its link ``i`` runs in cluster
+    ``cluster[s, i]``, in cluster order.  Entry ``[s, i, j]``, the power
+    from link ``j``'s transmitter to link ``i``'s receiver, is the Exp(1)
+    power ``-log1p(-u)`` of ``fading[trial[s], cluster[s, i], cluster[s, j]]``.
+    A set of all ``B`` clusters takes its trial's whole row.  ``take``
+    writes straight into scratch; every index is in range, so ``"clip"``
+    never clips, and ``mode="raise"`` would buffer ``out``.
+    """
+    (count, n), b = cluster.shape, fading.shape[1]
+    power = _scratch("gather", (count, n, n))
+    if n == b:
+        np.take(fading, trial, axis=0, out=power, mode="clip")
+    else:
+        row = (trial[:, None] * b + cluster) * b  # flat offset of each receiver's row
+        at = _scratch("gather_index", power.shape, np.intp)
+        np.take(fading, np.add(row[:, :, None], cluster[:, None, :], out=at), out=power, mode="clip")
+    np.log1p(np.negative(power, out=power), out=power)
+    return np.negative(power, out=power)
 
 
 class _Rated(NamedTuple):
-    """Stages 1-4 and pass 2 of a block of ``T`` trials, ``S`` link sets each.
+    """Stages 1-3 and pass 2 of a block of ``T`` trials, ``S`` link sets each.
 
     ``S`` is 4 for ``tdma`` (the colour slots) and 1 otherwise.  A trial
     without a cooperative set, or whose channel stayed unusable, has a
@@ -646,23 +597,46 @@ class _Rated(NamedTuple):
     nc_links: np.ndarray  # (T, S) links of each set
 
 
-def _rate_block(config: SimConfig, rngs) -> _Rated:
-    """Draw, schedule and rate one trial per generator.
+def _rate_block(config: SimConfig, lo: int, hi: int) -> _Rated:
+    """Draw, schedule and rate trials ``lo .. hi - 1``.
 
-    Pass 1 runs stages 1-3 (:func:`_drop_block`, :func:`_pick_links`), then
-    stage 4: each trial draws its cooperative channel's ``2B^2`` normals in
-    one ``standard_normal`` call, then the fading power of every entry of
-    its non-cooperative set, or of the four tdma colour slots in colour
-    order, in one ``standard_exponential`` call.  Pass 2 stacks the link
-    sets of equal size, so each matrix sees the arithmetic it would see
-    alone.
+    Pass 1 runs stages 1-3 (:func:`_drop_block`, :func:`_pick_links`).
+    Pass 2 stacks the link sets of equal size, so each matrix sees the
+    arithmetic it would see alone.  Each stack takes its fading from the
+    block's rows of a stream, one ``random`` call each: the cooperating
+    trials' rows of stream Z, ``2B^2`` uniforms turned into the channel's
+    normals by :func:`_box_muller`, drawn only when some trial cooperates;
+    each non-cooperative set's, or tdma colour slot's, Exp(1) powers
+    gathered from its trial's row of stream F, at the set's (receiver,
+    transmitter) clusters, drawn only when the block has such a link.
     """
     plan, radio = config.plan, config.radio
     b, k = plan.n_clusters, plan.users_per_cluster
-    n = len(rngs)
-    drops = _drop_block(config, rngs)
+    n = hi - lo
+    drops = _drop_block(config, lo, hi)
     split = drops.hit.any(axis=1) & (config.strategy == "coop" and config.eta > 0.0)
     links = _pick_links(drops.request_of, drops.counts, drops.roles, split, drops.choices)
+
+    floor, cells = config.min_pairing_distance_m, np.arange(b) * k
+    has_zf = np.zeros(n, dtype=bool)
+    has_zf[links.coop] = True
+    zf_sum = np.zeros(n)
+    zf_dropped = np.zeros(n, dtype=np.int64)
+    usable = np.ones(n, dtype=bool)
+    if links.coop.size:
+        normals = _stream_rows(config.seed, _CHANNEL, lo, hi, 2 * b * b).reshape(n, 2, b, b)
+        if links.coop.size < n:  # the cooperating trials' rows; "clip" never clips
+            out = _scratch("normals", (links.coop.size, 2, b, b))
+            normals = np.take(normals, links.coop, axis=0, out=out, mode="clip")
+        ends = _block_ends(
+            drops.positions, links.coop[:, None],
+            cells + links.group[:, None], cells + links.coop_rx,
+        )
+        h = _zf_channel(ends, _box_muller(normals), radio, floor)
+        rates, ok = _zf_stack(h, radio.tx_power_w, radio.noise_w)
+        usable[links.coop] = ok
+        zf_sum[links.coop] = rates.sum(axis=1)
+        zf_dropped[links.coop] = np.count_nonzero(rates == 0.0, axis=1)
 
     n_slots = 4 if config.strategy == "tdma" else 1
     if n_slots == 4:
@@ -673,50 +647,18 @@ def _rate_block(config: SimConfig, rngs) -> _Rated:
         slot = links.nc_trial
     order = np.argsort(slot, kind="stable")  # each set's links together, in cluster order
     set_size = np.bincount(slot, minlength=n * n_slots)
-    has_zf = np.zeros(n, dtype=bool)
-    has_zf[links.coop] = True
-    zf_draws = np.where(has_zf, 2 * b * b, 0)
-    zf_end = np.cumsum(zf_draws)
-    zf_start = zf_end - zf_draws
-    set_draws = set_size * set_size
-    set_end = np.cumsum(set_draws)
-    set_start = set_end - set_draws
-    normals = _scratch("normals", (int(zf_end[-1]),))
-    powers = _scratch("powers", (int(set_end[-1]),))
-    power_start = set_start.reshape(n, n_slots)[:, 0]  # a trial's sets lie together
-    power_end = set_end.reshape(n, n_slots)[:, -1]
-    bounds = zip(zf_start.tolist(), zf_end.tolist(), power_start.tolist(), power_end.tolist())
-    for rng, (z0, z1, p0, p1) in zip(rngs, bounds):
-        if z1 > z0:
-            rng.standard_normal(out=normals[z0:z1])
-        if p1 > p0:
-            rng.standard_exponential(out=powers[p0:p1])
-
-    floor, cells = config.min_pairing_distance_m, np.arange(b) * k
-    zf_sum = np.zeros(n)
-    zf_dropped = np.zeros(n, dtype=np.int64)
-    usable = np.ones(n, dtype=bool)
-    if links.coop.size:
-        ends = _block_ends(
-            drops.positions, links.coop[:, None],
-            cells + links.group[:, None], cells + links.coop_rx,
-        )
-        # ``normals`` holds only the cooperating trials' draws, in ``links.coop`` order
-        h = _zf_channel(ends, normals.reshape(-1, 2, b, b), radio, floor)
-        rates, ok = _zf_stack(h, radio.tx_power_w, radio.noise_w)
-        usable[links.coop] = ok
-        zf_sum[links.coop] = rates.sum(axis=1)
-        zf_dropped[links.coop] = np.count_nonzero(rates == 0.0, axis=1)
-
-    tx = (links.nc_cluster * k + links.nc_tx)[order]
-    rx = (links.nc_cluster * k + links.nc_rx)[order]
+    cluster = links.nc_cluster[order]
+    tx, rx = cluster * k + links.nc_tx[order], cluster * k + links.nc_rx[order]
+    if links.nc_trial.size:
+        fading = _stream_rows(config.seed, _FADING, lo, hi, b * b).reshape(n, b, b)
     first_link = np.cumsum(set_size) - set_size  # of each set, in ``order``
     nc_sum = np.zeros(n * n_slots)
     for size in np.unique(set_size[set_size > 0]).tolist():
         sets = np.flatnonzero(set_size == size)
         idx = first_link[sets, None] + np.arange(size)
-        ends = _block_ends(drops.positions, sets[:, None] // n_slots, tx[idx], rx[idx])
-        power = _normals_at(powers, set_start[sets], size * size).reshape(-1, size, size)
+        trial = sets // n_slots
+        ends = _block_ends(drops.positions, trial[:, None], tx[idx], rx[idx])
+        power = _set_powers(fading, trial, cluster[idx])
         nc_sum[sets] = _sinr_rates(ends, power, radio, floor).sum(axis=1)
     return _Rated(
         drops, split, has_zf, zf_sum, zf_dropped, usable,
@@ -729,7 +671,7 @@ def _run_block(config: SimConfig, start: int, out: np.ndarray) -> None:
 
     The rate sums are combined in the order of a single trial.
     """
-    rated = _rate_block(config, _generators(config, start, start + len(out)))
+    rated = _rate_block(config, start, start + len(out))
     usable, split = rated.usable, rated.split
     w, eta = config.radio.bandwidth_hz, config.eta
     if config.strategy == "tdma":
@@ -868,7 +810,7 @@ def snapshot_counts(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     coops = np.empty(n, dtype=np.int16)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        drops = _drop_block(config, _generators(config, lo, hi))
+        drops = _drop_block(config, lo, hi)
         modes[lo:hi] = drops.hit.any(axis=1)
         coops[lo:hi] = np.count_nonzero(drops.roles == ROLE_COOP, axis=1)
     return modes, coops
@@ -890,7 +832,7 @@ def link_rate_gap(config: SimConfig) -> tuple[float, int, float, int]:
     zf_sums, nc_sums = [], []
     zf_n = nc_n = 0
     for lo in range(0, n, _CHUNK):
-        rated = _rate_block(config, _generators(config, lo, min(lo + _CHUNK, n)))
+        rated = _rate_block(config, lo, min(lo + _CHUNK, n))
         kept = rated.usable
         zf_sums += rated.zf_sum[kept].tolist()
         zf_n += int((b - rated.zf_dropped)[rated.has_zf & kept].sum())

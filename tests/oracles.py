@@ -314,18 +314,48 @@ def mean_aggregate_snr_rate(
     return float(np.mean(np.log2(1.0 + snr)))
 
 
+def stream_window(seed: int, stream: int, t: int, width: int) -> np.ndarray:
+    """Trial ``t``'s ``width`` uniforms of campaign stream ``stream``.
+
+    The stream is a fresh ``PCG64`` seeded from child ``stream`` of
+    ``SeedSequence(seed)`` (0: the drop, 1: the fading powers, 2: the
+    zero-forcing channel), advanced past the ``t * width`` doubles of the
+    trials before ``t``.
+    """
+    bits = np.random.PCG64(np.random.SeedSequence(seed).spawn(3)[stream])
+    bits.advance(t * width)
+    return np.random.Generator(bits).random(width)
+
+
+def _trial_streams(config, t: int):
+    """Trial ``t``'s drop uniforms, (B, B) fading powers and (B, B) channel normals.
+
+    The drop window holds the ``M x 2`` positions, ``M`` request uniforms
+    and ``1 + 2B`` scheduling uniforms.  Power ``[i, j]`` is the Exp(1)
+    power ``-log1p(-u)`` from cluster ``j``'s transmitter to cluster
+    ``i``'s receiver; the normals ``x, y`` come from ``B^2`` uniforms ``u``,
+    then ``B^2`` uniforms ``v``, by Box-Muller.
+    """
+    b, m, seed = config.plan.n_clusters, config.plan.n_users, config.seed
+    drop = stream_window(seed, 0, t, 3 * m + 1 + 2 * b)
+    power = -np.log1p(-stream_window(seed, 1, t, b * b)).reshape(b, b)
+    u, v = stream_window(seed, 2, t, 2 * b * b).reshape(2, b, b)
+    r, a = np.sqrt(-2.0 * np.log1p(-u)), 2.0 * np.pi * v
+    return drop, power, r * np.cos(a), r * np.sin(a)
+
+
 def reference_campaign_records(config) -> np.ndarray:
     """Per-trial records of a campaign, recomputed one trial at a time.
 
-    A plain transcription of the documented per-trial stream: trial ``t``
-    draws from ``default_rng([seed, t])`` the positions, then the requests,
-    then ``1 + 2B`` scheduling uniforms (one ``random`` call, whether or not
-    a choice uses them), then the fading of each link set in the order it
-    is rated: a cooperative channel as two standard normal matrices, each
-    non-cooperative set as one matrix of standard exponential powers.
-    Every channel is inverted on its own (``cond`` + ``inv``, with
-    the drop-worst-link fallback), and a ``tdma`` trial rates its four
-    colour slots one after another.  Nothing here calls the simulator.
+    A plain transcription of the documented per-trial windows
+    (:func:`_trial_streams`): trial ``t`` takes its positions, requests
+    and ``1 + 2B`` scheduling uniforms from stream D (whether or not a
+    choice uses them), each non-cooperative set's fading powers from
+    stream F at the set's clusters, and a cooperative channel's normals
+    from stream Z.  Every channel is inverted on its own (``cond`` +
+    ``inv``, with the drop-worst-link fallback), and a ``tdma`` trial
+    rates its four colour slots one after another.  Nothing here calls the
+    simulator.
     """
     from coopd2d.netsim import TRIAL_DTYPE
 
@@ -336,24 +366,24 @@ def reference_campaign_records(config) -> np.ndarray:
 def reference_link_rate_gap(config, edit_channel=None) -> tuple:
     """The link-rate means of ``netsim.link_rate_gap``, one snapshot at a time.
 
-    Snapshot ``t`` of the first ``config.trials`` draws everything from
-    ``default_rng([seed, t])``, as campaign trial ``t`` does: its positions
-    and requests, its scheduling choices, and the fading of its cooperative
-    set, then of its non-cooperative set (``coop`` and ``nocoop``
-    strategies).  A snapshot whose cooperative channel is unusable is left
-    out, as the campaign discards that trial.  A mean is a
-    :func:`math.fsum` of the per-snapshot rate sums over the links that
-    kept a non-zero rate, or 0 over no links.  ``edit_channel(i, h)`` may
-    replace the ``i``-th cooperative channel, counted in snapshot order,
-    before it is rated.  Nothing here calls the simulator.
+    Snapshot ``t`` of the first ``config.trials`` takes the windows of
+    campaign trial ``t``: its positions, requests and scheduling choices,
+    the fading of its cooperative set, and that of its non-cooperative
+    set (``coop`` and ``nocoop`` strategies).  A snapshot whose
+    cooperative channel is unusable is left out, as the campaign discards
+    that trial.  A mean is a :func:`math.fsum` of the per-snapshot rate
+    sums over the links that kept a non-zero rate, or 0 over no links.
+    ``edit_channel(i, h)`` may replace the ``i``-th cooperative channel,
+    counted in snapshot order, before it is rated.  Nothing here calls the
+    simulator.
     """
-    radio, floor = config.radio, config.min_pairing_distance_m
+    radio, floor, k = config.radio, config.min_pairing_distance_m, config.plan.users_per_cluster
     zf_sums, nc_sums, zf_n, nc_n, n_channels = [], [], 0, 0, 0
     for t in range(config.trials):
-        rng = np.random.default_rng([config.seed, t])
-        positions, _, _, coop_links, noncoop_links = _reference_schedule(config, rng)
+        drop, power, x, y = _trial_streams(config, t)
+        positions, _, _, coop_links, noncoop_links = _reference_schedule(config, drop)
         if coop_links:
-            h = _reference_zf_channel(coop_links, positions, radio, rng, floor)
+            h = composite_channel(_reference_gains(coop_links, positions, radio, floor), x, y)
             if edit_channel is not None:
                 h = edit_channel(n_channels, h)
             n_channels += 1
@@ -362,16 +392,16 @@ def reference_link_rate_gap(config, edit_channel=None) -> tuple:
                 continue
             zf_sums.append(float(zf.sum()))
             zf_n += int(np.count_nonzero(zf))
-        nc = _reference_sinr_rates(noncoop_links, positions, radio, rng, floor)
+        nc = _reference_sinr_rates(noncoop_links, positions, radio, power, floor, k)
         nc_sums.append(float(nc.sum()))
         nc_n += len(noncoop_links)
     return math.fsum(zf_sums) / max(zf_n, 1), zf_n, math.fsum(nc_sums) / max(nc_n, 1), nc_n
 
 
-def _reference_schedule(config, rng):
+def _reference_schedule(config, drop):
     """Positions, requests, hit groups and links of one snapshot.
 
-    ``rng`` draws the positions, then the requests, then ``1 + 2B``
+    ``drop`` holds the positions, then the requests, then ``1 + 2B``
     scheduling uniforms: the group's, each cluster's receiver's, and each
     cluster's pool user's.  A uniform ``u`` picks item ``int(u * n)`` of
     ``n`` candidates.  Links are ``(tx, rx)`` pairs of user indices.
@@ -382,12 +412,12 @@ def _reference_schedule(config, rng):
     grid = math.isqrt(b)
     cell = np.repeat(np.arange(b), k)
     origin = np.column_stack((cell % grid, cell // grid)) * side
-    positions = rng.random((m, 2)) * side + origin
+    positions = drop[: 2 * m].reshape(m, 2) * side + origin
     cdf = np.cumsum(config.popularity.group_probs).tolist()
     last = config.popularity.group_count - 1
-    req = [min(bisect_right(cdf, u), last) for u in rng.random(m).tolist()]
+    req = [min(bisect_right(cdf, u), last) for u in drop[2 * m : 3 * m].tolist()]
     rows = [req[c * k : (c + 1) * k] for c in range(b)]
-    u = rng.random(1 + 2 * b).tolist()
+    u = drop[3 * m :].tolist()
     u_group, u_rx, u_pool = u[0], u[1 : b + 1], u[b + 1 :]
 
     hit = {g for g in range(k) if all(g in row for row in rows)}
@@ -419,8 +449,8 @@ def _reference_trial(config, t: int) -> tuple:
     plan, radio = config.plan, config.radio
     b, k = plan.n_clusters, plan.users_per_cluster
     m, grid = b * k, math.isqrt(b)
-    rng = np.random.default_rng([config.seed, t])
-    positions, req, hit, coop_links, noncoop_links = _reference_schedule(config, rng)
+    drop, power, x, y = _trial_streams(config, t)
+    positions, req, hit, coop_links, noncoop_links = _reference_schedule(config, drop)
     n_cellular = sum(r >= k for r in req)
     n_coop = sum(r in hit for r in req)
     mode = 1 if hit else 0
@@ -439,13 +469,14 @@ def _reference_trial(config, t: int) -> tuple:
                 (dt, dr) for dt, dr in noncoop_links
                 if (dt // k) // grid % 2 == row_par and (dt // k) % grid % 2 == col_par
             ]
-            total += w * float(_reference_sinr_rates(slot, positions, radio, rng, floor).sum())
+            nc = _reference_sinr_rates(slot, positions, radio, power, floor, k)
+            total += w * float(nc.sum())
         throughput = total / 4.0
     else:
         band_share = 1.0
         if restrict:
             if coop_links:
-                h = _reference_zf_channel(coop_links, positions, radio, rng, floor)
+                h = composite_channel(_reference_gains(coop_links, positions, radio, floor), x, y)
                 zf = reference_zf_channel_rates(h, radio.tx_power_w, radio.noise_w)
                 if zf is None:
                     return (mode, math.nan, n_coop, m - n_coop - n_cellular,
@@ -453,7 +484,7 @@ def _reference_trial(config, t: int) -> tuple:
                 dropped = int(np.count_nonzero(zf == 0.0))
                 coop_band = eta * w * float(zf.sum())
             band_share = 1.0 - eta
-        nc = _reference_sinr_rates(noncoop_links, positions, radio, rng, floor)
+        nc = _reference_sinr_rates(noncoop_links, positions, radio, power, floor, k)
         throughput = coop_band + band_share * w * float(nc.sum())
     return (mode, throughput, n_coop, m - n_coop - n_cellular, n_cellular,
             coop_band, dropped, degenerate, silent, 0)
@@ -466,22 +497,15 @@ def _reference_gains(links, positions, radio, floor):
     return radio.path_gain(d)
 
 
-def _reference_sinr_rates(links, positions, radio, rng, floor):
-    n = len(links)
-    if n == 0:
+def _reference_sinr_rates(links, positions, radio, power, floor, k):
+    """Rates of the links ``(tx, rx)``, one per cluster; ``power`` is the trial's (B, B) fading."""
+    if not links:
         return np.zeros(0)
     gain = _reference_gains(links, positions, radio, floor)
-    power = rng.standard_exponential((n, n))  # |h|^2 of h ~ CN(0, 1)
-    received = radio.tx_power_w * (gain * power)
+    cluster = [rx // k for _, rx in links]
+    received = radio.tx_power_w * (gain * power[np.ix_(cluster, cluster)])
     signal = np.diag(received).copy()
     return np.log2(1.0 + signal / (received.sum(axis=1) - signal + radio.noise_w))
-
-
-def _reference_zf_channel(links, positions, radio, rng, floor):
-    n = len(links)
-    gain = _reference_gains(links, positions, radio, floor)
-    x = rng.standard_normal((n, n))
-    return composite_channel(gain, x, rng.standard_normal((n, n)))
 
 
 def composite_channel(gain, x, y):

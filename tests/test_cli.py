@@ -581,15 +581,43 @@ def test_validate_exit_code_mapping(monkeypatch):
 
 
 def _config_texts():
-    """The README's YAML block and every config text this module writes."""
+    """The README's YAML block and every literal config text this module writes.
+
+    A test writes a config with ``write_text(text)`` or
+    ``write_bytes(text.encode(codec))``, ``text`` a string literal, a module
+    constant, or a name its ``parametrize`` or a ``for`` loop over literals
+    binds.  Texts formatted at run time and YAML dumps are not literals, and
+    no other string of the module is a config.
+    """
     tree = ast.parse(pathlib.Path(__file__).read_text())
-    texts = {
-        node.value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Constant)
-        and isinstance(node.value, str)
-        and node.value.endswith("\n")
+    constants = {
+        target.id: node.value
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
     }
+    texts = set()
+    for test in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
+        bound = {}  # name: the value nodes bound to it
+        for mark in test.decorator_list:
+            if isinstance(mark, ast.Call) and getattr(mark.func, "attr", None) == "parametrize":
+                names = [name.strip() for name in mark.args[0].value.split(",")]
+                for row in getattr(mark.args[1], "elts", []):  # a literal list of rows
+                    values = getattr(row, "elts", []) if len(names) > 1 else [row]
+                    for name, value in zip(names, values):
+                        bound.setdefault(name, []).append(value)
+        for node in ast.walk(test):
+            if isinstance(node, ast.For) and isinstance(node.iter, (ast.Tuple, ast.List)):
+                bound.setdefault(getattr(node.target, "id", None), []).extend(node.iter.elts)
+        for call in ast.walk(test):
+            method = getattr(call.func, "attr", None) if isinstance(call, ast.Call) else None
+            if method in ("write_text", "write_bytes"):
+                arg = call.args[0]
+                if method == "write_bytes":  # text.encode(codec)
+                    arg = arg.func.value
+                for value in bound.get(arg.id, []) if isinstance(arg, ast.Name) else [arg]:
+                    value = constants.get(getattr(value, "id", None), value)
+                    if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                        texts.add(value.value)
     readme = re.search(r"```yaml\n(.*?)```", README.read_text(), re.S).group(1)
     return [readme] + sorted(texts)
 

@@ -71,8 +71,8 @@ def test_moment_bits_pinned(alpha, r_min):
 
 
 # float.hex of the kernel at offsets (1, 1) and (2, 1), whose rays cross
-# kink lines of both axes; pinned from the kernel that re-sorted every
-# ray's kinks, so working the pieces out once per span keeps the bits.
+# kink lines of both axes; a change to how the kernel finds a ray's pieces
+# must keep them.
 _PINNED_OFFSETS = {
     (3.68, 0.04): ("0x1.3ed209da3c1eep+0", "0x1.133f07df6df24p-4"),
     (2.5, 1.5): ("0x1.da74a0fd791a5p-4", "0x1.19202385e1361p-3"),

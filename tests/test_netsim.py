@@ -14,7 +14,7 @@ from pytest import approx
 
 from coopd2d import checks, netsim
 from coopd2d.catalog import build_popularity
-from coopd2d.clusters import make_plan
+from coopd2d.clusters import coop_probability, make_plan
 from coopd2d.errors import ConfigurationError
 from coopd2d.netsim import (
     ROLE_CELLULAR,
@@ -62,7 +62,7 @@ def links_of_trial(links, t, k):
 
 def drops_of(config, start, stop):
     """Stages 1 and 2 of trials ``start .. stop - 1`` of ``config``."""
-    return netsim._drop_block(config, netsim._generators(config, start, stop))
+    return netsim._drop_block(config, start, stop)
 
 
 def link_ends(*links):
@@ -245,19 +245,19 @@ def test_records_do_not_depend_on_the_block_size(ref_config, monkeypatch, strate
     [0, 2**32 - 1, 2**32, 2**63, 2**64 + 5, 2**100 + 3],
     ids=lambda seed: "%d-trial" % seed,
 )
-def test_block_seeder_matches_default_rng(ref_config, seed):
-    # each entropy integer is one 32-bit word below 2**32 (0 included) and
-    # more above it; the second block crosses t = 2**32.  With the 4 words
-    # of 2**100 + 3 the entropy outgrows the 4-word pool, so the extra words
-    # are mixed in one and then two at a time
-    config = replace(ref_config, seed=seed)
-    for start, stop in ((0, 2), (2**32 - 1, 2**32 + 2)):
-        rngs = netsim._generators(config, start, stop)
-        assert len(rngs) == stop - start
-        for t, rng in zip(range(start, stop), rngs):
-            reference = np.random.default_rng([seed, t])
-            assert rng.bit_generator.state == reference.bit_generator.state
-            assert np.array_equal(rng.random(8), reference.random(8))
+def test_block_rows_match_per_trial_streams(seed):
+    # a block's rows of each stream, at the widths of the reference grid
+    # (D, F and Z at M = 135, B = 9), are the windows of trials drawn
+    # alone; the second block crosses t = 2**32, and seeds of one to four
+    # 32-bit words seed the streams
+    for stream, width in ((netsim._DROPS, 424), (netsim._FADING, 81), (netsim._CHANNEL, 162)):
+        for start, stop in ((0, 2), (2**32 - 1, 2**32 + 2)):
+            rows = netsim._stream_rows(seed, stream, start, stop, width)
+            assert rows.shape == (stop - start, width)
+            for t, row in zip(range(start, stop), rows):
+                assert row.tobytes() == oracles.stream_window(seed, stream, t, width).tobytes()
+    heads = {netsim._stream_rows(seed, stream, 0, 1, 4).tobytes() for stream in range(3)}
+    assert len(heads) == 3  # three different streams
 
 
 def calls_in(path, name):
@@ -271,11 +271,15 @@ def calls_in(path, name):
 
 
 def test_netsim_builds_no_generator_outside_the_block_seeder():
-    # every snapshot sampler of the package runs on the block seeder; only
-    # the self-checks draw their own independent samples
+    # every snapshot sampler of the package draws a block's rows of the
+    # campaign streams in ``_stream_rows``, the one place that seeds a
+    # ``PCG64``; only the self-checks draw their own independent samples
     package = pathlib.Path(netsim.__file__).parent
     callers = {p.name for p in package.glob("*.py") if calls_in(p, "default_rng")}
     assert callers == {"checks.py"}
+    for name in ("PCG64", "SeedSequence", "advance", "random"):
+        assert {p.name: len(calls_in(p, name)) for p in package.glob("*.py")
+                if calls_in(p, name)} == {"netsim.py": 1}, name
 
 
 def test_uniform_choice_stays_below_every_bound():
@@ -294,40 +298,64 @@ def test_netsim_draws_no_bounded_integers():
 
 
 def test_netsim_draws_fading_powers_not_normals():
-    # normals only for the zero-forcing channel; a non-cooperative set's
-    # fading power |h|^2 is drawn from its Exp(1) law, not squared
-    assert len(calls_in(netsim.__file__, "standard_normal")) == 1
-    assert len(calls_in(netsim.__file__, "standard_exponential")) == 1
+    # every draw is a uniform of a campaign stream; normals (Box-Muller)
+    # only for the zero-forcing channel, and a non-cooperative set's
+    # fading power |h|^2 comes from its Exp(1) law, -log1p(-u), not squared
+    for name in ("standard_normal", "standard_exponential", "normal", "exponential"):
+        assert calls_in(netsim.__file__, name) == []
+    assert len(calls_in(netsim.__file__, "_box_muller")) == 1
     tree = ast.parse(pathlib.Path(netsim.__file__).read_text())
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert "_fading_power" not in defined
 
 
-def test_engine_fading_powers_follow_the_law_of_squared_normals(sparse_config):
-    # the powers a nocoop block draws against (x^2 + y^2) / 2 of standard
-    # normals: mean, variance and three tail probabilities within 4 SE
-    config = replace(sparse_config, strategy="nocoop")
-    drawn = []
-    for lo in range(0, 6 * netsim._CHUNK, netsim._CHUNK):
-        rated = netsim._rate_block(config, netsim._generators(config, lo, lo + netsim._CHUNK))
-        count = int((rated.nc_links**2).sum())
-        drawn.append(netsim._scratch("powers", (count,)).copy())  # the block's draws
-    engine = np.concatenate(drawn)
-    x, y = np.random.default_rng(2024).standard_normal((2, engine.size))
-    squared = (x * x + y * y) / 2.0
+def law_stats(a, tails):
+    """Mean, variance and the tail probabilities of ``a``, each with its standard error."""
+    var = a.var()
+    fourth = np.mean((a - a.mean()) ** 4)
+    yield a.mean(), math.sqrt(var / a.size)
+    yield var, math.sqrt((fourth - var * var) / a.size)
+    for t in tails:
+        p = np.mean(a > t)
+        yield p, math.sqrt(p * (1.0 - p) / a.size)
+
+
+def assert_same_law(engine, reference, tails):
     assert engine.size >= 100_000
-
-    def stats(a):
-        var = a.var()
-        fourth = np.mean((a - a.mean()) ** 4)
-        yield a.mean(), math.sqrt(var / a.size)
-        yield var, math.sqrt((fourth - var * var) / a.size)
-        for t in (0.1, 1.0, 3.0):
-            p = np.mean(a > t)
-            yield p, math.sqrt(p * (1.0 - p) / a.size)
-
-    for (a, se_a), (b, se_b) in zip(stats(engine), stats(squared)):
+    for (a, se_a), (b, se_b) in zip(law_stats(engine, tails), law_stats(reference, tails)):
         assert abs(a - b) <= 4.0 * math.hypot(se_a, se_b)
+
+
+def rated_inputs(monkeypatch, config, kernel, arg):
+    """Copies of argument ``arg`` of every ``kernel`` call over six blocks of ``config``."""
+    seen, original = [], getattr(netsim, kernel)
+
+    def spy(*args):
+        seen.append(args[arg].copy())
+        return original(*args)
+
+    monkeypatch.setattr(netsim, kernel, spy)
+    for lo in range(0, 6 * netsim._CHUNK, netsim._CHUNK):
+        netsim._rate_block(config, lo, lo + netsim._CHUNK)
+    return np.concatenate([a.ravel() for a in seen])
+
+
+def test_engine_fading_powers_follow_the_law_of_squared_normals(sparse_config, monkeypatch):
+    # the powers of stream F that a nocoop block rates with, against
+    # (x^2 + y^2) / 2 of standard normals: mean, variance and three tail
+    # probabilities within 4 SE
+    config = replace(sparse_config, strategy="nocoop")
+    engine = rated_inputs(monkeypatch, config, "_sinr_rates", 1)
+    x, y = np.random.default_rng(2024).standard_normal((2, engine.size))
+    assert_same_law(engine, (x * x + y * y) / 2.0, (0.1, 1.0, 3.0))
+
+
+def test_engine_channel_normals_follow_the_normal_law(ref_config, monkeypatch):
+    # the Box-Muller normals of stream Z that coop blocks build their
+    # zero-forcing channels from, against standard normals
+    engine = rated_inputs(monkeypatch, ref_config, "_zf_channel", 1)
+    reference = np.random.default_rng(2025).standard_normal(engine.size)
+    assert_same_law(engine, reference, (-2.0, 0.5, 2.5))
 
 
 @pytest.mark.parametrize("module", [netsim, checks], ids=lambda m: m.__name__)
@@ -404,13 +432,18 @@ def test_categorical_matches_the_clamped_search(beta, groups):
 
 
 @pytest.mark.parametrize("n", [1, 3, 9, 16])
-def test_normals_at_matches_the_index_gather(n):
-    draws = np.random.default_rng(n).standard_normal(4000)
-    for width in (2 * n * n, n * n):  # a zero-forcing channel's normals, a set's powers
-        for offsets in (np.array([0, 7, 7, 4000 - width]), np.array([], dtype=np.int64)):
-            expected = draws[offsets[:, None] + np.arange(width)]
-            got = netsim._normals_at(draws, offsets, width)
-            assert got.shape == expected.shape == (len(offsets), width)
+def test_set_powers_match_the_index_gather(n):
+    # sets of 1 .. n links of a block of 5 trials on a grid of n clusters:
+    # each set's powers are its trial's fading at its (receiver,
+    # transmitter) clusters
+    fading = np.random.default_rng(n).random((5, n, n))
+    fading[0, 0, 0] = 0.0  # the smallest uniform, power 0
+    for size in sorted({1, (n + 1) // 2, n}):
+        for trial in (np.array([0, 3, 3, 4]), np.array([], dtype=np.intp)):
+            clusters = np.sort(np.random.default_rng(size).permutation(n)[:size])
+            expected = -np.log1p(-fading[trial][:, clusters][:, :, clusters])
+            got = netsim._set_powers(fading, trial, np.tile(clusters, (len(trial), 1)))
+            assert got.shape == expected.shape == (len(trial), size, size)
             assert got.tobytes() == expected.tobytes()
 
 
@@ -423,12 +456,13 @@ def rating_inputs(t, n):
 
 def test_rating_kernels_leave_their_inputs_unchanged(ref_radio):
     ends, normals, power = rating_inputs(20, 9)
-    kept = [a.copy() for a in (ends, normals, power)]
-    netsim._normals_at(power.ravel(), np.array([0, 81]), 81)
+    fading = np.random.default_rng(9).random((20, 9, 9))
+    kept = [a.copy() for a in (ends, normals, power, fading)]
+    netsim._set_powers(fading, np.array([0, 19]), np.array([[0, 1], [2, 8]]))
     netsim._path_gains(ends, ref_radio, 1.0)
     netsim._sinr_rates(ends, power, ref_radio, 1.0)
     netsim._zf_channel(ends, normals, ref_radio, 1.0)
-    for before, after in zip(kept, (ends, normals, power)):
+    for before, after in zip(kept, (ends, normals, power, fading)):
         assert before.tobytes() == after.tobytes()
 
 
@@ -476,13 +510,13 @@ def fields_of(rated):
 def test_held_block_results_survive_the_next_block(ref_config, sparse_config, strategy):
     # the next block on the thread reuses the workspace, never a held result
     config = replace(ref_config, strategy=strategy)
-    rated = netsim._rate_block(config, netsim._generators(config, 0, 60))
+    rated = netsim._rate_block(config, 0, 60)
     drops = drops_of(config, 60, 90)
     held = fields_of(rated) + list(drops)
     copies = [a.copy() for a in held]
     # first the same shapes, so the workspace is overwritten in place
     for other in (replace(config, seed=6), replace(sparse_config, strategy=strategy, seed=5)):
-        netsim._rate_block(other, netsim._generators(other, 0, 60))
+        netsim._rate_block(other, 0, 60)
         drops_of(other, 0, 30)
     for before, after in zip(copies, held):
         assert before.dtype == after.dtype and before.shape == after.shape
@@ -526,17 +560,34 @@ def test_warm_block_allocates_no_array_as_large_as_its_draws(sparse_config, stra
     config = replace(sparse_config, strategy=strategy)
     plan, n = config.plan, netsim._CHUNK
     draws_nbytes = 8 * n * (3 * plan.n_users + 1 + 2 * plan.n_clusters)
-    netsim._rate_block(config, netsim._generators(config, 0, n))  # warm the workspace
-    rngs = netsim._generators(config, 0, n)  # the same block: no buffer grows
+    netsim._rate_block(config, 0, n)  # warm the workspace; the same block: no buffer grows
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        rated = netsim._rate_block(config, rngs)
+        rated = netsim._rate_block(config, 0, n)
         kept, peak = (size - start for size in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert kept >= sum(a.nbytes for a in fields_of(rated)) > 0
     assert peak - kept < draws_nbytes
+
+
+def test_a_block_without_links_draws_no_fading(ref_radio, ref_model):
+    # with one user per cluster no trial has a link, so the block draws no
+    # (T, B, B) fading rows: 100 MB for 2 trials at B = 2500
+    tracemalloc = pytest.importorskip("tracemalloc")
+    config = SimConfig(
+        plan=make_plan(1250.0, 2500, 1), radio=ref_radio, popularity=ref_model,
+        strategy="nocoop", trials=2, seed=1,
+    )
+    tracemalloc.start()
+    try:
+        records = run_campaign(config, keep_trials=True).trials
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (records["silent_clusters"] == 2500).all()
+    assert peak < 8 * 2 * 2500**2 // 10
 
 
 def test_snapshot_shapes_and_cell_confinement(ref_config):
@@ -933,6 +984,46 @@ def test_campaign_matches_public_snapshot_counts(ref_config):
     modes, coops = snapshot_counts(ref_config)
     assert modes.tobytes() == records["mode"].tobytes()
     assert coops.tobytes() == records["n_coop"].tobytes()
+
+
+@pytest.mark.parametrize("beta, paper_gap_se", [(0.0, 2.46), (0.4, 4.79)])
+def test_mode1_frequency_matches_the_exact_coop_probability(ref_config, beta, paper_gap_se):
+    # Where the cooperation probability is far from 1, the Mode-1
+    # frequency of 100,000 reference snapshots (stream D at the reference
+    # seed) sits within 3 SE of the exact inclusion-exclusion oracle.  The
+    # paper's independence form lies below it; its measured distance from
+    # the snapshots, in SE, is pinned.
+    model = build_popularity(300, 20, beta)
+    config = replace(ref_config, popularity=model, trials=100_000)
+    modes, _ = snapshot_counts(config)
+    frequency = modes.mean()
+    se = math.sqrt(frequency * (1.0 - frequency) / modes.size)
+    k, b = config.plan.users_per_cluster, config.plan.n_clusters
+    assert abs(frequency - oracles.exact_coop_probability(model, k, b)) <= 3.0 * se
+    assert round((frequency - coop_probability(model, k, b)) / se, 2) == paper_gap_se
+
+
+@pytest.mark.parametrize("base", ["ref_config", "sparse_config"])
+def test_mode0_coop_trials_are_their_nocoop_records(request, base):
+    # The benchmark's mode0-equality check: every strategy reads the same
+    # windows of the campaign streams, so a Mode-0 coop trial, which forms
+    # no cooperative set and splits no band, gives the record of the same
+    # nocoop trial byte for byte, and tdma shares each trial's drop.
+    config = request.getfixturevalue(base)
+    records = {
+        strategy: run_campaign(
+            replace(config, strategy=strategy, eta=config.eta if strategy == "coop" else 0.0),
+            keep_trials=True,
+        ).trials
+        for strategy in ("coop", "nocoop", "tdma")
+    }
+    coop, nocoop, tdma = records["coop"], records["nocoop"], records["tdma"]
+    mode0 = coop["mode"] == 0
+    assert coop[mode0].tobytes() == nocoop[mode0].tobytes()
+    for name in ("mode", "n_coop", "n_cellular"):
+        assert coop[name].tobytes() == nocoop[name].tobytes() == tdma[name].tobytes()
+    # the sparse point is almost all Mode 0, the reference point all Mode 1
+    assert mode0.mean() > 0.99 if base == "sparse_config" else not mode0.any()
 
 
 def test_eta_zero_is_bytewise_the_nocoop_baseline(ref_config):
