@@ -537,16 +537,22 @@ def _block_ends(positions: np.ndarray, trial: np.ndarray, tx, rx) -> np.ndarray:
     return positions[trial[..., None], np.stack((tx, rx), axis=-1)]
 
 
+def _exponentials(uniforms: np.ndarray) -> np.ndarray:
+    """Exp(1) variates ``-log1p(-u)`` in place of uniforms ``u`` in ``[0, 1)``."""
+    np.log1p(np.negative(uniforms, out=uniforms), out=uniforms)
+    return np.negative(uniforms, out=uniforms)
+
+
 def _box_muller(uniforms: np.ndarray) -> np.ndarray:
     """Standard normals ``x = r cos(a)``, ``y = r sin(a)`` in place of (T, 2, n, n) uniforms.
 
     ``[:, 0]`` holds ``u`` and becomes ``x``, ``[:, 1]`` holds ``v`` and
-    becomes ``y``, with ``r = sqrt(-2 log1p(-u))`` and ``a = 2 pi v``.
+    becomes ``y``, with ``r = sqrt(2 E)``, ``E = -log1p(-u)`` ~ Exp(1), and
+    ``a = 2 pi v``.
     """
     radius, angle = uniforms[:, 0], uniforms[:, 1]
     np.multiply(angle, 2.0 * math.pi, out=angle)
-    np.log1p(np.negative(radius, out=radius), out=radius)
-    np.sqrt(np.multiply(radius, -2.0, out=radius), out=radius)
+    np.sqrt(np.multiply(_exponentials(radius), 2.0, out=radius), out=radius)
     cos = np.cos(angle, out=_scratch("cosine", angle.shape))
     np.sin(angle, out=angle)
     angle *= radius
@@ -561,7 +567,8 @@ def _set_powers(fading: np.ndarray, trial: np.ndarray, cluster: np.ndarray) -> n
     belongs to trial ``trial[s]``, and its link ``i`` runs in cluster
     ``cluster[s, i]``, in cluster order.  Entry ``[s, i, j]``, the power
     from link ``j``'s transmitter to link ``i``'s receiver, is the Exp(1)
-    power ``-log1p(-u)`` of ``fading[trial[s], cluster[s, i], cluster[s, j]]``.
+    power (:func:`_exponentials`) of ``fading[trial[s], cluster[s, i],
+    cluster[s, j]]``.
     A set of all ``B`` clusters takes its trial's whole row.  ``take``
     writes straight into scratch; every index is in range, so ``"clip"``
     never clips, and ``mode="raise"`` would buffer ``out``.
@@ -574,8 +581,7 @@ def _set_powers(fading: np.ndarray, trial: np.ndarray, cluster: np.ndarray) -> n
         row = (trial[:, None] * b + cluster) * b  # flat offset of each receiver's row
         at = _scratch("gather_index", power.shape, np.intp)
         np.take(fading, np.add(row[:, :, None], cluster[:, None, :], out=at), out=power, mode="clip")
-    np.log1p(np.negative(power, out=power), out=power)
-    return np.negative(power, out=power)
+    return _exponentials(power)
 
 
 class _Rated(NamedTuple):
