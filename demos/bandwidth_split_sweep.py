@@ -41,7 +41,7 @@ def main(argv=None) -> int:
 
 
 def report(args) -> int:
-    spec = ExperimentSpec(scenario="bandwidth-sweep", beta=args.beta)
+    spec = ExperimentSpec(command="optimize-bandwidth", beta=args.beta)
     base = analytic_point(replace(spec, mu_bps=0.0))
     print(
         "operating point: pc=%.6f, coop %.3f bit/s/Hz vs non-coop %.3f, "

@@ -47,7 +47,7 @@ def main(argv=None) -> int:
 
 
 def report(args) -> int:
-    spec = ExperimentSpec(scenario="simulate", trials=args.snapshots, seed=args.seed)
+    spec = ExperimentSpec(command="simulate", trials=args.snapshots, seed=args.seed)
     pt = analytic_point(spec)
     zf_mean, zf_n, nn_mean, nn_n = link_rate_gap(campaign_config(spec, pt, "coop", 0.5))
 

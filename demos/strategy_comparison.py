@@ -41,9 +41,7 @@ def main(argv=None) -> int:
 
 
 def report(args) -> int:
-    spec = ExperimentSpec(
-        scenario="throughput-compare", trials=args.trials, seed=args.seed
-    )
+    spec = ExperimentSpec(command="compare", trials=args.trials, seed=args.seed)
     for beta in args.betas:
         print("beta = %.2f, %d trials per strategy" % (beta, args.trials))
         rows = compare_strategies(spec, float(beta))

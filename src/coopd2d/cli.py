@@ -1,6 +1,7 @@
 """Command line front end.
 
-Five subcommands map onto the experiment scenarios:
+Five subcommands, each with the flags its row of
+:data:`coopd2d.experiments.COMMANDS` lists:
 
 * ``optimize-cluster``: expected-active-link profile over cluster sizes.
 * ``optimize-bandwidth``: closed-form band split with a grid cross-check.
@@ -29,6 +30,7 @@ import yaml
 from .checks import cmd_validate
 from .errors import ConfigurationError
 from .experiments import (
+    COMMANDS,
     ExperimentSpec,
     cmd_compare,
     cmd_optimize_bandwidth,
@@ -36,51 +38,36 @@ from .experiments import (
     cmd_simulate,
     spec_from_mapping,
 )
+from .netsim import STRATEGIES
 
 __all__ = ["build_parser", "main"]
 
-_SCENARIO_OF = {
-    "optimize-cluster": "cluster-sweep",
-    "optimize-bandwidth": "bandwidth-sweep",
-    "compare": "throughput-compare",
-    "validate": "validate",
-    "simulate": "simulate",
-}
-
-# flags whose spec field has another name
-_FIELD_OF_FLAG = {"mu": "mu_bps", "jobs": "n_jobs"}
-
-# flags beyond --config and --seed, per subcommand: only those its command reads
-_FLAGS_OF = {
-    "optimize-cluster": ("beta", "out"),
-    "optimize-bandwidth": ("beta", "mu", "out"),
-    "compare": ("trials", "beta", "mu", "out", "jobs"),
-    "validate": ("beta",),
-    "simulate": ("trials", "beta", "mu", "out", "jobs", "strategy", "eta"),
-}
-
+# each spec field a flag sets: the flag and its argparse options
 _FLAG_ARGS = {
-    "trials": {"type": int, "help": "trials per simulation campaign"},
-    "beta": {"type": float, "help": "popularity skew exponent"},
-    "mu": {"type": float, "help": "per-user rate floor in bit/s"},
-    "out": {"help": "output CSV path"},
-    "jobs": {"type": int, "help": "worker processes for campaigns"},
-    "strategy": {
-        "choices": ("coop", "nocoop", "tdma"),
-        "help": "transmission strategy (default coop)",
-    },
-    "eta": {
-        "type": float,
-        "help": "fixed cooperative band fraction (default: optimized split)",
-    },
+    "seed": ("--seed", {"type": int, "help": "base RNG seed"}),
+    "trials": ("--trials", {"type": int, "help": "trials per simulation campaign"}),
+    "beta": ("--beta", {"type": float, "help": "popularity skew exponent"}),
+    "mu_bps": ("--mu", {"type": float, "help": "per-user rate floor in bit/s"}),
+    "out": ("--out", {"help": "output CSV path"}),
+    "n_jobs": ("--jobs", {"type": int, "help": "worker processes for campaigns"}),
+    "strategy": (
+        "--strategy", {"choices": STRATEGIES, "help": "transmission strategy (default coop)"}
+    ),
+    "eta": (
+        "--eta",
+        {"type": float, "help": "fixed cooperative band fraction of coop (default: optimized "
+         "split); nocoop and tdma run at 0"},
+    ),
 }
 
-
-def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
-    parser.add_argument("--config", help="YAML file of parameter overrides")
-    parser.add_argument("--seed", type=int, help="base RNG seed")
-    for flag in flags:
-        parser.add_argument("--" + flag, **_FLAG_ARGS[flag])
+# each command's line in the top-level help
+_HELP = {
+    "optimize-cluster": "sweep cluster sizes for expected active links",
+    "optimize-bandwidth": "closed-form bandwidth split with grid cross-check",
+    "compare": "simulate and compare transmission strategies",
+    "validate": "run self-consistency checks",
+    "simulate": "run one campaign and dump per-trial records",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,15 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cached device-to-device hotspot analysis and simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("optimize-cluster", "sweep cluster sizes for expected active links"),
-        ("optimize-bandwidth", "closed-form bandwidth split with grid cross-check"),
-        ("compare", "simulate and compare transmission strategies"),
-        ("validate", "run self-consistency checks"),
-        ("simulate", "run one campaign and dump per-trial records"),
-    ):
-        p = sub.add_parser(name, help=blurb)
-        _add_flags(p, _FLAGS_OF[name])
+    for name, (flags, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=_HELP[name])
+        p.add_argument("--config", help="YAML file of parameter overrides")
+        for field in ("seed", *flags):
+            flag, options = _FLAG_ARGS[field]
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -130,13 +114,13 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
         if not isinstance(loaded, dict):
             raise ConfigurationError("config file must contain a mapping at top level")
         mapping = loaded
-    spec = spec_from_mapping(_SCENARIO_OF[args.command], mapping)
+    spec = spec_from_mapping(args.command, mapping)
 
     overrides = {}
-    for flag in ("seed",) + _FLAGS_OF[args.command]:
-        value = getattr(args, flag)
+    for field in ("seed", *COMMANDS[args.command][0]):
+        value = getattr(args, _FLAG_ARGS[field][0][2:])  # argparse's dest: the flag sans --
         if value is not None:
-            overrides[_FIELD_OF_FLAG.get(flag, flag)] = value
+            overrides[field] = value
     return replace(spec, **overrides) if overrides else spec
 
 

@@ -1,14 +1,14 @@
 """Experiment orchestration: specs, the analytic pipeline, sweeps, CSV emission.
 
-This layer glues the analytic modules to the simulator for the scenarios the
-command line exposes: cluster-size profiles, bandwidth-split sweeps,
-strategy comparisons, and raw campaign dumps.  :func:`analytic_point` is the
-one place the closed-form chain runs and :func:`campaign_config` the one
-place a campaign is configured from it; :mod:`coopd2d.checks` (``validate``)
-reads both instead of recomputing them.  All CSV output is
-byte-deterministic: floats are serialized with ``repr`` (shortest round
-trip), row order is fixed by the sweep definition, and a schema tag line
-precedes the header.
+This layer glues the analytic modules to the simulator for the commands the
+command line exposes (:data:`COMMANDS`): cluster-size profiles,
+bandwidth-split sweeps, strategy comparisons, and raw campaign dumps.
+:func:`analytic_point` is the one place the closed-form chain runs and
+:func:`campaign_config` the one place a campaign is configured from it;
+:mod:`coopd2d.checks` (``validate``) reads both instead of recomputing them.
+All CSV output is byte-deterministic: floats are serialized with ``repr``
+(shortest round trip), row order is fixed by the sweep definition, and a
+schema tag line precedes the header.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .population import expected_coop_users_closed
 from .rates import RadioParams, coop_link_rate, noncoop_link_rate
 
 __all__ = [
+    "COMMANDS",
     "ExperimentSpec",
     "spec_from_mapping",
     "analytic_point",
@@ -51,13 +52,15 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Each scenario and the sweep axes its command reads; any other axis is refused.
-_SWEEP_AXES = {
-    "cluster-sweep": ("beta", "n_users"),
-    "bandwidth-sweep": ("beta", "mu_bps"),
-    "throughput-compare": ("beta",),
-    "validate": (),
-    "simulate": (),
+# Each command line command: the spec fields its flags set beyond --config and
+# --seed, and the axes it may sweep.  A command refuses every other flag and
+# axis, and a strategy or eta that its flags do not set.
+COMMANDS = {
+    "optimize-cluster": (("beta", "out"), ("beta", "n_users")),
+    "optimize-bandwidth": (("beta", "mu_bps", "out"), ("beta", "mu_bps")),
+    "compare": (("trials", "beta", "mu_bps", "out", "n_jobs"), ("beta",)),
+    "validate": (("beta",), ()),
+    "simulate": (("trials", "beta", "mu_bps", "out", "n_jobs", "strategy", "eta"), ()),
 }
 
 
@@ -77,16 +80,15 @@ class ExperimentSpec:
     ``dataclasses.replace``.  The population ``n_users`` is derived
     (``n_clusters * users_per_cluster``), so it is a property, not a field.
 
-    ``sweep_name``/``sweep_values`` select the swept parameter among the
-    axes the scenario's command reads: ``beta`` and ``n_users`` for
-    ``cluster-sweep``, ``beta`` and ``mu_bps`` for ``bandwidth-sweep``,
-    ``beta`` for ``throughput-compare``.  Only ``simulate`` reads
-    ``strategy`` (``None`` means ``"coop"``) and ``eta``.
+    ``command`` names the command line command the spec is for, a key of
+    :data:`COMMANDS`; its row lists the axes ``sweep_name``/``sweep_values``
+    may sweep and whether ``strategy`` (``None`` means ``"coop"``) and
+    ``eta`` may be set.
     Every field and sweep value is type- and range-checked here, so bad
     input surfaces as a :class:`ConfigurationError`.
     """
 
-    scenario: str
+    command: str
     hotspot_side_m: float = 75.0
     n_clusters: int = 9
     users_per_cluster: int = 15
@@ -110,28 +112,26 @@ class ExperimentSpec:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.scenario not in _SWEEP_AXES:
+        if self.command not in COMMANDS:
             raise ConfigurationError(
-                "scenario must be one of %s, got %r"
-                % (tuple(_SWEEP_AXES), self.scenario)
+                "command must be one of %s, got %r" % (tuple(COMMANDS), self.command)
             )
+        flags, axes = COMMANDS[self.command]
         for name in _NUMERIC_FIELDS:
             if name != "eta" or self.eta is not None:
                 check_number(name, getattr(self, name))
         for name in ("strategy", "eta"):
-            if getattr(self, name) is not None and self.scenario != "simulate":
-                raise ConfigurationError(
-                    "only simulate reads %s, not %s" % (name, self.scenario)
-                )
+            if getattr(self, name) is not None and name not in flags:
+                raise ConfigurationError("%s does not read %s" % (self.command, name))
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigurationError("out must be a path, got %r" % (self.out,))
         if (self.sweep_name is None) != (len(self.sweep_values) == 0):
             raise ConfigurationError("a sweep needs a name and non-empty values")
-        axes = _SWEEP_AXES[self.scenario]
         if self.sweep_name is not None and self.sweep_name not in axes:
             raise ConfigurationError(
-                "scenario %s cannot sweep %r; sweepable: %s"
-                % (self.scenario, self.sweep_name, axes)
+                "%s cannot sweep %r; it sweeps %s"
+                % (self.command, self.sweep_name, " or ".join(axes))
+                if axes else "%s takes no sweep" % self.command
             )
         for value in self.sweep_values:
             check_number(self.sweep_name, value)
@@ -149,7 +149,7 @@ class ExperimentSpec:
 
 # The spec fields a config file sets directly; a sweep is the nested ``sweep`` key.
 _SWEEP_FIELDS = ("sweep_name", "sweep_values")
-_CONFIG_KEYS = set(ExperimentSpec.__dataclass_fields__) - {"scenario", *_SWEEP_FIELDS}
+_CONFIG_KEYS = set(ExperimentSpec.__dataclass_fields__) - {"command", *_SWEEP_FIELDS}
 # The numeric fields, checked in the order of their rules.
 _NUMERIC_FIELDS = [name for *_, names in NUMERIC_RULES for name in names if name in _CONFIG_KEYS]
 
@@ -160,12 +160,12 @@ def _as_tuple(values) -> tuple:
     return tuple(values)
 
 
-def spec_from_mapping(scenario: str, mapping: dict) -> ExperimentSpec:
-    """Build a spec from a flat mapping (config file contents).
+def spec_from_mapping(command: str, mapping: dict) -> ExperimentSpec:
+    """Build ``command``'s spec from a flat mapping (config file contents).
 
     A sweep is spelled only as the nested ``sweep: {name, values}``
     mapping; every other key must name an :class:`ExperimentSpec` field
-    other than ``scenario``, ``sweep_name`` and ``sweep_values``.
+    other than ``command``, ``sweep_name`` and ``sweep_values``.
     """
     kwargs = {}
     for key, value in mapping.items():
@@ -184,7 +184,7 @@ def spec_from_mapping(scenario: str, mapping: dict) -> ExperimentSpec:
             )
         else:
             raise ConfigurationError("unknown config key %r" % (key,))
-    return ExperimentSpec(scenario=scenario, **kwargs)
+    return ExperimentSpec(command=command, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -345,14 +345,14 @@ def grid_search_eta(
 
 
 def sim_feasible_cluster_sizes(n_users: int, group_count: int) -> list[tuple[int, int]]:
-    """All ``(K, B)`` with ``K * B = n_users``, ``B`` a perfect square, ``K <= K0``."""
+    """All ``(K, B)`` with ``K * B = n_users``, ``B`` a perfect square, ``K <= K0``.
+
+    In ascending ``B``, found by trying each ``K`` up to ``K0``, not each ``B``.
+    """
     out = []
-    for b in range(1, n_users + 1):
-        g = math.isqrt(b)
-        if g * g != b or n_users % b:
-            continue
-        k = n_users // b
-        if 1 <= k <= group_count:
+    for k in range(min(group_count, n_users), 0, -1):
+        b, rest = divmod(n_users, k)
+        if not rest and math.isqrt(b) ** 2 == b:
             out.append((k, b))
     return out
 
@@ -365,12 +365,7 @@ def _best_sim_cluster_size(model: PopularityModel, n_users: int) -> tuple[int, i
             "no grid-feasible cluster size for n_users=%d with %d groups"
             % (n_users, model.group_count)
         )
-    best = None
-    for k, b in sorted(feasible):
-        objective = expected_active_coop(model, n_users, k)
-        if best is None or objective > best[0]:
-            best = (objective, k, b)
-    return best[1], best[2]
+    return max(feasible, key=lambda kb: (expected_active_coop(model, n_users, kb[0]), -kb[0]))
 
 
 def _fmt(value) -> str:

@@ -93,6 +93,7 @@ from .rates import RadioParams
 __all__ = [
     "SimConfig",
     "SimResult",
+    "STRATEGIES",
     "TRIAL_DTYPE",
     "ROLE_COOP",
     "ROLE_NONCOOP",
@@ -109,7 +110,7 @@ _COND_LIMIT = 1e8
 # range; gains near underflow would overflow it or leave every channel
 # singular.
 _MIN_PATH_GAIN_LOG10 = -150.0
-_STRATEGIES = ("coop", "nocoop", "tdma")
+STRATEGIES = ("coop", "nocoop", "tdma")  # the values of SimConfig.strategy
 _CHUNK = 128  # trials drawn (pass 1) before their link sets are rated (pass 2)
 _BUCKETS = 1024  # of the request draw's table, a power of two so u * _BUCKETS is exact
 
@@ -136,10 +137,10 @@ _MAX_USERS = np.iinfo(TRIAL_DTYPE["n_coop"]).max  # the records count users in i
 class SimConfig:
     """Immutable campaign description.
 
-    ``strategy`` is one of ``"coop"``, ``"nocoop"``, ``"tdma"``; ``eta`` is
-    the cooperative band fraction in ``[0, 1]`` (used by ``coop``, checked
-    for every strategy).  ``min_pairing_distance_m`` floors every link
-    distance, mirroring the near-field truncation of the analytic moments.
+    ``strategy`` is one of :data:`STRATEGIES`; ``eta`` is the cooperative
+    band fraction in ``[0, 1]`` (used by ``coop``, checked for every
+    strategy).  ``min_pairing_distance_m`` floors every link distance,
+    mirroring the near-field truncation of the analytic moments.
     """
 
     plan: ClusterPlan
@@ -158,9 +159,9 @@ class SimConfig:
                 "n_clusters must be a perfect square for the grid layout, got %d"
                 % self.plan.n_clusters
             )
-        if self.strategy not in _STRATEGIES:
+        if self.strategy not in STRATEGIES:
             raise ConfigurationError(
-                "strategy must be one of %s, got %r" % (_STRATEGIES, self.strategy)
+                "strategy must be one of %s, got %r" % (STRATEGIES, self.strategy)
             )
         side = self.plan.hotspot_side_m
         if not math.isfinite(2.0 * side * side):

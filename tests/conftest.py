@@ -9,7 +9,7 @@ from coopd2d import ExperimentSpec, analytic_point
 import oracles
 
 # The reference scenario is ExperimentSpec's field defaults.
-REFERENCE = ExperimentSpec(scenario="simulate")
+REFERENCE = ExperimentSpec(command="simulate")
 
 # Acceptance tests append one "ACCEPTANCE n: PASS/FAIL ..." line each; the
 # terminal-summary hook replays them after the run so the verdicts are visible

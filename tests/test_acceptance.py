@@ -286,7 +286,7 @@ def test_acceptance_5_strategy_throughput_ratios():
     quarter below it.
     """
     checks = []
-    spec = ExperimentSpec(scenario="simulate")
+    spec = ExperimentSpec(command="simulate")
     pt1 = analytic_point(spec)
     pt0 = analytic_point(replace(spec, beta=0.0))
     assert pt1.solution.feasible and pt0.solution.feasible
@@ -361,7 +361,7 @@ def test_acceptance_6_byte_determinism(tmp_path):
     checks = []
 
     outs = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
-    spec = ExperimentSpec(scenario="simulate", trials=400, out=str(outs[0]))
+    spec = ExperimentSpec(command="simulate", trials=400, out=str(outs[0]))
     cmd_simulate(spec)
     cmd_simulate(replace(spec, out=str(outs[1]), n_jobs=2))
     cmd_simulate(replace(spec, out=str(outs[2])))
@@ -377,7 +377,7 @@ def test_acceptance_6_byte_determinism(tmp_path):
 
     sweep_out = tmp_path / "sweep.csv"
     sweep = ExperimentSpec(
-        scenario="bandwidth-sweep",
+        command="optimize-bandwidth",
         sweep_name="mu_bps",
         sweep_values=(0.0, 1e6, 2e6),
         out=str(sweep_out),

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import os
 import pathlib
@@ -20,8 +21,8 @@ import coopd2d.checks as checks
 import coopd2d.cli as cli
 import coopd2d.experiments as experiments
 from coopd2d.cli import build_parser, main
-from coopd2d.errors import NUMERIC_RULES
-from coopd2d.experiments import ExperimentSpec, spec_from_mapping
+from coopd2d.errors import NUMERIC_RULES, ConfigurationError
+from coopd2d.experiments import COMMANDS, ExperimentSpec, spec_from_mapping
 
 import oracles
 
@@ -73,7 +74,7 @@ def test_flag_the_command_never_reads_exits_2(capsys, command, flag):
     assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", sorted(cli._SCENARIO_OF))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_every_command_takes_seed(command):
     assert build_parser().parse_args([command, "--seed", "7"]).seed == 7
 
@@ -370,9 +371,76 @@ def test_sweep_axis_the_command_never_reads_exits_2(tmp_path, capsys, command, a
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("compare", "eta: 0.3\n", "compare does not read eta"),
+        ("optimize-bandwidth", "sweep: {name: n_users, values: [45]}\n",
+         "optimize-bandwidth cannot sweep 'n_users'; it sweeps beta or mu_bps"),
+        ("simulate", "sweep: {name: beta, values: [0.5]}\n", "simulate takes no sweep"),
+    ],
+    ids=["compare-eta", "optimize-bandwidth-n_users", "simulate-beta"],
+)
+def test_a_refusal_names_the_command_typed(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(config)
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def _readme_command_table():
+    """``{command: (flags, axes)}`` from the README's command table.
+
+    ``flags`` maps each flag to the values its metavar stands for, and
+    ``axes`` lists the sweep axes.
+    """
+    lines = README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| command |")) + 2
+    values = {"N": ["3"], "F": ["0.5"], "PATH": ["x.csv"]}
+    table = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        command, flags, axes = (cell.strip() for cell in line.strip("|").split("|"))
+        table[command.strip("`")] = (
+            {
+                flag: values.get(metavar) or metavar.strip("{}").split(",")
+                for flag, metavar in re.findall(r"`(--[a-z]+) ([^`]+)`", flags)
+            },
+            re.findall(r"`(\w+)`", axes),
+        )
+    return table
+
+
+def test_readme_command_table_lists_every_command():
+    assert sorted(_readme_command_table()) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_readme_command_table_matches_the_program(command):
+    table = _readme_command_table()
+    flags, axes = table[command]
+    for flag, values in flags.items():
+        for value in values:
+            build_parser().parse_args([command, flag, value])
+    others = {f: v for fs, _ in table.values() for f, v in fs.items()}
+    for flag in sorted(set(others) - set(flags)):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, flag, others[flag][0]])
+        assert exc.value.code == 2
+    reference = ExperimentSpec(command="simulate")
+    fields = set(ExperimentSpec.__dataclass_fields__) - {"command", "sweep_name", "sweep_values"}
+    for axis in sorted(fields | {"n_users"}):
+        value = getattr(reference, axis)
+        sweep = {"sweep_name": axis, "sweep_values": (1 if value is None else value,)}
+        if axis in axes:
+            ExperimentSpec(command=command, **sweep)
+        else:
+            with pytest.raises(ConfigurationError, match="^%s (cannot|takes no) sweep" % command):
+                ExperimentSpec(command=command, **sweep)
+
+
 def test_readme_config_example_is_valid():
     block = re.search(r"```yaml\n(.*?)```", README.read_text(), re.S).group(1)
-    spec = spec_from_mapping("bandwidth-sweep", yaml.safe_load(block))
+    spec = spec_from_mapping("optimize-bandwidth", yaml.safe_load(block))
     assert spec.sweep_name == "mu_bps"
     assert all(isinstance(v, float) for v in spec.sweep_values)
 
@@ -569,7 +637,7 @@ def test_validate_exit_code_mapping(monkeypatch):
     seen = []
 
     def fake_validate(spec):
-        seen.append(spec.scenario)
+        seen.append(spec.command)
         return fake_validate.verdict
 
     fake_validate.verdict = True

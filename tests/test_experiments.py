@@ -13,6 +13,7 @@ from coopd2d import experiments
 from coopd2d.checks import _snapshot_checks, cmd_validate
 from coopd2d.errors import ConfigurationError
 from coopd2d.experiments import (
+    COMMANDS,
     ExperimentSpec,
     analytic_point,
     campaign_config,
@@ -40,7 +41,7 @@ def read_csv(path):
 
 
 def test_spec_defaults_describe_the_reference_scenario():
-    spec = ExperimentSpec(scenario="simulate")
+    spec = ExperimentSpec(command="simulate")
     assert spec.n_users == 135
     assert spec.n_clusters * spec.users_per_cluster == 135
     assert spec.beta == 1.0
@@ -49,11 +50,11 @@ def test_spec_defaults_describe_the_reference_scenario():
 
 def test_spec_validation():
     with pytest.raises(ConfigurationError):
-        ExperimentSpec(scenario="teleport")
+        ExperimentSpec(command="teleport")
     with pytest.raises(ConfigurationError):
-        ExperimentSpec(scenario="simulate", sweep_name="bogus", sweep_values=(1,))
+        ExperimentSpec(command="simulate", sweep_name="bogus", sweep_values=(1,))
     with pytest.raises(ConfigurationError):
-        ExperimentSpec(scenario="simulate", sweep_name="beta")  # empty values
+        ExperimentSpec(command="simulate", sweep_name="beta")  # empty values
     with pytest.raises(ConfigurationError, match="unknown config key 'n_users'"):
         spec_from_mapping("simulate", {"n_users": 135})  # derived, not a field
 
@@ -76,7 +77,7 @@ def test_spec_validation():
 )
 def test_spec_rejects_bad_values(overrides):
     with pytest.raises(ConfigurationError):
-        ExperimentSpec(scenario="simulate", **overrides)
+        ExperimentSpec(command="simulate", **overrides)
 
 
 @pytest.mark.parametrize(
@@ -89,47 +90,47 @@ def test_spec_rejects_bad_values(overrides):
 )
 def test_spec_value_errors_state_the_rule_once(field, value, message):
     with pytest.raises(ConfigurationError) as caught:
-        ExperimentSpec(scenario="simulate", **{field: value})
+        ExperimentSpec(command="simulate", **{field: value})
     assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(
-    "scenario, axis",
+    "command, axis",
     [
-        ("cluster-sweep", "mu_bps"),
-        ("cluster-sweep", "alpha"),
-        ("bandwidth-sweep", "n_users"),
-        ("bandwidth-sweep", "eta"),
-        ("throughput-compare", "trials"),
+        ("optimize-cluster", "mu_bps"),
+        ("optimize-cluster", "alpha"),
+        ("optimize-bandwidth", "n_users"),
+        ("optimize-bandwidth", "eta"),
+        ("compare", "trials"),
         ("simulate", "beta"),
         ("validate", "beta"),
     ],
 )
-def test_spec_refuses_sweep_axes_the_command_ignores(scenario, axis):
+def test_spec_refuses_sweep_axes_the_command_ignores(command, axis):
     with pytest.raises(ConfigurationError):
-        ExperimentSpec(scenario=scenario, sweep_name=axis, sweep_values=(1,))
+        ExperimentSpec(command=command, sweep_name=axis, sweep_values=(1,))
 
 
 @pytest.mark.parametrize(
-    "scenario", ["cluster-sweep", "bandwidth-sweep", "throughput-compare", "validate"]
+    "command", ["optimize-cluster", "optimize-bandwidth", "compare", "validate"]
 )
-def test_spec_refuses_eta_outside_simulate(scenario):
+def test_spec_refuses_eta_outside_simulate(command):
     with pytest.raises(ConfigurationError, match="eta"):
-        spec_from_mapping(scenario, {"eta": 0.3})
+        spec_from_mapping(command, {"eta": 0.3})
     assert spec_from_mapping("simulate", {"eta": 0.3}).eta == 0.3
 
 
 def test_spec_checks_sweep_values():
-    def spec(scenario, **sweep):
-        return ExperimentSpec(scenario=scenario, **sweep)
+    def spec(command, **sweep):
+        return ExperimentSpec(command=command, **sweep)
 
-    spec("cluster-sweep", sweep_name="n_users", sweep_values=(45, 135))
+    spec("optimize-cluster", sweep_name="n_users", sweep_values=(45, 135))
     with pytest.raises(ConfigurationError):
-        spec("cluster-sweep", sweep_name="n_users", sweep_values=(4.5,))
+        spec("optimize-cluster", sweep_name="n_users", sweep_values=(4.5,))
     with pytest.raises(ConfigurationError):
-        spec("bandwidth-sweep", sweep_name="mu_bps", sweep_values=("1.0e6",))
+        spec("optimize-bandwidth", sweep_name="mu_bps", sweep_values=("1.0e6",))
     with pytest.raises(ConfigurationError):
-        spec("bandwidth-sweep", sweep_values=(1e6,))  # values without an axis
+        spec("optimize-bandwidth", sweep_values=(1e6,))  # values without an axis
 
 
 _SCALARS = st.one_of(
@@ -150,18 +151,17 @@ _VALUES = st.one_of(
 )
 
 
-_SCENARIOS = ["cluster-sweep", "bandwidth-sweep", "throughput-compare", "validate", "simulate"]
 _KEYS = sorted(ExperimentSpec.__dataclass_fields__) + ["sweep", "bogus"]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    scenario=st.sampled_from(_SCENARIOS),
+    command=st.sampled_from(list(COMMANDS)),
     mapping=st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=5),
 )
-def test_spec_from_mapping_returns_a_spec_or_configuration_error(scenario, mapping):
+def test_spec_from_mapping_returns_a_spec_or_configuration_error(command, mapping):
     try:
-        spec = spec_from_mapping(scenario, mapping)
+        spec = spec_from_mapping(command, mapping)
     except ConfigurationError:
         return
     assert isinstance(spec, ExperimentSpec)
@@ -169,7 +169,7 @@ def test_spec_from_mapping_returns_a_spec_or_configuration_error(scenario, mappi
 
 def test_spec_from_mapping():
     spec = spec_from_mapping(
-        "bandwidth-sweep",
+        "optimize-bandwidth",
         {"beta": 0.8, "sweep": {"name": "mu_bps", "values": [1e6, 2e6]}},
     )
     assert spec.beta == 0.8
@@ -182,7 +182,7 @@ def test_spec_from_mapping():
 
 
 def test_analytic_point_reference_frozen():
-    pt = analytic_point(ExperimentSpec(scenario="bandwidth-sweep"))
+    pt = analytic_point(ExperimentSpec(command="optimize-bandwidth"))
     assert pt.pc == approx(0.9999787380676235, rel=1e-12)
     assert pt.rate_coop == approx(15.288348744652652, rel=1e-12)
     assert pt.rate_noncoop == approx(2.4065033112793515, rel=1e-12)
@@ -198,7 +198,7 @@ def test_analytic_point_reference_frozen():
 def test_analytic_point_population_matches_enumeration():
     # 3 cached groups, 4 clusters of 2 users: small enough to enumerate
     spec = ExperimentSpec(
-        scenario="bandwidth-sweep",
+        command="optimize-bandwidth",
         n_files=60,
         cache_size=20,
         n_clusters=4,
@@ -212,7 +212,7 @@ def test_analytic_point_population_matches_enumeration():
 
 
 def test_analytic_point_reuses_the_path_gain_moments():
-    spec = ExperimentSpec(scenario="bandwidth-sweep")
+    spec = ExperimentSpec(command="optimize-bandwidth")
     path_gain_moments.cache_clear()
     a = analytic_point(replace(spec, beta=0.6, mu_bps=1e6))
     misses = path_gain_moments.cache_info().misses
@@ -318,6 +318,19 @@ def test_sim_feasible_cluster_sizes():
     assert sim_feasible_cluster_sizes(7, 15) == [(7, 1)]
 
 
+def test_sim_feasible_cluster_sizes_tries_each_k_not_each_b(monkeypatch):
+    # 15e12 users: a search over B would take hours, one over K <= 15 is instant
+    calls = []
+
+    def isqrt(n, _isqrt=math.isqrt):
+        calls.append(n)
+        assert len(calls) <= 15, "more square roots than cluster sizes"
+        return _isqrt(n)
+
+    monkeypatch.setattr(math, "isqrt", isqrt)
+    assert sim_feasible_cluster_sizes(15 * 10**12, 15) == [(15, 10**12)]
+
+
 def test_write_csv_deterministic_bytes(tmp_path):
     path = tmp_path / "table.csv"
     rows = [
@@ -335,24 +348,24 @@ def test_write_csv_deterministic_bytes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, scenario, schema, header",
+    "run, command, schema, header",
     [
         (
             cmd_optimize_cluster,
-            "cluster-sweep",
+            "optimize-cluster",
             "cluster_profile.v2",
             "beta,n_users,users_per_cluster,objective_links,k_star",
         ),
         (
             cmd_optimize_bandwidth,
-            "bandwidth-sweep",
+            "optimize-bandwidth",
             "bandwidth_split.v4",
             "beta,mu_bps,pc,rate_coop,rate_noncoop,nc_bar,nn_bar,eta_star,"
             "eta_star_grid,feasible,binding,throughput_bps,mu_max_bps",
         ),
         (
             cmd_compare,
-            "throughput-compare",
+            "compare",
             "strategy_compare.v6",
             "strategy,beta,users_per_cluster,n_clusters,eta,trials,"
             "throughput_mean_bps,throughput_ci95_bps,mode1_frequency,mean_coop,"
@@ -370,10 +383,10 @@ def test_write_csv_deterministic_bytes(tmp_path):
     ],
     ids=["cluster_profile", "bandwidth_split", "strategy_compare", "campaign_trials"],
 )
-def test_csv_schema_and_header_lines(tmp_path, monkeypatch, command, scenario, schema, header):
+def test_csv_schema_and_header_lines(tmp_path, monkeypatch, run, command, schema, header):
     # without --out each command writes <schema name>.csv in the working directory
     monkeypatch.chdir(tmp_path)
-    path = command(ExperimentSpec(scenario=scenario, trials=2))
+    path = run(ExperimentSpec(command=command, trials=2))
     assert path == schema.split(".")[0] + ".csv"
     lines = (tmp_path / path).read_text().splitlines()
     assert lines[:2] == ["# schema=coopd2d." + schema, header]
@@ -382,7 +395,7 @@ def test_csv_schema_and_header_lines(tmp_path, monkeypatch, command, scenario, s
 def test_cmd_optimize_cluster_sweep(tmp_path):
     out = tmp_path / "profile.csv"
     spec = ExperimentSpec(
-        scenario="cluster-sweep",
+        command="optimize-cluster",
         sweep_name="beta",
         sweep_values=(0.6, 1.0),
         out=str(out),
@@ -402,7 +415,7 @@ def test_cmd_optimize_cluster_sweep(tmp_path):
 def test_cmd_optimize_cluster_single_point(tmp_path):
     out = tmp_path / "single.csv"
     spec = ExperimentSpec(
-        scenario="cluster-sweep",
+        command="optimize-cluster",
         sweep_name="n_users",
         sweep_values=(15,),
         out=str(out),
@@ -416,7 +429,7 @@ def test_cmd_optimize_cluster_single_point(tmp_path):
 def test_cmd_optimize_bandwidth_mu_sweep(tmp_path):
     out = tmp_path / "split.csv"
     spec = ExperimentSpec(
-        scenario="bandwidth-sweep",
+        command="optimize-bandwidth",
         sweep_name="mu_bps",
         sweep_values=(0.0, 1e6, 2e6, 4e6),
         out=str(out),
@@ -437,7 +450,7 @@ def test_cmd_optimize_bandwidth_mu_sweep(tmp_path):
 def test_cmd_optimize_bandwidth_beta_sweep(tmp_path):
     out = tmp_path / "split_beta.csv"
     spec = ExperimentSpec(
-        scenario="bandwidth-sweep",
+        command="optimize-bandwidth",
         sweep_name="beta",
         sweep_values=(0.0, 0.4, 0.8, 1.2),
         out=str(out),
@@ -455,7 +468,7 @@ def test_cmd_optimize_bandwidth_beta_sweep(tmp_path):
 
 def test_cmd_optimize_bandwidth_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "rerun.csv"
-    spec = ExperimentSpec(scenario="bandwidth-sweep", out=str(out))
+    spec = ExperimentSpec(command="optimize-bandwidth", out=str(out))
     cmd_optimize_bandwidth(spec)
     first = out.read_bytes()
     cmd_optimize_bandwidth(spec)
@@ -474,7 +487,7 @@ def test_cmd_optimize_bandwidth_runs_the_chain_once_per_beta(tmp_path, monkeypat
         experiments, "analytic_point", lambda spec: calls.append(spec.beta) or point(spec)
     )
     spec = ExperimentSpec(
-        scenario="bandwidth-sweep",
+        command="optimize-bandwidth",
         sweep_name="mu_bps",
         sweep_values=_SPLIT_MUS,
         out=str(tmp_path / "split.csv"),
@@ -486,7 +499,7 @@ def test_cmd_optimize_bandwidth_runs_the_chain_once_per_beta(tmp_path, monkeypat
 
 
 def test_cmd_optimize_bandwidth_rows_match_the_point_at_each_floor(tmp_path):
-    spec = ExperimentSpec(scenario="bandwidth-sweep", sweep_name="mu_bps", sweep_values=_SPLIT_MUS)
+    spec = ExperimentSpec(command="optimize-bandwidth", sweep_name="mu_bps", sweep_values=_SPLIT_MUS)
     feasible = set()
     for beta in _SPLIT_BETAS:
         out = tmp_path / ("split_%r.csv" % beta)
@@ -513,7 +526,7 @@ def test_cmd_optimize_bandwidth_rows_match_the_point_at_each_floor(tmp_path):
 
 def test_cmd_simulate_emits_per_trial_rows(tmp_path):
     out = tmp_path / "trials.csv"
-    spec = ExperimentSpec(scenario="simulate", trials=40, out=str(out))
+    spec = ExperimentSpec(command="simulate", trials=40, out=str(out))
     cmd_simulate(spec)
     schema, header, rows = read_csv(out)
     assert schema == "# schema=coopd2d.campaign_trials.v6"
@@ -532,7 +545,7 @@ def test_cmd_simulate_emits_per_trial_rows(tmp_path):
 def test_cmd_simulate_fixed_eta_and_strategy(tmp_path):
     out = tmp_path / "nocoop.csv"
     spec = ExperimentSpec(
-        scenario="simulate",
+        command="simulate",
         strategy="nocoop",
         trials=10,
         out=str(out),
@@ -545,7 +558,7 @@ def test_cmd_simulate_fixed_eta_and_strategy(tmp_path):
 def test_cmd_compare_smoke(tmp_path):
     out = tmp_path / "compare.csv"
     spec = ExperimentSpec(
-        scenario="throughput-compare",
+        command="compare",
         trials=10,
         out=str(out),
     )
@@ -564,7 +577,7 @@ def test_cmd_compare_smoke(tmp_path):
 
 def test_compare_runs_every_strategy_at_each_beta(tmp_path):
     spec = ExperimentSpec(
-        scenario="throughput-compare",
+        command="compare",
         trials=4,
         sweep_name="beta",
         sweep_values=(0.0, 1.0),
@@ -580,7 +593,7 @@ def test_compare_runs_every_strategy_at_each_beta(tmp_path):
 
 def test_cmd_validate_default_passes():
     lines = []
-    spec = ExperimentSpec(scenario="validate")
+    spec = ExperimentSpec(command="validate")
     assert cmd_validate(spec, report=lines.append) is True
     assert lines[-1] == "validation passed (12 gated checks)"
     assert sum(line.startswith("PASS ") for line in lines) == 12
@@ -594,14 +607,14 @@ def test_cmd_validate_default_passes():
 
 
 def test_validate_snapshot_gates_ignore_the_seed():
-    spec = ExperimentSpec(scenario="validate")
+    spec = ExperimentSpec(command="validate")
     records = _snapshot_checks(spec, 300)
     assert [name for name, _, _ in records] == ["mode-frequency", "coop-count"]
     assert _snapshot_checks(replace(spec, seed=7), 300) == records
 
 
 def test_link_rate_gap_is_reproducible():
-    spec = ExperimentSpec(scenario="simulate", trials=20, seed=3)
+    spec = ExperimentSpec(command="simulate", trials=20, seed=3)
     config = campaign_config(spec, analytic_point(spec), "coop", 0.5)
     gap = link_rate_gap(config)
     assert link_rate_gap(config) == gap

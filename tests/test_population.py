@@ -30,7 +30,7 @@ import oracles
 
 def sim_config(model, **changes):
     """A 4-cluster, 2-user campaign on ``model`` with ``changes`` applied."""
-    radio = analytic_point(ExperimentSpec(scenario="simulate")).radio
+    radio = analytic_point(ExperimentSpec(command="simulate")).radio
     fields = dict(
         plan=make_plan(75.0, 4, 2), radio=radio, popularity=model,
         strategy="coop", trials=10, seed=1, eta=0.5,
