@@ -60,13 +60,16 @@ _FLAG_ARGS = {
     ),
 }
 
-# each command's line in the top-level help
-_HELP = {
-    "optimize-cluster": "sweep cluster sizes for expected active links",
-    "optimize-bandwidth": "closed-form bandwidth split with grid cross-check",
-    "compare": "simulate and compare transmission strategies",
-    "validate": "run self-consistency checks",
-    "simulate": "run one campaign and dump per-trial records",
+# each command of experiments.COMMANDS: its line in the top-level help and the
+# function that runs it
+_RUNNERS = {
+    "optimize-cluster": ("sweep cluster sizes for expected active links", cmd_optimize_cluster),
+    "optimize-bandwidth": (
+        "closed-form bandwidth split with grid cross-check", cmd_optimize_bandwidth
+    ),
+    "compare": ("simulate and compare transmission strategies", cmd_compare),
+    "validate": ("run self-consistency checks", cmd_validate),
+    "simulate": ("run one campaign and dump per-trial records", cmd_simulate),
 }
 
 
@@ -78,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (flags, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=_HELP[name])
+        p = sub.add_parser(name, help=_RUNNERS[name][0])
         p.add_argument("--config", help="YAML file of parameter overrides")
         for field in ("seed", *flags):
             flag, options = _FLAG_ARGS[field]
@@ -129,16 +132,10 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:
         spec = _load_spec(args)
+        result = _RUNNERS[args.command][1](spec)
         if args.command == "validate":
-            return 0 if cmd_validate(spec) else 1
-        runner = {
-            "optimize-cluster": cmd_optimize_cluster,
-            "optimize-bandwidth": cmd_optimize_bandwidth,
-            "compare": cmd_compare,
-            "simulate": cmd_simulate,
-        }[args.command]
-        path = runner(spec)
-        print("wrote %s" % path)
+            return 0 if result else 1
+        print("wrote %s" % result)
     except (ConfigurationError, OSError, yaml.YAMLError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

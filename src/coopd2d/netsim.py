@@ -20,10 +20,11 @@ color active every 4th slot on the full band).
 Engine: a campaign runs in blocks of ``_CHUNK`` trials, in two passes.
 Pass 1 runs three stages over the whole block:
 
-1. the positions, the request uniforms and the scheduling uniforms, the
-   block's rows of stream D in one ``random`` call (:func:`_drop_block`);
+1. the block's rows of stream D in one ``random`` call (:func:`_drop_rows`):
+   each trial's unit-cell position uniforms, request uniforms and
+   scheduling uniforms;
 2. the requested groups by a bucket table (:func:`_categorical`), then the
-   request counts, hit groups, modes and roles;
+   request counts, hit groups, modes and roles (:func:`_drop_block`);
 3. the links the scheduling uniforms pick (:func:`_pick_links`), the
    cooperative groups only for the trials that cooperate.
 
@@ -32,27 +33,41 @@ channels and equal-size non-cooperative link sets are gathered from the
 block arrays, stacked, and each stack is inverted or summed in one call.
 Stacks are never padded, so each matrix sees the arithmetic it would see
 alone, and an ill-conditioned or singular channel takes the
-drop-worst-link fallback on its own.  Link distances are
-``sqrt(dx * dx + dy * dy)``, the floats of ``np.linalg.norm`` without its
-copies (:func:`_path_gains`), and the rating kernels work in place, in the
-order of their formulas, so they hold few stack-sized arrays.  A campaign
-turns the rating step's output into trial records (:func:`_run_block`).
+drop-worst-link fallback on its own.  No block forms every user's
+position: the link ends' unit-cell uniforms ``u`` are gathered from the
+block's D rows and scaled to ``u * d + corner`` (:func:`_block_ends`).
+Link distances are ``sqrt(dx * dx + dy * dy)``, the floats of
+``np.linalg.norm`` without its copies (:func:`_path_gains`), and the rating
+kernels work in place, in the order of their formulas, so they hold few
+stack-sized arrays.  A campaign turns the rating step's output into trial
+records (:func:`_run_block`).
 The same engine serves the two snapshot measurements, which read the
 first ``trials`` snapshots of a config: :func:`snapshot_counts` runs
 stages 1 and 2 only, and :func:`link_rate_gap` runs the rating step.
 
-Working arrays: a block's rows of the three streams, the channel normals,
-and the gathered fading power stacks and path gains of pass 2 live in a
-per-thread workspace (:func:`_scratch`), one grow-only buffer per name, so
-each block reuses the memory of the blocks before it, across campaigns and
-snapshot measurements.  What a stage hands on (the fields of
+Working arrays: a block's rows of the three streams, stage 2's bucket
+keys, cell indices and role table, the channel normals, and the gathered
+fading power stacks and path gains of pass 2 live in a per-thread
+workspace (:func:`_scratch`), one grow-only buffer per name, so each block
+reuses the memory of the blocks before it, across campaigns and snapshot
+measurements.  The drops are fresh; the D rows are held within the block,
+and read only at link ends.  What a stage hands on (the fields of
 :class:`_Drops` and :class:`_Rated`, the records) is always a fresh array.
-Threads have their own buffers; worker processes their own module state.
+Threads have their own buffers and generator; worker processes their own
+module state.  What every block of a shape shares is worked out once and
+kept: the request bucket table of a catalog (:func:`_bucket_table`), the
+(trial, cluster) offsets of a block shape (:func:`_cell_keys`), and the
+seeded state of a (seed, stream) (:func:`_seeded_state`).  After campaigns
+of all three strategies a thread keeps 1.59 MB of buffers at 128-trial
+blocks of the reference grid (135 users, B = 9), 1.24 MB at 100-trial
+blocks of it and 1.58 MB at 100-trial blocks of the sparse benchmark grid
+(160 users, B = 16); late in a benchmark run a block takes about one
+minor page fault on either grid, as the README records.
 
 Reproducibility contract: a campaign draws from three streams, each a
 ``PCG64`` seeded from child ``0``, ``1`` or ``2`` of
 ``SeedSequence(seed)``: D, the drop (``3M + 1 + 2B`` uniforms a trial: the
-positions, the requests, the scheduling uniforms); F, the fading powers
+unit-cell positions, the requests, the scheduling uniforms); F, the fading powers
 (``B^2`` a trial, the Exp(1) power ``-log1p(-u)`` from each transmitter
 cluster to each receiver cluster); and Z, the zero-forcing channel
 (``2B^2`` a trial, normals by Box-Muller, :func:`_box_muller`).  Trial
@@ -197,6 +212,7 @@ class SimConfig:
 
 
 _workspace = threading.local()  # the block stages' working arrays, see :func:`_scratch`
+_generators = threading.local()  # each thread's stream generator, see :func:`_stream_rows`
 
 
 def _scratch(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
@@ -218,23 +234,32 @@ def _scratch(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _layout(n_clusters: int, users_per_cluster: int, cluster_side_m: float):
-    """Read-only per-user cluster and cell corner of a grid."""
-    b, k = n_clusters, users_per_cluster
-    grid = math.isqrt(b)
-    cluster_of = np.repeat(np.arange(b), k)
-    origins = np.column_stack((np.arange(b) % grid, np.arange(b) // grid)) * cluster_side_m
-    corner = origins[cluster_of]
-    for array in (cluster_of, corner):
-        array.flags.writeable = False
-    return cluster_of, corner
+def _corners(n_clusters: int, users_per_cluster: int, cluster_side_m: float) -> np.ndarray:
+    """Read-only (M, 2) cell corner of every user of a grid."""
+    grid = math.isqrt(n_clusters)
+    cell = np.arange(n_clusters)
+    origins = np.column_stack((cell % grid, cell // grid)) * cluster_side_m
+    corner = np.repeat(origins, users_per_cluster, axis=0)
+    corner.flags.writeable = False
+    return corner
+
+
+@functools.lru_cache(maxsize=8)
+def _cell_keys(n: int, n_clusters: int, users_per_cluster: int, groups: int) -> np.ndarray:
+    """Read-only (n, M) offset ``(t B + c) G`` of user ``j`` of cluster ``c`` of trial ``t``.
+
+    Plus the user's requested group, it is the user's (trial, cluster,
+    group) cell of a block's flat (n, B, G) request counts.
+    """
+    cells = np.arange(n * n_clusters).repeat(users_per_cluster) * groups
+    cells.flags.writeable = False
+    return cells.reshape(n, n_clusters * users_per_cluster)
 
 
 class _Drops(NamedTuple):
     """Stages 1 and 2 of a block of ``T`` trials (``M`` users, ``B`` x ``K`` grid)."""
 
-    positions: np.ndarray  # (T, M, 2)
-    request_of: np.ndarray  # (T, M) requested group, 0-based
+    request_of: np.ndarray  # (T, M) requested group, 0-based, see :func:`_categorical`
     counts: np.ndarray  # (T, B, K) requests per cluster and cached group
     hit: np.ndarray  # (T, K) cached groups requested in every cluster
     roles: np.ndarray  # (T, M) int8 role codes
@@ -247,16 +272,56 @@ _DROPS, _FADING, _CHANNEL = 0, 1, 2
 _STREAM_ROWS = ("draws", "fading", "channel")
 
 
+def _seeded(seed: int, stream: int) -> np.random.Generator:
+    """A generator of campaign stream ``stream`` of ``seed``, before its first draw."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
+
+
+@functools.lru_cache(maxsize=64)
+def _seeded_state(seed: int, stream: int) -> dict:
+    """The ``PCG64`` state of :func:`_seeded`, shared by every thread and never changed.
+
+    The most recent (seed, stream) pairs are kept: the strategies of one
+    seed, and every block after a campaign's first, reuse them.
+    """
+    return _seeded(seed, stream).bit_generator.state
+
+
 def _stream_rows(seed: int, stream: int, lo: int, hi: int, width: int) -> np.ndarray:
     """Rows ``lo .. hi - 1`` of a campaign stream, ``width`` uniforms each, in scratch.
 
     Row ``t`` is trial ``t``'s window ``[t * width, (t + 1) * width)`` of the
     stream's doubles, so a block's rows are those of its trials drawn alone.
+    The thread's generator takes the stream's seeded state and advances it.
     """
-    bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,)))
+    generator = getattr(_generators, "generator", None)
+    if generator is None:
+        generator = _generators.generator = _seeded(seed, stream)
+    bits = generator.bit_generator
+    bits.state = _seeded_state(seed, stream)
     bits.advance(lo * width)  # ``random`` takes one 64-bit output per double
-    rows = _scratch(_STREAM_ROWS[stream], (hi - lo, width))
-    return np.random.Generator(bits).random(out=rows)
+    return generator.random(out=_scratch(_STREAM_ROWS[stream], (hi - lo, width)))
+
+
+def _drop_rows(config: SimConfig, lo: int, hi: int) -> np.ndarray:
+    """The rows of stream D of trials ``lo .. hi - 1``, in scratch (:func:`_drop_block`)."""
+    plan = config.plan
+    return _stream_rows(config.seed, _DROPS, lo, hi, 3 * plan.n_users + 1 + 2 * plan.n_clusters)
+
+
+@functools.lru_cache(maxsize=16)
+def _bucket_table(cdf: bytes) -> np.ndarray:
+    """Read-only table of :func:`_categorical` for the float64 cdf of these bytes.
+
+    Its dtype, that of the looked-up groups, is the smallest signed type
+    that holds ``-G``: every group index and the mark -1.
+    """
+    edges = np.frombuffer(cdf)[:-1]
+    below = np.searchsorted(edges, np.arange(_BUCKETS + 1) / _BUCKETS, side="right")
+    table = np.where(below[1:] == below[:-1], below[:-1], -1)
+    table = table.astype(np.min_scalar_type(-(edges.size + 1)))
+    table.flags.writeable = False
+    return table
 
 
 def _categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -265,45 +330,45 @@ def _categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     That is the count of the edges ``cdf[:-1]`` at most ``u``.  A key in
     bucket ``j <= u * _BUCKETS < j + 1`` counts the edges at most
     ``j / _BUCKETS``, unless an edge lies inside the bucket; the table marks
-    those buckets -1, and only their keys are searched.
+    those buckets -1, and only their keys are searched.  The result is a
+    fresh array of the table's small dtype (:func:`_bucket_table`).
     """
-    edges = cdf[:-1]
-    below = np.searchsorted(edges, np.arange(_BUCKETS + 1) / _BUCKETS, side="right")
-    table = np.where(below[1:] == below[:-1], below[:-1], -1)
-    out = table[(u * _BUCKETS).astype(np.intp)]
-    redo = np.flatnonzero(out < 0)
-    out.flat[redo] = np.searchsorted(edges, u.flat[redo], side="right")
+    keys = _scratch("bucket", u.shape, np.intp)
+    np.multiply(u, _BUCKETS, out=keys, casting="unsafe")  # truncated, as ``astype``
+    out = np.take(_bucket_table(cdf.tobytes()), keys)
+    redo = np.flatnonzero(np.less(out, 0, out=_scratch("searched", u.shape, np.bool_)))
+    out.flat[redo] = np.searchsorted(cdf[:-1], u.flat[redo], side="right")
     return out
 
 
-def _drop_block(config: SimConfig, lo: int, hi: int) -> _Drops:
-    """Drop the snapshots of trials ``lo .. hi - 1``.
+def _drop_block(config: SimConfig, draws: np.ndarray) -> _Drops:
+    """Stage 2 of a block from its rows ``draws`` of stream D (stage 1, :func:`_drop_rows`).
 
-    Stage 1: one ``random`` call fills the block's rows of stream D, each
-    trial's ``M x 2`` positions, ``M`` request uniforms and ``1 + 2B``
-    scheduling uniforms.  Stage 2: one :func:`_categorical` lookup and one
-    ``bincount`` over (trial, cluster, group) classify every trial at once.
+    Each row holds a trial's ``M x 2`` unit-cell position uniforms, which
+    are scaled only at link ends (:func:`_block_ends`), ``M`` request
+    uniforms and ``1 + 2B`` scheduling uniforms.  One :func:`_categorical`
+    lookup and one ``bincount`` over (trial, cluster, group) classify every
+    trial at once; each user's role is read at the same cell.
     """
     plan, popularity = config.plan, config.popularity
-    b, k, m, d = plan.n_clusters, plan.users_per_cluster, plan.n_users, plan.cluster_side_m
-    cluster_of, corner = _layout(b, k, d)
-    n = hi - lo
-    draws = _stream_rows(config.seed, _DROPS, lo, hi, 3 * m + 1 + 2 * b)
-    positions = np.multiply(draws[:, : 2 * m].reshape(n, m, 2), d)
-    positions += corner
-
-    k0 = popularity.group_count
+    b, k, m = plan.n_clusters, plan.users_per_cluster, plan.n_users
+    n, k0 = len(draws), popularity.group_count
     request_of = _categorical(np.cumsum(popularity.group_probs), draws[:, 2 * m : 3 * m])
-    trial = np.arange(n)[:, None]
-    cell = trial * b + cluster_of  # (trial, cluster) of every user
-    counts = np.bincount((cell * k0 + request_of).ravel(), minlength=n * b * k0)
-    counts = counts.reshape(n, b, k0)[:, :, :k]
-    hit = (counts > 0).all(axis=1)
-    role_of_request = np.full((n, k0), ROLE_CELLULAR, dtype=np.int8)
-    role_of_request[:, :k] = np.where(hit, ROLE_COOP, ROLE_NONCOOP)
-    roles = np.take(role_of_request, trial * k0 + request_of)
+    cell = _scratch("cell", (n, m), np.intp)
+    np.add(_cell_keys(n, b, k, k0), request_of, out=cell)
+    counts = np.bincount(cell.ravel(), minlength=n * b * k0).reshape(n, b, k0)[:, :, :k]
+    hit = counts.min(axis=1) > 0
+    role = _scratch("role", (n, b, k0), np.int8)  # of each (trial, cluster, group) cell
+    role[:, :, k:] = ROLE_CELLULAR
+    role[:, :, :k] = np.where(hit, ROLE_COOP, ROLE_NONCOOP)[:, None]
     # a copy: the draws are the thread's scratch, which the next block overwrites
-    return _Drops(positions, request_of, counts, hit, roles, draws[:, 3 * m :].copy())
+    return _Drops(request_of, counts, hit, np.take(role, cell), draws[:, 3 * m :].copy())
+
+
+def _role_counts(drops: _Drops) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial, the users that request a hit group and those that request a cached one."""
+    per_group = drops.counts.sum(axis=1)
+    return (per_group * drops.hit).sum(axis=1), per_group.sum(axis=1)
 
 
 def _nth_true(mask: np.ndarray, counts: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -364,30 +429,36 @@ def _pick_links(request_of, counts, roles, restrict, choices) -> _Links:
     per_cluster = request_of.reshape(n, b, k)
     users = np.arange(k)
     own = per_cluster == users  # user j requests the group it caches
-    rows = np.flatnonzero(restrict)
-    receivers = counts[rows] - own[rows]  # requesters of group g other than user g
-    valid = (receivers > 0).all(axis=1)  # (rows, k) groups a set can send
     roles = roles.reshape(n, b, k)
-    in_pool = np.where(restrict[:, None, None], roles == ROLE_NONCOOP, roles != ROLE_CELLULAR)
-    pool = in_pool & ~own
+    if restrict.all():
+        pool = roles == ROLE_NONCOOP
+    elif restrict.any():
+        pool = np.where(restrict[:, None, None], roles == ROLE_NONCOOP, roles != ROLE_CELLULAR)
+    else:
+        pool = roles != ROLE_CELLULAR
+    pool &= ~own
     sizes = pool.sum(axis=2)
     active = sizes > 0
+    nc_trial, nc_cluster = np.nonzero(active)
+    sizes = sizes[active]
+    nc_rx = _nth_true(pool[active], sizes, _below(choices[:, 1 + b :][active], sizes))
+    nc_tx = per_cluster[nc_trial, nc_cluster, nc_rx]
 
+    rows = np.flatnonzero(restrict)
+    if not rows.size:
+        empty = np.empty((0, b), dtype=np.intp)
+        return _Links(rows, empty[:, 0], empty, nc_trial, nc_cluster, nc_tx, nc_rx)
+    # (rows, k) groups a set can send: a requester other than user g in every cluster
+    valid = (counts > own)[rows].all(axis=1)
     n_valid = valid.sum(axis=1)
     sets = np.flatnonzero(n_valid)
     coop = rows[sets]
     group = _nth_true(valid[sets], n_valid[sets], _below(choices[coop, 0], n_valid[sets]))
-    bounds = np.zeros((n, 2 * b), dtype=np.int64)  # the receivers', then the pools' bounds
-    bounds[coop, :b] = receivers[sets, :, group]
-    bounds[:, b:] = sizes
-    picks = _below(choices[:, 1:], bounds)
-
+    bounds = counts[coop, :, group] - own[coop, :, group]  # each cluster's receivers
     g = group[:, None, None]
     eligible = ((per_cluster[coop] == g) & (users != g)).reshape(-1, k)
-    coop_rx = _nth_true(eligible, bounds[coop, :b].ravel(), picks[coop, :b].ravel()).reshape(-1, b)
-    nc_trial, nc_cluster = np.nonzero(active)
-    nc_rx = _nth_true(pool[active], sizes[active], picks[:, b:][active])
-    nc_tx = per_cluster[nc_trial, nc_cluster, nc_rx]
+    picks = _below(choices[coop, 1 : 1 + b], bounds)
+    coop_rx = _nth_true(eligible, bounds.ravel(), picks.ravel()).reshape(-1, b)
     return _Links(coop, group, coop_rx, nc_trial, nc_cluster, nc_tx, nc_rx)
 
 
@@ -417,7 +488,7 @@ def _path_gains(ends: np.ndarray, radio: RadioParams, min_distance_m: float) -> 
 
 
 def _zf_channel(ends, normals, radio: RadioParams, min_distance_m: float) -> np.ndarray:
-    """Composite channels ``sqrt(gain / 2) * (x + i y)`` of a stack.
+    """Composite channels ``sqrt(gain / 2) * (x + i y)`` of a stack, in scratch.
 
     The gains are halved and rooted in place, and ``g * x`` and ``g * y``
     go straight into the real and imaginary parts of one complex stack:
@@ -425,14 +496,16 @@ def _zf_channel(ends, normals, radio: RadioParams, min_distance_m: float) -> np.
     """
     g = _path_gains(ends, radio, min_distance_m)
     np.sqrt(np.divide(g, 2.0, out=g), out=g)
-    h = np.empty(g.shape, dtype=complex)
+    h = _scratch("zf_channel", g.shape, np.complex128)
     np.multiply(g, normals[:, 0], out=h.real)
     np.multiply(g, normals[:, 1], out=h.imag)
     return h
 
 
 def _col_norm2(inv: np.ndarray) -> np.ndarray:
-    return (np.abs(inv) ** 2).sum(axis=-2)
+    """Squared column norms ``sum_i |inv[..., i, j]|^2``; the moduli go to scratch."""
+    power = np.abs(inv, out=_scratch("inverse_power", inv.shape))
+    return np.square(power, out=power).sum(axis=-2)
 
 
 def _zf_link_rates(col_norm2: np.ndarray, p_w: float, noise_w: float) -> np.ndarray:
@@ -533,9 +606,20 @@ def _tdma_throughput(bandwidth_hz: float, slot_sums: np.ndarray) -> np.ndarray:
     return total / 4.0
 
 
-def _block_ends(positions: np.ndarray, trial: np.ndarray, tx, rx) -> np.ndarray:
-    """Ends ``(..., n, 2, 2)`` of the links ``tx -> rx`` of ``trial``."""
-    return positions[trial[..., None], np.stack((tx, rx), axis=-1)]
+def _block_ends(config: SimConfig, draws: np.ndarray, trial: np.ndarray, tx, rx) -> np.ndarray:
+    """Ends ``(..., n, 2, 2)`` of the links ``tx -> rx`` of ``trial``.
+
+    ``draws`` are the block's rows of stream D (:func:`_drop_rows`).  Each
+    end's unit-cell uniforms ``u`` are gathered and scaled to its position
+    ``u * d + corner``, for cells of side ``d``.
+    """
+    plan = config.plan
+    m, d = plan.n_users, plan.cluster_side_m
+    users = np.stack((tx, rx), axis=-1)
+    ends = draws[:, : 2 * m].reshape(len(draws), m, 2)[trial[..., None], users]
+    ends *= d
+    ends += _corners(plan.n_clusters, plan.users_per_cluster, d)[users]
+    return ends
 
 
 def _exponentials(uniforms: np.ndarray) -> np.ndarray:
@@ -620,7 +704,8 @@ def _rate_block(config: SimConfig, lo: int, hi: int) -> _Rated:
     plan, radio = config.plan, config.radio
     b, k = plan.n_clusters, plan.users_per_cluster
     n = hi - lo
-    drops = _drop_block(config, lo, hi)
+    draws = _drop_rows(config, lo, hi)  # held to the end: the link ends read them
+    drops = _drop_block(config, draws)
     split = drops.hit.any(axis=1) & (config.strategy == "coop" and config.eta > 0.0)
     links = _pick_links(drops.request_of, drops.counts, drops.roles, split, drops.choices)
 
@@ -636,8 +721,7 @@ def _rate_block(config: SimConfig, lo: int, hi: int) -> _Rated:
             out = _scratch("normals", (links.coop.size, 2, b, b))
             normals = np.take(normals, links.coop, axis=0, out=out, mode="clip")
         ends = _block_ends(
-            drops.positions, links.coop[:, None],
-            cells + links.group[:, None], cells + links.coop_rx,
+            config, draws, links.coop[:, None], cells + links.group[:, None], cells + links.coop_rx
         )
         h = _zf_channel(ends, _box_muller(normals), radio, floor)
         rates, ok = _zf_stack(h, radio.tx_power_w, radio.noise_w)
@@ -664,7 +748,7 @@ def _rate_block(config: SimConfig, lo: int, hi: int) -> _Rated:
         sets = np.flatnonzero(set_size == size)
         idx = first_link[sets, None] + np.arange(size)
         trial = sets // n_slots
-        ends = _block_ends(drops.positions, trial[:, None], tx[idx], rx[idx])
+        ends = _block_ends(config, draws, trial[:, None], tx[idx], rx[idx])
         power = _set_powers(fading, trial, cluster[idx])
         nc_sum[sets] = _sinr_rates(ends, power, radio, floor).sum(axis=1)
     return _Rated(
@@ -694,13 +778,11 @@ def _run_block(config: SimConfig, start: int, out: np.ndarray) -> None:
         out["throughput"] = throughput
         out["coop_band"] = coop_band
         out["dropped_links"] = np.where(usable, rated.zf_dropped, 0)
-    roles = rated.drops.roles
-    n_coop = np.count_nonzero(roles == ROLE_COOP, axis=1)
-    n_cellular = np.count_nonzero(roles == ROLE_CELLULAR, axis=1)
+    n_coop, n_cached = _role_counts(rated.drops)
     out["mode"] = rated.drops.hit.any(axis=1)
     out["n_coop"] = n_coop
-    out["n_noncoop"] = config.plan.n_users - n_coop - n_cellular  # every user has one role
-    out["n_cellular"] = n_cellular
+    out["n_noncoop"] = n_cached - n_coop
+    out["n_cellular"] = config.plan.n_users - n_cached
     out["degenerate"] = split & ~rated.has_zf
     out["silent_clusters"] = config.plan.n_clusters - rated.nc_links.sum(axis=1)
     out["discarded"] = ~usable
@@ -817,9 +899,9 @@ def snapshot_counts(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     coops = np.empty(n, dtype=np.int16)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        drops = _drop_block(config, lo, hi)
+        drops = _drop_block(config, _drop_rows(config, lo, hi))
         modes[lo:hi] = drops.hit.any(axis=1)
-        coops[lo:hi] = np.count_nonzero(drops.roles == ROLE_COOP, axis=1)
+        coops[lo:hi] = _role_counts(drops)[0]
     return modes, coops
 
 

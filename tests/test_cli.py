@@ -641,11 +641,16 @@ def test_validate_exit_code_mapping(monkeypatch):
         return fake_validate.verdict
 
     fake_validate.verdict = True
-    monkeypatch.setattr(cli, "cmd_validate", fake_validate)
+    monkeypatch.setitem(cli._RUNNERS, "validate", (cli._RUNNERS["validate"][0], fake_validate))
     assert main(["validate"]) == 0
     fake_validate.verdict = False
     assert main(["validate"]) == 1
     assert seen == ["validate", "validate"]
+
+
+def test_every_command_has_a_help_line_and_a_runner():
+    # build_parser reads each command's help line from the runner table
+    assert list(cli._RUNNERS) == list(experiments.COMMANDS)
 
 
 def _config_texts():

@@ -62,7 +62,7 @@ def links_of_trial(links, t, k):
 
 def drops_of(config, start, stop):
     """Stages 1 and 2 of trials ``start .. stop - 1`` of ``config``."""
-    return netsim._drop_block(config, start, stop)
+    return netsim._drop_block(config, netsim._drop_rows(config, start, stop))
 
 
 def link_ends(*links):
@@ -133,15 +133,34 @@ def single_cluster_config(ref_radio, ref_model):
     )
 
 
+@pytest.fixture(scope="module")
+def wide_catalog_config(ref_plan, ref_radio):
+    # 200 groups: the requested groups take the int16 path of the bucket table
+    return SimConfig(
+        plan=ref_plan,
+        radio=ref_radio,
+        popularity=build_popularity(400, 2, 0.6),
+        strategy="coop",
+        trials=150,
+        seed=808,
+        eta=0.5,
+    )
+
+
 @pytest.mark.parametrize("strategy", ["coop", "nocoop", "tdma"])
 @pytest.mark.parametrize(
     "base",
-    ["ref_config", "sparse_config", "small_config", "eta0_config", "single_cluster_config"],
+    [
+        "ref_config", "sparse_config", "small_config", "eta0_config", "single_cluster_config",
+        "wide_catalog_config",
+    ],
 )
 def test_campaign_records_match_the_per_trial_reference(request, base, strategy):
     """Every record equals the one-trial-at-a-time oracle, byte for byte."""
     config = request.getfixturevalue(base)
     assert config.trials % netsim._CHUNK  # a last, partial block
+    if base == "wide_catalog_config":
+        assert drops_of(config, 0, 1).request_of.dtype == np.int16
     if strategy != "coop":
         config = replace(config, strategy=strategy, eta=0.0)
     expected = oracles.reference_campaign_records(config)
@@ -258,6 +277,69 @@ def test_block_rows_match_per_trial_streams(seed):
                 assert row.tobytes() == oracles.stream_window(seed, stream, t, width).tobytes()
     heads = {netsim._stream_rows(seed, stream, 0, 1, 4).tobytes() for stream in range(3)}
     assert len(heads) == 3  # three different streams
+
+
+def assert_rows_are_windows(seed, stream, start, stop, width):
+    rows = netsim._stream_rows(seed, stream, start, stop, width)
+    for t, row in zip(range(start, stop), rows):
+        assert row.tobytes() == oracles.stream_window(seed, stream, t, width).tobytes()
+
+
+def test_stream_rows_outlive_the_seeded_state_cache():
+    # more (seed, stream) pairs than the cache of seeded states holds, twice
+    # over: the second pass reseeds the pairs the first one evicted
+    pairs = [(seed, stream) for seed in range(7, 7 + 30) for stream in range(3)]
+    assert len(pairs) > netsim._seeded_state.cache_info().maxsize
+    for start in (0, 3):
+        for seed, stream in pairs:
+            assert_rows_are_windows(seed, stream, start, start + 2, 5)
+
+
+def test_stream_rows_of_interleaved_seeds_in_two_threads():
+    # two threads take turns drawing blocks of seeds they share and seeds
+    # of their own; each thread's generator takes the seeded state asked
+    # for, whichever thread seeded it first
+    turns = [threading.Event(), threading.Event()]
+    errors = []
+
+    def run(me, seeds):
+        try:
+            for lo, seed in enumerate(seeds):
+                turns[me].wait(timeout=60)
+                turns[me].clear()
+                for stream in range(3):
+                    assert_rows_are_windows(seed, stream, lo, lo + 3, 7)
+                turns[1 - me].set()
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+            turns[1 - me].set()
+
+    threads = [
+        threading.Thread(target=run, args=(0, [11, 12, 11, 13])),
+        threading.Thread(target=run, args=(1, [12, 11, 14, 11])),
+    ]
+    for thread in threads:
+        thread.start()
+    turns[0].set()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+def test_stream_rows_on_a_new_threads_first_call():
+    netsim._stream_rows(5, netsim._DROPS, 0, 1, 3)  # this thread's generator, at seed 5
+    seen = []
+
+    def first_call():
+        seen.append(getattr(netsim._generators, "generator", None))
+        assert_rows_are_windows(2**70 + 1, netsim._CHANNEL, 9, 11, 8)
+        seen.append(True)
+
+    thread = threading.Thread(target=first_call)
+    thread.start()
+    thread.join(timeout=60)
+    assert seen == [None, True]
 
 
 def calls_in(path, name):
@@ -410,8 +492,9 @@ def test_nth_true_matches_the_cumulative_count_rule():
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.4, 1.0, 3.0, 30.0])
-@pytest.mark.parametrize("groups", [1, 2, 15, 40])
+@pytest.mark.parametrize("groups", [1, 2, 15, 40, 200])
 def test_categorical_matches_the_clamped_search(beta, groups):
+    # the groups come back in the smallest signed type that holds -groups
     cdf = np.cumsum(build_popularity(5 * groups, 5, beta).group_probs)
     edges = cdf[:-1]
     grid = np.arange(1, netsim._BUCKETS + 1) / netsim._BUCKETS
@@ -427,7 +510,8 @@ def test_categorical_matches_the_clamped_search(beta, groups):
     u = draws[:, 1:2]
     expected = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
     got = netsim._categorical(cdf, u)
-    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.dtype == (np.int8 if groups <= 128 else np.int16)
+    assert got.shape == expected.shape
     assert np.array_equal(got, expected)
 
 
@@ -572,6 +656,15 @@ def test_warm_block_allocates_no_array_as_large_as_its_draws(sparse_config, stra
     assert peak - kept < draws_nbytes
 
 
+@pytest.mark.parametrize("strategy", ["coop", "nocoop", "tdma"])
+def test_warm_block_at_the_reference_geometry_allocates_no_array_as_large_as_its_draws(
+    ref_config, strategy
+):
+    # the same bound at campaign-ref's geometry (135 users, B = 9, beta 1),
+    # where every coop trial forms a cooperative set
+    test_warm_block_allocates_no_array_as_large_as_its_draws(ref_config, strategy)
+
+
 def test_a_block_without_links_draws_no_fading(ref_radio, ref_model):
     # with one user per cluster no trial has a link, so the block draws no
     # (T, B, B) fading rows: 100 MB for 2 trials at B = 2500
@@ -591,16 +684,21 @@ def test_a_block_without_links_draws_no_fading(ref_radio, ref_model):
 
 
 def test_snapshot_shapes_and_cell_confinement(ref_config):
-    drops = drops_of(ref_config, 0, 1)
+    # every user of a trial, at both link ends, sits in its cluster's cell
     plan = ref_config.plan
     m, d = plan.n_users, plan.cluster_side_m
-    assert drops.positions.shape == (1, m, 2)
+    draws = netsim._drop_rows(ref_config, 0, 1)
+    drops = netsim._drop_block(ref_config, draws)
     assert drops.request_of.shape == (1, m)
+    users = np.arange(m)[None]
+    ends = netsim._block_ends(ref_config, draws, np.zeros((1, 1), dtype=np.intp), users, users)
+    assert ends.shape == (1, m, 2, 2)
     grid = math.isqrt(plan.n_clusters)
-    col = np.floor(drops.positions[0, :, 0] / d).astype(int)
-    row = np.floor(drops.positions[0, :, 1] / d).astype(int)
     cluster_of = np.repeat(np.arange(plan.n_clusters), plan.users_per_cluster)
-    assert np.array_equal(row * grid + col, cluster_of)
+    for end in (0, 1):
+        col = np.floor(ends[0, :, end, 0] / d).astype(int)
+        row = np.floor(ends[0, :, end, 1] / d).astype(int)
+        assert np.array_equal(row * grid + col, cluster_of)
 
 
 def test_snapshot_roles_partition(small_config):
@@ -626,10 +724,12 @@ def test_snapshot_roles_partition(small_config):
 
 
 def test_snapshot_determinism(ref_config):
+    rows = [netsim._drop_rows(ref_config, t, t + 1).copy() for t in (7, 7)]
+    assert np.array_equal(*rows)  # the position uniforms among them
     a = drops_of(ref_config, 7, 8)
     b = drops_of(ref_config, 7, 8)
     c = drops_of(ref_config, 8, 9)
-    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a.choices, b.choices)
     assert np.array_equal(a.request_of, b.request_of)
     assert not np.array_equal(a.request_of, c.request_of)
 
