@@ -21,7 +21,7 @@ import numpy as np
 
 from coopd2d import ExperimentSpec, analytic_point
 from coopd2d.errors import CoopD2DError
-from coopd2d.experiments import grid_search_eta
+from coopd2d.experiments import split_bandwidth
 
 
 def main(argv=None) -> int:
@@ -42,7 +42,7 @@ def main(argv=None) -> int:
 
 def report(args) -> int:
     spec = ExperimentSpec(command="optimize-bandwidth", beta=args.beta)
-    base = analytic_point(replace(spec, mu_bps=0.0))
+    base = analytic_point(spec)
     print(
         "operating point: pc=%.6f, coop %.3f bit/s/Hz vs non-coop %.3f, "
         "user classes %.2f coop / %.2f non-coop / %.2f cellular"
@@ -58,30 +58,21 @@ def report(args) -> int:
     mu_max = base.solution.mu_max
     print("largest supportable rate floor: %.4g bit/s per user\n" % mu_max)
 
+    floors = tuple(float(mu) for mu in np.linspace(0.0, 1.05 * mu_max, args.points))
+    rows = split_bandwidth(replace(spec, sweep_name="mu_bps", sweep_values=floors), spec.beta)
     print("   floor (bit/s)   eta*      binding              throughput (bit/s)  grid check")
-    for mu in np.linspace(0.0, 1.05 * mu_max, args.points):
-        pt = analytic_point(replace(spec, mu_bps=float(mu)))
-        sol = pt.solution
-        grid = grid_search_eta(
-            pt.pc,
-            pt.rate_coop,
-            pt.rate_noncoop,
-            spec.bandwidth_hz,
-            pt.plan.n_clusters,
-            pt.nc_bar,
-            pt.nn_bar,
-            float(mu),
-        )
-        if sol.feasible:
-            gap = abs(sol.eta_star - grid)
+    for row in rows:
+        mu, grid = row["mu_bps"], row["eta_star_grid"]
+        if row["feasible"]:
+            gap = abs(row["eta_star"] - grid)
             check = "|closed - grid| = %.1e" % gap if np.isfinite(grid) else "sub-grid sliver"
             print(
                 "  %12.4g   %7.5f   %-18s  %.6e     %s"
-                % (mu, sol.eta_star, sol.binding, sol.objective, check)
+                % (mu, row["eta_star"], row["binding"], row["throughput_bps"], check)
             )
         else:
             agree = "grid agrees" if np.isnan(grid) else "grid disagrees!"
-            print("  %12.4g   infeasible (%s); %s" % (mu, sol.binding, agree))
+            print("  %12.4g   infeasible (%s); %s" % (mu, row["binding"], agree))
     return 0
 
 

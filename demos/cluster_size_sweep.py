@@ -30,9 +30,6 @@ def main(argv=None) -> int:
     parser.add_argument("--beta", type=float, default=ref.beta, help="popularity skew")
     parser.add_argument("--out", help="optional CSV path for the density sweep")
     args = parser.parse_args(argv)
-    for flag in ("n_files", "cache_size"):
-        if getattr(args, flag) < 1:
-            parser.error("--%s must be at least 1" % flag.replace("_", "-"))
     try:
         return report(args)
     except (CoopD2DError, OSError) as exc:
@@ -47,7 +44,7 @@ def report(args) -> int:
         % (args.n_files, args.cache_size, args.beta, model.group_count)
     )
 
-    n_users = ExperimentSpec.n_clusters * ExperimentSpec.users_per_cluster
+    n_users = ExperimentSpec(command="optimize-cluster").n_users
     print("\nexpected active links by users per cluster (%d-user hotspot):" % n_users)
     _, _, profile = optimize_cluster_size(model, n_users)
     best = max(objective for _, objective in profile)

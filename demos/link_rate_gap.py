@@ -37,8 +37,6 @@ def main(argv=None) -> int:
         "--densities-out", help="optional CSV path for the two densities on [0, sqrt(5)]"
     )
     args = parser.parse_args(argv)
-    if args.snapshots < 1:
-        parser.error("--snapshots must be at least 1")
     try:
         return report(args)
     except (CoopD2DError, OSError) as exc:

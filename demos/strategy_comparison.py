@@ -31,8 +31,6 @@ def main(argv=None) -> int:
         "--betas", type=float, nargs="+", default=[0.0, 0.6, 1.0], help="skews to run"
     )
     args = parser.parse_args(argv)
-    if args.trials < 1:
-        parser.error("--trials must be at least 1")
     try:
         return report(args)
     except CoopD2DError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, check_number
+from .errors import ConfigurationError, check_cached_groups, check_number
 
 __all__ = ["PopularityModel", "build_popularity", "cumulative_cached_prob"]
 
@@ -148,10 +148,5 @@ def cumulative_cached_prob(model: PopularityModel, n_cached_groups: int) -> floa
         If ``n_cached_groups`` is not an integer (a bool included) or is out
         of range.
     """
-    check_number("n_cached_groups", n_cached_groups)
-    if n_cached_groups > model.group_count:
-        raise ConfigurationError(
-            "n_cached_groups must be in [1, %d], got %r"
-            % (model.group_count, n_cached_groups)
-        )
+    check_cached_groups("n_cached_groups", n_cached_groups, model.group_count)
     return math.fsum(model.group_probs[:n_cached_groups])

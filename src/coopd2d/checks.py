@@ -84,11 +84,13 @@ def _snapshot_config(spec: ExperimentSpec) -> tuple[AnalyticPoint, SimConfig]:
     return pt, campaign_config(spec, pt, "coop", 0.5)
 
 
-def _snapshot_checks(spec: ExperimentSpec, n_snap: int) -> list[tuple[str, bool, str]]:
-    """Gate the simulated Mode-1 frequency and cooperative count over snapshots
+def _snapshot_checks(
+    pt: AnalyticPoint, config: SimConfig, n_snap: int
+) -> list[tuple[str, bool, str]]:
+    """Gate the simulated Mode-1 frequency and cooperative count at
+    :func:`_snapshot_config`'s point and config over snapshots
     ``0 .. n_snap - 1`` at the reference seed ``ExperimentSpec.seed``, so the
-    records do not depend on ``spec.seed``."""
-    pt, config = _snapshot_config(spec)
+    records do not depend on the config's seed."""
     modes, coops = snapshot_counts(replace(config, trials=n_snap, seed=ExperimentSpec.seed))
     freq = float(modes.mean())
     se = math.sqrt(max(pt.pc * (1.0 - pt.pc), 1e-300) / n_snap)
@@ -213,10 +215,10 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
     for _ in range(200):
         pc, rc, rn, nc, nn = rng.uniform(
             (0.05, 0.05, 0.05, 0.5, 0.5), (1.0, 25.0, 25.0, 120.0, 120.0)).tolist()
-        mu_max = spec.bandwidth_hz * b / (nc / rc + nn / rn)
-        mu = rng.uniform(0.0, 1.5 * mu_max)
-        sol = optimize_eta(pc, rc, rn, spec.bandwidth_hz, b, nc, nn, mu)
-        eta_grid = grid_search_eta(pc, rc, rn, spec.bandwidth_hz, b, nc, nn, mu)
+        split = (pc, rc, rn, spec.bandwidth_hz, b, nc, nn)
+        mu = rng.uniform(0.0, 1.5 * optimize_eta(*split, 0.0).mu_max)
+        sol = optimize_eta(*split, mu)
+        eta_grid = grid_search_eta(*split, mu)
         if sol.feasible != (not math.isnan(eta_grid)):
             n_bad += 1
         elif sol.feasible:
@@ -231,7 +233,8 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
         % (worst_dev, n_bad),
     ))
 
-    checks.extend(_snapshot_checks(spec, _VALIDATE_SNAPSHOTS))
+    snap_pt, snap_config = _snapshot_config(spec)
+    checks.extend(_snapshot_checks(snap_pt, snap_config, _VALIDATE_SNAPSHOTS))
 
     cfg_eta0 = replace(campaign_config(spec, pt, "coop", 0.0), trials=300)
     res_eta0 = run_campaign(cfg_eta0, keep_trials=True)
@@ -252,7 +255,7 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
         "1-worker and 2-worker campaigns byte-identical over 200 trials",
     ))
 
-    zf_mean, _, nc_mean, _ = link_rate_gap(replace(_snapshot_config(spec)[1], trials=2000))
+    zf_mean, _, nc_mean, _ = link_rate_gap(replace(snap_config, trials=2000))
     rc, rn = pt.rate_coop, pt.rate_noncoop
     checks.append((
         "link-rate-gap",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .catalog import PopularityModel
-from .errors import ConfigurationError, check_number
+from .errors import ConfigurationError, check_cached_groups, check_number
 
 __all__ = [
     "ClusterPlan",
@@ -101,11 +101,7 @@ def hit_probability(model: PopularityModel, users_per_cluster: int) -> np.ndarra
         If ``users_per_cluster`` is out of range.
     """
     k = users_per_cluster
-    check_number("users_per_cluster", k)
-    if k > model.group_count:
-        raise ConfigurationError(
-            "users_per_cluster must be in [1, %d], got %r" % (model.group_count, k)
-        )
+    check_cached_groups("users_per_cluster", k, model.group_count)
     return 1.0 - (1.0 - model.group_probs[:k]) ** k
 
 

@@ -6,7 +6,9 @@ problems detected while computing.
 
 :func:`check_number` is the one statement of the type and range each named
 quantity must have: config files, flags and every public entry point that
-takes one of these names check it here.  This module imports no other
+takes one of these names check it here.  :func:`check_cached_groups` is the
+one statement of the model's structural rule, a cluster of at most as many
+users as there are cacheable file groups.  This module imports no other
 module of the package, so every module can import it.
 """
 
@@ -21,6 +23,7 @@ __all__ = [
     "ConsistencyError",
     "NUMERIC_RULES",
     "check_number",
+    "check_cached_groups",
 ]
 
 
@@ -84,3 +87,15 @@ def check_number(name: str, value) -> None:
     if not ok:
         noun = "an integer" if kind is int else "a finite number"
         raise ConfigurationError("%s must be %s, got %r" % (name, (noun + " " + bound).strip(), value))
+
+
+def check_cached_groups(name: str, value, group_count: int) -> None:
+    """Refuse a count ``value`` of cached groups (``users_per_cluster`` or
+    ``n_cached_groups``) that breaks its rule or exceeds ``group_count``: user
+    ``k`` of every cluster caches file group ``k``, so ``K`` users need ``K``
+    distinct cacheable groups."""
+    check_number(name, value)
+    if value > group_count:
+        raise ConfigurationError(
+            "%s must be at most the %d cacheable file groups, got %r" % (name, group_count, value)
+        )

@@ -30,7 +30,7 @@ from .clusters import (
     make_plan,
     optimize_cluster_size,
 )
-from .errors import NUMERIC_RULES, ConfigurationError, check_number
+from .errors import NUMERIC_RULES, ConfigurationError, check_cached_groups, check_number
 from .geometry import GeometryTable, path_gain_moments
 from .netsim import SimConfig, run_campaign
 from .population import expected_coop_users_closed
@@ -43,6 +43,7 @@ __all__ = [
     "analytic_point",
     "campaign_config",
     "grid_search_eta",
+    "split_bandwidth",
     "sim_feasible_cluster_sizes",
     "cmd_optimize_cluster",
     "cmd_optimize_bandwidth",
@@ -135,11 +136,8 @@ class ExperimentSpec:
             )
         for value in self.sweep_values:
             check_number(self.sweep_name, value)
-        if self.users_per_cluster > self.n_files // self.cache_size:
-            raise ConfigurationError(
-                "users_per_cluster (%d) exceeds the %d cacheable file groups"
-                % (self.users_per_cluster, self.n_files // self.cache_size)
-            )
+        check_cached_groups("users_per_cluster", self.users_per_cluster,
+                            self.n_files // self.cache_size)
 
     @property
     def n_users(self) -> int:
@@ -428,56 +426,47 @@ def cmd_optimize_cluster(spec: ExperimentSpec) -> str:
     return write_csv(spec.out, "cluster_profile.v2", rows)
 
 
-def cmd_optimize_bandwidth(spec: ExperimentSpec) -> str:
-    """Bandwidth split versus beta and mu, closed form plus grid column.
+def split_bandwidth(spec: ExperimentSpec, beta: float) -> list[dict]:
+    """The band split at one beta for each of the spec's rate floors; returns
+    CSV records.
 
     The rate floor enters only the split's two floor constraints, so the
-    closed-form chain (:func:`analytic_point`) runs once per beta and only
-    the split (:func:`coopd2d.bandwidth.optimize_eta`) once per mu.
+    closed-form chain (:func:`analytic_point`) runs once, and the split
+    (:func:`coopd2d.bandwidth.optimize_eta`) and its grid cross-check once
+    per floor.
     """
-    betas = _sweep_or(spec, "beta", spec.beta)
-    mus = _sweep_or(spec, "mu_bps", spec.mu_bps)
+    pt = analytic_point(replace(spec, beta=beta))
+    split = (pt.pc, pt.rate_coop, pt.rate_noncoop, spec.bandwidth_hz, pt.plan.n_clusters,
+             pt.nc_bar, pt.nn_bar)  # the program's inputs but the floor
     rows = []
-    for beta in betas:
-        pt = analytic_point(replace(spec, beta=beta))
-        for mu in mus:
-            sol = optimize_eta(
-                pt.pc,
-                pt.rate_coop,
-                pt.rate_noncoop,
-                spec.bandwidth_hz,
-                pt.plan.n_clusters,
-                pt.nc_bar,
-                pt.nn_bar,
-                mu,
-            )
-            eta_grid = grid_search_eta(
-                pt.pc,
-                pt.rate_coop,
-                pt.rate_noncoop,
-                spec.bandwidth_hz,
-                pt.plan.n_clusters,
-                pt.nc_bar,
-                pt.nn_bar,
-                float(mu),
-            )
-            rows.append(
-                {
-                    "beta": float(beta),
-                    "mu_bps": float(mu),
-                    "pc": pt.pc,
-                    "rate_coop": pt.rate_coop,
-                    "rate_noncoop": pt.rate_noncoop,
-                    "nc_bar": pt.nc_bar,
-                    "nn_bar": pt.nn_bar,
-                    "eta_star": sol.eta_star,
-                    "eta_star_grid": eta_grid,
-                    "feasible": sol.feasible,
-                    "binding": sol.binding,
-                    "throughput_bps": sol.objective,
-                    "mu_max_bps": sol.mu_max,
-                }
-            )
+    for mu in _sweep_or(spec, "mu_bps", spec.mu_bps):
+        sol = optimize_eta(*split, mu)
+        eta_grid = grid_search_eta(*split, float(mu))
+        rows.append(
+            {
+                "beta": float(beta),
+                "mu_bps": float(mu),
+                "pc": pt.pc,
+                "rate_coop": pt.rate_coop,
+                "rate_noncoop": pt.rate_noncoop,
+                "nc_bar": pt.nc_bar,
+                "nn_bar": pt.nn_bar,
+                "eta_star": sol.eta_star,
+                "eta_star_grid": eta_grid,
+                "feasible": sol.feasible,
+                "binding": sol.binding,
+                "throughput_bps": sol.objective,
+                "mu_max_bps": sol.mu_max,
+            }
+        )
+    return rows
+
+
+def cmd_optimize_bandwidth(spec: ExperimentSpec) -> str:
+    """Bandwidth split versus beta and mu, closed form plus grid column."""
+    rows = []
+    for beta in _sweep_or(spec, "beta", spec.beta):
+        rows.extend(split_bandwidth(spec, beta))
     return write_csv(spec.out, "bandwidth_split.v4", rows)
 
 

@@ -18,74 +18,32 @@ construction, seeds included), and ``tdma`` (reuse-4 grid coloring, each
 color active every 4th slot on the full band).
 
 Engine: a campaign runs in blocks of ``_CHUNK`` trials, in two passes.
-Pass 1 runs three stages over the whole block:
+Pass 1 draws the block's rows of stream D (:func:`_drop_rows`), classifies
+every user and cluster (:func:`_drop_block`) and picks the links
+(:func:`_pick_links`); pass 2 rates the block's links in stacks
+(:func:`_rate_block`), and :func:`_run_block` turns the rates into trial
+records.  :func:`snapshot_counts` runs pass 1 without the links, and
+:func:`link_rate_gap` both passes.  README "Determinism" states the
+streams, the windows, the workspace and the caches, with their sizes;
+the code must keep:
 
-1. the block's rows of stream D in one ``random`` call (:func:`_drop_rows`):
-   each trial's unit-cell position uniforms, request uniforms and
-   scheduling uniforms;
-2. the requested groups by a bucket table (:func:`_categorical`), then the
-   request counts, hit groups, modes and roles (:func:`_drop_block`);
-3. the links the scheduling uniforms pick (:func:`_pick_links`), the
-   cooperative groups only for the trials that cooperate.
-
-Pass 2 rates the block together (:func:`_rate_block`): zero-forcing
-channels and equal-size non-cooperative link sets are gathered from the
-block arrays, stacked, and each stack is inverted or summed in one call.
-Stacks are never padded, so each matrix sees the arithmetic it would see
-alone, and an ill-conditioned or singular channel takes the
-drop-worst-link fallback on its own.  No block forms every user's
-position: the link ends' unit-cell uniforms ``u`` are gathered from the
-block's D rows and scaled to ``u * d + corner`` (:func:`_block_ends`).
-Link distances are ``sqrt(dx * dx + dy * dy)``, the floats of
-``np.linalg.norm`` without its copies (:func:`_path_gains`), and the rating
-kernels work in place, in the order of their formulas, so they hold few
-stack-sized arrays.  A campaign turns the rating step's output into trial
-records (:func:`_run_block`).
-The same engine serves the two snapshot measurements, which read the
-first ``trials`` snapshots of a config: :func:`snapshot_counts` runs
-stages 1 and 2 only, and :func:`link_rate_gap` runs the rating step.
-
-Working arrays: a block's rows of the three streams, stage 2's bucket
-keys, cell indices and role table, the channel normals, and the gathered
-fading power stacks and path gains of pass 2 live in a per-thread
-workspace (:func:`_scratch`), one grow-only buffer per name, so each block
-reuses the memory of the blocks before it, across campaigns and snapshot
-measurements.  The drops are fresh; the D rows are held within the block,
-and read only at link ends.  What a stage hands on (the fields of
-:class:`_Drops` and :class:`_Rated`, the records) is always a fresh array.
-Threads have their own buffers and generator; worker processes their own
-module state.  What every block of a shape shares is worked out once and
-kept: the request bucket table of a catalog (:func:`_bucket_table`), the
-(trial, cluster) offsets of a block shape (:func:`_cell_keys`), and the
-seeded state of a (seed, stream) (:func:`_seeded_state`).  After campaigns
-of all three strategies a thread keeps 1.59 MB of buffers at 128-trial
-blocks of the reference grid (135 users, B = 9), 1.24 MB at 100-trial
-blocks of it and 1.58 MB at 100-trial blocks of the sparse benchmark grid
-(160 users, B = 16); late in a benchmark run a block takes about one
-minor page fault on either grid, as the README records.
-
-Reproducibility contract: a campaign draws from three streams, each a
-``PCG64`` seeded from child ``0``, ``1`` or ``2`` of
-``SeedSequence(seed)``: D, the drop (``3M + 1 + 2B`` uniforms a trial: the
-unit-cell positions, the requests, the scheduling uniforms); F, the fading powers
-(``B^2`` a trial, the Exp(1) power ``-log1p(-u)`` from each transmitter
-cluster to each receiver cluster); and Z, the zero-forcing channel
-(``2B^2`` a trial, normals by Box-Muller, :func:`_box_muller`).  Trial
-``t`` owns the window ``[t S, (t + 1) S)`` of each stream of width ``S``,
-whatever its strategy and mode, and a block ``lo .. hi - 1`` advances each
-stream by ``lo S`` and draws its rows in one call (:func:`_stream_rows`).
-Per-trial results live at index ``t`` of the campaign arrays, and
-aggregation runs over those ordered arrays, so neither the block size nor
-the thread or process count can change any output bit.  Every strategy
-reads the same windows: ``nocoop`` and ``coop`` at ``eta = 0`` give the
-same records, and a Mode-0 ``coop`` trial the record of its ``nocoop``
-twin.  Snapshot ``t`` of :func:`snapshot_counts` and
-:func:`link_rate_gap` is campaign trial ``t``; there is no other stream.
-Zero-forcing takes a channel's exact condition number only when a
-Frobenius-norm screen cannot decide (:func:`_zf_stack`).  The screen
-sums the squared real and imaginary parts of the channel stack; its
-rounding, under 1e-8 relative, is far inside the factor 64 its margin
-leaves on the squared bound.
+* Windows.  Trial ``t`` reads only ``[t S, (t + 1) S)`` of each stream of
+  width ``S`` (D, F, Z: children 0, 1, 2 of ``SeedSequence(seed)``),
+  whatever its strategy, mode or block, and its results sit at index
+  ``t`` of ordered arrays, so no block size, thread or process count can
+  move an output bit.  Every strategy reads the same windows: ``nocoop``
+  and ``coop`` at ``eta = 0`` give the same records, a Mode-0 ``coop``
+  trial its ``nocoop`` twin's, and snapshot ``t`` is campaign trial ``t``.
+* Stacks.  A stack of channels or link sets is never padded, so each
+  matrix sees the arithmetic it would see alone, and an ill-conditioned
+  or singular channel takes the drop-worst-link fallback on its own.  The
+  Frobenius screen of :func:`_zf_stack` rounds under 1e-8 relative, far
+  inside the factor 64 its margin leaves on the squared bound.
+* Buffers.  The per-thread workspace (:func:`_scratch`) and the caches
+  (:func:`_bucket_table`, :func:`_cell_keys`, :func:`_seeded_state`) may
+  change where a result is written, never its arithmetic or order.  What a
+  stage hands on (:class:`_Drops`, :class:`_Rated`, the records) is a
+  fresh array, and the D rows are held only within their block.
 """
 
 from __future__ import annotations
@@ -102,7 +60,7 @@ import numpy as np
 
 from .catalog import PopularityModel
 from .clusters import ClusterPlan
-from .errors import ConfigurationError, check_number
+from .errors import ConfigurationError, check_cached_groups, check_number
 from .rates import RadioParams
 
 __all__ = [
@@ -185,11 +143,8 @@ class SimConfig:
             )
         for name in ("trials", "seed", "eta", "min_pairing_distance_m"):
             check_number(name, getattr(self, name))
-        if self.plan.users_per_cluster > self.popularity.group_count:
-            raise ConfigurationError(
-                "users_per_cluster (%d) exceeds the catalog's group count (%d)"
-                % (self.plan.users_per_cluster, self.popularity.group_count)
-            )
+        check_cached_groups("users_per_cluster", self.plan.users_per_cluster,
+                            self.popularity.group_count)
         if self.plan.n_users > _MAX_USERS:
             raise ConfigurationError(
                 "n_clusters x users_per_cluster (%d x %d = %d users) exceeds %d, the most "

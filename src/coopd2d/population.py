@@ -27,7 +27,9 @@ import numpy as np
 
 from .catalog import PopularityModel, cumulative_cached_prob
 from .clusters import hit_probability
-from .errors import ConfigurationError, ConsistencyError, EnumerationBudgetError, check_number
+from .errors import (
+    ConfigurationError, ConsistencyError, EnumerationBudgetError, check_cached_groups, check_number
+)
 
 __all__ = [
     "PopulationSummary",
@@ -124,10 +126,8 @@ def expected_coop_users_exact(
     """
     k0 = model.group_count
     k, b = users_per_cluster, n_clusters
-    check_number("users_per_cluster", k)
+    check_cached_groups("users_per_cluster", k, k0)
     check_number("n_clusters", b)
-    if k > k0:
-        raise ConfigurationError("users_per_cluster must be in [1, %d], got %r" % (k0, k))
     space = _multichoose(k0, k) ** b
     if space > _ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
@@ -185,7 +185,7 @@ def expected_cellular_and_noncoop(
         which signals an inconsistent ``coop_mean``.
     """
     check_number("n_users", n_users)
-    check_number("users_per_cluster", users_per_cluster)
+    check_cached_groups("users_per_cluster", users_per_cluster, model.group_count)
     if not 0.0 <= coop_mean <= n_users:
         raise ConfigurationError(
             "coop_mean must be in [0, n_users], got %r" % (coop_mean,)

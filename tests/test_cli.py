@@ -388,6 +388,17 @@ def test_a_refusal_names_the_command_typed(tmp_path, capsys, command, config, me
     assert capsys.readouterr().err == "error: %s\n" % message
 
 
+def test_simulate_refuses_more_users_per_cluster_than_groups(tmp_path, capsys):
+    # the reference catalog holds 15 groups (300 files, 20 per cache)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("users_per_cluster: 16\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: users_per_cluster must be at most the 15 cacheable file groups, got 16\n"
+    )
+    assert not (tmp_path / "out.csv").exists()
+
+
 def _readme_command_table():
     """``{command: (flags, axes)}`` from the README's command table.
 

@@ -1,13 +1,18 @@
 """Smoke runs of every script in ``demos/`` with tiny arguments, and of the
 README's code."""
 
+import csv
 import importlib
 import importlib.util
 import pathlib
 import re
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from coopd2d import ExperimentSpec, analytic_point
+from coopd2d.experiments import cmd_optimize_bandwidth
 from coopd2d.geometry import SQRT5, interference_pdf, signal_pdf
 
 DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
@@ -28,8 +33,9 @@ EXPECT = {
     "strategy_comparison": "beta = 1.00, 20 trials per strategy",
 }
 
-# bad arguments: a count below 1 (an argparse error) and a value the
-# package refuses (a CoopD2DError); each must exit 2 with an error line
+# bad arguments: a --points below 1 (an argparse error, the one count no
+# package rule covers) and values the package refuses (a CoopD2DError); each
+# must exit 2 with an error line
 BAD_ARGS = [
     ("bandwidth_split_sweep", ["--points", "0"]),
     ("bandwidth_split_sweep", ["--beta", "-1"]),
@@ -83,6 +89,33 @@ def test_demo_refuses_an_unwritable_output(tmp_path, capsys, name, flags):
 
 def test_every_demo_has_a_bad_argument_case():
     assert sorted({name for name, _ in BAD_ARGS}) == sorted(ARGS)
+
+
+def test_bandwidth_demo_prints_the_rows_optimize_bandwidth_writes(tmp_path, capsys):
+    # the command at the demo's floors, 12 points from 0 to 1.05 mu_max
+    spec = ExperimentSpec(command="optimize-bandwidth", beta=0.6)
+    mu_max = analytic_point(spec).solution.mu_max
+    floors = tuple(float(mu) for mu in np.linspace(0.0, 1.05 * mu_max, 12))
+    out = tmp_path / "split.csv"
+    cmd_optimize_bandwidth(replace(spec, sweep_name="mu_bps", sweep_values=floors, out=str(out)))
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    demo = _load("bandwidth_split_sweep")
+    assert not hasattr(demo, "grid_search_eta")
+    assert demo.main(["--beta", "0.6", "--points", "12"]) == 0
+    table = capsys.readouterr().out.splitlines()[-12:]
+    assert [row["feasible"] for row in rows].count("false") == 1
+    for line, row in zip(table, rows, strict=True):
+        mu, eta, grid, throughput = (
+            float(row[c]) for c in ("mu_bps", "eta_star", "eta_star_grid", "throughput_bps"))
+        if row["feasible"] == "true":
+            assert line.split() == [
+                "%.4g" % mu, "%.5f" % eta, row["binding"], "%.6e" % throughput,
+                "|closed", "-", "grid|", "=", "%.1e" % abs(eta - grid),
+            ]
+        else:
+            assert line.split() == [
+                "%.4g" % mu, "infeasible", "(%s);" % row["binding"], "grid", "agrees",
+            ]
 
 
 def test_demo_file_outputs(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from coopd2d import experiments
-from coopd2d.checks import _snapshot_checks, cmd_validate
+from coopd2d.checks import _snapshot_checks, _snapshot_config, cmd_validate
 from coopd2d.errors import ConfigurationError
 from coopd2d.experiments import (
     COMMANDS,
@@ -608,9 +608,9 @@ def test_cmd_validate_default_passes():
 
 def test_validate_snapshot_gates_ignore_the_seed():
     spec = ExperimentSpec(command="validate")
-    records = _snapshot_checks(spec, 300)
+    records = _snapshot_checks(*_snapshot_config(spec), 300)
     assert [name for name, _, _ in records] == ["mode-frequency", "coop-count"]
-    assert _snapshot_checks(replace(spec, seed=7), 300) == records
+    assert _snapshot_checks(*_snapshot_config(replace(spec, seed=7)), 300) == records
 
 
 def test_link_rate_gap_is_reproducible():

@@ -13,9 +13,10 @@ import pytest
 from pytest import approx
 
 from coopd2d import checks, netsim
-from coopd2d.catalog import build_popularity
-from coopd2d.clusters import coop_probability, make_plan
+from coopd2d.catalog import build_popularity, cumulative_cached_prob
+from coopd2d.clusters import coop_probability, hit_probability, make_plan
 from coopd2d.errors import ConfigurationError
+from coopd2d.experiments import ExperimentSpec
 from coopd2d.netsim import (
     ROLE_CELLULAR,
     ROLE_COOP,
@@ -25,6 +26,10 @@ from coopd2d.netsim import (
     run_campaign,
     snapshot_counts,
 )
+from coopd2d.population import (
+    expected_cellular_and_noncoop, expected_coop_users_closed, expected_coop_users_exact
+)
+from coopd2d.rates import RadioParams
 
 import oracles
 
@@ -1218,6 +1223,40 @@ def test_sim_config_validation(ref_plan, ref_radio, ref_model):
     for floor in (-1.0, math.nan, math.inf):
         with pytest.raises(ConfigurationError):
             SimConfig(**{**good, "min_pairing_distance_m": floor})
+
+
+# Each entry point that takes a cluster size K, as a call at K on a catalog of
+# three groups (60 files, 20 per cache), with the name its refusal gives K.
+_THREE_GROUPS = build_popularity(60, 20, 1.0)
+_CLUSTER_SIZE_TAKERS = {
+    "ExperimentSpec": ("users_per_cluster", lambda k: ExperimentSpec(
+        command="simulate", n_files=60, cache_size=20, users_per_cluster=k)),
+    "SimConfig": ("users_per_cluster", lambda k: SimConfig(
+        plan=make_plan(75.0, 9, k), radio=RadioParams(20.0, -95.0, 37.6, 3.68, 20e6),
+        popularity=_THREE_GROUPS,
+        strategy="coop", trials=10, seed=1)),
+    "hit_probability": ("users_per_cluster", lambda k: hit_probability(_THREE_GROUPS, k)),
+    "coop_probability": ("users_per_cluster", lambda k: coop_probability(_THREE_GROUPS, k, 4)),
+    "cumulative_cached_prob": (
+        "n_cached_groups", lambda k: cumulative_cached_prob(_THREE_GROUPS, k)),
+    "expected_coop_users_closed": (
+        "users_per_cluster", lambda k: expected_coop_users_closed(_THREE_GROUPS, k, 4)),
+    "expected_coop_users_exact": (
+        "users_per_cluster", lambda k: expected_coop_users_exact(_THREE_GROUPS, k, 4)),
+    "expected_cellular_and_noncoop": (
+        "users_per_cluster", lambda k: expected_cellular_and_noncoop(_THREE_GROUPS, 4 * k, k, 0.0)),
+}
+
+
+@pytest.mark.parametrize("taker", sorted(_CLUSTER_SIZE_TAKERS))
+def test_every_cluster_size_taker_refuses_more_users_than_groups_alike(taker):
+    # user k of a cluster caches group k: K = G is the largest cluster, and
+    # K = G + 1 is refused with the one message of errors.check_cached_groups
+    name, call = _CLUSTER_SIZE_TAKERS[taker]
+    call(3)
+    with pytest.raises(ConfigurationError) as caught:
+        call(4)
+    assert str(caught.value) == "%s must be at most the 3 cacheable file groups, got 4" % name
 
 
 @pytest.mark.parametrize("strategy", ["coop", "nocoop", "tdma"])
