@@ -315,24 +315,30 @@ def _drop_block(config: SimConfig, draws: np.ndarray) -> _Drops:
     hit = counts.min(axis=1) > 0
     role = _scratch("role", (n, b, k0), np.int8)  # of each (trial, cluster, group) cell
     role[:, :, k:] = ROLE_CELLULAR
-    role[:, :, :k] = np.where(hit, ROLE_COOP, ROLE_NONCOOP)[:, None]
+    role[:, :, :k] = np.where(hit, np.int8(ROLE_COOP), np.int8(ROLE_NONCOOP))[:, None]
     # a copy: the draws are the thread's scratch, which the next block overwrites
     return _Drops(request_of, counts, hit, np.take(role, cell), draws[:, 3 * m :].copy())
 
 
-def _role_counts(drops: _Drops) -> tuple[np.ndarray, np.ndarray]:
-    """Per trial, the users that request a hit group and those that request a cached one."""
-    per_group = drops.counts.sum(axis=1)
-    return (per_group * drops.hit).sum(axis=1), per_group.sum(axis=1)
+def _role_counts(roles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per trial, the users of each role code of ``roles`` (T, M), in code order.
+
+    They are summed in int16, the records' type, which holds every user count.
+    """
+    coop = (roles == ROLE_COOP).sum(axis=1, dtype=np.int16)
+    cellular = (roles == ROLE_CELLULAR).sum(axis=1, dtype=np.int16)
+    return coop, roles.shape[1] - coop - cellular, cellular
 
 
 def _nth_true(mask: np.ndarray, counts: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Column of the ``n[r]``-th (0-based) True entry of each row ``r``.
+    """Flat position in ``mask`` of the ``n[i]``-th (0-based) True of its ``i``-th non-empty row.
 
-    Row ``r`` holds ``counts[r]`` Trues, at least one, and ``n[r] < counts[r]``.
+    Rows run along the last axis.  Non-empty row ``i`` holds ``counts[i]``
+    Trues and ``n[i] < counts[i]``; a row of no True takes no rank, so it
+    may stay in ``mask``.  The position modulo the row length is the column.
     """
     first = np.cumsum(counts) - counts  # rank of each row's first True
-    return np.flatnonzero(mask)[first + n] % mask.shape[1]
+    return np.flatnonzero(mask)[first + n]
 
 
 class _Links(NamedTuple):
@@ -374,15 +380,15 @@ def _pick_links(request_of, counts, roles, restrict, choices) -> _Links:
     below its bound by :func:`_below`: the group among the valid ones, then
     the receiver in each cluster, then the user of each cluster's pool.  A
     uniform whose choice is not needed goes unused, so every trial draws
-    the same count.  The links of every trial are picked together with
-    :func:`_nth_true`.  A user never serves itself: the receivers of group
-    ``g`` are its requesters other than user ``g``, and a Mode-1 trial in
-    which no hit group has a receiver in every cluster forms no cooperative
-    set.
+    the same count.  The links of every trial are picked together, by flat
+    position in the block's (T, B, K) masks, with :func:`_nth_true`.  A
+    user never serves itself: the receivers of group ``g`` are its
+    requesters other than user ``g``, and a Mode-1 trial in which no hit
+    group has a receiver in every cluster forms no cooperative set.
     """
     n, b, k = counts.shape
     per_cluster = request_of.reshape(n, b, k)
-    users = np.arange(k)
+    users = np.arange(k, dtype=request_of.dtype)
     own = per_cluster == users  # user j requests the group it caches
     roles = roles.reshape(n, b, k)
     if restrict.all():
@@ -394,10 +400,11 @@ def _pick_links(request_of, counts, roles, restrict, choices) -> _Links:
     pool &= ~own
     sizes = pool.sum(axis=2)
     active = sizes > 0
-    nc_trial, nc_cluster = np.nonzero(active)
     sizes = sizes[active]
-    nc_rx = _nth_true(pool[active], sizes, _below(choices[:, 1 + b :][active], sizes))
-    nc_tx = per_cluster[nc_trial, nc_cluster, nc_rx]
+    at = _nth_true(pool, sizes, _below(choices[:, 1 + b :][active], sizes))  # flat (t, c, j)
+    at_cluster, nc_rx = np.divmod(at, k)
+    nc_trial, nc_cluster = np.divmod(at_cluster, b)
+    nc_tx = np.take(request_of, at)
 
     rows = np.flatnonzero(restrict)
     if not rows.size:
@@ -408,12 +415,12 @@ def _pick_links(request_of, counts, roles, restrict, choices) -> _Links:
     n_valid = valid.sum(axis=1)
     sets = np.flatnonzero(n_valid)
     coop = rows[sets]
-    group = _nth_true(valid[sets], n_valid[sets], _below(choices[coop, 0], n_valid[sets]))
+    group = _nth_true(valid, n_valid[sets], _below(choices[coop, 0], n_valid[sets])) % k
     bounds = counts[coop, :, group] - own[coop, :, group]  # each cluster's receivers
     g = group[:, None, None]
     eligible = ((per_cluster[coop] == g) & (users != g)).reshape(-1, k)
     picks = _below(choices[coop, 1 : 1 + b], bounds)
-    coop_rx = _nth_true(eligible, bounds.ravel(), picks.ravel()).reshape(-1, b)
+    coop_rx = (_nth_true(eligible, bounds.ravel(), picks.ravel()) % k).reshape(-1, b)
     return _Links(coop, group, coop_rx, nc_trial, nc_cluster, nc_tx, nc_rx)
 
 
@@ -565,15 +572,18 @@ def _block_ends(config: SimConfig, draws: np.ndarray, trial: np.ndarray, tx, rx)
     """Ends ``(..., n, 2, 2)`` of the links ``tx -> rx`` of ``trial``.
 
     ``draws`` are the block's rows of stream D (:func:`_drop_rows`).  Each
-    end's unit-cell uniforms ``u`` are gathered and scaled to its position
-    ``u * d + corner``, for cells of side ``d``.
+    end's unit-cell uniforms ``u`` and its cell corner are taken by flat
+    position, and ``u`` is scaled to the position ``u * d + corner``, for
+    cells of side ``d``.
     """
     plan = config.plan
-    m, d = plan.n_users, plan.cluster_side_m
-    users = np.stack((tx, rx), axis=-1)
-    ends = draws[:, : 2 * m].reshape(len(draws), m, 2)[trial[..., None], users]
+    d = plan.cluster_side_m
+    at = np.stack((tx, rx), axis=-1)[..., None] * 2 + np.arange(2)  # flat (user, coordinate)
+    corner = np.take(_corners(plan.n_clusters, plan.users_per_cluster, d), at)
+    at += trial[..., None, None] * draws.shape[1]  # flat (trial, user, coordinate)
+    ends = np.take(draws, at)
     ends *= d
-    ends += _corners(plan.n_clusters, plan.users_per_cluster, d)[users]
+    ends += corner
     return ends
 
 
@@ -733,11 +743,8 @@ def _run_block(config: SimConfig, start: int, out: np.ndarray) -> None:
         out["throughput"] = throughput
         out["coop_band"] = coop_band
         out["dropped_links"] = np.where(usable, rated.zf_dropped, 0)
-    n_coop, n_cached = _role_counts(rated.drops)
     out["mode"] = rated.drops.hit.any(axis=1)
-    out["n_coop"] = n_coop
-    out["n_noncoop"] = n_cached - n_coop
-    out["n_cellular"] = config.plan.n_users - n_cached
+    out["n_coop"], out["n_noncoop"], out["n_cellular"] = _role_counts(rated.drops.roles)
     out["degenerate"] = split & ~rated.has_zf
     out["silent_clusters"] = config.plan.n_clusters - rated.nc_links.sum(axis=1)
     out["discarded"] = ~usable
@@ -797,10 +804,10 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
     """
     check_number("n_jobs", n_jobs)
     trials = config.trials
-    records = np.empty(trials, dtype=TRIAL_DTYPE)
     if n_jobs == 1:
-        records[:] = _run_range((config, 0, trials))
+        records = _run_range((config, 0, trials))
     else:
+        records = np.empty(trials, dtype=TRIAL_DTYPE)
         bounds = np.linspace(0, trials, num=min(n_jobs * 4, trials) + 1, dtype=int)
         jobs = [(config, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
         workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
@@ -856,7 +863,7 @@ def snapshot_counts(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
         hi = min(lo + _CHUNK, n)
         drops = _drop_block(config, _drop_rows(config, lo, hi))
         modes[lo:hi] = drops.hit.any(axis=1)
-        coops[lo:hi] = _role_counts(drops)[0]
+        coops[lo:hi] = _role_counts(drops.roles)[ROLE_COOP]
     return modes, coops
 
 

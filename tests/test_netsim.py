@@ -480,6 +480,8 @@ def test_zf_channel_matches_the_complex_product_bit_for_bit(ref_radio, n, floor)
 
 
 def test_nth_true_matches_the_cumulative_count_rule():
+    # flat positions in a (T, B, K) mask, as the block's pool is ranked:
+    # rows of no True, the first and last rows among them, take no rank
     rng = np.random.default_rng(11)
     mask = rng.random((900, 15)) < rng.random((900, 1))
     mask[:300] = False
@@ -488,12 +490,18 @@ def test_nth_true_matches_the_cumulative_count_rule():
     mask[400:450] = False
     mask[400:450, -1] = True  # the last column alone
     mask[~mask.any(axis=1), 0] = True
+    mask[::7] = mask[1::11] = mask[-1] = False  # rows of no True, interleaved
     counts = mask.sum(axis=1)
     n = (rng.random(900) * counts).astype(np.int64)
-    n[300:400] = counts[300:400] - 1  # the last True, in the last column
-    expected = np.argmax(mask.cumsum(axis=1) > n[:, None], axis=1)
-    assert np.array_equal(netsim._nth_true(mask, counts, n), expected)
-    assert (expected[300:450] == 14).all()
+    n[300:400] = np.maximum(counts[300:400] - 1, 0)  # the last True, in the last column
+    column = np.argmax(mask.cumsum(axis=1) > n[:, None], axis=1)
+    full = counts > 0
+    assert not full[0] and not full[-1] and 0 < full.sum() < 800
+    expected = (np.arange(900) * 15 + column)[full]
+    got = netsim._nth_true(mask.reshape(100, 9, 15), counts[full], n[full])
+    assert np.array_equal(got, expected)
+    assert np.array_equal(got % 15, column[full])
+    assert (column[300:450][full[300:450]] == 14).all()
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.4, 1.0, 3.0, 30.0])
@@ -601,12 +609,14 @@ def test_held_block_results_survive_the_next_block(ref_config, sparse_config, st
     config = replace(ref_config, strategy=strategy)
     rated = netsim._rate_block(config, 0, 60)
     drops = drops_of(config, 60, 90)
-    held = fields_of(rated) + list(drops)
+    records = run_campaign(replace(config, trials=60), keep_trials=True).trials
+    held = fields_of(rated) + list(drops) + [records]
     copies = [a.copy() for a in held]
     # first the same shapes, so the workspace is overwritten in place
     for other in (replace(config, seed=6), replace(sparse_config, strategy=strategy, seed=5)):
         netsim._rate_block(other, 0, 60)
         drops_of(other, 0, 30)
+        run_campaign(replace(other, trials=60), keep_trials=True)
     for before, after in zip(copies, held):
         assert before.dtype == after.dtype and before.shape == after.shape
         assert before.tobytes() == after.tobytes()
