@@ -398,7 +398,8 @@ def _pick_links(request_of, counts, roles, restrict, choices) -> _Links:
     else:
         pool = roles != ROLE_CELLULAR
     pool &= ~own
-    sizes = pool.sum(axis=2)
+    # numpy's ``sum`` reduces a short last axis slowly; ``einsum`` counts in C
+    sizes = np.einsum("tcj->tc", pool, dtype=np.intp, casting="unsafe")
     active = sizes > 0
     sizes = sizes[active]
     at = _nth_true(pool, sizes, _below(choices[:, 1 + b :][active], sizes))  # flat (t, c, j)
@@ -412,7 +413,7 @@ def _pick_links(request_of, counts, roles, restrict, choices) -> _Links:
         return _Links(rows, empty[:, 0], empty, nc_trial, nc_cluster, nc_tx, nc_rx)
     # (rows, k) groups a set can send: a requester other than user g in every cluster
     valid = (counts > own)[rows].all(axis=1)
-    n_valid = valid.sum(axis=1)
+    n_valid = np.einsum("rk->r", valid, dtype=np.intp, casting="unsafe")
     sets = np.flatnonzero(n_valid)
     coop = rows[sets]
     group = _nth_true(valid, n_valid[sets], _below(choices[coop, 0], n_valid[sets])) % k
@@ -644,6 +645,7 @@ class _Rated(NamedTuple):
     """
 
     drops: _Drops
+    mode: np.ndarray  # (T,) Mode 1: some cached group is requested in every cluster
     split: np.ndarray  # (T,) cooperation in Mode 1: the band is split
     has_zf: np.ndarray  # (T,) a cooperative set was scheduled
     zf_sum: np.ndarray  # (T,) zero-forcing rate sum
@@ -664,14 +666,18 @@ def _rate_block(config: SimConfig, lo: int, hi: int) -> _Rated:
     normals by :func:`_box_muller`, drawn only when some trial cooperates;
     each non-cooperative set's, or tdma colour slot's, Exp(1) powers
     gathered from its trial's row of stream F, at the set's (receiver,
-    transmitter) clusters, drawn only when the block has such a link.
+    transmitter) clusters, drawn only when the block has such a link.  A
+    set's links are read in the order :func:`_pick_links` returns them
+    (only tdma sorts them into its colour slots); when the non-empty sets
+    all have one size, the links are their rows, with no gather.
     """
     plan, radio = config.plan, config.radio
     b, k = plan.n_clusters, plan.users_per_cluster
     n = hi - lo
     draws = _drop_rows(config, lo, hi)  # held to the end: the link ends read them
     drops = _drop_block(config, draws)
-    split = drops.hit.any(axis=1) & (config.strategy == "coop" and config.eta > 0.0)
+    mode = drops.hit.any(axis=1)
+    split = mode & (config.strategy == "coop" and config.eta > 0.0)
     links = _pick_links(drops.request_of, drops.counts, drops.roles, split, drops.choices)
 
     floor, cells = config.min_pairing_distance_m, np.arange(b) * k
@@ -694,30 +700,36 @@ def _rate_block(config: SimConfig, lo: int, hi: int) -> _Rated:
         zf_sum[links.coop] = rates.sum(axis=1)
         zf_dropped[links.coop] = np.count_nonzero(rates == 0.0, axis=1)
 
-    n_slots = 4 if config.strategy == "tdma" else 1
-    if n_slots == 4:
-        grid = math.isqrt(b)
-        row, col = np.divmod(links.nc_cluster, grid)
+    cluster, tx, rx = links.nc_cluster, links.nc_tx, links.nc_rx  # trial, then cluster order
+    if config.strategy == "tdma":
+        n_slots, grid = 4, math.isqrt(b)
+        row, col = np.divmod(cluster, grid)
         slot = links.nc_trial * 4 + 2 * (row % 2) + col % 2
+        order = np.argsort(slot, kind="stable")  # each slot's links together, in cluster order
+        cluster, tx, rx = cluster[order], tx[order], rx[order]
     else:
-        slot = links.nc_trial
-    order = np.argsort(slot, kind="stable")  # each set's links together, in cluster order
+        n_slots, slot = 1, links.nc_trial
+    tx, rx = cluster * k + tx, cluster * k + rx  # among the trial's users
     set_size = np.bincount(slot, minlength=n * n_slots)
-    cluster = links.nc_cluster[order]
-    tx, rx = cluster * k + links.nc_tx[order], cluster * k + links.nc_rx[order]
-    if links.nc_trial.size:
-        fading = _stream_rows(config.seed, _FADING, lo, hi, b * b).reshape(n, b, b)
-    first_link = np.cumsum(set_size) - set_size  # of each set, in ``order``
     nc_sum = np.zeros(n * n_slots)
-    for size in np.unique(set_size[set_size > 0]).tolist():
+    sizes = np.flatnonzero(np.bincount(set_size)[1:]) + 1  # the distinct sizes of the sets
+    if sizes.size:
+        fading = _stream_rows(config.seed, _FADING, lo, hi, b * b).reshape(n, b, b)
+    if sizes.size > 1:
+        first_link = np.cumsum(set_size) - set_size
+    for size in sizes.tolist():
         sets = np.flatnonzero(set_size == size)
-        idx = first_link[sets, None] + np.arange(size)
+        if sizes.size == 1:  # the sets' links lie end to end, one set a row
+            set_cluster, set_tx, set_rx = (a.reshape(-1, size) for a in (cluster, tx, rx))
+        else:
+            idx = first_link[sets, None] + np.arange(size)
+            set_cluster, set_tx, set_rx = cluster[idx], tx[idx], rx[idx]
         trial = sets // n_slots
-        ends = _block_ends(config, draws, trial[:, None], tx[idx], rx[idx])
-        power = _set_powers(fading, trial, cluster[idx])
+        ends = _block_ends(config, draws, trial[:, None], set_tx, set_rx)
+        power = _set_powers(fading, trial, set_cluster)
         nc_sum[sets] = _sinr_rates(ends, power, radio, floor).sum(axis=1)
     return _Rated(
-        drops, split, has_zf, zf_sum, zf_dropped, usable,
+        drops, mode, split, has_zf, zf_sum, zf_dropped, usable,
         nc_sum.reshape(n, n_slots), set_size.reshape(n, n_slots),
     )
 
@@ -743,7 +755,7 @@ def _run_block(config: SimConfig, start: int, out: np.ndarray) -> None:
         out["throughput"] = throughput
         out["coop_band"] = coop_band
         out["dropped_links"] = np.where(usable, rated.zf_dropped, 0)
-    out["mode"] = rated.drops.hit.any(axis=1)
+    out["mode"] = rated.mode
     out["n_coop"], out["n_noncoop"], out["n_cellular"] = _role_counts(rated.drops.roles)
     out["degenerate"] = split & ~rated.has_zf
     out["silent_clusters"] = config.plan.n_clusters - rated.nc_links.sum(axis=1)
@@ -801,6 +813,9 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
     Returns
     -------
     SimResult
+        Its means and interval are plain float64 reductions of the kept
+        records, one ``add.reduce`` per field: the same sums, divisions and
+        square root as numpy's ``mean`` and ``std(ddof=1)``, so the same bits.
     """
     check_number("n_jobs", n_jobs)
     trials = config.trials
@@ -816,22 +831,37 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
                 records[lo:hi] = chunk
 
     valid = records["discarded"] == 0
-    n_valid = int(valid.sum())
+    n_valid = int(np.count_nonzero(valid))
     kept = records if n_valid == trials else records[valid]
-    # Throughputs and their coop-band parts are averaged at the scale 2**-e,
-    # e the binary exponent of the largest throughput: exact, and a sum near
-    # the top of the float range cannot overflow.
-    e = int(np.frexp(np.abs(kept["throughput"]).max())[1]) if n_valid else 0
-    thr = np.ldexp(kept["throughput"], -e)
-    mean = float(np.ldexp(thr.mean(), e)) if n_valid else math.nan
-    ci95 = float(np.ldexp(1.96 * thr.std(ddof=1) / math.sqrt(n_valid), e)) if n_valid > 1 else 0.0
-    mean_coop = float(kept["n_coop"].mean()) if n_valid else math.nan
-    mean_noncoop = float(kept["n_noncoop"].mean()) if n_valid else math.nan
-    mean_cell = float(kept["n_cellular"].mean()) if n_valid else math.nan
-    band = np.ldexp(kept["coop_band"], -e)
-    coop_band_mean = float(np.ldexp(band.mean(), e)) if n_valid else math.nan
-    noncoop_band_mean = mean - coop_band_mean if n_valid else math.nan
     b = config.plan.n_clusters
+    # One ``add.reduce`` per field, the sum inside numpy's ``mean``, which
+    # also takes the integer fields' sums in float64 (exact, far below 2**53).
+    total = {
+        name: np.add.reduce(kept[name], dtype=np.float64)
+        for name in ("n_coop", "n_noncoop", "n_cellular", "mode", "degenerate",
+                     "dropped_links", "silent_clusters")
+    }
+    mean_coop, mean_noncoop, mean_cell, mode1 = (
+        float(total[name] / n_valid) if n_valid else math.nan
+        for name in ("n_coop", "n_noncoop", "n_cellular", "mode")
+    )
+    mean = coop_band_mean = math.nan
+    ci95 = 0.0
+    if n_valid:
+        # Throughputs and their coop-band parts are averaged at the scale
+        # 2**-e, e the binary exponent of the largest throughput: exact, and
+        # a sum near the top of the float range cannot overflow.
+        e = int(np.frexp(np.maximum.reduce(np.abs(kept["throughput"])))[1])
+        thr = np.ldexp(kept["throughput"], -e)
+        thr_mean = np.add.reduce(thr) / n_valid
+        mean = float(np.ldexp(thr_mean, e))
+        coop_band = np.add.reduce(np.ldexp(kept["coop_band"], -e)) / n_valid
+        coop_band_mean = float(np.ldexp(coop_band, e))
+        if n_valid > 1:  # ``std(ddof=1)``: the squared deviations from that mean
+            dev = np.subtract(thr, thr_mean, out=thr)
+            std = np.sqrt(np.add.reduce(np.multiply(dev, dev, out=dev)) / (n_valid - 1))
+            ci95 = float(np.ldexp(1.96 * std / math.sqrt(n_valid), e))
+    noncoop_band_mean = mean - coop_band_mean
 
     return SimResult(
         strategy=config.strategy,
@@ -839,13 +869,13 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
         throughput_ci95=ci95,
         user_throughput_coop=(coop_band_mean / mean_coop) if mean_coop else 0.0,
         user_throughput_noncoop=(noncoop_band_mean / mean_noncoop) if mean_noncoop else 0.0,
-        mode1_frequency=float(kept["mode"].mean()) if n_valid else math.nan,
+        mode1_frequency=mode1,
         mean_counts=(mean_coop, mean_noncoop, mean_cell),
         n_trials=n_valid,
         discarded_trials=trials - n_valid,
-        degenerate_mode1_trials=int(kept["degenerate"].sum()),
-        dropped_link_fraction=float(kept["dropped_links"].sum()) / max(1, n_valid * b),
-        silent_cluster_fraction=float(kept["silent_clusters"].sum()) / max(1, n_valid * b),
+        degenerate_mode1_trials=int(total["degenerate"]),
+        dropped_link_fraction=float(total["dropped_links"]) / max(1, n_valid * b),
+        silent_cluster_fraction=float(total["silent_clusters"]) / max(1, n_valid * b),
         trials=records if keep_trials else None,
     )
 

@@ -152,12 +152,27 @@ def wide_catalog_config(ref_plan, ref_radio):
     )
 
 
+@pytest.fixture(scope="module")
+def sparse_pairs_config(ref_radio, ref_model):
+    # 2 users in each cluster of a 4 x 4 grid on the 15-group catalog:
+    # silent clusters are common, so a block's link sets take many sizes
+    return SimConfig(
+        plan=make_plan(100.0, 16, 2),
+        radio=ref_radio,
+        popularity=ref_model,
+        strategy="coop",
+        trials=150,
+        seed=7,
+        eta=0.5,
+    )
+
+
 @pytest.mark.parametrize("strategy", ["coop", "nocoop", "tdma"])
 @pytest.mark.parametrize(
     "base",
     [
         "ref_config", "sparse_config", "small_config", "eta0_config", "single_cluster_config",
-        "wide_catalog_config",
+        "wide_catalog_config", "sparse_pairs_config",
     ],
 )
 def test_campaign_records_match_the_per_trial_reference(request, base, strategy):
@@ -177,6 +192,14 @@ def test_campaign_records_match_the_per_trial_reference(request, base, strategy)
             assert expected["degenerate"].any()
     if base == "single_cluster_config" and strategy == "coop":
         assert (expected["coop_band"] > 0).any()
+    if base in ("sparse_config", "sparse_pairs_config"):
+        # a block whose non-empty link sets have one size reads them as rows
+        # of its links; one of mixed sizes gathers them, a stack per size
+        n_sizes = set()
+        for lo in range(0, config.trials, netsim._CHUNK):
+            set_size = netsim._rate_block(config, lo, min(lo + netsim._CHUNK, config.trials)).nc_links
+            n_sizes.add(np.unique(set_size[set_size > 0]).size)
+        assert n_sizes == {1} if base == "sparse_config" else 1 not in n_sizes
     for n_jobs in (1, 2):
         records = run_campaign(config, n_jobs=n_jobs, keep_trials=True).trials
         assert records.tobytes() == expected.tobytes()
@@ -900,6 +923,87 @@ def test_role_counts_and_aggregates_match_the_per_field_reference(
     for name, expected in aggregate_reference(records, config.plan.n_clusters).items():
         got = getattr(result, name)
         assert type(got) is type(expected) and got == approx(expected, rel=1e-14), name
+
+
+def numpy_aggregate(records, n_clusters):
+    """The :class:`SimResult` fields of ``records`` through numpy's ``mean``, ``std`` and ``sum``."""
+    trials = len(records)
+    valid = records["discarded"] == 0
+    n_valid = int(valid.sum())
+    kept = records if n_valid == trials else records[valid]
+    e = int(np.frexp(np.abs(kept["throughput"]).max())[1]) if n_valid else 0
+    thr = np.ldexp(kept["throughput"], -e)
+    mean = float(np.ldexp(thr.mean(), e)) if n_valid else math.nan
+    ci95 = float(np.ldexp(1.96 * thr.std(ddof=1) / math.sqrt(n_valid), e)) if n_valid > 1 else 0.0
+    mean_coop = float(kept["n_coop"].mean()) if n_valid else math.nan
+    mean_noncoop = float(kept["n_noncoop"].mean()) if n_valid else math.nan
+    mean_cell = float(kept["n_cellular"].mean()) if n_valid else math.nan
+    band = np.ldexp(kept["coop_band"], -e)
+    coop_band_mean = float(np.ldexp(band.mean(), e)) if n_valid else math.nan
+    noncoop_band_mean = mean - coop_band_mean if n_valid else math.nan
+    return {
+        "throughput_mean": mean,
+        "throughput_ci95": ci95,
+        "user_throughput_coop": (coop_band_mean / mean_coop) if mean_coop else 0.0,
+        "user_throughput_noncoop": (noncoop_band_mean / mean_noncoop) if mean_noncoop else 0.0,
+        "mode1_frequency": float(kept["mode"].mean()) if n_valid else math.nan,
+        "mean_counts": (mean_coop, mean_noncoop, mean_cell),
+        "n_trials": n_valid,
+        "discarded_trials": trials - n_valid,
+        "degenerate_mode1_trials": int(kept["degenerate"].sum()),
+        "dropped_link_fraction": float(kept["dropped_links"].sum()) / max(1, n_valid * n_clusters),
+        "silent_cluster_fraction": (
+            float(kept["silent_clusters"].sum()) / max(1, n_valid * n_clusters)
+        ),
+    }
+
+
+def assert_same_float(got, expected, name):
+    assert type(got) is type(expected), name
+    if isinstance(expected, float) and math.isnan(expected):
+        assert math.isnan(got), name
+    else:
+        assert got == expected, name
+
+
+@pytest.mark.parametrize("unusable", ["none", "one", "all_but_one", "all"])
+def test_aggregates_equal_numpys_mean_and_std_bit_for_bit(ref_config, monkeypatch, unusable):
+    # run_campaign sums with ``add.reduce``; every field must be the bits of
+    # numpy's ``mean``, ``std(ddof=1)`` and ``sum`` on the kept records.  Over
+    # 8 or more values numpy's pairwise sum runs eight partial sums; at 60
+    # trials of this seed, a running sum of the throughputs, of their
+    # squared deviations or of the coop bands, or a ``math.fsum`` of the
+    # throughputs or coop bands, moves a field's last bits
+    n = 60
+    config = replace(ref_config, trials=n)
+    zeroed = {"none": slice(0), "one": slice(1, 2), "all_but_one": slice(1, None)}
+    zeroed = zeroed.get(unusable, slice(None))
+    original = netsim._zf_channel
+
+    def broken(ends, normals, radio, min_distance_m):
+        h = original(ends, normals, radio, min_distance_m)
+        h[zeroed] = 0.0  # these trials' channels: none usable
+        return h
+
+    monkeypatch.setattr(netsim, "_zf_channel", broken)
+    result = run_campaign(config, keep_trials=True)
+    records = result.trials
+    assert records["discarded"].tolist() == np.isin(np.arange(n), np.arange(n)[zeroed]).tolist()
+    expected = numpy_aggregate(records, config.plan.n_clusters)
+    assert expected["n_trials"] == {"none": n, "one": n - 1, "all_but_one": 1, "all": 0}[unusable]
+    if unusable == "all_but_one":
+        assert expected["throughput_ci95"] == 0.0
+    if unusable == "all":
+        assert math.isnan(expected["throughput_mean"])
+    assert result.strategy == config.strategy
+    for name, want in expected.items():
+        got = getattr(result, name)
+        if name == "mean_counts":
+            assert type(got) is tuple and len(got) == 3
+            for i, (g, w) in enumerate(zip(got, want)):
+                assert_same_float(g, w, "%s[%d]" % (name, i))
+        else:
+            assert_same_float(got, want, name)
 
 
 def test_zf_single_link_matches_direct_formula(ref_radio):
