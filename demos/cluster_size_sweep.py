@@ -18,6 +18,7 @@ import sys
 
 from coopd2d import ExperimentSpec, build_popularity, optimize_cluster_size
 from coopd2d.errors import CoopD2DError
+from coopd2d.experiments import write_csv
 
 
 def main(argv=None) -> int:
@@ -56,16 +57,12 @@ def report(args) -> int:
     rows = []
     for m in (45, 135, 450, 13_500, 1_000_000):
         k_star, links, _ = optimize_cluster_size(model, m)
-        rows.append((m, k_star, links))
+        rows.append({"n_users": m, "k_star": k_star, "expected_active_links": links})
         note = "  <- cache-partition ceiling" if k_star == model.group_count else ""
         print("  M=%9d  K*=%2d  E[active links]=%10.3f%s" % (m, k_star, links, note))
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("n_users,k_star,expected_active_links\n")
-            for m, k_star, links in rows:
-                fh.write("%d,%d,%r\n" % (m, k_star, links))
-        print("\nwrote %s" % args.out)
+        print("\nwrote %s" % write_csv(args.out, "cluster_optimum.v1", rows))
     return 0
 
 

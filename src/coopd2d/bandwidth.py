@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, check_number
+from .errors import check_number, check_split_inputs
 from .rates import network_throughput
 
 __all__ = ["BandwidthSolution", "optimize_eta"]
@@ -100,8 +100,7 @@ def optimize_eta(
     """
     for name, value in (("bandwidth_hz", bandwidth_hz), ("n_clusters", n_clusters), ("mu_bps", mu)):
         check_number(name, value)
-    if min(pc, rc, rn, nc_bar, nn_bar) < 0:
-        raise ConfigurationError("all optimizer inputs must be non-negative")
+    check_split_inputs(pc, ("rc", rc), ("rn", rn), ("nc_bar", nc_bar), ("nn_bar", nn_bar))
 
     wb = bandwidth_hz * n_clusters
     # Vacuous constraints: no users in a class, or no floor to honor.

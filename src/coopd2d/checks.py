@@ -166,7 +166,7 @@ def cmd_validate(spec: ExperimentSpec, report=print) -> bool:
 
     # two cached groups, K = 2 users in each cell of a 2 x 2 grid
     small = build_popularity(2 * spec.cache_size, spec.cache_size, 1.0)
-    exact = expected_coop_users_exact(small, 2, 4).coop_mean
+    exact = expected_coop_users_exact(small, 2, 4)
     closed = expected_coop_users_closed(small, 2, 4).coop_mean
     small_cfg = replace(
         campaign_config(spec, pt, "coop", 0.5),

@@ -1,14 +1,15 @@
 """Exception types shared across the package, and the input rule of each named quantity.
 
-The split mirrors how failures surface at the command line: configuration
-problems (bad inputs, impossible parameter combinations) versus consistency
-problems detected while computing.
+Two kinds of failure: configuration problems (bad inputs, impossible
+parameter combinations, divergent moments) and an exact enumeration refused
+for exceeding its term budget.
 
 :func:`check_number` is the one statement of the type and range each named
 quantity must have: config files, flags and every public entry point that
 takes one of these names check it here.  :func:`check_cached_groups` is the
 one statement of the model's structural rule, a cluster of at most as many
-users as there are cacheable file groups.  This module imports no other
+users as there are cacheable file groups, and :func:`check_split_inputs` the
+rule of the band split's derived inputs.  This module imports no other
 module of the package, so every module can import it.
 """
 
@@ -20,10 +21,10 @@ __all__ = [
     "ConfigurationError",
     "DivergenceError",
     "EnumerationBudgetError",
-    "ConsistencyError",
     "NUMERIC_RULES",
     "check_number",
     "check_cached_groups",
+    "check_split_inputs",
 ]
 
 
@@ -45,10 +46,6 @@ class DivergenceError(ConfigurationError):
 
 class EnumerationBudgetError(CoopD2DError):
     """Exact enumeration refused because the term count exceeds the budget."""
-
-
-class ConsistencyError(CoopD2DError):
-    """Derived quantities violate an internal conservation law."""
 
 
 # Named quantities as (type, bound, bound test, names).  Floats must also be
@@ -99,3 +96,15 @@ def check_cached_groups(name: str, value, group_count: int) -> None:
         raise ConfigurationError(
             "%s must be at most the %d cacheable file groups, got %r" % (name, group_count, value)
         )
+
+
+def check_split_inputs(pc, *named) -> None:
+    """Refuse, naming it, a cooperation probability ``pc`` outside [0, 1] or a
+    NaN, infinite or negative value of a ``(name, value)`` pair in ``named``
+    (rates, class means).  Plain comparisons, cheaper than :func:`check_number`,
+    as the band split is solved once per rate floor."""
+    if not 0.0 <= pc <= 1.0:
+        raise ConfigurationError("pc must be in [0, 1], got %r" % (pc,))
+    for name, value in named:
+        if not 0.0 <= value < math.inf:
+            raise ConfigurationError("%s must be a finite number >= 0, got %r" % (name, value))

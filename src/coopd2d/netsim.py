@@ -803,8 +803,9 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
     ----------
     config : SimConfig
     n_jobs : int, optional
-        Worker processes, an integer of at least 1, capped at the CPU count
-        and at the number of trial ranges; results are bit-identical for any
+        Worker processes, an integer of at least 1.  Above 1, the pool's
+        ``min(n_jobs, trials, CPU count)`` workers run ``min(4 * workers,
+        trials)`` contiguous trial ranges; results are bit-identical for any
         value because trial randomness and storage are indexed by trial.
     keep_trials : bool, optional
         Attach the per-trial record array to the result (needed for
@@ -823,9 +824,10 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
         records = _run_range((config, 0, trials))
     else:
         records = np.empty(trials, dtype=TRIAL_DTYPE)
-        bounds = np.linspace(0, trials, num=min(n_jobs * 4, trials) + 1, dtype=int)
-        jobs = [(config, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        workers = min(n_jobs, len(jobs), os.cpu_count() or 1)
+        workers = min(n_jobs, trials, os.cpu_count() or 1)
+        bounds = np.linspace(0, trials, num=min(workers * 4, trials) + 1, dtype=int)
+        # at most ``trials`` ranges, so each holds at least one trial
+        jobs = [(config, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for (_, lo, hi), chunk in zip(jobs, pool.map(_run_range, jobs)):
                 records[lo:hi] = chunk

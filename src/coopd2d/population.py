@@ -9,10 +9,10 @@ full catalog.  A user is
   network-wide hit,
 * cellular otherwise (group index ``>= K``; only counted, never rated).
 
-The pipeline takes the cooperative mean from linearity of expectation, exact
-for i.i.d. requests at any size.  An enumeration of per-cluster request
-compositions in exact rational arithmetic (bit for bit against brute force)
-cross-checks it; the sampled counterpart is the snapshot simulator's
+:func:`expected_coop_users_closed` states the class split once, in closed
+form.  :func:`expected_coop_users_exact` cross-checks its cooperative mean by
+enumerating per-cluster request compositions in exact rational arithmetic
+(bit for bit against brute force); the sampled counterpart is
 :func:`coopd2d.netsim.snapshot_counts`, which classifies requests as the
 campaigns do.
 """
@@ -27,15 +27,12 @@ import numpy as np
 
 from .catalog import PopularityModel, cumulative_cached_prob
 from .clusters import hit_probability
-from .errors import (
-    ConfigurationError, ConsistencyError, EnumerationBudgetError, check_cached_groups, check_number
-)
+from .errors import EnumerationBudgetError, check_cached_groups, check_number
 
 __all__ = [
     "PopulationSummary",
     "expected_coop_users_closed",
     "expected_coop_users_exact",
-    "expected_cellular_and_noncoop",
 ]
 
 # Largest raw configuration space exact enumeration stands in for.
@@ -51,32 +48,25 @@ class PopulationSummary:
     noncoop_mean: float
 
 
-def _summary(model: PopularityModel, k: int, b: int, coop_mean: float) -> PopulationSummary:
-    cellular_mean, noncoop_mean = expected_cellular_and_noncoop(
-        model, k * b, k, coop_mean
-    )
-    return PopulationSummary(coop_mean, cellular_mean, noncoop_mean)
-
-
 def expected_coop_users_closed(
     model: PopularityModel, users_per_cluster: int, n_clusters: int
 ) -> PopulationSummary:
-    """Exact expected user-class sizes by linearity of expectation.
+    """Exact expected user-class sizes of the ``M = K B`` users.
 
     A user is cooperative iff its request falls in a cached group ``k`` that
-    the other ``B - 1`` clusters hit too, so ``coop_mean = K B sum_k P_k
-    hit_k^(B-1)`` with ``hit_k = 1 - (1 - P_k)^K``.
+    the other ``B - 1`` clusters hit too, so by linearity of expectation
+    ``coop_mean = M sum_k P_k hit_k^(B-1)`` with ``hit_k = 1 - (1 - P_k)^K``.
+    ``cellular_mean = M (1 - sum_{k<K} P_k)`` and the non-cooperative mean is
+    the remainder, a roundoff below zero clamped to zero.
     """
     k, b = users_per_cluster, n_clusters
     check_number("n_clusters", b)
     ph = hit_probability(model, k)
-    coop_mean = k * b * float(np.sum(model.group_probs[:k] * ph ** (b - 1)))
-    return _summary(model, k, b, coop_mean)
-
-
-def _multichoose(n: int, k: int) -> int:
-    """Number of compositions of k into n non-negative parts."""
-    return math.comb(n + k - 1, k)
+    m = k * b
+    coop_mean = m * float(np.sum(model.group_probs[:k] * ph ** (b - 1)))
+    cellular_mean = m * (1.0 - cumulative_cached_prob(model, k))
+    noncoop_mean = max(0.0, m - coop_mean - cellular_mean)
+    return PopulationSummary(coop_mean, cellular_mean, noncoop_mean)
 
 
 def _compositions(total: int, parts: int):
@@ -93,7 +83,7 @@ def expected_coop_users_exact(
     model: PopularityModel,
     users_per_cluster: int,
     n_clusters: int,
-) -> PopulationSummary:
+) -> float:
     """Exact expected cooperative-user count by composition enumeration.
 
     Enumerates the per-cluster composition space once, accumulating for every
@@ -114,7 +104,8 @@ def expected_coop_users_exact(
         ``K`` and ``B``.
     Returns
     -------
-    PopulationSummary
+    float
+        ``coop_mean``; the other class means are the closed form's.
 
     Raises
     ------
@@ -128,7 +119,7 @@ def expected_coop_users_exact(
     k, b = users_per_cluster, n_clusters
     check_cached_groups("users_per_cluster", k, k0)
     check_number("n_clusters", b)
-    space = _multichoose(k0, k) ** b
+    space = math.comb(k0 + k - 1, k) ** b
     if space > _ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
             "configuration space holds %d terms (budget %d); use "
@@ -160,41 +151,5 @@ def expected_coop_users_exact(
                 hit_prob[g] += mass
                 mean_count[g] += mass * comp[g]
 
-    nc = b * sum(
-        (s * a ** (b - 1) for s, a in zip(mean_count, hit_prob)), Fraction(0)
-    )
-    return _summary(model, k, b, float(nc))
+    return float(b * sum((s * a ** (b - 1) for s, a in zip(mean_count, hit_prob)), Fraction(0)))
 
-
-def expected_cellular_and_noncoop(
-    model: PopularityModel,
-    n_users: int,
-    users_per_cluster: int,
-    coop_mean: float,
-) -> tuple[float, float]:
-    """Expected cellular and non-cooperative counts given the coop mean.
-
-    The cellular count is binomial with success probability equal to the
-    uncached tail mass, so its mean is closed-form; the non-cooperative mean
-    is the remainder.
-
-    Raises
-    ------
-    ConsistencyError
-        If the implied non-cooperative mean is negative beyond roundoff,
-        which signals an inconsistent ``coop_mean``.
-    """
-    check_number("n_users", n_users)
-    check_cached_groups("users_per_cluster", users_per_cluster, model.group_count)
-    if not 0.0 <= coop_mean <= n_users:
-        raise ConfigurationError(
-            "coop_mean must be in [0, n_users], got %r" % (coop_mean,)
-        )
-    cellular_mean = n_users * (1.0 - cumulative_cached_prob(model, users_per_cluster))
-    noncoop_mean = n_users - coop_mean - cellular_mean
-    if noncoop_mean < -1e-9 * max(1.0, float(n_users)):
-        raise ConsistencyError(
-            "negative non-cooperative mean (%r): coop_mean inconsistent with "
-            "the catalog" % (noncoop_mean,)
-        )
-    return cellular_mean, max(0.0, noncoop_mean)

@@ -21,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 
-from .errors import ConfigurationError, check_number
+from .errors import ConfigurationError, check_number, check_split_inputs
 from .geometry import GeometryTable
 
 __all__ = [
@@ -189,6 +189,5 @@ def network_throughput(
     Affine in ``eta`` with slope ``W * B * pc * (rc - rn)``.
     """
     check_number("eta", eta)
-    if not 0.0 <= pc <= 1.0:
-        raise ConfigurationError("pc must be in [0, 1], got %r" % (pc,))
+    check_split_inputs(pc, ("rc", rc), ("rn", rn))
     return bandwidth_hz * n_clusters * (pc * eta * rc + (1.0 - pc * eta) * rn)

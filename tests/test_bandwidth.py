@@ -7,6 +7,7 @@ import pytest
 from pytest import approx
 
 from coopd2d.bandwidth import optimize_eta
+from coopd2d.errors import ConfigurationError
 from coopd2d.rates import network_throughput
 
 import oracles
@@ -131,6 +132,17 @@ def test_input_validation():
         optimize_eta(-0.1, 15.0, 2.4, 20e6, 9, 80.0, 54.0, mu=1e6)
     with pytest.raises(ValueError):
         optimize_eta(0.9, 15.0, 2.4, 0.0, 9, 80.0, 54.0, mu=1e6)
+    # each derived input is refused by name, also where the floor is infeasible
+    for name, args in (
+        ("pc", (1.5, 10.0, 2.0, 1.0, 1.0)),
+        ("rc", (0.5, math.nan, 2.0, 1.0, 1.0)),
+        ("rn", (0.5, 10.0, -1.0, 1.0, 1.0)),
+        ("nc_bar", (0.5, 10.0, 2.0, math.inf, 1.0)),
+        ("nn_bar", (0.5, 10.0, 2.0, 1.0, math.nan)),
+    ):
+        pc, rc, rn, nc, nn = args
+        with pytest.raises(ConfigurationError, match="^%s must" % name):
+            optimize_eta(pc, rc, rn, 20e6, 9, nc, nn, mu=1e12)
 
 
 def test_closed_form_matches_grid_oracle_sample():

@@ -121,7 +121,8 @@ def test_bandwidth_demo_prints_the_rows_optimize_bandwidth_writes(tmp_path, caps
 def test_demo_file_outputs(tmp_path):
     profile = tmp_path / "profile.csv"
     assert _load("cluster_size_sweep").main(["--out", str(profile)]) == 0
-    assert profile.read_text().startswith("n_users,k_star,expected_active_links\n")
+    assert profile.read_text().startswith(
+        "# schema=coopd2d.cluster_optimum.v1\nn_users,k_star,expected_active_links\n")
 
 
 def test_densities_csv(tmp_path, capsys):

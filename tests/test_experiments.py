@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from coopd2d import experiments
+from coopd2d.catalog import cumulative_cached_prob
 from coopd2d.checks import _snapshot_checks, _snapshot_config, cmd_validate
 from coopd2d.errors import ConfigurationError
 from coopd2d.experiments import (
@@ -206,9 +207,10 @@ def test_analytic_point_population_matches_enumeration():
     )
     pt = analytic_point(spec)
     exact = expected_coop_users_exact(pt.model, 2, 4)
-    assert pt.nc_bar == approx(exact.coop_mean, rel=1e-12)
-    assert pt.nn_bar == approx(exact.noncoop_mean, rel=1e-12)
-    assert pt.nb_bar == approx(exact.cellular_mean, rel=1e-12)
+    cellular = 8 * (1.0 - cumulative_cached_prob(pt.model, 2))
+    assert pt.nc_bar == approx(exact, rel=1e-12)
+    assert pt.nn_bar == approx(8 - exact - cellular, rel=1e-12)
+    assert pt.nb_bar == approx(cellular, rel=1e-12)
 
 
 def test_analytic_point_reuses_the_path_gain_moments():

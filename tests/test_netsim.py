@@ -26,9 +26,7 @@ from coopd2d.netsim import (
     run_campaign,
     snapshot_counts,
 )
-from coopd2d.population import (
-    expected_cellular_and_noncoop, expected_coop_users_closed, expected_coop_users_exact
-)
+from coopd2d.population import expected_coop_users_closed, expected_coop_users_exact
 from coopd2d.rates import RadioParams
 
 import oracles
@@ -1269,13 +1267,15 @@ def test_campaign_worker_count_does_not_change_results(ref_config):
 
 @pytest.mark.parametrize(
     "n_jobs, cpus, workers",
-    [(5000, 64, 10), (5000, 3, 3), (5000, None, 1), (2, 64, 2)],
+    [(5000, 64, 10), (5000, 3, 3), (5000, None, 1), (2, 64, 2), (64, 2, 2)],
 )
 def test_campaign_pool_is_capped_by_ranges_and_cpus(
     ref_config, monkeypatch, n_jobs, cpus, workers
 ):
-    """10 trials split into at most 10 ranges; no real process is started."""
+    """10 trials split into at most 4 ranges per worker that runs, not per
+    ``n_jobs``; no real process is started."""
     sizes = []
+    ranges = []
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -1288,6 +1288,7 @@ def test_campaign_pool_is_capped_by_ranges_and_cpus(
             return False
 
         def map(self, fn, jobs):
+            ranges.extend((lo, hi) for _, lo, hi in jobs)
             return map(fn, jobs)
 
     monkeypatch.setattr(netsim, "ProcessPoolExecutor", InProcessPool)
@@ -1296,6 +1297,9 @@ def test_campaign_pool_is_capped_by_ranges_and_cpus(
     serial = run_campaign(config, n_jobs=1, keep_trials=True)
     pooled = run_campaign(config, n_jobs=n_jobs, keep_trials=True)
     assert sizes == [workers]
+    assert len(ranges) <= 4 * workers
+    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+    assert ranges[-1][1] == 10
     assert pooled.trials.tobytes() == serial.trials.tobytes()
 
 
@@ -1357,8 +1361,6 @@ _CLUSTER_SIZE_TAKERS = {
         "users_per_cluster", lambda k: expected_coop_users_closed(_THREE_GROUPS, k, 4)),
     "expected_coop_users_exact": (
         "users_per_cluster", lambda k: expected_coop_users_exact(_THREE_GROUPS, k, 4)),
-    "expected_cellular_and_noncoop": (
-        "users_per_cluster", lambda k: expected_cellular_and_noncoop(_THREE_GROUPS, 4 * k, k, 0.0)),
 }
 
 

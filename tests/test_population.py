@@ -15,14 +15,10 @@ from coopd2d.clusters import (
     make_plan,
     optimize_cluster_size,
 )
-from coopd2d.errors import CoopD2DError, ConsistencyError, EnumerationBudgetError
+from coopd2d.errors import CoopD2DError, EnumerationBudgetError
 from coopd2d.geometry import interference_pdf, path_gain_moments, signal_pdf
 from coopd2d.netsim import SimConfig, link_rate_gap, snapshot_counts
-from coopd2d.population import (
-    expected_cellular_and_noncoop,
-    expected_coop_users_closed,
-    expected_coop_users_exact,
-)
+from coopd2d.population import expected_coop_users_closed, expected_coop_users_exact
 from coopd2d.rates import RadioParams, coop_link_rate, network_throughput
 
 import oracles
@@ -39,7 +35,8 @@ def sim_config(model, **changes):
 
 
 def test_exact_two_cluster_single_user(two_group):
-    summary = expected_coop_users_exact(two_group, 1, 2)
+    assert expected_coop_users_exact(two_group, 1, 2) == approx(0.98, rel=1e-12)
+    summary = expected_coop_users_closed(two_group, 1, 2)
     assert summary.coop_mean == approx(0.98, rel=1e-12)
     assert summary.cellular_mean == approx(0.6, rel=1e-12)
     assert summary.noncoop_mean == approx(0.42, rel=1e-12)
@@ -50,7 +47,8 @@ def test_exact_two_cluster_single_user(two_group):
 
 def test_exact_degenerate_single_cluster():
     model = oracles.make_synthetic_model([1.0])
-    summary = expected_coop_users_exact(model, 1, 1)
+    assert expected_coop_users_exact(model, 1, 1) == 1.0
+    summary = expected_coop_users_closed(model, 1, 1)
     assert summary.coop_mean == 1.0
     assert summary.cellular_mean == 0.0
     assert summary.noncoop_mean == 0.0
@@ -59,15 +57,15 @@ def test_exact_degenerate_single_cluster():
 def test_exact_matches_brute_force_small():
     model = build_popularity(60, 20, 1.0)
     for k, b in ((1, 2), (2, 2), (3, 2), (2, 3)):
-        lib = expected_coop_users_exact(model, k, b).coop_mean
+        lib = expected_coop_users_exact(model, k, b)
         assert lib == oracles.brute_force_coop_mean(model, k, b)  # bit-for-bit
 
 
 def test_exact_matches_linearity_closed_form():
     model = build_popularity(40, 20, 1.0)
-    summary = expected_coop_users_exact(model, 2, 2)
-    assert summary.coop_mean == approx(3.4647956692347037, rel=1e-15)
-    assert summary.coop_mean == approx(
+    exact = expected_coop_users_exact(model, 2, 2)
+    assert exact == approx(3.4647956692347037, rel=1e-15)
+    assert exact == approx(
         oracles.closed_form_coop_mean(model, 2, 2), rel=1e-12
     )
 
@@ -77,9 +75,10 @@ def test_closed_form_matches_enumeration_and_oracle():
     for k, b in ((1, 2), (2, 2), (3, 2), (2, 3), (3, 4)):
         closed = expected_coop_users_closed(model, k, b)
         exact = expected_coop_users_exact(model, k, b)
-        assert closed.coop_mean == approx(exact.coop_mean, rel=1e-12)
-        assert closed.noncoop_mean == approx(exact.noncoop_mean, rel=1e-12)
-        assert closed.cellular_mean == exact.cellular_mean
+        cellular = k * b * (1.0 - cumulative_cached_prob(model, k))
+        assert closed.coop_mean == approx(exact, rel=1e-12)
+        assert closed.noncoop_mean == approx(k * b - exact - cellular, rel=1e-12)
+        assert closed.cellular_mean == cellular
         assert closed.coop_mean == approx(
             oracles.closed_form_coop_mean(model, k, b), rel=1e-15
         )
@@ -109,7 +108,7 @@ def test_closed_form_covers_the_full_size_catalog(ref_model, ref_plan):
         lambda m: expected_coop_users_exact(m, 0, 2),
         lambda m: expected_coop_users_exact(m, 1, 0),
         lambda m: expected_coop_users_closed(m, 1, 0),
-        lambda m: expected_cellular_and_noncoop(m, 2, 1, -0.5),
+        lambda m: optimize_eta(1.5, 10.0, 2.0, 20e6, 9, 1.0, 1.0, 1e12),
         lambda m: path_gain_moments(-1.0, 0.1),
         lambda m: optimize_eta(0.5, 10.0, 2.0, 20e6, 9, 80.0, -1.0, 1e6),
         lambda m: optimize_eta(0.5, 10.0, 2.0, 20e6, 0, 80.0, 50.0, 1e6),
@@ -151,6 +150,15 @@ def test_closed_form_covers_the_full_size_catalog(ref_model, ref_plan):
         lambda m: cumulative_cached_prob(m, 1.5),
         lambda m: cumulative_cached_prob(m, "1"),
         lambda m: cumulative_cached_prob(m, True),
+        lambda m: optimize_eta(math.nan, 10.0, 2.0, 20e6, 9, 1.0, 1.0, 1e12),
+        lambda m: optimize_eta(0.5, math.nan, 2.0, 20e6, 9, 1.0, 1.0, 1e6),
+        lambda m: optimize_eta(0.5, 10.0, math.inf, 20e6, 9, 1.0, 1.0, 1e6),
+        lambda m: optimize_eta(0.5, 10.0, 2.0, 20e6, 9, math.inf, 1.0, 1e6),
+        lambda m: optimize_eta(0.5, 10.0, 2.0, 20e6, 9, math.nan, 1.0, 1e6),
+        lambda m: optimize_eta(0.5, 10.0, 2.0, 20e6, 9, 1.0, math.nan, 1e6),
+        lambda m: network_throughput(0.5, 0.5, math.nan, 2.0, 20e6, 9),
+        lambda m: network_throughput(0.5, 0.5, 10.0, math.inf, 20e6, 9),
+        lambda m: network_throughput(0.5, 0.5, -1.0, 2.0, 20e6, 9),
     ],
 )
 def test_api_argument_errors_are_package_errors(two_group, call):
@@ -195,24 +203,22 @@ def test_coop_mean_nondecreasing_in_skew(ref_plan):
         )
 
 
-def test_cellular_and_noncoop_split(two_group):
-    cellular, noncoop = expected_cellular_and_noncoop(two_group, 2, 1, 0.98)
-    assert cellular == approx(0.6, rel=1e-12)
-    assert noncoop == approx(0.42, rel=1e-12)
+def test_cellular_and_noncoop_split():
+    # the closed route states the class split once: the cellular mean is the
+    # uncached mass bit for bit, the three means sum to M, none is negative
+    cases = [(build_popularity(300, 20, beta), k, b)
+             for beta in (0.0, 0.5, 1.0) for k, b in ((1, 1), (2, 4), (15, 9))]
+    cases.append((oracles.make_synthetic_model([1.0]), 1, 1))
+    for model, k, b in cases:
+        split = expected_coop_users_closed(model, k, b)
+        assert split.cellular_mean == k * b * (1.0 - cumulative_cached_prob(model, k))
+        assert split.coop_mean + split.cellular_mean + split.noncoop_mean == approx(k * b, abs=1e-9)
+        assert split.noncoop_mean >= 0.0
+    # a remainder that roundoff puts below zero is clamped to zero
+    split = expected_coop_users_closed(build_popularity(300, 20, 0.0), 3, 1)
+    assert 3 - split.coop_mean - split.cellular_mean < 0.0
+    assert split.noncoop_mean == 0.0
 
 
 def test_cellular_vanishes_when_catalog_fully_cached(ref_model):
-    cellular, _ = expected_cellular_and_noncoop(ref_model, 135, 15, 80.0)
-    assert cellular == approx(0.0, abs=1e-9)
-
-
-def test_cellular_split_consistency_guard(two_group):
-    # a coop mean that exceeds the non-cellular mass is inconsistent
-    with pytest.raises(ConsistencyError):
-        expected_cellular_and_noncoop(two_group, 2, 1, 1.9)
-    with pytest.raises(ValueError):
-        expected_cellular_and_noncoop(two_group, 2, 1, 2.5)
-    # tiny negative roundoff clamps to zero instead
-    model = oracles.make_synthetic_model([1.0])
-    _, noncoop = expected_cellular_and_noncoop(model, 1, 1, 1.0)
-    assert noncoop == 0.0
+    assert expected_coop_users_closed(ref_model, 15, 9).cellular_mean == approx(0.0, abs=1e-9)
