@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import check_number, check_split_inputs
+from .errors import check_split_program
 from .rates import network_throughput
 
 __all__ = ["BandwidthSolution", "optimize_eta"]
@@ -98,9 +98,7 @@ def optimize_eta(
     treated as its closure: ``mu = 0`` with ``rc < rn`` legitimately returns
     ``eta = 0``.
     """
-    for name, value in (("bandwidth_hz", bandwidth_hz), ("n_clusters", n_clusters), ("mu_bps", mu)):
-        check_number(name, value)
-    check_split_inputs(pc, ("rc", rc), ("rn", rn), ("nc_bar", nc_bar), ("nn_bar", nn_bar))
+    check_split_program(pc, rc, rn, bandwidth_hz, n_clusters, nc_bar, nn_bar, mu)
 
     wb = bandwidth_hz * n_clusters
     # Vacuous constraints: no users in a class, or no floor to honor.

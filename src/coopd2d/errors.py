@@ -9,8 +9,9 @@ quantity must have: config files, flags and every public entry point that
 takes one of these names check it here.  :func:`check_cached_groups` is the
 one statement of the model's structural rule, a cluster of at most as many
 users as there are cacheable file groups, and :func:`check_split_inputs` the
-rule of the band split's derived inputs.  This module imports no other
-module of the package, so every module can import it.
+rule of the band split's derived inputs, which :func:`check_split_program`
+applies with the rest of the band-split program's inputs.  This module
+imports no other module of the package, so every module can import it.
 """
 
 import math
@@ -25,6 +26,7 @@ __all__ = [
     "check_number",
     "check_cached_groups",
     "check_split_inputs",
+    "check_split_program",
 ]
 
 
@@ -72,13 +74,15 @@ def check_number(name: str, value) -> None:
     """Refuse a ``value`` of the quantity ``name`` that breaks its rule in
     :data:`NUMERIC_RULES`, with a :class:`ConfigurationError` naming it."""
     kind, bound, holds = _RULE_OF[name]
+    cls = type(value)
     try:
-        ok = (
-            not isinstance(value, bool)
-            and isinstance(value, numbers.Integral if kind is int else numbers.Real)
-            and math.isfinite(value)
-            and holds(value)
-        )
+        if cls is float or cls is int:  # the common types, without the ``numbers`` lookups
+            typed = cls is int or kind is float
+        else:
+            typed = not isinstance(value, bool) and isinstance(
+                value, numbers.Integral if kind is int else numbers.Real
+            )
+        ok = typed and math.isfinite(value) and holds(value)
     except OverflowError:  # an int too large for a float
         ok = False
     if not ok:
@@ -96,6 +100,15 @@ def check_cached_groups(name: str, value, group_count: int) -> None:
         raise ConfigurationError(
             "%s must be at most the %d cacheable file groups, got %r" % (name, group_count, value)
         )
+
+
+def check_split_program(pc, rc, rn, bandwidth_hz, n_clusters, nc_bar, nn_bar, mu) -> None:
+    """Refuse, naming it, a bad input of the band-split program: the rules of
+    :func:`check_number` for the band, the cluster count and the floor
+    ``mu`` (``mu_bps``), and :func:`check_split_inputs` for the rest."""
+    for name, value in (("bandwidth_hz", bandwidth_hz), ("n_clusters", n_clusters), ("mu_bps", mu)):
+        check_number(name, value)
+    check_split_inputs(pc, ("rc", rc), ("rn", rn), ("nc_bar", nc_bar), ("nn_bar", nn_bar))
 
 
 def check_split_inputs(pc, *named) -> None:

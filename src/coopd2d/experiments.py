@@ -30,7 +30,13 @@ from .clusters import (
     make_plan,
     optimize_cluster_size,
 )
-from .errors import NUMERIC_RULES, ConfigurationError, check_cached_groups, check_number
+from .errors import (
+    NUMERIC_RULES,
+    ConfigurationError,
+    check_cached_groups,
+    check_number,
+    check_split_program,
+)
 from .geometry import GeometryTable, path_gain_moments
 from .netsim import SimConfig, run_campaign
 from .population import expected_coop_users_closed
@@ -315,7 +321,11 @@ def grid_search_eta(
       expression and tie-break run over the ``(n - 1) 16 u M / D`` points
       nearest that end, or over the whole run when ``D`` is 0 or the
       window is wider.
+
+    Its inputs are refused as :func:`coopd2d.bandwidth.optimize_eta`
+    refuses them (:func:`coopd2d.errors.check_split_program`).
     """
+    check_split_program(pc, rc, rn, bandwidth_hz, n_clusters, nc_bar, nn_bar, mu)
     n = 100_001  # another n breaks the exact last point argued above
     step = 1.0 / (n - 1)
     wb = bandwidth_hz * n_clusters

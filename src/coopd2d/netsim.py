@@ -20,9 +20,10 @@ color active every 4th slot on the full band).
 Engine: a campaign runs in blocks of ``_CHUNK`` trials, in two passes.
 Pass 1 draws the block's rows of stream D (:func:`_drop_rows`), classifies
 every user and cluster (:func:`_drop_block`) and picks the links
-(:func:`_pick_links`); pass 2 rates the block's links in stacks
-(:func:`_rate_block`), and :func:`_run_block` turns the rates into trial
-records.  :func:`snapshot_counts` runs pass 1 without the links, and
+(:func:`_pick_links`), slot by slot; pass 2 rates the block's links in
+stacks whose ends lie link-last (:func:`_block_ends`, :func:`_rate_block`),
+and :func:`_run_block` turns the rates into trial records.
+:func:`snapshot_counts` runs pass 1 without the links, and
 :func:`link_rate_gap` both passes.  README "Determinism" states the
 streams, the windows, the workspace and the caches, with their sizes;
 the code must keep:
@@ -348,7 +349,8 @@ class _Links(NamedTuple):
     ``group[i]`` from user ``group[i]`` of each cluster ``c`` to user
     ``coop_rx[i, c]``.  Non-cooperative link ``l`` of trial ``nc_trial[l]``
     runs in cluster ``nc_cluster[l]`` from user ``nc_tx[l]`` to user
-    ``nc_rx[l]``; links are in trial, then cluster order.
+    ``nc_rx[l]``; links are in trial, then cluster order, or for ``tdma``
+    in trial, then colour slot, then cluster order (:func:`_pick_links`).
     """
 
     coop: np.ndarray
@@ -371,7 +373,22 @@ def _below(u: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (u * h).astype(np.int64)
 
 
-def _pick_links(request_of, counts, roles, restrict, choices) -> _Links:
+@functools.lru_cache(maxsize=16)
+def _colours(n_clusters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only reuse-4 colour of each cluster of a grid, and the clusters in colour order.
+
+    The cluster in row ``r`` and column ``q`` takes colour ``2 (r mod 2) +
+    q mod 2``: the ``tdma`` slot it is active in.  The order lists the
+    clusters colour by colour, ascending within a colour.
+    """
+    row, col = np.divmod(np.arange(n_clusters), math.isqrt(n_clusters))
+    colour = 2 * (row % 2) + col % 2
+    order = np.argsort(colour, kind="stable")
+    colour.flags.writeable = order.flags.writeable = False
+    return colour, order
+
+
+def _pick_links(request_of, counts, roles, restrict, choices, order=None) -> _Links:
     """Schedule a block (stage 3) from each trial's scheduling uniforms.
 
     ``restrict[t]`` is cooperation in Mode 1: trial ``t`` forms a cooperative
@@ -381,7 +398,10 @@ def _pick_links(request_of, counts, roles, restrict, choices) -> _Links:
     the receiver in each cluster, then the user of each cluster's pool.  A
     uniform whose choice is not needed goes unused, so every trial draws
     the same count.  The links of every trial are picked together, by flat
-    position in the block's (T, B, K) masks, with :func:`_nth_true`.  A
+    position in the block's (T, B, K) masks, with :func:`_nth_true`.  With
+    a cluster ``order`` (``tdma``'s colour order, :func:`_colours`), the
+    pool mask's clusters and their pool uniforms are ranked in that order
+    alike, so each cluster keeps its pick and the links come out in it.  A
     user never serves itself: the receivers of group ``g`` are its
     requesters other than user ``g``, and a Mode-1 trial in which no hit
     group has a receiver in every cluster forms no cooperative set.
@@ -398,13 +418,19 @@ def _pick_links(request_of, counts, roles, restrict, choices) -> _Links:
     else:
         pool = roles != ROLE_CELLULAR
     pool &= ~own
+    uniforms = choices[:, 1 + b :]
+    if order is not None:  # the clusters ranked in this order, each with its own uniform
+        pool, uniforms = np.take(pool, order, axis=1), uniforms[:, order]
     # numpy's ``sum`` reduces a short last axis slowly; ``einsum`` counts in C
     sizes = np.einsum("tcj->tc", pool, dtype=np.intp, casting="unsafe")
     active = sizes > 0
     sizes = sizes[active]
-    at = _nth_true(pool, sizes, _below(choices[:, 1 + b :][active], sizes))  # flat (t, c, j)
+    at = _nth_true(pool, sizes, _below(uniforms[active], sizes))  # flat (t, rank, j)
     at_cluster, nc_rx = np.divmod(at, k)
     nc_trial, nc_cluster = np.divmod(at_cluster, b)
+    if order is not None:  # from the cluster's rank to the cluster, also in ``at``
+        rank, nc_cluster = nc_cluster, order[nc_cluster]
+        at += (nc_cluster - rank) * k
     nc_tx = np.take(request_of, at)
 
     rows = np.flatnonzero(restrict)
@@ -425,23 +451,26 @@ def _pick_links(request_of, counts, roles, restrict, choices) -> _Links:
     return _Links(coop, group, coop_rx, nc_trial, nc_cluster, nc_tx, nc_rx)
 
 
-# A link set is rated from its ends, ``ends[..., l, :, :]`` holding the
-# transmitter and receiver positions of link ``l``, and from its fading: a
-# zero-forcing channel from two standard normal (n, n) matrices, the real
-# part first; a non-cooperative set from one (n, n) matrix of Exp(1) fading
-# powers, which is the law of ``|h|^2`` for ``h ~ CN(0, 1)``.  The kernels
-# below take stacks of them, (T, n, 2, 2), (T, 2, n, n) and (T, n, n).
+# A link set is rated from its ends, ``ends[..., e, c, :]`` holding
+# coordinate ``c`` (x, y) of end ``e`` (transmitter, receiver) of every link
+# (:func:`_block_ends`), and from its fading: a zero-forcing channel from
+# two standard normal (n, n) matrices, the real part first; a
+# non-cooperative set from one (n, n) matrix of Exp(1) fading powers, which
+# is the law of ``|h|^2`` for ``h ~ CN(0, 1)``.  The kernels below take
+# stacks of them, (T, 2, 2, n), (T, 2, n, n) and (T, n, n).
 
 
 def _path_gains(ends: np.ndarray, radio: RadioParams, min_distance_m: float) -> np.ndarray:
     """Gains ``g[..., i, j]`` from transmitter ``j`` to receiver ``i``, in scratch.
 
-    Every distance, ``sqrt(dx * dx + dy * dy)``, is floored at ``min_distance_m``.
+    ``ends`` are link-last (:func:`_block_ends`): each coordinate difference
+    is a receiver row minus a transmitter row.  Every distance,
+    ``sqrt(dx * dx + dy * dy)``, is floored at ``min_distance_m``.
     """
-    x, y = ends[..., 0], ends[..., 1]  # (..., n, 2): transmitter, then receiver
-    shape = x.shape[:-2] + (x.shape[-2],) * 2
-    d = np.subtract(x[..., :, None, 1], x[..., None, :, 0], out=_scratch("distance", shape))
-    dy = np.subtract(y[..., :, None, 1], y[..., None, :, 0], out=_scratch("square", shape))
+    x, y = ends[..., 0, :], ends[..., 1, :]  # (..., 2, n): transmitter, then receiver
+    shape = x.shape[:-2] + (x.shape[-1],) * 2
+    d = np.subtract(x[..., 1, :, None], x[..., 0, None, :], out=_scratch("distance", shape))
+    dy = np.subtract(y[..., 1, :, None], y[..., 0, None, :], out=_scratch("square", shape))
     np.square(d, out=d)
     d += np.square(dy, out=dy)
     np.maximum(np.sqrt(d, out=d), min_distance_m, out=d)
@@ -569,17 +598,24 @@ def _tdma_throughput(bandwidth_hz: float, slot_sums: np.ndarray) -> np.ndarray:
     return total / 4.0
 
 
-def _block_ends(config: SimConfig, draws: np.ndarray, trial: np.ndarray, tx, rx) -> np.ndarray:
-    """Ends ``(..., n, 2, 2)`` of the links ``tx -> rx`` of ``trial``.
+_COORDINATE = np.arange(2).reshape(2, 1)  # x, then y, down :func:`_block_ends`' coordinate axis
+_COORDINATE.flags.writeable = False
 
-    ``draws`` are the block's rows of stream D (:func:`_drop_rows`).  Each
-    end's unit-cell uniforms ``u`` and its cell corner are taken by flat
-    position, and ``u`` is scaled to the position ``u * d + corner``, for
-    cells of side ``d``.
+
+def _block_ends(config: SimConfig, draws: np.ndarray, trial: np.ndarray, tx, rx) -> np.ndarray:
+    """Ends ``(..., 2, 2, n)`` of the ``n`` links ``tx -> rx`` of ``trial``, link-last.
+
+    ``[..., e, c, l]`` is coordinate ``c`` (x, y) of end ``e`` (transmitter,
+    receiver) of link ``l``, so each op here, and each of
+    :func:`_path_gains`' four coordinate rows, runs along the contiguous
+    link axis.  ``draws`` are the block's rows of stream D
+    (:func:`_drop_rows`).  Each end's unit-cell uniforms ``u`` and its cell
+    corner are taken by flat position, and ``u`` is scaled to the position
+    ``u * d + corner``, for cells of side ``d``.
     """
     plan = config.plan
     d = plan.cluster_side_m
-    at = np.stack((tx, rx), axis=-1)[..., None] * 2 + np.arange(2)  # flat (user, coordinate)
+    at = np.stack((tx, rx), axis=-2)[..., None, :] * 2 + _COORDINATE  # flat (user, coordinate)
     corner = np.take(_corners(plan.n_clusters, plan.users_per_cluster, d), at)
     at += trial[..., None, None] * draws.shape[1]  # flat (trial, user, coordinate)
     ends = np.take(draws, at)
@@ -667,9 +703,11 @@ def _rate_block(config: SimConfig, lo: int, hi: int) -> _Rated:
     each non-cooperative set's, or tdma colour slot's, Exp(1) powers
     gathered from its trial's row of stream F, at the set's (receiver,
     transmitter) clusters, drawn only when the block has such a link.  A
-    set's links are read in the order :func:`_pick_links` returns them
-    (only tdma sorts them into its colour slots); when the non-empty sets
-    all have one size, the links are their rows, with no gather.
+    set's links are read in the order :func:`_pick_links` returns them,
+    slot by slot (one slot a trial, four for tdma's colours), so every
+    strategy forms its sets from (trial, slot) keys with no sort; when the
+    non-empty sets all have one size, the links are their rows, with no
+    gather.  Each stack's ends are link-last (:func:`_block_ends`).
     """
     plan, radio = config.plan, config.radio
     b, k = plan.n_clusters, plan.users_per_cluster
@@ -678,7 +716,9 @@ def _rate_block(config: SimConfig, lo: int, hi: int) -> _Rated:
     drops = _drop_block(config, draws)
     mode = drops.hit.any(axis=1)
     split = mode & (config.strategy == "coop" and config.eta > 0.0)
-    links = _pick_links(drops.request_of, drops.counts, drops.roles, split, drops.choices)
+    tdma = config.strategy == "tdma"
+    colour, order = _colours(b) if tdma else (None, None)
+    links = _pick_links(drops.request_of, drops.counts, drops.roles, split, drops.choices, order)
 
     floor, cells = config.min_pairing_distance_m, np.arange(b) * k
     has_zf = np.zeros(n, dtype=bool)
@@ -700,13 +740,9 @@ def _rate_block(config: SimConfig, lo: int, hi: int) -> _Rated:
         zf_sum[links.coop] = rates.sum(axis=1)
         zf_dropped[links.coop] = np.count_nonzero(rates == 0.0, axis=1)
 
-    cluster, tx, rx = links.nc_cluster, links.nc_tx, links.nc_rx  # trial, then cluster order
-    if config.strategy == "tdma":
-        n_slots, grid = 4, math.isqrt(b)
-        row, col = np.divmod(cluster, grid)
-        slot = links.nc_trial * 4 + 2 * (row % 2) + col % 2
-        order = np.argsort(slot, kind="stable")  # each slot's links together, in cluster order
-        cluster, tx, rx = cluster[order], tx[order], rx[order]
+    cluster, tx, rx = links.nc_cluster, links.nc_tx, links.nc_rx  # in (trial, slot) order
+    if tdma:
+        n_slots, slot = 4, links.nc_trial * 4 + colour[cluster]
     else:
         n_slots, slot = 1, links.nc_trial
     tx, rx = cluster * k + tx, cluster * k + rx  # among the trial's users

@@ -120,37 +120,6 @@ def exact_coop_probability(model: PopularityModel, k: int, b: int) -> float:
     return float(Fraction(total, den ** (k * b)))
 
 
-def grid_best_eta(
-    pc: float,
-    rc: float,
-    rn: float,
-    bandwidth_hz: float,
-    n_clusters: int,
-    nc_bar: float,
-    nn_bar: float,
-    mu: float,
-    n_points: int = 100_001,
-) -> float:
-    """Best feasible band split on a dense grid; ties toward the largest eta.
-
-    Built from an integer index grid and a last-argmax scan, sharing neither
-    grid construction nor tie-break mechanics with the library.
-    Returns ``nan`` when no grid point is feasible.
-    """
-    eta = np.arange(n_points) / (n_points - 1)
-    wb = bandwidth_hz * n_clusters
-    feasible = np.ones(n_points, dtype=bool)
-    if mu > 0 and nc_bar > 0:
-        feasible &= wb * eta * rc >= mu * nc_bar
-    if mu > 0 and nn_bar > 0:
-        feasible &= wb * (1.0 - eta) * rn >= mu * nn_bar
-    if not feasible.any():
-        return math.nan
-    value = wb * (pc * eta * rc + (1.0 - pc * eta) * rn)
-    value[~feasible] = -np.inf
-    return float(eta[np.flatnonzero(value == value.max())[-1]])
-
-
 def dense_grid_search_eta(
     pc: float,
     rc: float,
@@ -398,6 +367,21 @@ def reference_link_rate_gap(config, edit_channel=None) -> tuple:
     return math.fsum(zf_sums) / max(zf_n, 1), zf_n, math.fsum(nc_sums) / max(nc_n, 1), nc_n
 
 
+def reference_positions(config, drop) -> np.ndarray:
+    """(M, 2) user positions of one snapshot, ``u * side + corner``, from its drop uniforms.
+
+    User ``j`` of cluster ``c`` sits in the cell of column ``c mod sqrt(B)``
+    and row ``c // sqrt(B)``; ``drop`` starts with the ``M x 2`` unit-cell
+    uniforms.
+    """
+    plan = config.plan
+    b, side = plan.n_clusters, plan.cluster_side_m
+    grid = math.isqrt(b)
+    cell = np.repeat(np.arange(b), plan.users_per_cluster)
+    origin = np.column_stack((cell % grid, cell // grid)) * side
+    return drop[: 2 * plan.n_users].reshape(-1, 2) * side + origin
+
+
 def _reference_schedule(config, drop):
     """Positions, requests, hit groups and links of one snapshot.
 
@@ -408,11 +392,8 @@ def _reference_schedule(config, drop):
     """
     plan = config.plan
     b, k = plan.n_clusters, plan.users_per_cluster
-    m, side = b * k, plan.cluster_side_m
-    grid = math.isqrt(b)
-    cell = np.repeat(np.arange(b), k)
-    origin = np.column_stack((cell % grid, cell // grid)) * side
-    positions = drop[: 2 * m].reshape(m, 2) * side + origin
+    m = b * k
+    positions = reference_positions(config, drop)
     cdf = np.cumsum(config.popularity.group_probs).tolist()
     last = config.popularity.group_count - 1
     req = [min(bisect_right(cdf, u), last) for u in drop[2 * m : 3 * m].tolist()]

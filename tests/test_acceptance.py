@@ -172,7 +172,7 @@ def test_acceptance_3_bandwidth_split_optimality():
         mu_max = wb / (nc / rc + nn / rn)
         mu = rng.uniform(0.0, 1.5 * mu_max)
         sol = optimize_eta(pc, rc, rn, w, b, nc, nn, mu)
-        grid = oracles.grid_best_eta(pc, rc, rn, w, b, nc, nn, mu)
+        grid = oracles.dense_grid_search_eta(pc, rc, rn, w, b, nc, nn, mu)
         if not sol.feasible:
             n_infeasible += 1
             n_bad += not math.isnan(grid)

@@ -155,7 +155,7 @@ def test_closed_form_matches_grid_oracle_sample():
         mu_max = optimize_eta(pc, rc, rn, 20e6, 9, nc, nn, mu=0.0).mu_max
         mu = rng.uniform(0.0, 1.5 * mu_max)
         solution = optimize_eta(pc, rc, rn, 20e6, 9, nc, nn, mu=mu)
-        grid = oracles.grid_best_eta(pc, rc, rn, 20e6, 9, nc, nn, mu)
+        grid = oracles.dense_grid_search_eta(pc, rc, rn, 20e6, 9, nc, nn, mu)
         if not solution.feasible:
             assert math.isnan(grid)
         elif math.isnan(grid):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from coopd2d import experiments
+from coopd2d.bandwidth import optimize_eta
 from coopd2d.catalog import cumulative_cached_prob
 from coopd2d.checks import _snapshot_checks, _snapshot_config, cmd_validate
 from coopd2d.errors import ConfigurationError
@@ -228,11 +229,29 @@ def test_grid_search_eta_against_oracle():
     args = (0.9999787380676235, 15.288348744652652, 2.4065033112793515, 20e6, 9, 80.54069, 54.45931)
     for mu in (0.0, 1e6, 3e6):
         lib = grid_search_eta(*args, mu)
-        ref = oracles.grid_best_eta(*args, mu)
-        # the two grids are built with different numpy idioms, so allow one
-        # grid spacing of disagreement
-        assert lib == approx(ref, abs=1.1e-5)
+        ref = oracles.dense_grid_search_eta(*args, mu)
+        assert lib == approx(ref, abs=1.1e-5)  # within one grid spacing
     assert math.isnan(grid_search_eta(*args, 1e9))
+
+
+@pytest.mark.parametrize(
+    "name, index, value",
+    [
+        ("pc", 0, 1.5), ("nc_bar", 5, math.nan), ("rc", 1, math.nan), ("nc_bar", 5, math.inf),
+        ("rn", 2, -2.0), ("bandwidth_hz", 3, 0.0), ("n_clusters", 4, 0), ("mu_bps", 7, -1.0),
+    ],
+)
+def test_grid_search_eta_refuses_what_optimize_eta_refuses(name, index, value):
+    # each bad input of the band-split program is refused by name, with the
+    # closed form's message, before the grid returns an eta or NaN for it
+    args = [0.5, 10.0, 2.0, 20e6, 9, 1.0, 1.0, 1e6]
+    args[index] = value
+    messages = []
+    for solver in (optimize_eta, grid_search_eta):
+        with pytest.raises(ConfigurationError, match="^%s must" % name) as info:
+            solver(*args)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_grid_search_breaks_ties_toward_largest_eta():
@@ -311,6 +330,10 @@ def test_grid_search_eta_matches_the_dense_scan(
     need = nc_bar / rc + nn_bar / rn
     mu = load * 20e6 * n_clusters / need if need > 0 else load * 1e6  # load * mu_max
     args = (pc, rc, rn, 20e6, n_clusters, nc_bar, nn_bar, mu)
+    if math.isinf(mu):  # a subnormal class mean overflows the floor: refused, as by optimize_eta
+        with pytest.raises(ConfigurationError, match="^mu_bps must"):
+            grid_search_eta(*args)
+        return
     assert _same(grid_search_eta(*args), oracles.dense_grid_search_eta(*args))
 
 

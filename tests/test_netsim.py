@@ -68,9 +68,14 @@ def drops_of(config, start, stop):
     return netsim._drop_block(config, netsim._drop_rows(config, start, stop))
 
 
+def link_last(ends):
+    """Ends given as (..., link, end, coordinate) in the kernels' (..., end, coordinate, link)."""
+    return np.ascontiguousarray(np.moveaxis(ends, -3, -1))
+
+
 def link_ends(*links):
-    """Ends (1, n, 2, 2) of one link set given as ((tx_x, tx_y), (rx_x, rx_y))."""
-    return np.array([links], dtype=float)
+    """Ends (1, 2, 2, n) of one link set given as ((tx_x, tx_y), (rx_x, rx_y)) per link."""
+    return link_last(np.array([links], dtype=float))
 
 
 @pytest.fixture(scope="module")
@@ -474,7 +479,7 @@ def test_distances_are_taken_coordinate_wise(module):
 
 
 def norm_route_gains(ends, radio, floor):
-    """Path gains of a stack of link ends, distances by ``np.linalg.norm``."""
+    """Path gains of a stack of link ends (..., link, end, coordinate), by ``np.linalg.norm``."""
     tx, rx = ends[..., 0, :], ends[..., 1, :]
     d = np.linalg.norm(rx[..., :, None, :] - tx[..., None, :, :], axis=-1)
     assert (floor == 0.0) == (d >= floor).all()  # a 30 m floor binds in a 75 m square
@@ -486,7 +491,7 @@ def norm_route_gains(ends, radio, floor):
 def test_path_gains_match_the_norm_route_bit_for_bit(ref_radio, n, floor):
     ends = np.random.default_rng(n).random((50, n, 2, 2)) * 75.0
     expected = norm_route_gains(ends, ref_radio, floor)
-    assert netsim._path_gains(ends, ref_radio, floor).tobytes() == expected.tobytes()
+    assert netsim._path_gains(link_last(ends), ref_radio, floor).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 4, 9, 16])
@@ -495,7 +500,7 @@ def test_zf_channel_matches_the_complex_product_bit_for_bit(ref_radio, n, floor)
     ends, normals, _ = rating_inputs(50, n)
     gain = norm_route_gains(ends, ref_radio, floor)
     expected = oracles.composite_channel(gain, normals[:, 0], normals[:, 1])
-    got = netsim._zf_channel(ends, normals, ref_radio, floor)
+    got = netsim._zf_channel(link_last(ends), normals, ref_radio, floor)
     assert got.dtype == expected.dtype and got.shape == expected.shape == (50, n, n)
     assert got.tobytes() == expected.tobytes()
 
@@ -566,7 +571,11 @@ def test_set_powers_match_the_index_gather(n):
 
 
 def rating_inputs(t, n):
-    """Ends (t, n, 2, 2) in a 75 m square, fading normals (t, 2, n, n) and powers (t, n, n)."""
+    """Ends (t, n, 2, 2) in a 75 m square, fading normals (t, 2, n, n) and powers (t, n, n).
+
+    The kernels take the ends link-last (:func:`link_last`); the norm route
+    reads them as drawn.
+    """
     rng = np.random.default_rng(t * n)
     ends, normals = rng.random((t, n, 2, 2)) * 75.0, rng.standard_normal((t, 2, n, n))
     return ends, normals, rng.standard_exponential((t, n, n))
@@ -574,6 +583,7 @@ def rating_inputs(t, n):
 
 def test_rating_kernels_leave_their_inputs_unchanged(ref_radio):
     ends, normals, power = rating_inputs(20, 9)
+    ends = link_last(ends)
     fading = np.random.default_rng(9).random((20, 9, 9))
     kept = [a.copy() for a in (ends, normals, power, fading)]
     netsim._set_powers(fading, np.array([0, 19]), np.array([[0, 1], [2, 8]]))
@@ -594,6 +604,7 @@ def test_rating_kernels_hold_few_stack_sized_temporaries(ref_radio, kernel, arra
     # fixed-size ufunc buffer, which reads the strided fading parts
     tracemalloc = pytest.importorskip("tracemalloc")
     ends, normals, power = rating_inputs(100, 16)
+    ends = link_last(ends)
     args = {"_path_gains": (ends,), "_sinr_rates": (ends, power), "_zf_channel": (ends, normals)}
     args = args[kernel]
     call = getattr(netsim, kernel)
@@ -616,7 +627,7 @@ def test_path_gains_apply_the_radio_law_bit_for_bit(ref_radio, alpha):
     radio = replace(ref_radio, alpha=alpha)
     ends = np.random.default_rng(7).random((30, 4, 2, 2)) * 75.0
     expected = norm_route_gains(ends, radio, 30.0)
-    assert netsim._path_gains(ends, radio, 30.0).tobytes() == expected.tobytes()
+    assert netsim._path_gains(link_last(ends), radio, 30.0).tobytes() == expected.tobytes()
 
 
 def fields_of(rated):
@@ -728,13 +739,33 @@ def test_snapshot_shapes_and_cell_confinement(ref_config):
     assert drops.request_of.shape == (1, m)
     users = np.arange(m)[None]
     ends = netsim._block_ends(ref_config, draws, np.zeros((1, 1), dtype=np.intp), users, users)
-    assert ends.shape == (1, m, 2, 2)
+    assert ends.shape == (1, 2, 2, m)
     grid = math.isqrt(plan.n_clusters)
     cluster_of = np.repeat(np.arange(plan.n_clusters), plan.users_per_cluster)
     for end in (0, 1):
-        col = np.floor(ends[0, :, end, 0] / d).astype(int)
-        row = np.floor(ends[0, :, end, 1] / d).astype(int)
+        col = np.floor(ends[0, end, 0] / d).astype(int)
+        row = np.floor(ends[0, end, 1] / d).astype(int)
         assert np.array_equal(row * grid + col, cluster_of)
+
+
+@pytest.mark.parametrize("base", ["ref_config", "sparse_config", "small_config"])
+def test_block_ends_are_the_oracles_positions_link_last(request, base):
+    # ends[s, e, c, l], coordinate c of end e of link l of set s, is the
+    # oracle's u * d + corner of that user, bit for bit, for links between
+    # any users of any trials of a block
+    config = request.getfixturevalue(base)
+    m, lo = config.plan.n_users, 3
+    draws = netsim._drop_rows(config, lo, lo + 10)
+    rng = np.random.default_rng(m)
+    trial = rng.integers(0, 10, (6, 1))
+    tx, rx = rng.integers(0, m, (2, 6, 5))
+    ends = netsim._block_ends(config, draws, trial, tx, rx)
+    assert ends.shape == (6, 2, 2, 5) and ends.flags.c_contiguous
+    for s, t in enumerate(trial[:, 0].tolist()):
+        drop = oracles.stream_window(config.seed, 0, lo + t, draws.shape[1])
+        position = oracles.reference_positions(config, drop)
+        expected = np.stack([position[tx[s]].T, position[rx[s]].T])  # (end, coordinate, link)
+        assert ends[s].tobytes() == expected.tobytes()
 
 
 def test_snapshot_roles_partition(small_config):
@@ -866,6 +897,37 @@ def test_pick_links_restricts_only_the_flagged_trials(request, base, which):
     for t in range(n):
         expected = schedule_trial(drops.request_of[t], k, b, drops.choices[t], bool(flagged[t]))
         assert links_of_trial(links, t, k) == expected
+
+
+@pytest.mark.parametrize("base", ["ref_config", "small_config", "sparse_pairs_config"])
+def test_tdma_order_picks_the_same_links_slot_by_slot(request, base):
+    # ranked in colour order, the pools give each cluster the link it gets
+    # in cluster order, and the links come out slot by slot: (trial,
+    # colour) ascending, clusters ascending within a slot.  The 3 x 3 grid's
+    # slots hold 4, 2, 2 and 1 clusters; the small configs leave clusters
+    # silent
+    config = request.getfixturevalue(base)
+    b, n = config.plan.n_clusters, 100
+    grid = math.isqrt(b)
+    drops = drops_of(config, 0, n)
+    args = (drops.request_of, drops.counts, drops.roles, np.zeros(n, dtype=bool), drops.choices)
+    plain = netsim._pick_links(*args)
+    colour, order = netsim._colours(b)
+    ranked = netsim._pick_links(*args, order)
+    row, col = np.divmod(np.arange(b), grid)
+    assert np.array_equal(colour, 2 * (row % 2) + col % 2)
+    if base == "ref_config":
+        assert np.bincount(colour).tolist() == [4, 2, 2, 1]
+    else:
+        assert 0 < plain.nc_trial.size < n * b
+    key = plain.nc_trial * b + plain.nc_cluster
+    assert (np.diff(key) > 0).all()  # trial, then cluster order
+    same = np.argsort(ranked.nc_trial * b + ranked.nc_cluster)
+    for name in ("nc_trial", "nc_cluster", "nc_tx", "nc_rx"):
+        assert np.array_equal(getattr(ranked, name)[same], getattr(plain, name))
+    slot = ranked.nc_trial * 4 + colour[ranked.nc_cluster]
+    assert (np.diff(slot) >= 0).all()
+    assert (np.diff(ranked.nc_cluster)[np.diff(slot) == 0] > 0).all()
 
 
 def aggregate_reference(records, n_clusters):
