@@ -14,6 +14,7 @@ schema tag line precedes the header.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 from bisect import bisect_left
@@ -38,7 +39,7 @@ from .errors import (
     check_split_program,
 )
 from .geometry import GeometryTable, path_gain_moments
-from .netsim import SimConfig, run_campaign
+from .netsim import SimConfig, SimResult, run_campaign
 from .population import expected_coop_users_closed
 from .rates import RadioParams, coop_link_rate, noncoop_link_rate
 
@@ -518,23 +519,24 @@ def compare_strategies(spec: ExperimentSpec, beta: float) -> list[dict]:
     best = _best_sim_cluster_size(model, spec.n_users)
     own = (spec.users_per_cluster, spec.n_clusters)
 
-    def config(strategy: str, eta: float | None, k: int, b: int) -> SimConfig:
+    @functools.cache  # one run per (strategy, eta, K, B): etaK is optimized when best == own
+    def campaign(strategy: str, eta: float | None, k: int, b: int) -> tuple[SimConfig, SimResult]:
         pt = analytic_point(replace(spec, beta=beta, n_clusters=b, users_per_cluster=k))
-        return campaign_config(spec, pt, strategy, eta)
+        cfg = campaign_config(spec, pt, strategy, eta)
+        return cfg, run_campaign(cfg, n_jobs=spec.n_jobs)
 
     # the configured size first, so a refusal names the config's own plan
     configured = [
-        ("etaK", config("coop", None, *own)),
-        ("nocoop", config("nocoop", 0.0, *own)),
-        ("tdma", config("tdma", 0.0, *own)),
+        ("etaK", campaign("coop", None, *own)),
+        ("nocoop", campaign("nocoop", 0.0, *own)),
+        ("tdma", campaign("tdma", 0.0, *own)),
     ]
     at_best = [
-        ("optimized", config("coop", None, *best)),
-        ("eta0.5", config("coop", 0.5, *best)),
+        ("optimized", campaign("coop", None, *best)),
+        ("eta0.5", campaign("coop", 0.5, *best)),
     ]
     rows = []
-    for label, cfg in at_best + configured:
-        result = run_campaign(cfg, n_jobs=spec.n_jobs)
+    for label, (cfg, result) in at_best + configured:
         rows.append(
             {
                 "strategy": label,

@@ -21,12 +21,12 @@ Engine: a campaign runs in blocks of ``_CHUNK`` trials, in two passes.
 Pass 1 draws the block's rows of stream D (:func:`_drop_rows`), classifies
 every user and cluster (:func:`_drop_block`) and picks the links
 (:func:`_pick_links`), slot by slot; pass 2 rates the block's links in
-stacks whose ends lie link-last (:func:`_block_ends`, :func:`_rate_block`),
-and :func:`_run_block` turns the rates into trial records.
-:func:`snapshot_counts` runs pass 1 without the links, and
-:func:`link_rate_gap` both passes.  README "Determinism" states the
-streams, the windows, the workspace and the caches, with their sizes;
-the code must keep:
+stacks whose ends lie link-last (:func:`_block_ends`, :func:`_rate_block`).
+:func:`_rate_sums` joins the blocks' rate sums into one table (:class:`_Rated`),
+which :func:`_records` turns into trial records and :func:`link_rate_gap`
+into link means; :func:`snapshot_counts` runs pass 1 alone.  README
+"Determinism" states the streams, the windows, the workspace and the
+caches, with their sizes; the code must keep:
 
 * Windows.  Trial ``t`` reads only ``[t S, (t + 1) S)`` of each stream of
   width ``S`` (D, F, Z: children 0, 1, 2 of ``SeedSequence(seed)``),
@@ -44,7 +44,7 @@ the code must keep:
   (:func:`_bucket_table`, :func:`_cell_keys`, :func:`_seeded_state`) may
   change where a result is written, never its arithmetic or order.  What a
   stage hands on (:class:`_Drops`, :class:`_Rated`, the records) is a
-  fresh array, and the D rows are held only within their block.
+  fresh array; the D rows and the drops are held only within their block.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ class _Drops(NamedTuple):
     """Stages 1 and 2 of a block of ``T`` trials (``M`` users, ``B`` x ``K`` grid)."""
 
     request_of: np.ndarray  # (T, M) requested group, 0-based, see :func:`_categorical`
-    counts: np.ndarray  # (T, B, K) requests per cluster and cached group
+    counts: np.ndarray  # (T, B, K) int16 requests per cluster and cached group
     hit: np.ndarray  # (T, K) cached groups requested in every cluster
     roles: np.ndarray  # (T, M) int8 role codes
     choices: np.ndarray  # (T, 1 + 2B) scheduling uniforms, see :func:`_pick_links`
@@ -312,7 +312,8 @@ def _drop_block(config: SimConfig, draws: np.ndarray) -> _Drops:
     request_of = _categorical(np.cumsum(popularity.group_probs), draws[:, 2 * m : 3 * m])
     cell = _scratch("cell", (n, m), np.intp)
     np.add(_cell_keys(n, b, k, k0), request_of, out=cell)
-    counts = np.bincount(cell.ravel(), minlength=n * b * k0).reshape(n, b, k0)[:, :, :k]
+    counts = np.bincount(cell.ravel(), minlength=n * b * k0).reshape(n, b, k0)
+    counts = counts[:, :, :k].astype(np.int16)  # at most K <= _MAX_USERS; the full array goes
     hit = counts.min(axis=1) > 0
     role = _scratch("role", (n, b, k0), np.int8)  # of each (trial, cluster, group) cell
     role[:, :, k:] = ROLE_CELLULAR
@@ -672,15 +673,15 @@ def _set_powers(fading: np.ndarray, trial: np.ndarray, cluster: np.ndarray) -> n
 
 
 class _Rated(NamedTuple):
-    """Stages 1-3 and pass 2 of a block of ``T`` trials, ``S`` link sets each.
+    """The rate sums of ``T`` trials, ``S`` link sets each: a block's, or a campaign's table.
 
     ``S`` is 4 for ``tdma`` (the colour slots) and 1 otherwise.  A trial
     without a cooperative set, or whose channel stayed unusable, has a
     zero-forcing rate sum of 0; an unusable channel counts all its links as
-    dropped.
+    dropped.  ``eta`` enters only as ``eta > 0`` (``split``): one table gives
+    the records at every ``eta > 0`` (:func:`_records`); ``eta = 0`` schedules its own.
     """
 
-    drops: _Drops
     mode: np.ndarray  # (T,) Mode 1: some cached group is requested in every cluster
     split: np.ndarray  # (T,) cooperation in Mode 1: the band is split
     has_zf: np.ndarray  # (T,) a cooperative set was scheduled
@@ -689,6 +690,9 @@ class _Rated(NamedTuple):
     usable: np.ndarray  # (T,) False when the channel stayed unusable
     nc_sum: np.ndarray  # (T, S) non-cooperative rate sum of each set
     nc_links: np.ndarray  # (T, S) links of each set
+    n_coop: np.ndarray  # (T,) int16 users of each role, see :func:`_role_counts`
+    n_noncoop: np.ndarray
+    n_cellular: np.ndarray
 
 
 def _rate_block(config: SimConfig, lo: int, hi: int) -> _Rated:
@@ -719,6 +723,8 @@ def _rate_block(config: SimConfig, lo: int, hi: int) -> _Rated:
     tdma = config.strategy == "tdma"
     colour, order = _colours(b) if tdma else (None, None)
     links = _pick_links(drops.request_of, drops.counts, drops.roles, split, drops.choices, order)
+    roles = _role_counts(drops.roles)
+    del drops  # pass 2 reads only the draws and the links
 
     floor, cells = config.min_pairing_distance_m, np.arange(b) * k
     has_zf = np.zeros(n, dtype=bool)
@@ -765,45 +771,54 @@ def _rate_block(config: SimConfig, lo: int, hi: int) -> _Rated:
         power = _set_powers(fading, trial, set_cluster)
         nc_sum[sets] = _sinr_rates(ends, power, radio, floor).sum(axis=1)
     return _Rated(
-        drops, mode, split, has_zf, zf_sum, zf_dropped, usable,
-        nc_sum.reshape(n, n_slots), set_size.reshape(n, n_slots),
+        mode, split, has_zf, zf_sum, zf_dropped, usable,
+        nc_sum.reshape(n, n_slots), set_size.reshape(n, n_slots), *roles,
     )
 
 
-def _run_block(config: SimConfig, start: int, out: np.ndarray) -> None:
-    """Fill the records of trials ``start .. start + len(out) - 1``.
+def _run_range(args) -> list[_Rated]:
+    """Rate sums of trials ``start .. stop - 1``, one table per block of ``_CHUNK``."""
+    config, start, stop = args
+    return [_rate_block(config, lo, min(lo + _CHUNK, stop)) for lo in range(start, stop, _CHUNK)]
 
-    The rate sums are combined in the order of a single trial.
-    """
-    rated = _rate_block(config, start, start + len(out))
-    usable, split = rated.usable, rated.split
+
+def _rate_sums(config: SimConfig, n_jobs: int = 1) -> _Rated:
+    """The campaign's table, its blocks joined by field; ``n_jobs`` as in :func:`run_campaign`."""
+    check_number("n_jobs", n_jobs)
+    trials = config.trials
+    if n_jobs == 1:
+        blocks = _run_range((config, 0, trials))
+    else:
+        workers = min(n_jobs, trials, os.cpu_count() or 1)
+        bounds = np.linspace(0, trials, num=min(workers * 4, trials) + 1, dtype=int)
+        # at most ``trials`` ranges, so each holds at least one trial
+        jobs = [(config, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = [block for part in pool.map(_run_range, jobs) for block in part]
+    return blocks[0] if len(blocks) == 1 else _Rated(*map(np.concatenate, zip(*blocks)))
+
+
+def _records(config: SimConfig, sums: _Rated) -> np.ndarray:
+    """Trial records of ``sums`` at ``config.eta``, each from its trial's row alone."""
+    out = np.zeros(len(sums.mode), dtype=TRIAL_DTYPE)  # tdma: no coop band, no dropped link
+    usable, split = sums.usable, sums.split
     w, eta = config.radio.bandwidth_hz, config.eta
     if config.strategy == "tdma":
-        out["throughput"] = _tdma_throughput(w, rated.nc_sum)
-        out["coop_band"] = 0.0
-        out["dropped_links"] = 0
+        out["throughput"] = _tdma_throughput(w, sums.nc_sum)
     else:
-        coop_band = eta * w * rated.zf_sum
+        coop_band = eta * w * sums.zf_sum
         # Mode 0 or eta = 0: the whole band is non-cooperative
         share = np.where(split, 1.0 - eta, 1.0)
-        throughput = coop_band + share * w * rated.nc_sum[:, 0]
+        throughput = coop_band + share * w * sums.nc_sum[:, 0]
         throughput[~usable] = coop_band[~usable] = math.nan
         out["throughput"] = throughput
         out["coop_band"] = coop_band
-        out["dropped_links"] = np.where(usable, rated.zf_dropped, 0)
-    out["mode"] = rated.mode
-    out["n_coop"], out["n_noncoop"], out["n_cellular"] = _role_counts(rated.drops.roles)
-    out["degenerate"] = split & ~rated.has_zf
-    out["silent_clusters"] = config.plan.n_clusters - rated.nc_links.sum(axis=1)
+        out["dropped_links"] = np.where(usable, sums.zf_dropped, 0)
+    for name in ("mode", "n_coop", "n_noncoop", "n_cellular"):
+        out[name] = getattr(sums, name)
+    out["degenerate"] = split & ~sums.has_zf
+    out["silent_clusters"] = config.plan.n_clusters - sums.nc_links.sum(axis=1)
     out["discarded"] = ~usable
-
-
-def _run_range(args) -> np.ndarray:
-    """Records of trials ``start .. stop - 1``, in blocks of ``_CHUNK``."""
-    config, start, stop = args
-    out = np.empty(stop - start, dtype=TRIAL_DTYPE)
-    for lo in range(start, stop, _CHUNK):
-        _run_block(config, lo, out[lo - start : min(lo + _CHUNK, stop) - start])
     return out
 
 
@@ -854,20 +869,8 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
         records, one ``add.reduce`` per field: the same sums, divisions and
         square root as numpy's ``mean`` and ``std(ddof=1)``, so the same bits.
     """
-    check_number("n_jobs", n_jobs)
     trials = config.trials
-    if n_jobs == 1:
-        records = _run_range((config, 0, trials))
-    else:
-        records = np.empty(trials, dtype=TRIAL_DTYPE)
-        workers = min(n_jobs, trials, os.cpu_count() or 1)
-        bounds = np.linspace(0, trials, num=min(workers * 4, trials) + 1, dtype=int)
-        # at most ``trials`` ranges, so each holds at least one trial
-        jobs = [(config, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (_, lo, hi), chunk in zip(jobs, pool.map(_run_range, jobs)):
-                records[lo:hi] = chunk
-
+    records = _records(config, _rate_sums(config, n_jobs))
     valid = records["discarded"] == 0
     n_valid = int(np.count_nonzero(valid))
     kept = records if n_valid == trials else records[valid]
@@ -947,14 +950,9 @@ def link_rate_gap(config: SimConfig) -> tuple[float, int, float, int]:
     zero-forcing channel stayed unusable.  The rate sums are exactly
     rounded, and a mean over no links is 0.
     """
-    b, n = config.plan.n_clusters, config.trials
-    zf_sums, nc_sums = [], []
-    zf_n = nc_n = 0
-    for lo in range(0, n, _CHUNK):
-        rated = _rate_block(config, lo, min(lo + _CHUNK, n))
-        kept = rated.usable
-        zf_sums += rated.zf_sum[kept].tolist()
-        zf_n += int((b - rated.zf_dropped)[rated.has_zf & kept].sum())
-        nc_sums += rated.nc_sum[kept].ravel().tolist()
-        nc_n += int(rated.nc_links[kept].sum())
-    return math.fsum(zf_sums) / max(zf_n, 1), zf_n, math.fsum(nc_sums) / max(nc_n, 1), nc_n
+    sums = _rate_sums(config)
+    kept = sums.usable
+    zf_n = int((config.plan.n_clusters - sums.zf_dropped)[sums.has_zf & kept].sum())
+    nc_n = int(sums.nc_links[kept].sum())
+    zf_mean = math.fsum(sums.zf_sum[kept].tolist()) / max(zf_n, 1)
+    return zf_mean, zf_n, math.fsum(sums.nc_sum[kept].ravel().tolist()) / max(nc_n, 1), nc_n

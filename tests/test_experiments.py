@@ -1,5 +1,6 @@
 """Experiment orchestration: specs, sweeps, CSV emission, self-validation."""
 
+import hashlib
 import math
 import re
 from dataclasses import replace
@@ -614,6 +615,37 @@ def test_compare_runs_every_strategy_at_each_beta(tmp_path):
         (beta, strategy) for beta in ("0.0", "1.0")
         for strategy in ("optimized", "eta0.5", "etaK", "nocoop", "tdma")
     ]
+
+
+def test_compare_runs_each_campaign_once(tmp_path, monkeypatch):
+    # at the reference the best sim-feasible size is the configured one,
+    # (15, 9), at every beta, so etaK is optimized's campaign: four
+    # campaigns a beta, and the CSV bytes of one campaign a row
+    runs = []
+    original = experiments.run_campaign
+
+    def counted(config, **kwargs):
+        runs.append(config)
+        return original(config, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_campaign", counted)
+    spec = ExperimentSpec(
+        command="compare",
+        trials=10,
+        sweep_name="beta",
+        sweep_values=(0.0, 0.4, 1.0),
+        out=str(tmp_path / "compare.csv"),
+    )
+    cmd_compare(spec)
+    assert len(runs) == 12
+    data = (tmp_path / "compare.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "def928600bf0e5e854140d470194329bd7203e4a3656cdee514ddd48ae51afd6"
+    )
+    rows = read_csv(tmp_path / "compare.csv")[2]
+    for beta in range(3):
+        by_label = {r["strategy"]: r for r in rows[5 * beta : 5 * beta + 5]}
+        assert {**by_label["etaK"], "strategy": "optimized"} == by_label["optimized"]
 
 
 def test_cmd_validate_default_passes():

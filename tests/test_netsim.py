@@ -252,10 +252,11 @@ def test_link_rate_gap_reference_with_dropped_and_unusable_channels(ref_config, 
     assert gap[3] == clean[3] - lost
 
 
-@pytest.mark.parametrize("strategy", ["coop", "nocoop"])
+@pytest.mark.parametrize("strategy", ["coop", "nocoop", "tdma"])
 def test_link_rate_gap_reads_the_campaign_trials(ref_config, monkeypatch, strategy):
     # snapshot t is campaign trial t: the gap's rate sums are the records'
-    # bands, over the trials the campaign keeps
+    # bands, over the trials the campaign keeps; a tdma slot is active one
+    # slot in four
     eta = 0.5 if strategy == "coop" else 0.0
     config = replace(ref_config, strategy=strategy, eta=eta)
     original = netsim._zf_channel
@@ -272,7 +273,8 @@ def test_link_rate_gap_reads_the_campaign_trials(ref_config, monkeypatch, strate
     w = config.radio.bandwidth_hz
     zf_mean, zf_links, nc_mean, nc_links = link_rate_gap(config)
     share = 1.0 - eta * kept["mode"]  # the non-cooperative band of each trial
-    nc_total = math.fsum(((kept["throughput"] - kept["coop_band"]) / (w * share)).tolist())
+    slots = 4.0 if strategy == "tdma" else 1.0
+    nc_total = math.fsum((slots * (kept["throughput"] - kept["coop_band"]) / (w * share)).tolist())
     assert nc_total == approx(nc_mean * nc_links, rel=1e-12)
     zf_total = math.fsum(kept["coop_band"].tolist())
     if strategy == "coop":
@@ -280,6 +282,22 @@ def test_link_rate_gap_reads_the_campaign_trials(ref_config, monkeypatch, strate
         assert zf_total / (eta * w) == approx(zf_mean * zf_links, rel=1e-12)
     else:
         assert zf_total == zf_links == 0
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+@pytest.mark.parametrize("base", ["ref_config", "sparse_config", "small_config"])
+def test_one_rate_sum_table_gives_the_records_at_every_eta(request, ref_config, base, n_jobs):
+    # the table reads eta only as eta > 0: one pass at eta = 0.5 gives the
+    # campaign's records at any eta > 0, byte for byte; the small config
+    # has Mode-1 trials that form no cooperative set
+    config = replace(request.getfixturevalue(base), eta=0.5)
+    sums = netsim._rate_sums(config, n_jobs)
+    for eta in (0.011, ref_config.eta, 0.9, 1.0):
+        at_eta = replace(config, eta=eta)
+        expected = run_campaign(at_eta, n_jobs=n_jobs, keep_trials=True).trials
+        assert netsim._records(at_eta, sums).tobytes() == expected.tobytes()
+    if base == "small_config":
+        assert expected["degenerate"].any()
 
 
 @pytest.mark.parametrize("strategy", ["coop", "nocoop", "tdma"])
@@ -631,8 +649,8 @@ def test_path_gains_apply_the_radio_law_bit_for_bit(ref_radio, alpha):
 
 
 def fields_of(rated):
-    """Every array a rated block hands back, its drops' fields included."""
-    return [*rated.drops, *rated[1:]]
+    """Every array a rated block hands back: its rate sums and role counts."""
+    return list(rated)
 
 
 @pytest.mark.parametrize("strategy", ["coop", "tdma"])
