@@ -8,9 +8,8 @@ for exceeding its term budget.
 quantity must have: config files, flags and every public entry point that
 takes one of these names check it here.  :func:`check_cached_groups` is the
 one statement of the model's structural rule, a cluster of at most as many
-users as there are cacheable file groups, and :func:`check_split_inputs` the
-rule of the band split's derived inputs, which :func:`check_split_program`
-applies with the rest of the band-split program's inputs.  This module
+users as there are cacheable file groups, and :func:`check_split_program`
+applies the rules of every input of the band-split program.  This module
 imports no other module of the package, so every module can import it.
 """
 
@@ -25,7 +24,6 @@ __all__ = [
     "NUMERIC_RULES",
     "check_number",
     "check_cached_groups",
-    "check_split_inputs",
     "check_split_program",
 ]
 
@@ -55,6 +53,7 @@ class EnumerationBudgetError(CoopD2DError):
 # fields have no bound here: RadioParams checks their linear values.
 # ``r_min`` is the pairing floor in cluster sides; ``n_clusters (real)`` is
 # the cluster count B = M / K that the analytic chain takes as a real number.
+# The band split's derived inputs are ``pc``, ``rc``, ``rn``, ``nc_bar`` and ``nn_bar``.
 NUMERIC_RULES = (
     (int, "> 0", lambda v: v > 0, ("n_clusters", "users_per_cluster", "n_users",
                                    "n_files", "cache_size", "trials", "n_jobs",
@@ -63,8 +62,9 @@ NUMERIC_RULES = (
     (float, ">= 1", lambda v: v >= 1, ("n_clusters (real)",)),
     (float, "> 0", lambda v: v > 0, ("hotspot_side_m", "bandwidth_hz")),
     (float, ">= 0", lambda v: v >= 0, ("beta", "alpha", "mu_bps",
-                                       "min_pairing_distance_m", "r_min")),
-    (float, "in [0, 1]", lambda v: 0 <= v <= 1, ("eta",)),
+                                       "min_pairing_distance_m", "r_min",
+                                       "rc", "rn", "nc_bar", "nn_bar")),
+    (float, "in [0, 1]", lambda v: 0 <= v <= 1, ("eta", "pc")),
     (float, "", lambda v: True, ("tx_power_dbm", "noise_dbm", "path_loss_intercept_db")),
 )
 _RULE_OF = {name: rule[:3] for rule in NUMERIC_RULES for name in rule[3]}
@@ -103,21 +103,7 @@ def check_cached_groups(name: str, value, group_count: int) -> None:
 
 
 def check_split_program(pc, rc, rn, bandwidth_hz, n_clusters, nc_bar, nn_bar, mu) -> None:
-    """Refuse, naming it, a bad input of the band-split program: the rules of
-    :func:`check_number` for the band, the cluster count and the floor
-    ``mu`` (``mu_bps``), and :func:`check_split_inputs` for the rest."""
-    for name, value in (("bandwidth_hz", bandwidth_hz), ("n_clusters", n_clusters), ("mu_bps", mu)):
+    """Refuse, naming it, a bad input of the band-split program (``mu`` is ``mu_bps``)."""
+    for name, value in (("bandwidth_hz", bandwidth_hz), ("n_clusters", n_clusters), ("mu_bps", mu),
+                        ("pc", pc), ("rc", rc), ("rn", rn), ("nc_bar", nc_bar), ("nn_bar", nn_bar)):
         check_number(name, value)
-    check_split_inputs(pc, ("rc", rc), ("rn", rn), ("nc_bar", nc_bar), ("nn_bar", nn_bar))
-
-
-def check_split_inputs(pc, *named) -> None:
-    """Refuse, naming it, a cooperation probability ``pc`` outside [0, 1] or a
-    NaN, infinite or negative value of a ``(name, value)`` pair in ``named``
-    (rates, class means).  Plain comparisons, cheaper than :func:`check_number`,
-    as the band split is solved once per rate floor."""
-    if not 0.0 <= pc <= 1.0:
-        raise ConfigurationError("pc must be in [0, 1], got %r" % (pc,))
-    for name, value in named:
-        if not 0.0 <= value < math.inf:
-            raise ConfigurationError("%s must be a finite number >= 0, got %r" % (name, value))

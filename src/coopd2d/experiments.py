@@ -39,7 +39,7 @@ from .errors import (
     check_split_program,
 )
 from .geometry import GeometryTable, path_gain_moments
-from .netsim import SimConfig, SimResult, run_campaign
+from .netsim import SimConfig, SimResult, rate_sums, run_campaign, summarize
 from .population import expected_coop_users_closed
 from .rates import RadioParams, coop_link_rate, noncoop_link_rate
 
@@ -513,17 +513,23 @@ def compare_strategies(spec: ExperimentSpec, beta: float) -> list[dict]:
     Strategies: ``optimized`` (best grid-feasible cluster size with its
     optimal split), ``eta0.5`` (best size, fixed even split), ``etaK``
     (the configured cluster size with its optimal split), ``nocoop``, and
-    ``tdma`` (the last two at the configured size).
+    ``tdma`` (the last two at the configured size).  Each schedule is
+    rated once per cluster size, and each row summarizes its table.
     """
     model = build_popularity(spec.n_files, spec.cache_size, beta)
     best = _best_sim_cluster_size(model, spec.n_users)
     own = (spec.users_per_cluster, spec.n_clusters)
+    tables = {}  # the rate-sum table of each (schedule, K, B)
 
-    @functools.cache  # one run per (strategy, eta, K, B): etaK is optimized when best == own
+    @functools.cache  # one analytic point per (K, B)
+    def point(k: int, b: int) -> AnalyticPoint:
+        return analytic_point(replace(spec, beta=beta, n_clusters=b, users_per_cluster=k))
+
     def campaign(strategy: str, eta: float | None, k: int, b: int) -> tuple[SimConfig, SimResult]:
-        pt = analytic_point(replace(spec, beta=beta, n_clusters=b, users_per_cluster=k))
-        cfg = campaign_config(spec, pt, strategy, eta)
-        return cfg, run_campaign(cfg, n_jobs=spec.n_jobs)
+        cfg = campaign_config(spec, point(k, b), strategy, eta)
+        if (cfg.schedule, k, b) not in tables:
+            tables[cfg.schedule, k, b] = rate_sums(cfg, spec.n_jobs)
+        return cfg, summarize(cfg, tables[cfg.schedule, k, b])
 
     # the configured size first, so a refusal names the config's own plan
     configured = [

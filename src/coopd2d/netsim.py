@@ -22,11 +22,11 @@ Pass 1 draws the block's rows of stream D (:func:`_drop_rows`), classifies
 every user and cluster (:func:`_drop_block`) and picks the links
 (:func:`_pick_links`), slot by slot; pass 2 rates the block's links in
 stacks whose ends lie link-last (:func:`_block_ends`, :func:`_rate_block`).
-:func:`_rate_sums` joins the blocks' rate sums into one table (:class:`_Rated`),
-which :func:`_records` turns into trial records and :func:`link_rate_gap`
-into link means; :func:`snapshot_counts` runs pass 1 alone.  README
-"Determinism" states the streams, the windows, the workspace and the
-caches, with their sizes; the code must keep:
+:func:`rate_sums` joins the blocks' rate sums into one table (:class:`RateSums`),
+which :func:`summarize` turns into trial records and their aggregate and
+:func:`link_rate_gap` into link means; :func:`snapshot_counts` runs pass 1
+alone.  README "Determinism" states the streams, the windows, the workspace
+and the caches, with their sizes; the code must keep:
 
 * Windows.  Trial ``t`` reads only ``[t S, (t + 1) S)`` of each stream of
   width ``S`` (D, F, Z: children 0, 1, 2 of ``SeedSequence(seed)``),
@@ -43,7 +43,7 @@ caches, with their sizes; the code must keep:
 * Buffers.  The per-thread workspace (:func:`_scratch`) and the caches
   (:func:`_bucket_table`, :func:`_cell_keys`, :func:`_seeded_state`) may
   change where a result is written, never its arithmetic or order.  What a
-  stage hands on (:class:`_Drops`, :class:`_Rated`, the records) is a
+  stage hands on (:class:`_Drops`, :class:`RateSums`, the records) is a
   fresh array; the D rows and the drops are held only within their block.
 """
 
@@ -69,10 +69,13 @@ __all__ = [
     "SimResult",
     "STRATEGIES",
     "TRIAL_DTYPE",
+    "RateSums",
     "ROLE_COOP",
     "ROLE_NONCOOP",
     "ROLE_CELLULAR",
     "run_campaign",
+    "rate_sums",
+    "summarize",
     "link_rate_gap",
     "snapshot_counts",
 ]
@@ -166,6 +169,14 @@ class SimConfig:
                    _MIN_PATH_GAIN_LOG10)
             )
 
+    @property
+    def schedule(self) -> str:
+        """The schedule the trials run, all their :func:`rate_sums` table depends on:
+        ``"split"`` (``coop`` at ``eta > 0``), ``"tdma"`` or ``"whole"``."""
+        if self.strategy == "tdma":
+            return "tdma"
+        return "split" if self.strategy == "coop" and self.eta > 0.0 else "whole"
+
 
 _workspace = threading.local()  # the block stages' working arrays, see :func:`_scratch`
 _generators = threading.local()  # each thread's stream generator, see :func:`_stream_rows`
@@ -178,7 +189,7 @@ def _scratch(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     memory of the blocks before it instead of taking it from the allocator,
     which hands it back between blocks.  A view stays valid until the next
     call with the same name on the same thread, so no array that leaves
-    the block's stages (a field of :class:`_Drops` or :class:`_Rated`, a
+    the block's stages (a field of :class:`_Drops` or :class:`RateSums`, a
     record) may live here.
     """
     buffers = _workspace.__dict__
@@ -672,30 +683,30 @@ def _set_powers(fading: np.ndarray, trial: np.ndarray, cluster: np.ndarray) -> n
     return _exponentials(power)
 
 
-class _Rated(NamedTuple):
+class RateSums(NamedTuple):
     """The rate sums of ``T`` trials, ``S`` link sets each: a block's, or a campaign's table.
 
     ``S`` is 4 for ``tdma`` (the colour slots) and 1 otherwise.  A trial
     without a cooperative set, or whose channel stayed unusable, has a
     zero-forcing rate sum of 0; an unusable channel counts all its links as
-    dropped.  ``eta`` enters only as ``eta > 0`` (``split``): one table gives
-    the records at every ``eta > 0`` (:func:`_records`); ``eta = 0`` schedules its own.
+    dropped.  ``eta`` enters only through :attr:`SimConfig.schedule`: one
+    table gives the records at every ``eta`` of its schedule (:func:`summarize`).
     """
 
     mode: np.ndarray  # (T,) Mode 1: some cached group is requested in every cluster
     split: np.ndarray  # (T,) cooperation in Mode 1: the band is split
     has_zf: np.ndarray  # (T,) a cooperative set was scheduled
     zf_sum: np.ndarray  # (T,) zero-forcing rate sum
-    zf_dropped: np.ndarray  # (T,) zero-forcing links of rate 0
+    zf_dropped: np.ndarray  # (T,) int16 zero-forcing links of rate 0
     usable: np.ndarray  # (T,) False when the channel stayed unusable
     nc_sum: np.ndarray  # (T, S) non-cooperative rate sum of each set
-    nc_links: np.ndarray  # (T, S) links of each set
+    nc_links: np.ndarray  # (T, S) int16 links of each set
     n_coop: np.ndarray  # (T,) int16 users of each role, see :func:`_role_counts`
     n_noncoop: np.ndarray
     n_cellular: np.ndarray
 
 
-def _rate_block(config: SimConfig, lo: int, hi: int) -> _Rated:
+def _rate_block(config: SimConfig, lo: int, hi: int) -> RateSums:
     """Draw, schedule and rate trials ``lo .. hi - 1``.
 
     Pass 1 runs stages 1-3 (:func:`_drop_block`, :func:`_pick_links`).
@@ -719,7 +730,7 @@ def _rate_block(config: SimConfig, lo: int, hi: int) -> _Rated:
     draws = _drop_rows(config, lo, hi)  # held to the end: the link ends read them
     drops = _drop_block(config, draws)
     mode = drops.hit.any(axis=1)
-    split = mode & (config.strategy == "coop" and config.eta > 0.0)
+    split = mode & (config.schedule == "split")
     tdma = config.strategy == "tdma"
     colour, order = _colours(b) if tdma else (None, None)
     links = _pick_links(drops.request_of, drops.counts, drops.roles, split, drops.choices, order)
@@ -730,7 +741,7 @@ def _rate_block(config: SimConfig, lo: int, hi: int) -> _Rated:
     has_zf = np.zeros(n, dtype=bool)
     has_zf[links.coop] = True
     zf_sum = np.zeros(n)
-    zf_dropped = np.zeros(n, dtype=np.int64)
+    zf_dropped = np.zeros(n, dtype=np.int16)
     usable = np.ones(n, dtype=bool)
     if links.coop.size:
         normals = _stream_rows(config.seed, _CHANNEL, lo, hi, 2 * b * b).reshape(n, 2, b, b)
@@ -770,20 +781,26 @@ def _rate_block(config: SimConfig, lo: int, hi: int) -> _Rated:
         ends = _block_ends(config, draws, trial[:, None], set_tx, set_rx)
         power = _set_powers(fading, trial, set_cluster)
         nc_sum[sets] = _sinr_rates(ends, power, radio, floor).sum(axis=1)
-    return _Rated(
+    return RateSums(
         mode, split, has_zf, zf_sum, zf_dropped, usable,
-        nc_sum.reshape(n, n_slots), set_size.reshape(n, n_slots), *roles,
+        nc_sum.reshape(n, n_slots), set_size.astype(np.int16).reshape(n, n_slots), *roles,
     )
 
 
-def _run_range(args) -> list[_Rated]:
+def _run_range(args) -> list[RateSums]:
     """Rate sums of trials ``start .. stop - 1``, one table per block of ``_CHUNK``."""
     config, start, stop = args
     return [_rate_block(config, lo, min(lo + _CHUNK, stop)) for lo in range(start, stop, _CHUNK)]
 
 
-def _rate_sums(config: SimConfig, n_jobs: int = 1) -> _Rated:
-    """The campaign's table, its blocks joined by field; ``n_jobs`` as in :func:`run_campaign`."""
+def rate_sums(config: SimConfig, n_jobs: int = 1) -> RateSums:
+    """The campaign's table of rate sums, its blocks joined by field.
+
+    ``n_jobs`` worker processes, an integer of at least 1: above 1, the
+    pool's ``min(n_jobs, trials, CPU count)`` workers run ``min(4 * workers,
+    trials)`` contiguous trial ranges.  The table is bit-identical for any
+    value, because trial randomness and storage are indexed by trial.
+    """
     check_number("n_jobs", n_jobs)
     trials = config.trials
     if n_jobs == 1:
@@ -795,31 +812,7 @@ def _rate_sums(config: SimConfig, n_jobs: int = 1) -> _Rated:
         jobs = [(config, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = [block for part in pool.map(_run_range, jobs) for block in part]
-    return blocks[0] if len(blocks) == 1 else _Rated(*map(np.concatenate, zip(*blocks)))
-
-
-def _records(config: SimConfig, sums: _Rated) -> np.ndarray:
-    """Trial records of ``sums`` at ``config.eta``, each from its trial's row alone."""
-    out = np.zeros(len(sums.mode), dtype=TRIAL_DTYPE)  # tdma: no coop band, no dropped link
-    usable, split = sums.usable, sums.split
-    w, eta = config.radio.bandwidth_hz, config.eta
-    if config.strategy == "tdma":
-        out["throughput"] = _tdma_throughput(w, sums.nc_sum)
-    else:
-        coop_band = eta * w * sums.zf_sum
-        # Mode 0 or eta = 0: the whole band is non-cooperative
-        share = np.where(split, 1.0 - eta, 1.0)
-        throughput = coop_band + share * w * sums.nc_sum[:, 0]
-        throughput[~usable] = coop_band[~usable] = math.nan
-        out["throughput"] = throughput
-        out["coop_band"] = coop_band
-        out["dropped_links"] = np.where(usable, sums.zf_dropped, 0)
-    for name in ("mode", "n_coop", "n_noncoop", "n_cellular"):
-        out[name] = getattr(sums, name)
-    out["degenerate"] = split & ~sums.has_zf
-    out["silent_clusters"] = config.plan.n_clusters - sums.nc_links.sum(axis=1)
-    out["discarded"] = ~usable
-    return out
+    return blocks[0] if len(blocks) == 1 else RateSums(*map(np.concatenate, zip(*blocks)))
 
 
 @dataclass(frozen=True)
@@ -848,32 +841,47 @@ class SimResult:
 
 
 def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) -> SimResult:
-    """Run all trials of a campaign and aggregate.
+    """Run all trials of a campaign and aggregate: :func:`summarize` of its :func:`rate_sums`."""
+    return summarize(config, rate_sums(config, n_jobs), keep_trials)
 
-    Parameters
-    ----------
-    config : SimConfig
-    n_jobs : int, optional
-        Worker processes, an integer of at least 1.  Above 1, the pool's
-        ``min(n_jobs, trials, CPU count)`` workers run ``min(4 * workers,
-        trials)`` contiguous trial ranges; results are bit-identical for any
-        value because trial randomness and storage are indexed by trial.
-    keep_trials : bool, optional
-        Attach the per-trial record array to the result (needed for
-        per-trial CSV emission).
 
-    Returns
-    -------
-    SimResult
-        Its means and interval are plain float64 reductions of the kept
-        records, one ``add.reduce`` per field: the same sums, divisions and
-        square root as numpy's ``mean`` and ``std(ddof=1)``, so the same bits.
+def summarize(config: SimConfig, sums: RateSums, keep_trials: bool = False) -> SimResult:
+    """The campaign ``config`` describes, from a :func:`rate_sums` table of its
+    :attr:`~SimConfig.schedule` and trial count; ``keep_trials`` attaches the records.
+
+    A table of another schedule or length is refused: one whose trials are
+    all in Mode 0 is the same under both non-tdma schedules, so the test is
+    exact.  The means and interval are plain float64 reductions of the kept
+    records, one ``add.reduce`` per field: the same sums, divisions and
+    square root as numpy's ``mean`` and ``std(ddof=1)``, so the same bits.
     """
-    trials = config.trials
-    records = _records(config, _rate_sums(config, n_jobs))
+    schedule, (n, slots) = config.schedule, sums.nc_sum.shape
+    usable, split, w, eta = sums.usable, sums.split, config.radio.bandwidth_hz, config.eta
+    if n != config.trials or slots != (4 if schedule == "tdma" else 1) or (
+            split != (sums.mode if schedule == "split" else False)).any():
+        raise ConfigurationError("the rate-sum table (%d trials, %d slots) is not of this config's %r "
+                                 "schedule at %d trials" % (n, slots, schedule, config.trials))
+    # the trial records at config.eta, each from its trial's row alone
+    records = np.zeros(n, dtype=TRIAL_DTYPE)  # tdma: no coop band, no dropped link
+    if schedule == "tdma":
+        records["throughput"] = _tdma_throughput(w, sums.nc_sum)
+    else:
+        coop_band = eta * w * sums.zf_sum
+        # Mode 0 or eta = 0: the whole band is non-cooperative
+        share = np.where(split, 1.0 - eta, 1.0)
+        throughput = coop_band + share * w * sums.nc_sum[:, 0]
+        throughput[~usable] = coop_band[~usable] = math.nan
+        records["throughput"] = throughput
+        records["coop_band"] = coop_band
+        records["dropped_links"] = np.where(usable, sums.zf_dropped, 0)
+    for name in ("mode", "n_coop", "n_noncoop", "n_cellular"):
+        records[name] = getattr(sums, name)
+    records["degenerate"] = split & ~sums.has_zf
+    records["silent_clusters"] = config.plan.n_clusters - sums.nc_links.sum(axis=1)
+    records["discarded"] = ~usable
     valid = records["discarded"] == 0
     n_valid = int(np.count_nonzero(valid))
-    kept = records if n_valid == trials else records[valid]
+    kept = records if n_valid == n else records[valid]
     b = config.plan.n_clusters
     # One ``add.reduce`` per field, the sum inside numpy's ``mean``, which
     # also takes the integer fields' sums in float64 (exact, far below 2**53).
@@ -913,7 +921,7 @@ def run_campaign(config: SimConfig, n_jobs: int = 1, keep_trials: bool = False) 
         mode1_frequency=mode1,
         mean_counts=(mean_coop, mean_noncoop, mean_cell),
         n_trials=n_valid,
-        discarded_trials=trials - n_valid,
+        discarded_trials=n - n_valid,
         degenerate_mode1_trials=int(total["degenerate"]),
         dropped_link_fraction=float(total["dropped_links"]) / max(1, n_valid * b),
         silent_cluster_fraction=float(total["silent_clusters"]) / max(1, n_valid * b),
@@ -950,7 +958,7 @@ def link_rate_gap(config: SimConfig) -> tuple[float, int, float, int]:
     zero-forcing channel stayed unusable.  The rate sums are exactly
     rounded, and a mean over no links is 0.
     """
-    sums = _rate_sums(config)
+    sums = rate_sums(config)
     kept = sums.usable
     zf_n = int((config.plan.n_clusters - sums.zf_dropped)[sums.has_zf & kept].sum())
     nc_n = int(sums.nc_links[kept].sum())

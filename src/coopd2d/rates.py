@@ -21,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 
-from .errors import ConfigurationError, check_number, check_split_inputs
+from .errors import ConfigurationError, check_number
 from .geometry import GeometryTable
 
 __all__ = [
@@ -188,6 +188,6 @@ def network_throughput(
 
     Affine in ``eta`` with slope ``W * B * pc * (rc - rn)``.
     """
-    check_number("eta", eta)
-    check_split_inputs(pc, ("rc", rc), ("rn", rn))
+    for name, value in (("eta", eta), ("pc", pc), ("rc", rc), ("rn", rn)):
+        check_number(name, value)
     return bandwidth_hz * n_clusters * (pc * eta * rc + (1.0 - pc * eta) * rn)

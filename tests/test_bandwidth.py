@@ -132,9 +132,11 @@ def test_input_validation():
         optimize_eta(-0.1, 15.0, 2.4, 20e6, 9, 80.0, 54.0, mu=1e6)
     with pytest.raises(ValueError):
         optimize_eta(0.9, 15.0, 2.4, 0.0, 9, 80.0, 54.0, mu=1e6)
-    # each derived input is refused by name, also where the floor is infeasible
+    # each derived input is refused by name, also where the floor is infeasible;
+    # a bool is no number here, as for every named quantity
     for name, args in (
         ("pc", (1.5, 10.0, 2.0, 1.0, 1.0)),
+        ("pc", (True, 10.0, 2.0, 1.0, 1.0)),
         ("rc", (0.5, math.nan, 2.0, 1.0, 1.0)),
         ("rn", (0.5, 10.0, -1.0, 1.0, 1.0)),
         ("nc_bar", (0.5, 10.0, 2.0, math.inf, 1.0)),

@@ -617,18 +617,25 @@ def test_compare_runs_every_strategy_at_each_beta(tmp_path):
     ]
 
 
+def _counted_tables(monkeypatch) -> list:
+    """The configs ``compare`` rates a rate-sum table for, in order."""
+    rated = []
+    original = experiments.rate_sums
+
+    def counted(config, n_jobs=1):
+        rated.append(config)
+        return original(config, n_jobs)
+
+    monkeypatch.setattr(experiments, "rate_sums", counted)
+    return rated
+
+
 def test_compare_runs_each_campaign_once(tmp_path, monkeypatch):
     # at the reference the best sim-feasible size is the configured one,
-    # (15, 9), at every beta, so etaK is optimized's campaign: four
-    # campaigns a beta, and the CSV bytes of one campaign a row
-    runs = []
-    original = experiments.run_campaign
-
-    def counted(config, **kwargs):
-        runs.append(config)
-        return original(config, **kwargs)
-
-    monkeypatch.setattr(experiments, "run_campaign", counted)
+    # (15, 9), at every beta, so optimized, eta0.5 and etaK share the split
+    # schedule's table: three tables a beta (split, whole band, tdma), and
+    # the CSV bytes of one campaign a row
+    rated = _counted_tables(monkeypatch)
     spec = ExperimentSpec(
         command="compare",
         trials=10,
@@ -637,7 +644,7 @@ def test_compare_runs_each_campaign_once(tmp_path, monkeypatch):
         out=str(tmp_path / "compare.csv"),
     )
     cmd_compare(spec)
-    assert len(runs) == 12
+    assert [cfg.schedule for cfg in rated] == ["split", "whole", "tdma"] * 3
     data = (tmp_path / "compare.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == (
         "def928600bf0e5e854140d470194329bd7203e4a3656cdee514ddd48ae51afd6"
@@ -646,6 +653,27 @@ def test_compare_runs_each_campaign_once(tmp_path, monkeypatch):
     for beta in range(3):
         by_label = {r["strategy"]: r for r in rows[5 * beta : 5 * beta + 5]}
         assert {**by_label["etaK"], "strategy": "optimized"} == by_label["optimized"]
+
+
+def test_compare_at_a_zero_optimal_split_shares_the_whole_band_table(tmp_path, monkeypatch):
+    # at -60 dBm the cooperative rate is below the single-cell rate, so the
+    # optimal split is 0: optimized and etaK run nocoop's whole-band
+    # schedule and read its table, and only eta0.5 splits the band
+    rated = _counted_tables(monkeypatch)
+    spec = ExperimentSpec(command="compare", trials=50, tx_power_dbm=-60.0, mu_bps=0.0,
+                          out=str(tmp_path / "compare.csv"))
+    cmd_compare(spec)
+    assert [(cfg.strategy, cfg.eta) for cfg in rated] == [
+        ("coop", 0.0), ("tdma", 0.0), ("coop", 0.5)
+    ]
+    data = (tmp_path / "compare.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "e0a219c859e9c24d3301bb2b3ed171fd590cb41d72cf1a8125a8edbe8a457cc6"
+    )
+    by_label = {r["strategy"]: r for r in read_csv(tmp_path / "compare.csv")[2]}
+    assert by_label["optimized"]["eta"] == by_label["etaK"]["eta"] == "0.0"
+    for label in ("optimized", "etaK"):
+        assert {**by_label[label], "strategy": "nocoop"} == by_label["nocoop"]
 
 
 def test_cmd_validate_default_passes():

@@ -23,8 +23,10 @@ from coopd2d.netsim import (
     ROLE_NONCOOP,
     SimConfig,
     link_rate_gap,
+    rate_sums,
     run_campaign,
     snapshot_counts,
+    summarize,
 )
 from coopd2d.population import expected_coop_users_closed, expected_coop_users_exact
 from coopd2d.rates import RadioParams
@@ -291,13 +293,37 @@ def test_one_rate_sum_table_gives_the_records_at_every_eta(request, ref_config, 
     # campaign's records at any eta > 0, byte for byte; the small config
     # has Mode-1 trials that form no cooperative set
     config = replace(request.getfixturevalue(base), eta=0.5)
-    sums = netsim._rate_sums(config, n_jobs)
+    sums = rate_sums(config, n_jobs)
     for eta in (0.011, ref_config.eta, 0.9, 1.0):
         at_eta = replace(config, eta=eta)
-        expected = run_campaign(at_eta, n_jobs=n_jobs, keep_trials=True).trials
-        assert netsim._records(at_eta, sums).tobytes() == expected.tobytes()
+        expected = run_campaign(at_eta, n_jobs=n_jobs, keep_trials=True)
+        result = summarize(at_eta, sums, keep_trials=True)
+        assert result == expected
+        assert result.trials.tobytes() == expected.trials.tobytes()
     if base == "small_config":
-        assert expected["degenerate"].any()
+        assert expected.trials["degenerate"].any()
+
+
+def test_summarize_refuses_a_table_of_another_schedule(ref_config):
+    # a table serves every config of its schedule and length: coop at
+    # eta = 0 runs nocoop's whole-band schedule, and nearly every reference
+    # trial is in Mode 1, so the split table differs from it
+    config = replace(ref_config, trials=60)
+    whole = replace(config, eta=0.0)
+    nocoop = rate_sums(replace(config, strategy="nocoop"))
+    assert nocoop.zf_dropped.dtype == nocoop.nc_links.dtype == np.int16
+    expected = run_campaign(whole, keep_trials=True)
+    result = summarize(whole, nocoop, keep_trials=True)
+    assert result == expected
+    assert result.trials.tobytes() == expected.trials.tobytes()
+    for cfg, other in (
+        (whole, rate_sums(config)),
+        (config, nocoop),
+        (config, rate_sums(replace(config, strategy="tdma"))),
+        (config, rate_sums(replace(config, trials=59))),
+    ):
+        with pytest.raises(ConfigurationError, match="^the rate-sum table"):
+            summarize(cfg, other)
 
 
 @pytest.mark.parametrize("strategy", ["coop", "nocoop", "tdma"])
